@@ -16,11 +16,7 @@
 // per-shard layouts merge by slot replay into that same layout.
 package profile
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"sort"
-)
+import "sort"
 
 // Shard is one worker's private profile state: per-routine edge and
 // path profiles plus counter tables, created on demand. A shard is NOT
@@ -198,79 +194,102 @@ func (c *Collector) MergeShards(include []bool) *Snapshot {
 // every consumer in this repository; the determinism tests and the
 // bench throughput report compare runs through it.
 func (s *Snapshot) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wi := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	ws := func(str string) {
-		wi(int64(len(str)))
-		h.Write([]byte(str))
-	}
+	h := fnvOffset64
+	var edges []EdgeCount
 	for _, fn := range sortedKeys(s.Edges) {
-		ws("E")
-		ws(fn)
+		h.str("E")
+		h.str(fn)
 		ep := s.Edges[fn]
-		wi(ep.Calls)
+		h.int(ep.Calls)
 		if ep.Saturated {
 			// Emitted only on overflow so zero-fault fingerprints stay
 			// byte-compatible across releases.
-			ws("sat")
+			h.str("sat")
 		}
-		freq := ep.Freq()
-		for _, k := range sortedEdgeKeys(freq) {
-			wi(int64(k.Src))
-			wi(int64(k.Dst))
-			wi(freq[k])
+		edges = ep.AppendCounts(edges[:0])
+		for _, ec := range edges {
+			h.int(int64(ec.Src))
+			h.int(int64(ec.Dst))
+			h.int(ec.Count)
 		}
 	}
 	for _, fn := range sortedKeys(s.Paths) {
-		ws("P")
-		ws(fn)
+		h.str("P")
+		h.str(fn)
 		pp := s.Paths[fn]
 		if pp.Saturated {
-			ws("sat")
+			h.str("sat")
 		}
 		for i := range pp.paths {
 			pc := &pp.paths[i]
-			wi(int64(len(pc.Path)))
+			h.int(int64(len(pc.Path)))
 			for _, e := range pc.Path {
-				wi(int64(e.ID))
+				h.int(int64(e.ID))
 			}
-			wi(pc.Count)
+			h.int(pc.Count)
 		}
 	}
 	for _, fn := range sortedKeys(s.Tables) {
-		ws("T")
-		ws(fn)
+		h.str("T")
+		h.str(fn)
 		t := s.Tables[fn]
-		wi(int64(t.Kind))
-		wi(t.N)
-		wi(t.Lost)
-		wi(t.Cold)
-		wi(t.Drops)
+		h.int(int64(t.Kind))
+		h.int(t.N)
+		h.int(t.Lost)
+		h.int(t.Cold)
+		h.int(t.Drops)
 		if t.Saturated {
-			ws("sat")
+			h.str("sat")
 		}
 		if t.Kind == ArrayTable {
 			for i, v := range t.arr {
 				if v != 0 {
-					wi(int64(i))
-					wi(v)
+					h.int(int64(i))
+					h.int(v)
 				}
 			}
 			continue
 		}
 		for slot := 0; slot < HashSlots; slot++ {
 			if t.used[slot] {
-				wi(int64(slot))
-				wi(t.keys[slot])
-				wi(t.vals[slot])
+				h.int(int64(slot))
+				h.int(t.keys[slot])
+				h.int(t.vals[slot])
 			}
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// fnv64a is a running 64-bit FNV-1a hash: the hash/fnv New64a
+// function over the same bytes, kept in a register instead of behind
+// the hash.Hash interface. int feeds an int64 as 8 little-endian
+// bytes; str feeds a length-prefixed string.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+)
+
+func (h *fnv64a) int(v int64) {
+	x, u := *h, uint64(v)
+	for i := 0; i < 8; i++ {
+		x ^= fnv64a(byte(u))
+		x *= fnvPrime64
+		u >>= 8
+	}
+	*h = x
+}
+
+func (h *fnv64a) str(s string) {
+	h.int(int64(len(s)))
+	x := *h
+	for i := 0; i < len(s); i++ {
+		x ^= fnv64a(s[i])
+		x *= fnvPrime64
+	}
+	*h = x
 }
 
 // sortedKeys returns m's keys sorted, for deterministic merge order.

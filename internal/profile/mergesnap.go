@@ -1,5 +1,10 @@
 package profile
 
+import (
+	"maps"
+	"slices"
+)
+
 // NewSnapshot returns an empty snapshot ready to merge into.
 func NewSnapshot() *Snapshot {
 	return &Snapshot{
@@ -46,4 +51,68 @@ func (s *Snapshot) MergeSnapshot(other *Snapshot) {
 		}
 		dst.Merge(src)
 	}
+}
+
+// Clone returns a deep copy of s: folding into the copy (MergeSnapshot)
+// leaves s untouched, and the copy fingerprints and encodes exactly
+// like s. This is the profile service's per-commit scratch aggregate,
+// so it copies backing slices wholesale rather than replaying counts.
+// Interned paths are immutable once recorded and stay shared.
+func (s *Snapshot) Clone() *Snapshot {
+	c := &Snapshot{
+		Edges:  make(map[string]*EdgeProfile, len(s.Edges)),
+		Paths:  make(map[string]*PathProfile, len(s.Paths)),
+		Tables: make(map[string]*Table, len(s.Tables)),
+	}
+	for fn, ep := range s.Edges { //ppp:allow(mapiter) — map-to-map copy, order-free
+		c.Edges[fn] = ep.clone()
+	}
+	for fn, pp := range s.Paths { //ppp:allow(mapiter) — map-to-map copy, order-free
+		c.Paths[fn] = pp.clone()
+	}
+	for fn, t := range s.Tables { //ppp:allow(mapiter) — map-to-map copy, order-free
+		c.Tables[fn] = t.clone()
+	}
+	return c
+}
+
+func (ep *EdgeProfile) clone() *EdgeProfile {
+	c := *ep
+	c.slots = maps.Clone(ep.slots)
+	c.keys = slices.Clone(ep.keys)
+	c.dense = slices.Clone(ep.dense)
+	c.extra = maps.Clone(ep.extra)
+	return &c
+}
+
+// clone copies the trie and the interned path list. All nodes'
+// overflow siblings move into one backing array, each node's window
+// capped at its length, so a later addKid reallocates that node's
+// siblings instead of writing over the next node's.
+func (pp *PathProfile) clone() *PathProfile {
+	c := *pp
+	c.nodes = slices.Clone(pp.nodes)
+	c.paths = slices.Clone(pp.paths)
+	n := 0
+	for i := range pp.nodes {
+		n += len(pp.nodes[i].rest)
+	}
+	rest := make([]pathKid, 0, n)
+	for i := range c.nodes {
+		if r := c.nodes[i].rest; r != nil {
+			at := len(rest)
+			rest = append(rest, r...)
+			c.nodes[i].rest = rest[at:len(rest):len(rest)]
+		}
+	}
+	return &c
+}
+
+func (t *Table) clone() *Table {
+	c := *t
+	c.arr = slices.Clone(t.arr)
+	c.keys = slices.Clone(t.keys)
+	c.used = slices.Clone(t.used)
+	c.vals = slices.Clone(t.vals)
+	return &c
 }

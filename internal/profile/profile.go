@@ -13,8 +13,10 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pathprof/internal/cfg"
@@ -159,6 +161,47 @@ func (ep *EdgeProfile) Freq() map[EdgeKey]int64 {
 		}
 	}
 	return out
+}
+
+// EdgeCount is one edge and its count.
+type EdgeCount struct {
+	EdgeKey
+	Count int64
+}
+
+// AppendCounts appends to buf, in (Src, Dst) order, every edge with a
+// nonzero count, summing an edge counted in both backings: Freq's
+// entries in sorted order, without building its map. Fingerprint and
+// the snapshot codec walk edges through it.
+func (ep *EdgeProfile) AppendCounts(buf []EdgeCount) []EdgeCount {
+	start := len(buf)
+	for i, k := range ep.keys {
+		if ep.dense[i] != 0 {
+			buf = append(buf, EdgeCount{k, ep.dense[i]})
+		}
+	}
+	for k, v := range ep.extra { //ppp:allow(mapiter) — sorted below
+		if v != 0 {
+			buf = append(buf, EdgeCount{k, v})
+		}
+	}
+	counts := buf[start:]
+	slices.SortFunc(counts, func(a, b EdgeCount) int {
+		if a.Src != b.Src {
+			return cmp.Compare(a.Src, b.Src)
+		}
+		return cmp.Compare(a.Dst, b.Dst)
+	})
+	// An edge in both backings sorts into two adjacent entries.
+	out := counts[:0]
+	for _, ec := range counts {
+		if last := len(out) - 1; last >= 0 && out[last].EdgeKey == ec.EdgeKey {
+			out[last].Count, _ = satAdd(out[last].Count, ec.Count)
+			continue
+		}
+		out = append(out, ec)
+	}
+	return buf[:start+len(out)]
 }
 
 // ApplyTo writes the profile onto a CFG whose block IDs match the

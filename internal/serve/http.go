@@ -88,6 +88,25 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// readTenant resolves a read request's tenant: nil when the tenant is
+// unknown, and ok=false (after answering 503 itself) when its stored
+// aggregate is unreadable.
+func (s *Server) readTenant(w http.ResponseWriter, r *http.Request) (*tenant, bool) {
+	t, err := s.lookup(r.PathValue("tenant"))
+	if err != nil {
+		s.storeUnavailable(w, err)
+		return nil, false
+	}
+	return t, true
+}
+
+// storeUnavailable answers 503 for a tenant whose stored aggregate
+// cannot be read; the files are left for an operator to repair.
+func (s *Server) storeUnavailable(w http.ResponseWriter, err error) {
+	s.retryHint(w)
+	http.Error(w, err.Error(), http.StatusServiceUnavailable)
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
@@ -176,7 +195,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w, r) {
 		return
 	}
-	data, fp := s.AggregateBytes(r.PathValue("tenant"))
+	t, ok := s.readTenant(w, r)
+	if !ok {
+		return
+	}
+	data, fp := s.aggregateBytes(t)
 	if data == nil {
 		http.Error(w, "no aggregate for tenant", http.StatusNotFound)
 		return
@@ -190,7 +213,11 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w, r) {
 		return
 	}
-	info, ok := s.Info(r.PathValue("tenant"))
+	t, ok := s.readTenant(w, r)
+	if !ok {
+		return
+	}
+	info, ok := s.info(t)
 	if !ok {
 		http.Error(w, "unknown tenant", http.StatusNotFound)
 		return
@@ -202,7 +229,11 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w, r) {
 		return
 	}
-	log := s.CommitLog(r.PathValue("tenant"))
+	t, ok := s.readTenant(w, r)
+	if !ok {
+		return
+	}
+	log := s.commitLog(t)
 	if log == nil {
 		log = []LogEntry{}
 	}
@@ -213,7 +244,11 @@ func (s *Server) handleHot(w http.ResponseWriter, r *http.Request) {
 	if s.shed(w, r) {
 		return
 	}
-	agg := s.Aggregate(r.PathValue("tenant"))
+	t, ok := s.readTenant(w, r)
+	if !ok {
+		return
+	}
+	agg := s.aggregate(t)
 	if agg == nil {
 		http.Error(w, "no aggregate for tenant", http.StatusNotFound)
 		return
@@ -269,14 +304,19 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	staged, err := s.stagedFor(tenantName, source)
+	t, err := s.tenantFor(tenantName)
+	if err != nil {
+		s.storeUnavailable(w, err)
+		return
+	}
+	staged, err := stagedFor(t, source)
 	if err != nil {
 		http.Error(w, "stage tenant program: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	// Guide planning with the live merged aggregate when one exists;
 	// without one, fall back to the staging run's own profile.
-	agg := s.Aggregate(tenantName)
+	agg := s.aggregate(t)
 	var plans map[string]*instr.Plan
 	if agg != nil {
 		plans, err = staged.PlansGuided(tenantName, tech, pl, agg.Edges)
@@ -301,10 +341,9 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 
 // stagedFor stages a tenant's program once and caches the result on
 // the tenant; concurrent first requests serialize on the Once.
-func (s *Server) stagedFor(tenantName, source string) (*core.Staged, error) {
-	t := s.tenantFor(tenantName)
+func stagedFor(t *tenant, source string) (*core.Staged, error) {
 	t.stageOnce.Do(func() {
-		t.staged, t.stageErr = core.NewPipeline(tenantName, source).Stage()
+		t.staged, t.stageErr = core.NewPipeline(t.name, source).Stage()
 	})
 	return t.staged, t.stageErr
 }

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -271,7 +273,7 @@ func New(cfg Config) (*Server, error) {
 		[]int64{1, 2, 4, 8, 16, 32, 64, 128}).Cell(0)
 	h := func(name, help string) *telemetry.HistCell { return reg.Histogram(name, help, usBounds).Cell(0) }
 	s.met.queueWait = h("ppp_serve_queue_wait_us", "time an ingest spent in the bounded queue before its committer dequeued it, microseconds")
-	s.met.commitMerge = h("ppp_serve_commit_merge_us", "time the committer spent cloning, folding, and encoding one tenant batch, microseconds")
+	s.met.commitMerge = h("ppp_serve_commit_merge_us", "time the committer spent cloning the aggregate in memory, folding one tenant batch into it, and encoding the result, microseconds")
 	s.met.storeSave = h("ppp_serve_store_save_us", "time one durable store save took, microseconds")
 	s.met.ackE2E = h("ppp_serve_ack_e2e_us", "admission-to-ack latency of successfully committed ingests, microseconds")
 	if reg != nil {
@@ -452,7 +454,11 @@ func (s *Server) commitBatch(batch []*ingestItem) {
 // the whole batch, so clients retry and nothing half-merged can ever
 // be served or double-counted.
 func (s *Server) commitTenant(name string, items []*ingestItem) {
-	t := s.tenantFor(name)
+	t, err := s.tenantFor(name)
+	if err != nil {
+		s.nack(name, items, err)
+		return
+	}
 
 	// Partition into fresh items (to fold) and duplicates (answered
 	// from the idempotency log). A duplicate of a fresh key in this
@@ -474,7 +480,7 @@ func (s *Server) commitTenant(name string, items []*ingestItem) {
 		pending[it.key] = it
 		fresh = append(fresh, it)
 	}
-	aggBytes := t.aggBytes
+	cur := t.agg
 	s.mu.Unlock()
 
 	if len(fresh) == 0 {
@@ -489,11 +495,12 @@ func (s *Server) commitTenant(name string, items []*ingestItem) {
 		return
 	}
 
+	// The committer is the aggregate's only writer and readers never
+	// mutate it, so the clone reads cur without holding s.mu.
 	mergeStart := time.Now()
-	next, err := cloneAggregate(aggBytes)
-	if err != nil {
-		s.nack(name, items, fmt.Errorf("serve: aggregate clone: %w", err))
-		return
+	next := profile.NewSnapshot()
+	if cur != nil {
+		next = cur.Clone()
 	}
 	for _, it := range fresh {
 		next.MergeSnapshot(it.snap)
@@ -614,21 +621,43 @@ func (s *Server) nackFresh(name string, items []*ingestItem, dupOf map[*ingestIt
 // tenantFor returns (creating if needed) the tenant, seeding its
 // aggregate from the durable store on first touch — the crash
 // recovery path: whatever the store's last acknowledged aggregate
-// was, the service resumes from it.
-func (s *Server) tenantFor(name string) *tenant {
+// was, the service resumes from it. Only a tenant the store has
+// never seen starts empty; an unreadable stored aggregate is an
+// error, so the next commit cannot save over it.
+func (s *Server) tenantFor(name string) (*tenant, error) {
+	return s.resolve(name, true)
+}
+
+// resolve returns the in-memory tenant, loading it from the store on
+// first touch (one load, one decode). A tenant the store does not
+// know is created empty when create is set and is nil otherwise. Any
+// other load failure emits a store-fault event and returns an error
+// without caching anything, so every later touch retries the load
+// and the stored files stay as they are.
+func (s *Server) resolve(name string, create bool) (*tenant, error) {
 	s.mu.Lock()
 	t := s.tenants[name]
 	s.mu.Unlock()
 	if t != nil {
-		return t
+		return t, nil
 	}
 	t = &tenant{name: name, seqs: map[string]uint64{}}
-	if data, err := s.cfg.Store.Load(name); err == nil {
-		if snap, derr := snapshot.Decode(data); derr == nil {
-			t.agg = snap
-			t.aggBytes = data
-			t.fp = snap.Fingerprint()
+	data, snap, err := loadAggregate(s.cfg.Store, name)
+	switch {
+	case err == nil:
+		t.agg = snap
+		t.aggBytes = data
+		t.fp = snap.Fingerprint()
+	case errors.Is(err, os.ErrNotExist):
+		if !create {
+			return nil, nil
 		}
+	default:
+		s.trace.Emit(telemetry.Event{
+			Unit: "serve", Routine: name, Kind: telemetry.EvStoreFault,
+			Detail: "stored aggregate unreadable; tenant refused: " + err.Error(),
+		})
+		return nil, fmt.Errorf("serve: tenant %q: stored aggregate unreadable: %w", name, err)
 	}
 	s.mu.Lock()
 	if cur := s.tenants[name]; cur != nil {
@@ -638,17 +667,7 @@ func (s *Server) tenantFor(name string) *tenant {
 		s.met.tenants.Set(float64(len(s.tenants)))
 	}
 	s.mu.Unlock()
-	return t
-}
-
-// cloneAggregate deep-copies an aggregate via the codec (decode ∘
-// encode is identity, so the clone folds and fingerprints exactly
-// like the original). nil bytes clone to an empty snapshot.
-func cloneAggregate(data []byte) (*profile.Snapshot, error) {
-	if data == nil {
-		return profile.NewSnapshot(), nil
-	}
-	return snapshot.Decode(data)
+	return t, nil
 }
 
 func fpString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
@@ -656,30 +675,26 @@ func fpString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 // lookup resolves a tenant for the read paths: in-memory state when
 // it exists, else a lazy load from the durable store — so a restarted
 // server serves every recovered aggregate without waiting for a fresh
-// ingest. Unknown tenants stay nil (reads must not fabricate state).
-// Commit logs and idempotency keys are per-process: a restart starts
-// both fresh while the durable aggregate carries every acked commit.
-func (s *Server) lookup(name string) *tenant {
-	s.mu.Lock()
-	t := s.tenants[name]
-	s.mu.Unlock()
-	if t != nil {
-		return t
-	}
+// ingest. Unknown tenants are nil (reads must not fabricate state);
+// an unreadable stored aggregate is an error. Commit logs and
+// idempotency keys are per-process: a restart starts both fresh while
+// the durable aggregate carries every acked commit.
+func (s *Server) lookup(name string) (*tenant, error) {
 	if !ValidTenant(name) {
-		return nil
+		return nil, nil
 	}
-	if _, err := s.cfg.Store.Load(name); err != nil {
-		return nil
-	}
-	return s.tenantFor(name)
+	return s.resolve(name, false)
 }
 
 // AggregateBytes returns the current durable aggregate encoding for a
-// tenant (nil when the tenant is unknown or empty), plus its
-// fingerprint string.
+// tenant (nil when the tenant is unknown, empty or unreadable), plus
+// its fingerprint string.
 func (s *Server) AggregateBytes(name string) ([]byte, string) {
-	t := s.lookup(name)
+	t, _ := s.lookup(name)
+	return s.aggregateBytes(t)
+}
+
+func (s *Server) aggregateBytes(t *tenant) ([]byte, string) {
 	if t == nil {
 		return nil, ""
 	}
@@ -694,7 +709,11 @@ func (s *Server) AggregateBytes(name string) ([]byte, string) {
 // Aggregate returns the decoded aggregate (nil when absent). The
 // returned snapshot is the live one; callers must not mutate it.
 func (s *Server) Aggregate(name string) *profile.Snapshot {
-	t := s.lookup(name)
+	t, _ := s.lookup(name)
+	return s.aggregate(t)
+}
+
+func (s *Server) aggregate(t *tenant) *profile.Snapshot {
 	if t == nil {
 		return nil
 	}
@@ -705,7 +724,11 @@ func (s *Server) Aggregate(name string) *profile.Snapshot {
 
 // CommitLog returns a copy of the tenant's fold order.
 func (s *Server) CommitLog(name string) []LogEntry {
-	t := s.lookup(name)
+	t, _ := s.lookup(name)
+	return s.commitLog(t)
+}
+
+func (s *Server) commitLog(t *tenant) []LogEntry {
 	if t == nil {
 		return nil
 	}
@@ -716,14 +739,18 @@ func (s *Server) CommitLog(name string) []LogEntry {
 
 // Info summarizes a tenant's aggregate, or ok=false when unknown.
 func (s *Server) Info(name string) (TenantInfo, bool) {
-	t := s.lookup(name)
+	t, _ := s.lookup(name)
+	return s.info(t)
+}
+
+func (s *Server) info(t *tenant) (TenantInfo, bool) {
 	if t == nil {
 		return TenantInfo{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info := TenantInfo{
-		Tenant:      name,
+		Tenant:      t.name,
 		Fingerprint: fpString(t.fp),
 		Acked:       t.nextSeq,
 		Bytes:       len(t.aggBytes),

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -476,4 +478,109 @@ func readBody(t *testing.T, resp *http.Response) string {
 		t.Fatal(err)
 	}
 	return sb.String()
+}
+
+// TestUnreadableStoreRefusesTenant: when both the stored aggregate
+// and its .prev fallback are corrupt, the tenant is refused — ingest
+// and reads answer 503 with a store-fault event — rather than
+// restarted empty, and the damaged files are left exactly as found.
+func TestUnreadableStoreRefusesTenant(t *testing.T) {
+	dir := t.TempDir()
+	store, err := serve.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 2; n++ { // primary and .prev
+		if err := store.Save("app", encodeSnap(1, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := map[string][]byte{}
+	for _, name := range []string{"app.ppsnap", "app.ppsnap.prev"} {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[path] = data
+	}
+
+	reg := telemetry.NewRegistry(1)
+	s := newServer(t, serve.Config{Store: store, Registry: reg})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp := postSnapshot(t, ts.URL, "app", "k1", encodeSnap(2, 0))
+	if body := readBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("ingest into unreadable tenant: %d %q, want 503", resp.StatusCode, body)
+	}
+	for _, path := range []string{"/v1/profiles/app", "/v1/profiles/app/info", "/v1/profiles/app/log", "/v1/hot/app"} {
+		if code, body := get(t, ts.URL+path); code != http.StatusServiceUnavailable {
+			t.Errorf("GET %s: %d %q, want 503", path, code, body)
+		}
+	}
+	faults := 0
+	for _, e := range reg.Trace().Snapshot() {
+		if e.Kind == telemetry.EvStoreFault && e.Routine == "app" {
+			faults++
+		}
+	}
+	if faults == 0 {
+		t.Error("no store-fault event for the unreadable tenant")
+	}
+	for path, want := range files {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed after the tenant was refused (err %v)", path, err)
+		}
+	}
+	// A tenant the store has never seen still starts empty.
+	if _, code, err := s.Ingest(context.Background(), "fresh", "k1", testSnap(1, 1)); err != nil {
+		t.Errorf("ingest into new tenant: %d %v", code, err)
+	}
+}
+
+// countingStore counts Load calls.
+type countingStore struct {
+	serve.Store
+	mu    sync.Mutex
+	loads int
+}
+
+func (c *countingStore) Load(tenant string) ([]byte, error) {
+	c.mu.Lock()
+	c.loads++
+	c.mu.Unlock()
+	return c.Store.Load(tenant)
+}
+
+// TestFirstTouchLoadsOnce: a restarted server's first read of a
+// recovered tenant loads its aggregate from the store once, and later
+// reads and commits are served from memory.
+func TestFirstTouchLoadsOnce(t *testing.T) {
+	mem := serve.NewMemStore()
+	if err := mem.Save("app", encodeSnap(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	store := &countingStore{Store: mem}
+	s := newServer(t, serve.Config{Store: store})
+	s.Start()
+	if data, _ := s.AggregateBytes("app"); data == nil {
+		t.Fatal("recovered aggregate not served")
+	}
+	if _, _, err := s.Ingest(context.Background(), "app", "k1", testSnap(3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if info, ok := s.Info("app"); !ok || info.Acked != 1 {
+		t.Fatalf("info after ingest = %+v (ok=%v)", info, ok)
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if store.loads != 1 {
+		t.Errorf("store loaded %d times, want 1", store.loads)
+	}
 }

@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"pathprof/internal/faultinject"
+	"pathprof/internal/profile"
 	"pathprof/internal/snapshot"
 )
 
@@ -48,6 +49,30 @@ type Store interface {
 	Load(tenant string) ([]byte, error)
 	// Tenants lists tenants with durable state, sorted.
 	Tenants() ([]string, error)
+}
+
+// snapshotLoader is implemented by stores whose Load already decodes
+// the bytes to validate them; they hand back that decode with the
+// bytes, so a tenant's first touch decodes its aggregate once.
+type snapshotLoader interface {
+	LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error)
+}
+
+// loadAggregate loads and decodes a tenant's aggregate. Errors wrap
+// os.ErrNotExist only when the store has no aggregate for the tenant.
+func loadAggregate(st Store, tenant string) ([]byte, *profile.Snapshot, error) {
+	if l, ok := st.(snapshotLoader); ok {
+		return l.LoadSnapshot(tenant)
+	}
+	data, err := st.Load(tenant)
+	if err != nil {
+		return nil, nil, err
+	}
+	snap, err := snapshot.Decode(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, snap, nil
 }
 
 // tenantNameRE is the safe-tenant-name alphabet: nothing that can
@@ -189,22 +214,29 @@ func (fs *FileStore) Save(tenant string, data []byte) error {
 // Load implements Store, falling back past a torn or corrupt primary
 // to the .prev rotation exactly as snapshot.Store does.
 func (fs *FileStore) Load(tenant string) ([]byte, error) {
+	data, _, err := fs.LoadSnapshot(tenant)
+	return data, err
+}
+
+// LoadSnapshot is Load that also returns the decoded aggregate the
+// validation produced.
+func (fs *FileStore) LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error) {
 	if !ValidTenant(tenant) {
-		return nil, fmt.Errorf("serve: store: invalid tenant %q", tenant)
+		return nil, nil, fmt.Errorf("serve: store: invalid tenant %q", tenant)
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	st := snapshot.NewStore(fs.pathOf(tenant))
 	data, err := os.ReadFile(st.Path())
 	if err == nil {
-		if _, derr := snapshot.Decode(data); derr == nil {
-			return data, nil
+		if snap, derr := snapshot.Decode(data); derr == nil {
+			return data, snap, nil
 		}
 	}
 	prev, perr := os.ReadFile(st.PrevPath())
 	if perr == nil {
-		if _, derr := snapshot.Decode(prev); derr == nil {
-			return prev, nil
+		if snap, derr := snapshot.Decode(prev); derr == nil {
+			return prev, snap, nil
 		}
 	}
 	if err == nil {
@@ -212,7 +244,7 @@ func (fs *FileStore) Load(tenant string) ([]byte, error) {
 	} else if errors.Is(err, os.ErrNotExist) && !errors.Is(perr, os.ErrNotExist) {
 		err = fmt.Errorf("serve: store: tenant %q: %w (fallback unusable: %v)", tenant, os.ErrNotExist, perr)
 	}
-	return nil, err
+	return nil, nil, err
 }
 
 // Tenants implements Store.
@@ -295,6 +327,11 @@ func (f *FaultStore) Save(tenant string, data []byte) error {
 
 // Load implements Store.
 func (f *FaultStore) Load(tenant string) ([]byte, error) { return f.Inner.Load(tenant) }
+
+// LoadSnapshot passes the inner store's decode through.
+func (f *FaultStore) LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error) {
+	return loadAggregate(f.Inner, tenant)
+}
 
 // Tenants implements Store.
 func (f *FaultStore) Tenants() ([]string, error) { return f.Inner.Tenants() }

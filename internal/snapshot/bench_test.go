@@ -1,0 +1,138 @@
+package snapshot_test
+
+import (
+	"sync"
+	"testing"
+
+	"pathprof/internal/cfg"
+	"pathprof/internal/core"
+	"pathprof/internal/instr"
+	"pathprof/internal/profile"
+	"pathprof/internal/snapshot"
+	"pathprof/internal/vm"
+	"pathprof/internal/workloads"
+)
+
+var vpr struct {
+	once    sync.Once
+	agg     *profile.Snapshot   // four emitter runs folded
+	uploads []*profile.Snapshot // the emitter runs, decoded
+	err     error
+}
+
+// vprAggregate builds the profile service's large-aggregate case: the
+// vpr workload profiled with its PPP plans under four values of its
+// LCG seed global, each run decoded the way an upload arrives and
+// folded in order.
+func vprAggregate(b *testing.B) (*profile.Snapshot, []*profile.Snapshot) {
+	b.Helper()
+	vpr.once.Do(func() {
+		w, _ := workloads.ByName("vpr")
+		st, err := core.NewPipeline(w.Name, w.Source).Stage()
+		if err != nil {
+			vpr.err = err
+			return
+		}
+		plans, err := st.PlansFor("PPP", instr.PPP(), instr.PlaceSpanning)
+		if err != nil {
+			vpr.err = err
+			return
+		}
+		gi := st.Prog.GlobalIndex["seed"]
+		vpr.agg = profile.NewSnapshot()
+		for k := int64(1); k <= 4; k++ {
+			prog := *st.Prog
+			prog.GlobalInit = append([]int64(nil), st.Prog.GlobalInit...)
+			prog.GlobalInit[gi] = k * 7919
+			run, err := vm.Run(&prog, vm.Options{CollectEdges: true, CollectPaths: true, Plans: plans})
+			if err != nil {
+				vpr.err = err
+				return
+			}
+			up, err := snapshot.Decode(snapshot.Encode(run.Snapshot()))
+			if err != nil {
+				vpr.err = err
+				return
+			}
+			vpr.uploads = append(vpr.uploads, up)
+			vpr.agg.MergeSnapshot(up)
+		}
+	})
+	if vpr.err != nil {
+		b.Fatal(vpr.err)
+	}
+	return vpr.agg, vpr.uploads
+}
+
+// BenchmarkDecodeAggregate decodes a vpr-sized aggregate, the work of
+// every ingest handler's upload decode and of a client reading
+// /v1/profiles.
+func BenchmarkDecodeAggregate(b *testing.B) {
+	agg, _ := vprAggregate(b)
+	data := snapshot.Encode(agg)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snapshot.Decode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCommitClone is the committer's in-memory work for a batch
+// of one upload: clone the live aggregate, fold the upload, encode the
+// result for the store and fingerprint it for the ack.
+func BenchmarkCommitClone(b *testing.B) {
+	agg, uploads := vprAggregate(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next := agg.Clone()
+		next.MergeSnapshot(uploads[i%len(uploads)])
+		_ = snapshot.Encode(next)
+		_ = next.Fingerprint()
+	}
+}
+
+// manyPaths encodes one routine holding distinct paths of length l,
+// over sixteen edge IDs (path i spells i's low eight bits, two IDs per
+// bit position), each with count i+1.
+func manyPaths(distinct, l int) []byte {
+	s := profile.NewSnapshot()
+	pp := profile.NewPathProfile("f")
+	for i := 0; i < distinct; i++ {
+		p := make(cfg.Path, l)
+		for k := range p {
+			p[k] = &cfg.DAGEdge{ID: 2*(k%8) + (i>>(k%8))&1}
+		}
+		pp.Add(p, int64(i+1))
+	}
+	s.Paths["f"] = pp
+	return snapshot.Encode(s)
+}
+
+// TestDecodeAllocsFollowDistinctPaths: decoding allocates per distinct
+// path (its interned copy) and per distinct edge ID, not per path
+// edge — sixteen times the edges costs at most a few more allocations
+// (slice growth), where one placeholder edge per path edge would cost
+// 60k more.
+func TestDecodeAllocsFollowDistinctPaths(t *testing.T) {
+	const distinct = 256
+	allocs := func(l int) float64 {
+		data := manyPaths(distinct, l)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := snapshot.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(16), allocs(256)
+	t.Logf("decode allocs: %d paths x 16 edges %.0f, x 256 edges %.0f", distinct, short, long)
+	if short > 3*distinct {
+		t.Errorf("%d distinct paths of 16 edges: %.0f allocs, want <= %d", distinct, short, 3*distinct)
+	}
+	if long > short+32 {
+		t.Errorf("allocs grew with path length: %.0f at 256 edges vs %.0f at 16", long, short)
+	}
+}

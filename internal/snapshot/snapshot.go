@@ -67,27 +67,18 @@ func Encode(s *profile.Snapshot) []byte {
 
 	edgeNames := sortedNames(s.Edges)
 	w.uv(uint64(len(edgeNames)))
+	var counts []profile.EdgeCount
 	for _, fn := range edgeNames {
 		ep := s.Edges[fn]
 		w.str(fn)
 		w.uv(uint64(ep.Calls))
 		w.bool(ep.Saturated)
-		freq := ep.Freq()
-		keys := make([]profile.EdgeKey, 0, len(freq))
-		for k := range freq {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Src != keys[j].Src {
-				return keys[i].Src < keys[j].Src
-			}
-			return keys[i].Dst < keys[j].Dst
-		})
-		w.uv(uint64(len(keys)))
-		for _, k := range keys {
-			w.uv(uint64(k.Src))
-			w.uv(uint64(k.Dst))
-			w.uv(uint64(freq[k]))
+		counts = ep.AppendCounts(counts[:0])
+		w.uv(uint64(len(counts)))
+		for _, ec := range counts {
+			w.uv(uint64(ec.Src))
+			w.uv(uint64(ec.Dst))
+			w.uv(uint64(ec.Count))
 		}
 	}
 
@@ -154,9 +145,10 @@ func Encode(s *profile.Snapshot) []byte {
 // Decode rebuilds a snapshot from Encode's output, verifying the
 // magic, version, checksum, and structural invariants. Any damage
 // yields a *CorruptError and no snapshot. Decoded paths reference
-// placeholder DAG edges carrying only the edge ID — enough for
-// fingerprinting, counting, and merging; resolving them against a
-// program's real DAGs is the caller's concern.
+// placeholder DAG edges carrying only the edge ID, one edge shared
+// per routine and ID — enough for fingerprinting, counting, and
+// merging; resolving them against a program's real DAGs is the
+// caller's concern, and placeholders must not be mutated.
 func Decode(data []byte) (*profile.Snapshot, error) {
 	if len(data) < len(Magic)+2+4 {
 		return nil, corrupt(0, "short input: %d bytes", len(data))
@@ -196,7 +188,12 @@ func Decode(data []byte) (*profile.Snapshot, error) {
 		snap.Edges[fn] = ep
 	}
 
+	// Every path is read into one scratch path over placeholder edges
+	// shared per routine and edge ID: Add copies a path only when it
+	// interns it, so allocation follows distinct paths and edge IDs,
+	// not path edges.
 	nPaths := r.count()
+	var p cfg.Path
 	for i := uint64(0); i < nPaths && r.err == nil; i++ {
 		fn := r.str()
 		if _, dup := snap.Paths[fn]; dup {
@@ -204,12 +201,19 @@ func Decode(data []byte) (*profile.Snapshot, error) {
 		}
 		pp := profile.NewPathProfile(fn)
 		pp.Saturated = r.bool()
+		edges := map[int64]*cfg.DAGEdge{}
 		n := r.count()
 		for j := uint64(0); j < n && r.err == nil; j++ {
 			ne := r.count()
-			p := make(cfg.Path, 0, ne)
+			p = p[:0]
 			for k := uint64(0); k < ne && r.err == nil; k++ {
-				p = append(p, &cfg.DAGEdge{ID: int(r.nonneg())})
+				id := r.nonneg()
+				e := edges[id]
+				if e == nil {
+					e = &cfg.DAGEdge{ID: int(id)}
+					edges[id] = e
+				}
+				p = append(p, e)
 			}
 			count := r.nonneg()
 			if r.err == nil {

@@ -68,8 +68,9 @@ const (
 	// read/plan request shed ahead of ingest, or ingest itself pushed
 	// back when the bounded queue filled.
 	EvShed
-	// EvStoreFault: a durable store save failed (or tore); the batch
-	// it carried was not acknowledged.
+	// EvStoreFault: a durable store save failed (or tore), and the
+	// batch it carried was not acknowledged; or a tenant's stored
+	// aggregate could not be read, and the tenant was refused.
 	EvStoreFault
 	// EvDrift: the profile-drift monitor saw a tenant's live aggregate
 	// diverge from the guide profile its served plans were built on
