@@ -13,8 +13,8 @@ import (
 // for one routine under one profiler: inserted path-profiling ops, the
 // edge-counter probe sites the plan's placement implies, and the cost
 // of the static proofs run over the plan — the all-paths verifier
-// (verify.ModeProof) and the compiled backend's translation validation
-// (vm ValidateOn), both in wall-clock microseconds.
+// (verify.ModeProof) and the compiled backend's translation validation,
+// both in wall-clock microseconds.
 type StaticOpsRow struct {
 	Workload      string `json:"workload"`
 	Routine       string `json:"routine"`

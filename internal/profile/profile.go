@@ -204,6 +204,31 @@ func (ep *EdgeProfile) AppendCounts(buf []EdgeCount) []EdgeCount {
 	return buf[:start+len(out)]
 }
 
+// DiffSlots compares ep's dense slot counts with o's, slot by slot, and
+// returns the first slot whose counts differ together with both
+// counts (a slot one side never registered counts as zero), or slot
+// -1 when they all agree. The sparse backings are not compared.
+func (ep *EdgeProfile) DiffSlots(o *EdgeProfile) (slot int, got, want int64) {
+	a, b := ep.dense, o.dense
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i, a[i], b[i]
+		}
+	}
+	for i := n; i < len(a); i++ {
+		if a[i] != 0 {
+			return i, a[i], 0
+		}
+	}
+	for i := n; i < len(b); i++ {
+		if b[i] != 0 {
+			return i, 0, b[i]
+		}
+	}
+	return -1, 0, 0
+}
+
 // ApplyTo writes the profile onto a CFG whose block IDs match the
 // profile's block indices.
 func (ep *EdgeProfile) ApplyTo(g *cfg.Graph) {
@@ -277,6 +302,9 @@ type PathProfile struct {
 	nodes []pathNode
 	// paths is indexed by interned path ID (also first-seen order).
 	paths []PathCount
+	// total is the saturating sum of every path count, kept by AddAt
+	// so Total is O(1).
+	total int64
 }
 
 type pathNode struct {
@@ -414,6 +442,7 @@ func (pp *PathProfile) AddAt(n int32, p cfg.Path, count int64) {
 	if sat {
 		pp.Saturated = true
 	}
+	pp.total, _ = satAdd(pp.total, count)
 }
 
 // intern assigns the next path ID to node n and stores a copy of p.
@@ -443,14 +472,9 @@ func (pp *PathProfile) Paths() []PathCount {
 // Distinct returns the number of distinct paths taken.
 func (pp *PathProfile) Distinct() int { return len(pp.paths) }
 
-// Total returns the total number of path executions.
-func (pp *PathProfile) Total() int64 {
-	var sum int64
-	for i := range pp.paths {
-		sum, _ = satAdd(sum, pp.paths[i].Count)
-	}
-	return sum
-}
+// Total returns the total number of path executions, saturating at
+// CounterMax.
+func (pp *PathProfile) Total() int64 { return pp.total }
 
 // Merge adds other's counts into pp.
 func (pp *PathProfile) Merge(other *PathProfile) {
@@ -768,6 +792,119 @@ func (t *Table) State() TableState {
 		}
 	}
 	return st
+}
+
+// TableField names the part of a table's state a TableDiff reports.
+type TableField int8
+
+const (
+	DiffKind      TableField = iota + 1 // Got/Want: the kinds
+	DiffN                               // Got/Want: N
+	DiffSize                            // Got/Want: Size()
+	DiffCold                            // Got/Want: Cold
+	DiffLost                            // Got/Want: Lost
+	DiffDrops                           // Got/Want: Drops
+	DiffSaturated                       // Got/Want: Saturated as 0/1
+	DiffCounter                         // array counter At: Got/Want its counts
+	DiffOccupied                        // Got/Want: occupied hash slot counts
+	DiffSlot                            // At: t's slot; Got/Want: the keys at the same occupied rank
+	DiffValue                           // At: t's key; Got/Want: its counts
+)
+
+// TableDiff is the first difference Diff found between two tables.
+type TableDiff struct {
+	Field     TableField
+	At        int64
+	Got, Want int64
+}
+
+// Diff compares t's complete state with o's in place, without
+// building either State, and reports the first difference: they
+// differ exactly when reflect.DeepEqual(t.State(), o.State()) is
+// false. The fields are checked in order: kind, N, size, cold, lost,
+// drops, saturation, then the array counters by index, or for hash
+// tables the occupied slot count and then the occupied slots in slot
+// order, pairing each side's i-th occupied slot (key before value).
+func (t *Table) Diff(o *Table) (TableDiff, bool) {
+	scalar := [...]struct {
+		f         TableField
+		got, want int64
+	}{
+		{DiffKind, int64(t.Kind), int64(o.Kind)},
+		{DiffN, t.N, o.N},
+		{DiffSize, t.Size(), o.Size()},
+		{DiffCold, t.Cold, o.Cold},
+		{DiffLost, t.Lost, o.Lost},
+		{DiffDrops, t.Drops, o.Drops},
+		{DiffSaturated, b2i(t.Saturated), b2i(o.Saturated)},
+	}
+	for _, c := range scalar {
+		if c.got != c.want {
+			return TableDiff{Field: c.f, Got: c.got, Want: c.want}, true
+		}
+	}
+	if t.Kind == ArrayTable {
+		for i, v := range t.arr {
+			if v != o.arr[i] {
+				return TableDiff{Field: DiffCounter, At: int64(i), Got: v, Want: o.arr[i]}, true
+			}
+		}
+		return TableDiff{}, false
+	}
+	// Up to the first slot where the two differ in occupancy, key or
+	// value, the occupied slots pair up rank for rank.
+	// (Reslicing to the constant length drops the loop's bounds checks.)
+	tUsed, oUsed := t.used[:HashSlots], o.used[:HashSlots]
+	tKeys, oKeys := t.keys[:HashSlots], o.keys[:HashSlots]
+	tVals, oVals := t.vals[:HashSlots], o.vals[:HashSlots]
+	s := 0
+	for ; s < HashSlots; s++ {
+		if tUsed[s] != oUsed[s] || tUsed[s] && (tKeys[s] != oKeys[s] || tVals[s] != oVals[s]) {
+			break
+		}
+	}
+	if s == HashSlots {
+		return TableDiff{}, false
+	}
+	if nt, no := countUsed(tUsed), countUsed(oUsed); nt != no {
+		return TableDiff{Field: DiffOccupied, Got: nt, Want: no}, true
+	}
+	st, so := s, s
+	if !tUsed[s] {
+		st = nextUsed(tUsed, s)
+	}
+	if !oUsed[s] {
+		so = nextUsed(oUsed, s)
+	}
+	if st != so || t.keys[st] != o.keys[so] {
+		return TableDiff{Field: DiffSlot, At: int64(st), Got: t.keys[st], Want: o.keys[so]}, true
+	}
+	return TableDiff{Field: DiffValue, At: t.keys[st], Got: t.vals[st], Want: o.vals[so]}, true
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func countUsed(used []bool) int64 {
+	var n int64
+	for _, u := range used {
+		if u {
+			n++
+		}
+	}
+	return n
+}
+
+// nextUsed returns the first occupied slot after s. The caller knows
+// one exists.
+func nextUsed(used []bool, s int) int {
+	for s++; !used[s]; s++ {
+	}
+	return s
 }
 
 // NewTableFromState rebuilds a table from serialized state. Hash slot

@@ -32,6 +32,7 @@ import (
 // constants to the mutation hook below.
 type succConsts struct {
 	Steps, Base, ICost, Mask, Add int64
+	EdgeSlot                      int32
 }
 
 // testMutateSucc, when non-nil, may corrupt a transition's folded
@@ -328,9 +329,9 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 		baseC += to.segs[0].cost
 	}
 	if testMutateSucc != nil {
-		sc := succConsts{Steps: stepsC, Base: baseC, ICost: icostC, Mask: rm, Add: ra}
+		sc := succConsts{Steps: stepsC, Base: baseC, ICost: icostC, Mask: rm, Add: ra, EdgeSlot: slot}
 		testMutateSucc(c.fname, from, s.To, &sc)
-		stepsC, baseC, icostC, rm, ra = sc.Steps, sc.Base, sc.ICost, sc.Mask, sc.Add
+		stepsC, baseC, icostC, rm, ra, slot = sc.Steps, sc.Base, sc.ICost, sc.Mask, sc.Add, sc.EdgeSlot
 		hasFold = rm != -1 || ra != 0
 	}
 	c.closures++

@@ -46,6 +46,7 @@ package compile
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pathprof/internal/cfg"
 	"pathprof/internal/ir"
@@ -90,33 +91,10 @@ const vTableSize = 64
 // Validate proves every compiled routine equivalent to its spec;
 // the first divergence is returned as a *ValidationError.
 func Validate(p *Program) error {
+	v := NewValidator(p)
 	for fi := range p.fns {
-		if err := ValidateFunc(p, fi); err != nil {
+		if err := v.Func(fi); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// ValidateFunc validates one routine by function index.
-func ValidateFunc(p *Program, fi int) error {
-	f := p.prog.Funcs[fi]
-	if err := staticCheck(p, fi); err != nil {
-		return err
-	}
-	h, err := newVHarness(p, fi)
-	if err != nil {
-		return err
-	}
-	for bi := range f.Blocks {
-		arms := 1
-		if f.Blocks[bi].Term.Kind == ir.Branch {
-			arms = 2
-		}
-		for arm := 0; arm < arms; arm++ {
-			if err := h.checkArm(bi, arm); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -199,57 +177,139 @@ type vTwin struct {
 	edges *profile.EdgeProfile
 	paths *profile.PathProfile
 	table *profile.Table
-	hooks []string
+	hooks hookLog
 }
 
-// vHarness drives one routine's compiled arms (got side, through a
-// real Exec) against the reference interpretation (ref side).
-type vHarness struct {
-	p    *Program
-	f    *ir.Func
-	spec *FuncSpec
-	fc   *fnCode
-	fi   int
+// hookLog records path-hook invocations without building strings:
+// entry i is routine fns[i] with the path of edge IDs
+// ids[ends[i-1]:ends[i]].
+type hookLog struct {
+	fns  []string
+	ends []int
+	ids  []int32
+}
 
-	x   *Exec
-	got *vTwin
-	ref *vTwin
+func (l *hookLog) add(fn string, p cfg.Path) {
+	l.fns = append(l.fns, fn)
+	for _, e := range p {
+		l.ids = append(l.ids, int32(e.ID))
+	}
+	l.ends = append(l.ends, len(l.ids))
+}
+
+func (l *hookLog) reset() {
+	l.fns, l.ends, l.ids = l.fns[:0], l.ends[:0], l.ids[:0]
+}
+
+func (l *hookLog) entry(i int) []int32 {
+	start := 0
+	if i > 0 {
+		start = l.ends[i-1]
+	}
+	return l.ids[start:l.ends[i]]
+}
+
+func (l *hookLog) same(o *hookLog, i int) bool {
+	return l.fns[i] == o.fns[i] && slices.Equal(l.entry(i), o.entry(i))
+}
+
+// Validator drives compiled arms (got side, through a real Exec)
+// against the reference interpretation (ref side), one routine at a
+// time. The probe machinery is built once and shared by every routine
+// and probe: one Exec, one probe frame reset per probe, and a register
+// template copied into it, so driving an arm allocates nothing.
+type Validator struct {
+	p *Program
+	// x is built on the first Func call, which keeps its cost inside
+	// that routine's validation time.
+	x       *Exec
+	fr      frame
+	regTmpl []int64 // regTmpl[i] = 1000 + i
+	refPath cfg.Path
+
+	// The routine being validated.
+	f        *ir.Func
+	spec     *FuncSpec
+	fc       *fnCode
+	fi       int
+	got, ref vTwin
 	// slotPairs lists the canonical (from, to) pairs by edge slot, for
-	// the full edge-profile comparison after each probe.
+	// the edge-profile comparison after each probe.
 	slotPairs [][2]int
+	// hooksSeen counts the hook entries already compared equal. Both
+	// logs only ever append, so each probe compares its new entries.
+	hooksSeen int
+
+	// The probe being driven, for error reports.
+	bi, to, arm int
+	probe       int64
+}
+
+// NewValidator returns a validator for the routines of p.
+func NewValidator(p *Program) *Validator { return &Validator{p: p} }
+
+// Func validates one routine by function index.
+func (v *Validator) Func(fi int) error {
+	if err := staticCheck(v.p, fi); err != nil {
+		return err
+	}
+	if err := v.bind(fi); err != nil {
+		return err
+	}
+	return v.driveArms()
+}
+
+// driveArms drives every arm of the bound routine through every probe.
+func (v *Validator) driveArms() error {
+	for bi := range v.f.Blocks {
+		arms := 1
+		if v.f.Blocks[bi].Term.Kind == ir.Branch {
+			arms = 2
+		}
+		for arm := 0; arm < arms; arm++ {
+			if err := v.checkArm(bi, arm); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // liveSuccs iterates the routine's compiled transitions: arm 0 for
 // Jump and Branch blocks, arm 1 for Branch blocks. (The unused arm of
 // a Jump block is a zero SuccSpec and must not be read.)
-func (h *vHarness) liveSuccs(visit func(bi, arm int, s *SuccSpec)) {
-	for bi := range h.f.Blocks {
-		switch h.f.Blocks[bi].Term.Kind {
+func (v *Validator) liveSuccs(visit func(bi, arm int, s *SuccSpec)) {
+	for bi := range v.f.Blocks {
+		switch v.f.Blocks[bi].Term.Kind {
 		case ir.Jump:
-			visit(bi, 0, &h.spec.Succs[bi][0])
+			visit(bi, 0, &v.spec.Succs[bi][0])
 		case ir.Branch:
-			visit(bi, 0, &h.spec.Succs[bi][0])
-			visit(bi, 1, &h.spec.Succs[bi][1])
+			visit(bi, 0, &v.spec.Succs[bi][0])
+			visit(bi, 1, &v.spec.Succs[bi][1])
 		}
 	}
 }
 
-func newVHarness(p *Program, fi int) (*vHarness, error) {
-	h := &vHarness{p: p, f: p.prog.Funcs[fi], spec: &p.specs[fi], fc: &p.fns[fi], fi: fi}
+// bind points the validator at routine fi with fresh twin containers.
+func (v *Validator) bind(fi int) error {
+	p := v.p
+	v.f, v.spec, v.fc, v.fi = p.prog.Funcs[fi], &p.specs[fi], &p.fns[fi], fi
 	kind := profile.ArrayTable
-	if h.spec.Hash {
+	if v.spec.Hash {
 		kind = profile.HashTable
 	}
-	h.got = &vTwin{table: profile.NewTable(kind, vTableSize, vTableSize)}
-	h.ref = &vTwin{table: profile.NewTable(kind, vTableSize, vTableSize)}
+	v.got.table = profile.NewTable(kind, vTableSize, vTableSize)
+	v.ref.table = profile.NewTable(kind, vTableSize, vTableSize)
+	v.got.edges, v.ref.edges = nil, nil
+	v.slotPairs = v.slotPairs[:0]
 	if p.opts.CollectEdges {
-		h.got.edges = profile.NewEdgeProfile(h.f.Name)
-		h.ref.edges = profile.NewEdgeProfile(h.f.Name)
+		v.got.edges = profile.NewEdgeProfile(v.f.Name)
+		v.ref.edges = profile.NewEdgeProfile(v.f.Name)
 		// Pre-register the canonical slot order on both twins and check
 		// it is the dense 0..n-1 numbering the spec promises.
 		bySlot := map[int][2]int{}
 		maxSlot := -1
-		h.liveSuccs(func(bi, arm int, s *SuccSpec) {
+		v.liveSuccs(func(bi, arm int, s *SuccSpec) {
 			if s.EdgeSlot < 0 {
 				return
 			}
@@ -261,39 +321,46 @@ func newVHarness(p *Program, fi int) (*vHarness, error) {
 		for slot := 0; slot <= maxSlot; slot++ {
 			pair, ok := bySlot[slot]
 			if !ok {
-				return nil, &ValidationError{Routine: h.f.Name, From: -1, To: -1, Arm: -1,
+				return &ValidationError{Routine: v.f.Name, From: -1, To: -1, Arm: -1,
 					Field: fmt.Sprintf("edge-slot-%d-unassigned", slot)}
 			}
-			if got := h.got.edges.Slot(pair[0], pair[1]); got != slot {
-				return nil, &ValidationError{Routine: h.f.Name, From: pair[0], To: pair[1], Arm: -1,
+			if got := v.got.edges.Slot(pair[0], pair[1]); got != slot {
+				return &ValidationError{Routine: v.f.Name, From: pair[0], To: pair[1], Arm: -1,
 					Field: "edge-slot", Got: int64(got), Want: int64(slot)}
 			}
-			h.ref.edges.Slot(pair[0], pair[1])
-			h.slotPairs = append(h.slotPairs, pair)
+			v.ref.edges.Slot(pair[0], pair[1])
+			v.slotPairs = append(v.slotPairs, pair)
 		}
 	}
+	v.got.paths, v.ref.paths = nil, nil
 	if p.opts.CollectPaths {
-		h.got.paths = profile.NewPathProfile(h.f.Name)
-		h.ref.paths = profile.NewPathProfile(h.f.Name)
+		v.got.paths = profile.NewPathProfile(v.f.Name)
+		v.ref.paths = profile.NewPathProfile(v.f.Name)
 	}
-	fts := make([]FuncRun, len(p.fns))
-	fts[fi] = FuncRun{Edges: h.got.edges, Paths: h.got.paths, Table: h.got.table}
-	x, err := NewExec(p, Config{Fts: fts, PathHook: func(fn string, pa cfg.Path) {
-		h.got.hooks = append(h.got.hooks, hookSig(fn, pa))
-	}})
-	if err != nil {
-		return nil, err
-	}
-	h.x = x
-	return h, nil
-}
+	v.got.hooks.reset()
+	v.ref.hooks.reset()
+	v.hooksSeen = 0
 
-func hookSig(fn string, p cfg.Path) string {
-	s := fn
-	for _, e := range p {
-		s += fmt.Sprintf(":%d", e.ID)
+	if v.x == nil {
+		x, err := NewExec(p, Config{Fts: make([]FuncRun, len(p.fns)), PathHook: func(fn string, pa cfg.Path) {
+			v.got.hooks.add(fn, pa)
+		}})
+		if err != nil {
+			return err
+		}
+		v.x = x
 	}
-	return s
+	v.x.fts[fi] = FuncRun{Edges: v.got.edges, Paths: v.got.paths, Table: v.got.table}
+	// The root-step memo points into the routine's path twin, which is
+	// fresh.
+	clear(v.x.rootMemo[fi])
+	for i := len(v.regTmpl); i < v.fc.nregs; i++ {
+		v.regTmpl = append(v.regTmpl, int64(1000+i))
+	}
+	if cap(v.fr.regs) < v.fc.nregs {
+		v.fr.regs = make([]int64, v.fc.nregs)
+	}
+	return nil
 }
 
 // refOps is the reference interpretation of a planir op stream,
@@ -343,62 +410,59 @@ func refOps(ops []planir.Op, r int64, t *profile.Table, hash, poison bool, costs
 // checkArm drives one compiled transition closure through every probe
 // and compares it against the reference. Closure panics surface as
 // structured errors rather than killing the engine build.
-func (h *vHarness) checkArm(bi, arm int) (err error) {
-	term := &h.f.Blocks[bi].Term
-	to := -1
+func (v *Validator) checkArm(bi, arm int) (err error) {
+	term := &v.f.Blocks[bi].Term
 	var s *SuccSpec
+	v.bi, v.to, v.arm = bi, -1, arm
 	if term.Kind != ir.Ret {
-		s = &h.spec.Succs[bi][arm]
-		to = s.To
+		s = &v.spec.Succs[bi][arm]
+		v.to = s.To
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = &ValidationError{Routine: h.f.Name, From: bi, To: to, Arm: arm,
+			err = &ValidationError{Routine: v.f.Name, From: bi, To: v.to, Arm: arm,
 				Field: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
 	for _, probe := range vProbes {
-		if err := h.probeArm(bi, arm, s, term, probe); err != nil {
+		if err := v.probeArm(s, term, probe); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (h *vHarness) probeArm(bi, arm int, s *SuccSpec, term *ir.Term, probe int64) error {
-	p, fc := h.p, h.fc
-	costs := &p.opts.Costs
-	to := -1
-	if s != nil {
-		to = s.To
-	}
-	fail := func(field string, got, want int64) error {
-		return &ValidationError{Routine: h.f.Name, From: bi, To: to, Arm: arm,
-			Field: field, Probe: probe, Got: got, Want: want}
-	}
+func (v *Validator) fail(field string, got, want int64) error {
+	return &ValidationError{Routine: v.f.Name, From: v.bi, To: v.to, Arm: v.arm,
+		Field: field, Probe: v.probe, Got: got, Want: want}
+}
 
-	// Compiled side: a hand-built frame, zeroed charge accumulators,
-	// then one direct call of the retained arm closure.
-	x := h.x
+func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
+	p, fc, x, fr := v.p, v.fc, v.x, &v.fr
+	costs := &p.opts.Costs
+	v.probe = probe
+
+	// Compiled side: the probe frame reset to a fresh activation, zeroed
+	// charge accumulators, then one direct call of the retained arm
+	// closure.
 	x.steps, x.base, x.icost, x.ret = 0, 0, 0, -1
-	fr := &frame{fc: fc, ft: &x.fts[h.fi], r: probe, regs: make([]int64, fc.nregs)}
-	for i := range fr.regs {
-		fr.regs[i] = int64(1000 + i)
-	}
-	ret := fc.blocks[bi].arms[arm](x, fr)
+	regs := fr.regs[:fc.nregs]
+	copy(regs, v.regTmpl)
+	*fr = frame{fc: fc, ft: &x.fts[v.fi], r: probe, regs: regs, path: fr.path[:0]}
+	ret := fc.blocks[v.bi].arms[v.arm](x, fr)
 
 	// Reference side, derived from term/spec/IR only.
 	refR := probe
 	var wantSteps, wantBase, wantICost int64
-	var refPath cfg.Path
+	refPath := v.refPath[:0]
 	refTrie := int32(0)
 	wantSucc := -1 // block index of the returned code; -1 for Ret
 	if term.Kind == ir.Ret {
 		wantSteps, wantBase = 1, costs.Term
 		if p.opts.CollectPaths {
-			h.ref.paths.AddAt(0, nil, 1)
+			v.ref.paths.AddAt(0, nil, 1)
 			if p.opts.PathHooks {
-				h.ref.hooks = append(h.ref.hooks, hookSig(h.f.Name, nil))
+				v.ref.hooks.add(v.f.Name, nil)
 			}
 		}
 		wantRet := int64(0)
@@ -406,143 +470,145 @@ func (h *vHarness) probeArm(bi, arm int, s *SuccSpec, term *ir.Term, probe int64
 			wantRet = int64(1000 + term.Ret)
 		}
 		if x.ret != wantRet {
-			return fail("ret", x.ret, wantRet)
+			return v.fail("ret", x.ret, wantRet)
 		}
 	} else {
 		wantSucc = s.To
 		wantSteps, wantBase = 1, costs.Term
-		if s.To != bi+1 {
+		if s.To != v.bi+1 {
 			wantBase += costs.TakenPenalty
 		}
 		// The solo-successor fold, derived from the IR: a call-free
 		// successor's whole body charge rides on this transition.
-		if toInstrs := h.f.Blocks[s.To].Instrs; !hasCall(toInstrs) {
+		if toInstrs := v.f.Blocks[s.To].Instrs; !hasCall(toInstrs) {
 			wantSteps += int64(len(toInstrs))
 			wantBase += int64(len(toInstrs)) * costs.Instr
 		}
 		var opIcost int64
-		refR, opIcost = refOps(s.Ops, probe, h.ref.table, h.spec.Hash, h.spec.PoisonCheck, costs)
+		refR, opIcost = refOps(s.Ops, probe, v.ref.table, v.spec.Hash, v.spec.PoisonCheck, costs)
 		wantICost = s.InstrCost + opIcost
 		if p.opts.CollectEdges && s.EdgeSlot >= 0 {
-			h.ref.edges.BumpSlot(int(s.EdgeSlot))
+			v.ref.edges.BumpSlot(int(s.EdgeSlot))
 		}
 		if p.opts.CollectPaths {
-			rp := h.ref.paths
+			rp := v.ref.paths
 			if !s.Back {
-				refPath = cfg.Path{s.PathEdge}
+				refPath = append(refPath, s.PathEdge)
 				refTrie = rp.Step(0, int32(s.PathEdge.ID))
 			} else {
 				refTrie = rp.Step(0, int32(s.ExitDummy.ID))
-				rp.AddAt(refTrie, cfg.Path{s.ExitDummy}, 1)
+				refPath = append(refPath, s.ExitDummy)
+				rp.AddAt(refTrie, refPath, 1)
 				if p.opts.PathHooks {
-					h.ref.hooks = append(h.ref.hooks, hookSig(h.f.Name, cfg.Path{s.ExitDummy}))
+					v.ref.hooks.add(v.f.Name, refPath)
 				}
-				refPath = cfg.Path{s.EntryDummy}
+				refPath = append(refPath[:0], s.EntryDummy)
 				refTrie = rp.Step(0, int32(s.EntryDummy.ID))
 			}
 		}
 	}
+	v.refPath = refPath
 
 	// Successor identity: the returned pointer must be the compiled
 	// code of exactly the spec'd block.
-	gotSucc := -1
-	if ret != nil {
-		gotSucc = -2
-		for i := range fc.blocks {
-			if ret == &fc.blocks[i] {
-				gotSucc = i
-				break
-			}
-		}
-	}
-	if gotSucc != wantSucc {
-		return fail("succ", int64(gotSucc), int64(wantSucc))
+	if wantSucc < 0 && ret != nil || wantSucc >= 0 && ret != &fc.blocks[wantSucc] {
+		return v.fail("succ", int64(succIndex(fc, ret)), int64(wantSucc))
 	}
 	if fr.r != refR {
-		return fail("reg", fr.r, refR)
+		return v.fail("reg", fr.r, refR)
 	}
 	if x.steps != wantSteps {
-		return fail("steps", x.steps, wantSteps)
+		return v.fail("steps", x.steps, wantSteps)
 	}
 	if x.base != wantBase {
-		return fail("base", x.base, wantBase)
+		return v.fail("base", x.base, wantBase)
 	}
 	if x.icost != wantICost {
-		return fail("icost", x.icost, wantICost)
+		return v.fail("icost", x.icost, wantICost)
 	}
-	if err := h.compareTables(fail); err != nil {
-		return err
+	// The complete observable counter-table state of both twins: every
+	// counter or occupied hash slot, plus the cold, lost, drop, and
+	// saturation accounting.
+	if d, differ := v.got.table.Diff(v.ref.table); differ {
+		return v.fail(tableField(d), d.Got, d.Want)
 	}
 	if p.opts.CollectEdges {
-		for _, pair := range h.slotPairs {
-			g, w := h.got.edges.Get(pair[0], pair[1]), h.ref.edges.Get(pair[0], pair[1])
-			if g != w {
-				return fail(fmt.Sprintf("edge[%d->%d]", pair[0], pair[1]), g, w)
-			}
+		// The twins count only through their dense slots, so comparing
+		// those compares every canonical edge's count.
+		if slot, g, w := v.got.edges.DiffSlots(v.ref.edges); slot >= 0 {
+			return v.fail(fmt.Sprintf("edge[%d->%d]", v.slotPairs[slot][0], v.slotPairs[slot][1]), g, w)
 		}
 	}
 	if p.opts.CollectPaths {
 		if fr.trie != refTrie {
-			return fail("trie", int64(fr.trie), int64(refTrie))
+			return v.fail("trie", int64(fr.trie), int64(refTrie))
 		}
 		if len(fr.path) != len(refPath) {
-			return fail("path-len", int64(len(fr.path)), int64(len(refPath)))
+			return v.fail("path-len", int64(len(fr.path)), int64(len(refPath)))
 		}
 		for i := range refPath {
 			if fr.path[i].ID != refPath[i].ID {
-				return fail(fmt.Sprintf("path[%d]", i), int64(fr.path[i].ID), int64(refPath[i].ID))
+				return v.fail(fmt.Sprintf("path[%d]", i), int64(fr.path[i].ID), int64(refPath[i].ID))
 			}
 		}
-		if g, w := h.got.paths.Total(), h.ref.paths.Total(); g != w {
-			return fail("path-total", g, w)
+		if g, w := v.got.paths.Total(), v.ref.paths.Total(); g != w {
+			return v.fail("path-total", g, w)
 		}
-		if g, w := h.got.paths.Distinct(), h.ref.paths.Distinct(); g != w {
-			return fail("path-distinct", int64(g), int64(w))
+		if g, w := v.got.paths.Distinct(), v.ref.paths.Distinct(); g != w {
+			return v.fail("path-distinct", int64(g), int64(w))
 		}
-		if len(h.got.hooks) != len(h.ref.hooks) {
-			return fail("hooks", int64(len(h.got.hooks)), int64(len(h.ref.hooks)))
+		gh, rh := &v.got.hooks, &v.ref.hooks
+		if len(gh.fns) != len(rh.fns) {
+			return v.fail("hooks", int64(len(gh.fns)), int64(len(rh.fns)))
 		}
-		for i := range h.ref.hooks {
-			if h.got.hooks[i] != h.ref.hooks[i] {
-				return fail(fmt.Sprintf("hook[%d]", i), 0, 0)
+		for i := v.hooksSeen; i < len(rh.fns); i++ {
+			if !gh.same(rh, i) {
+				return v.fail(fmt.Sprintf("hook[%d]", i), 0, 0)
 			}
 		}
+		v.hooksSeen = len(rh.fns)
 	}
 	return nil
 }
 
-// compareTables checks the complete observable counter-table state of
-// both twins: every index either side could have touched, plus the
-// cold, lost, drop, and saturation accounting.
-func (h *vHarness) compareTables(fail func(field string, got, want int64) error) error {
-	g, w := h.got.table.State(), h.ref.table.State()
-	if g.Cold != w.Cold {
-		return fail("table-cold", g.Cold, w.Cold)
+// succIndex names the block whose compiled code ret points at: -1 for
+// nil (a return), -2 for a pointer outside the routine.
+func succIndex(fc *fnCode, ret *blockCode) int {
+	if ret == nil {
+		return -1
 	}
-	if g.Lost != w.Lost {
-		return fail("table-lost", g.Lost, w.Lost)
-	}
-	if g.Drops != w.Drops {
-		return fail("table-drops", g.Drops, w.Drops)
-	}
-	if g.Saturated != w.Saturated {
-		return fail("table-saturated", b2i(g.Saturated), b2i(w.Saturated))
-	}
-	for i := range g.Arr {
-		if g.Arr[i] != w.Arr[i] {
-			return fail(fmt.Sprintf("table[%d]", i), g.Arr[i], w.Arr[i])
+	for i := range fc.blocks {
+		if ret == &fc.blocks[i] {
+			return i
 		}
 	}
-	if len(g.Slots) != len(w.Slots) {
-		return fail("table-slots", int64(len(g.Slots)), int64(len(w.Slots)))
+	return -2
+}
+
+// tableField names a table difference the way ValidationError reports
+// it.
+func tableField(d profile.TableDiff) string {
+	switch d.Field {
+	case profile.DiffKind:
+		return "table-kind"
+	case profile.DiffN:
+		return "table-n"
+	case profile.DiffSize:
+		return "table-size"
+	case profile.DiffCold:
+		return "table-cold"
+	case profile.DiffLost:
+		return "table-lost"
+	case profile.DiffDrops:
+		return "table-drops"
+	case profile.DiffSaturated:
+		return "table-saturated"
+	case profile.DiffCounter:
+		return fmt.Sprintf("table[%d]", d.At)
+	case profile.DiffOccupied:
+		return "table-slots"
+	case profile.DiffSlot:
+		return fmt.Sprintf("table-slot[%d]", d.At)
 	}
-	for i := range g.Slots {
-		if g.Slots[i] != w.Slots[i] || g.Keys[i] != w.Keys[i] {
-			return fail(fmt.Sprintf("table-slot[%d]", g.Slots[i]), g.Keys[i], w.Keys[i])
-		}
-		if g.Vals[i] != w.Vals[i] {
-			return fail(fmt.Sprintf("table-key[%d]", g.Keys[i]), g.Vals[i], w.Vals[i])
-		}
-	}
-	return nil
+	return fmt.Sprintf("table-key[%d]", d.At)
 }

@@ -2,14 +2,18 @@ package compile_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"pathprof/internal/cfg"
+	"pathprof/internal/core"
 	"pathprof/internal/instr"
+	"pathprof/internal/ir"
 	"pathprof/internal/lower"
 	"pathprof/internal/vm"
 	"pathprof/internal/vm/compile"
+	"pathprof/internal/workloads"
 )
 
 // validateSrc exercises every terminator shape the validator drives:
@@ -36,6 +40,18 @@ func main() {
 
 func buildValidated(t *testing.T, opts vm.Options) (*vm.Engine, *vm.Result) {
 	t.Helper()
+	eng, _, _ := buildPlanned(t, opts, instr.PPP(), instr.DefaultParams())
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return eng, res
+}
+
+// buildPlanned compiles validateSrc, plans it with tech and par against
+// its own edge profile, and builds a validated compiled engine.
+func buildPlanned(t *testing.T, opts vm.Options, tech instr.Techniques, par instr.Params) (*vm.Engine, *ir.Program, map[string]*instr.Plan) {
+	t.Helper()
 	prog, err := lower.Compile(validateSrc, lower.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -52,7 +68,7 @@ func buildValidated(t *testing.T, opts vm.Options) (*vm.Engine, *vm.Result) {
 			t.Fatalf("cfg %s: %v", f.Name, err)
 		}
 		stage1.Edges[f.Name].ApplyTo(g)
-		p, err := instr.Build(g, instr.PPP(), instr.DefaultParams(), 0)
+		p, err := instr.Build(g, tech, par, 0)
 		if err != nil {
 			t.Fatalf("plan %s: %v", f.Name, err)
 		}
@@ -64,11 +80,7 @@ func buildValidated(t *testing.T, opts vm.Options) (*vm.Engine, *vm.Result) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return eng, res
+	return eng, prog, plans
 }
 
 // TestValidatePasses proves every routine of a representative
@@ -93,7 +105,7 @@ func TestValidatePasses(t *testing.T) {
 			eng, res := buildValidated(t, sh.opts)
 			us := eng.ValidateUs()
 			if len(us) == 0 {
-				t.Fatal("engine reports no validation timings; ValidateOn should be the default")
+				t.Fatal("compiled engine reports no validation timings")
 			}
 			for fn, v := range us {
 				if v < 0 {
@@ -107,17 +119,27 @@ func TestValidatePasses(t *testing.T) {
 	}
 }
 
-// TestValidateDetectsMutation flips one fused terminator constant via
-// the lowering-mutation hook and asserts validation rejects the build
-// with a structured error naming the exact block pair.
+// TestValidateDetectsMutation corrupts one fused terminator constant
+// via the lowering-mutation hook and asserts validation rejects the
+// build with a structured error naming the exact block pair, the
+// field, and the first probe.
 func TestValidateDetectsMutation(t *testing.T) {
+	pathsOnly := vm.Options{Backend: vm.BackendCompiled, CollectPaths: true}
 	mutations := []struct {
 		name  string
-		arm   func(delta int64) *compile.MutatedSite
-		field string
+		arm   func() *compile.MutatedSite
+		opts  vm.Options
+		field func(site *compile.MutatedSite) string
 	}{
-		{"base-cost", compile.MutateFirstSuccBase, "base"},
-		{"step-fold", compile.MutateFirstSuccSteps, "steps"},
+		{"base-cost", func() *compile.MutatedSite { return compile.MutateFirstSuccBase(7) }, pathsOnly,
+			func(*compile.MutatedSite) string { return "base" }},
+		{"step-fold", func() *compile.MutatedSite { return compile.MutateFirstSuccSteps(7) }, pathsOnly,
+			func(*compile.MutatedSite) string { return "steps" }},
+		// The bump lands one slot along, so the first slot whose count
+		// diverges is the mutated transition's own.
+		{"edge-slot", func() *compile.MutatedSite { return compile.MutateFirstSuccEdgeSlot(1) },
+			vm.Options{Backend: vm.BackendCompiled, CollectEdges: true, CollectPaths: true},
+			func(site *compile.MutatedSite) string { return fmt.Sprintf("edge[%d->%d]", site.From, site.To) }},
 	}
 	for _, mu := range mutations {
 		mu := mu
@@ -126,9 +148,9 @@ func TestValidateDetectsMutation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			site := mu.arm(7)
+			site := mu.arm()
 			defer compile.ClearMutateSucc()
-			_, err = vm.NewEngine(prog, vm.Options{Backend: vm.BackendCompiled, CollectPaths: true})
+			_, err = vm.NewEngine(prog, mu.opts)
 			if err == nil {
 				t.Fatalf("mutated lowering (%s at %s %d->%d) passed translation validation",
 					mu.name, site.Fn, site.From, site.To)
@@ -141,8 +163,11 @@ func TestValidateDetectsMutation(t *testing.T) {
 				t.Errorf("error names %s %d->%d, mutation was at %s %d->%d",
 					ve.Routine, ve.From, ve.To, site.Fn, site.From, site.To)
 			}
-			if ve.Field != mu.field {
-				t.Errorf("error field %q, want %q", ve.Field, mu.field)
+			if want := mu.field(site); ve.Field != want {
+				t.Errorf("error field %q, want %q", ve.Field, want)
+			}
+			if ve.Probe != 0 {
+				t.Errorf("error probe %d, want the first probe 0", ve.Probe)
 			}
 			if !strings.Contains(err.Error(), site.Fn) {
 				t.Errorf("error %q does not name the routine %q", err, site.Fn)
@@ -151,23 +176,103 @@ func TestValidateDetectsMutation(t *testing.T) {
 	}
 }
 
-// TestValidateOff proves the gate: the same mutated lowering builds
-// fine with ValidateOff (and would silently miscount, which is the
-// point of having validation on by default).
-func TestValidateOff(t *testing.T) {
-	prog, err := lower.Compile(validateSrc, lower.Options{})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+// TestValidateProbesAllocateNothing pins the probe loop's zero-alloc
+// contract: once a routine's harness is built and its paths interned,
+// driving every arm through every probe again allocates nothing, on
+// array and on hash counter tables.
+func TestValidateProbesAllocateNothing(t *testing.T) {
+	hashed := instr.DefaultParams()
+	hashed.HashThreshold = 1
+	for _, tc := range []struct {
+		name string
+		tech instr.Techniques
+		par  instr.Params
+		hash bool
+	}{
+		{"array", instr.PPP(), instr.DefaultParams(), false},
+		// PP keeps every path, so a threshold of one path hashes every
+		// instrumented routine.
+		{"hash", instr.PP(), hashed, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, prog, plans := buildPlanned(t, vm.Options{CollectEdges: true, CollectPaths: true}, tc.tech, tc.par)
+			hashes := 0
+			for _, p := range plans {
+				if p.Instrumented && p.Hash {
+					hashes++
+				}
+			}
+			if tc.hash != (hashes > 0) {
+				t.Fatalf("%d hash-table routines; want some: %v", hashes, tc.hash)
+			}
+			v := compile.NewValidator(eng.Compiled())
+			for fi, f := range prog.Funcs {
+				if err := v.Func(fi); err != nil {
+					t.Fatalf("%s: %v", f.Name, err)
+				}
+				redrive := func() {
+					if err := v.RedriveArms(); err != nil {
+						t.Fatalf("%s: re-driven arms: %v", f.Name, err)
+					}
+				}
+				if avg := testing.AllocsPerRun(10, redrive); avg != 0 {
+					t.Errorf("%s: re-driving every arm allocates %.1f times, want 0", f.Name, avg)
+				}
+			}
+		})
 	}
-	compile.MutateFirstSuccBase(7)
-	defer compile.ClearMutateSucc()
-	eng, err := vm.NewEngine(prog, vm.Options{
-		Backend: vm.BackendCompiled, CollectPaths: true, Validate: vm.ValidateOff,
-	})
-	if err != nil {
-		t.Fatalf("ValidateOff engine build failed: %v", err)
+}
+
+// BenchmarkValidate measures translation validation of vpr's PPP
+// plans under both placements: plain (the engines the replan
+// benchmark builds collect neither profile), paths only, and edges
+// plus paths.
+func BenchmarkValidate(b *testing.B) {
+	w, ok := workloads.ByName("vpr")
+	if !ok {
+		b.Fatal("no vpr workload")
 	}
-	if eng.ValidateUs() != nil {
-		t.Error("ValidateOff engine reports validation timings")
+	st, err := core.NewPipeline(w.Name, w.Source).Stage()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var planSets []map[string]*instr.Plan
+	for _, pl := range []instr.Placement{instr.PlaceSpanning, instr.PlaceMinCost} {
+		plans, err := st.PlansGuided("PPP", instr.PPP(), pl, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		planSets = append(planSets, plans)
+	}
+	for _, sh := range []struct {
+		name string
+		opts vm.Options
+	}{
+		{"plain", vm.Options{}},
+		{"paths", vm.Options{CollectPaths: true}},
+		{"edges+paths", vm.Options{CollectEdges: true, CollectPaths: true}},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			var progs []*compile.Program
+			for _, plans := range planSets {
+				opts := sh.opts
+				opts.Backend = vm.BackendCompiled
+				opts.Plans = plans
+				eng, err := vm.NewEngine(st.Prog, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				progs = append(progs, eng.Compiled())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, cp := range progs {
+					if err := compile.Validate(cp); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -93,7 +93,7 @@ type Engine struct {
 	plan     *planir.Program
 	compiled *compile.Program
 	// validateUs records per-routine translation-validation wall time
-	// (µs), populated when the compiled backend builds with ValidateOn.
+	// (µs), populated when the compiled backend builds.
 	validateUs map[string]int64
 }
 
@@ -152,34 +152,38 @@ func NewEngine(prog *ir.Program, opts Options) (*Engine, error) {
 			return nil, err
 		}
 		e.compiled = cp
-		if opts.Validate == ValidateOn {
-			// Translation validation: prove each compiled routine
-			// effect-equivalent to the spec it was lowered from before any
-			// replica runs it. The trace detail stays deterministic (no
-			// timing) so decision traces byte-compare across runs.
-			e.validateUs = make(map[string]int64, len(prog.Funcs))
-			for fi, f := range prog.Funcs {
-				start := time.Now()
-				err := compile.ValidateFunc(cp, fi)
-				e.validateUs[f.Name] = time.Since(start).Microseconds()
-				if err != nil {
-					return nil, fmt.Errorf("vm: translation validation: %w", err)
-				}
-				opts.Trace.Emit(telemetry.Event{
-					Unit:    opts.TraceUnit,
-					Routine: f.Name,
-					Kind:    telemetry.EvValidate,
-					Detail:  "ok",
-				})
+		// Translation validation: prove each compiled routine
+		// effect-equivalent to the spec it was lowered from before any
+		// replica runs it. The trace detail stays deterministic (no
+		// timing) so decision traces byte-compare across runs.
+		e.validateUs = make(map[string]int64, len(prog.Funcs))
+		v := compile.NewValidator(cp)
+		for fi, f := range prog.Funcs {
+			start := time.Now()
+			err := v.Func(fi)
+			e.validateUs[f.Name] = time.Since(start).Microseconds()
+			if err != nil {
+				return nil, fmt.Errorf("vm: translation validation: %w", err)
 			}
+			opts.Trace.Emit(telemetry.Event{
+				Unit:    opts.TraceUnit,
+				Routine: f.Name,
+				Kind:    telemetry.EvValidate,
+				Detail:  "ok",
+			})
 		}
 	}
 	return e, nil
 }
 
 // ValidateUs returns per-routine translation-validation wall time in
-// microseconds (nil unless the compiled backend built with ValidateOn).
+// microseconds (nil under the dense backend, which has nothing to
+// validate).
 func (e *Engine) ValidateUs() map[string]int64 { return e.validateUs }
+
+// Compiled returns the validated threaded-code program (nil under the
+// dense backend).
+func (e *Engine) Compiled() *compile.Program { return e.compiled }
 
 // PlanIR returns the validated planir artifact the engine executes
 // (nil when no routine has a plan).

@@ -131,26 +131,11 @@ type Options struct {
 	// interprets over dense successor tables; BackendCompiled runs
 	// threaded code specialized per routine (internal/vm/compile). The
 	// two produce bit-identical results, profiles, and modeled costs.
+	// Building a compiled engine always runs translation validation:
+	// every compiled routine is driven against the spec it was lowered
+	// from and proven effect-equivalent (compile.Validate).
 	Backend Backend
-	// Validate gates translation validation of the compiled backend:
-	// at engine-build time every compiled routine is symbolically
-	// driven against the spec it was lowered from and proven
-	// effect-equivalent (compile.Validate). On by default (the zero
-	// value) so tests and CI always run it; production paths that
-	// rebuild engines in a loop can opt out with ValidateOff.
-	Validate ValidateMode
 }
-
-// ValidateMode gates compiled-backend translation validation.
-type ValidateMode int8
-
-const (
-	// ValidateOn (the zero value) proves every compiled routine
-	// equivalent to its spec when the engine is built.
-	ValidateOn ValidateMode = iota
-	// ValidateOff skips translation validation.
-	ValidateOff
-)
 
 // Result is the outcome of a run.
 type Result struct {
@@ -166,8 +151,7 @@ type Result struct {
 	// callers can interpret the recorded paths (branch counts etc.).
 	DAGs map[string]*cfg.DAG
 	// ValidateUs reports per-routine translation-validation wall time
-	// in microseconds (compiled backend with ValidateOn only; nil
-	// otherwise). It is engine-build work, surfaced on the Result so
+	// in microseconds (compiled backend only; nil otherwise). It is engine-build work, surfaced on the Result so
 	// reporting tools can attribute it.
 	ValidateUs map[string]int64
 }
