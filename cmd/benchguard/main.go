@@ -16,7 +16,9 @@
 // warnings), 1 on a hard failure or, with -strict, any finding, 2 on
 // usage errors. A missing or unreadable baseline is informational
 // either way — the first run after a cache wipe has nothing to
-// compare against and must not break the build.
+// compare against and must not break the build. So is a baseline
+// measured under a different configuration (backend, placement or
+// workload set): its wall clock says nothing about this run's.
 package main
 
 import (
@@ -26,6 +28,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 // benchReport mirrors the fields of pppbench's -json document that the
@@ -33,6 +36,8 @@ import (
 // evolve independently.
 type benchReport struct {
 	Workloads []string           `json:"workloads"`
+	Backend   string             `json:"backend"`
+	Placement string             `json:"placement"`
 	TotalSecs float64            `json:"total_seconds"`
 	Headline  map[string]float64 `json:"headline"`
 }
@@ -91,9 +96,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *baseline != "" {
-		// A missing or unreadable baseline is informational, not a
-		// finding: the first run after a cache wipe has nothing to
-		// compare against and must pass even under -strict.
+		// A missing, unreadable or differently configured baseline is
+		// informational, not a finding: the first run after a cache
+		// wipe or a configuration change has nothing to compare
+		// against and must pass even under -strict.
 		f, err := os.Open(*baseline)
 		if err != nil {
 			fmt.Fprintf(stdout, "benchguard: no usable baseline: %v\n", err)
@@ -102,6 +108,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			f.Close()
 			if err != nil {
 				fmt.Fprintf(stdout, "benchguard: baseline unreadable: %v\n", err)
+			} else if diff := configDiff(cur, base); diff != "" {
+				fmt.Fprintf(stdout, "benchguard: no comparable baseline: %s\n", diff)
 			} else {
 				diffBaseline(cur, base, *tolerance, stdout, warn)
 			}
@@ -126,6 +134,22 @@ func readReport(r io.Reader) (*benchReport, error) {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// configDiff names every run-configuration field in which the report
+// and the baseline differ ("" when they match), so wall clock is only
+// ever compared like with like.
+func configDiff(cur, base *benchReport) string {
+	var diffs []string
+	field := func(name, b, c string) {
+		if b != c {
+			diffs = append(diffs, fmt.Sprintf("%s %q in the baseline, %q in the report", name, b, c))
+		}
+	}
+	field("backend", base.Backend, cur.Backend)
+	field("placement", base.Placement, cur.Placement)
+	field("workloads", strings.Join(base.Workloads, ","), strings.Join(cur.Workloads, ","))
+	return strings.Join(diffs, "; ")
 }
 
 // diffBaseline reports wall-clock and headline drift beyond the

@@ -100,3 +100,42 @@ func TestGuardReadsFileArgument(t *testing.T) {
 		t.Fatal("two file arguments accepted")
 	}
 }
+
+// TestGuardIncomparableBaselineIsInformational diffs a report against
+// baselines that ran under another backend, placement or workload set:
+// each is "no comparable baseline", naming the differing field, and
+// passes even under -strict although its wall clock and headline
+// would otherwise be regressions.
+func TestGuardIncomparableBaselineIsInformational(t *testing.T) {
+	const cur = `{
+		"workloads": ["mcf", "swim"], "backend": "compiled", "placement": "spanning",
+		"total_seconds": 12.5,
+		"headline": {"ppp_overhead_pct": 5.0}
+	}`
+	for _, tc := range []struct{ name, base, field string }{
+		{"backend", `"workloads": ["mcf", "swim"], "backend": "dense", "placement": "spanning"`, `backend "dense"`},
+		{"placement", `"workloads": ["mcf", "swim"], "backend": "compiled", "placement": "mincost"`, `placement "mincost"`},
+		{"workloads", `"workloads": ["mcf"], "backend": "compiled", "placement": "spanning"`, `workloads "mcf"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := writeTemp(t, `{`+tc.base+`, "total_seconds": 5.0, "headline": {"ppp_overhead_pct": 1.0}}`)
+			code, out, errb := runGuard(t, []string{"-baseline", base, "-strict"}, cur)
+			if code != 0 || errb != "" {
+				t.Fatalf("exit %d, stderr: %s", code, errb)
+			}
+			if !strings.Contains(out, "no comparable baseline: "+tc.field) {
+				t.Fatalf("differing field not named: %s", out)
+			}
+			if strings.Contains(out, "vs baseline") {
+				t.Fatalf("wall clock compared across configurations: %s", out)
+			}
+		})
+	}
+
+	// The same configuration is compared, and its regression counts.
+	base := writeTemp(t, strings.Replace(cur, "12.5", "5.0", 1))
+	if code, _, errb := runGuard(t, []string{"-baseline", base, "-strict"}, cur); code != 1 ||
+		!strings.Contains(errb, "wall clock regressed") {
+		t.Fatalf("like-for-like regression not flagged: exit %d, stderr: %s", code, errb)
+	}
+}

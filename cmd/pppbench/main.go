@@ -4,7 +4,7 @@
 // Usage:
 //
 //	pppbench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|sac|net|static|throughput|faults|backend|placement]
-//	         [-backend dense|compiled] [-placement spanning|mincost] [-workloads a,b,c]
+//	         [-backend compiled|dense] [-placement spanning|mincost] [-workloads a,b,c]
 //	         [-par n] [-replicas n] [-faults spec] [-json] [-v] [-cpuprofile f] [-memprofile f]
 //
 // The workload sweep runs on a bounded worker pool (-par, default
@@ -27,8 +27,10 @@
 // explicit-only: its outcome depends on the requested fault spec.
 //
 // -backend selects the VM execution strategy for the pipeline runs:
-// "dense" (the interpreter, default) or "compiled" (threaded code);
-// every table and figure is identical under either. -exp backend runs
+// "compiled" (threaded code, default) or "dense" (the reference
+// interpreter); every table and figure is identical under either.
+// Each compiled engine built under the decision trace (-exp faults
+// with -trace) logs one validate event per routine. -exp backend runs
 // the cross-backend smoke: the workload sweep PP-instrumented on both
 // backends at 1 and 8 workers, diffing merged fingerprints (a
 // divergence is a hard failure) and reporting wall clock, speedup, and
@@ -104,7 +106,7 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	exp := flag.String("exp", "all", "experiment to regenerate (all, table1, table2, fig9, fig10, fig11, fig12, fig13, sac, net, static, throughput, faults, backend, placement)")
-	backendName := flag.String("backend", "dense", "VM execution backend for pipeline runs (dense, compiled)")
+	backendName := flag.String("backend", "compiled", "VM execution backend for pipeline runs (compiled, or dense for the reference interpreter)")
 	placementName := flag.String("placement", "spanning", "edge-probe placement for pipeline runs (spanning, mincost)")
 	names := flag.String("workloads", "", "comma-separated subset of workloads (default: all 18)")
 	par := flag.Int("par", 0, "worker pool size for the workload sweep (0 = GOMAXPROCS, 1 = sequential)")

@@ -13,6 +13,12 @@
 //	pppc -workload mcf -faults seed=7,kind=panic+overflow
 //	pppc -workload mcf -trace trace.jsonl -serve :8080
 //
+// -backend selects the VM executor for every run: "compiled" (threaded
+// code, translation-validated per routine before it runs; the default)
+// or "dense" (the reference interpreter). Results, profiles and costs
+// are identical under either; a -faults drill traced under compiled
+// carries one validate event per routine.
+//
 // -trace writes the planner decision trace on exit (JSON lines when
 // the path ends in .jsonl, Chrome trace_event JSON otherwise); -serve
 // exposes live telemetry (/metrics, /debug/vars, /debug/pprof, trace
@@ -60,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profiler := fs.String("profiler", "PPP", "profiler: PP, TPP, PPP, or PPP-{SAC,FP,Push,SPN,LC}")
 	hot := fs.Int("hot", 10, "number of hot paths to print")
 	noOpt := fs.Bool("no-opt", false, "skip profile-guided inlining and unrolling")
-	backendName := fs.String("backend", "dense", "VM execution backend (dense, compiled)")
+	backendName := fs.String("backend", "compiled", "VM execution backend (compiled, or dense for the reference interpreter)")
 	placementName := fs.String("placement", "spanning", "edge-probe placement (spanning, mincost)")
 	verifyMode := fs.String("verify", "", "statically verify every instrumentation plan: proof (all-paths abstract interpretation), enum (budgeted enumeration), or both (differential)")
 	dumpPlans := fs.Bool("dump-plans", false, "dump per-routine instrumentation plans")

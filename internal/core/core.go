@@ -59,8 +59,9 @@ type Pipeline struct {
 	// the pipeline performs. Nil is the zero-overhead no-op sink.
 	Metrics *telemetry.VMMetrics
 	// Backend selects the VM execution strategy for every run the
-	// pipeline performs (dense interpreter or compiled threaded code);
-	// both produce identical results, profiles, and cost accounting.
+	// pipeline performs: the zero value is compiled threaded code,
+	// vm.BackendDense the reference interpreter. Both produce identical
+	// results, profiles, and cost accounting.
 	Backend vm.Backend
 }
 

@@ -25,27 +25,29 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := vm.DefaultCosts()
-	base, err := vm.Run(prog, vm.Options{Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs.TakenPenalty = 0
-	flat, err := vm.Run(prog, vm.Options{Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Ret != flat.Ret || base.Steps != flat.Steps {
-		t.Fatal("penalty changed semantics or step count")
-	}
-	if base.BaseCost <= flat.BaseCost {
-		t.Errorf("taken penalty had no effect: %d vs %d", base.BaseCost, flat.BaseCost)
-	}
-	// The difference is exactly the number of non-fall-through
-	// transfers, which for this loop is at least one per iteration.
-	if base.BaseCost-flat.BaseCost < 1000 {
-		t.Errorf("penalty delta %d too small for 1000 iterations", base.BaseCost-flat.BaseCost)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		costs := vm.DefaultCosts()
+		base, err := vm.Run(prog, vm.Options{Costs: costs, Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs.TakenPenalty = 0
+		flat, err := vm.Run(prog, vm.Options{Costs: costs, Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Ret != flat.Ret || base.Steps != flat.Steps {
+			t.Fatal("penalty changed semantics or step count")
+		}
+		if base.BaseCost <= flat.BaseCost {
+			t.Errorf("taken penalty had no effect: %d vs %d", base.BaseCost, flat.BaseCost)
+		}
+		// The difference is exactly the number of non-fall-through
+		// transfers, which for this loop is at least one per iteration.
+		if base.BaseCost-flat.BaseCost < 1000 {
+			t.Errorf("penalty delta %d too small for 1000 iterations", base.BaseCost-flat.BaseCost)
+		}
+	})
 }
 
 func TestDeepRecursionUsesHeapFrames(t *testing.T) {
@@ -61,13 +63,15 @@ func main() { return down(200000); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := vm.Run(prog, vm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ret != 200000 {
-		t.Errorf("deep recursion returned %d", res.Ret)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res, err := vm.Run(prog, vm.Options{Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ret != 200000 {
+			t.Errorf("deep recursion returned %d", res.Ret)
+		}
+	})
 }
 
 func TestEntryFunctionWithArgs(t *testing.T) {
@@ -78,19 +82,21 @@ func main() { return 0; }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := vm.Run(prog, vm.Options{Entry: "addmul", Args: []int64{2, 3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ret != 14 {
-		t.Errorf("addmul(2,3,4) = %d, want 14", res.Ret)
-	}
-	if _, err := vm.Run(prog, vm.Options{Entry: "addmul", Args: []int64{1}}); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-	if _, err := vm.Run(prog, vm.Options{Entry: "missing"}); err == nil {
-		t.Error("missing entry accepted")
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res, err := vm.Run(prog, vm.Options{Entry: "addmul", Args: []int64{2, 3, 4}, Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ret != 14 {
+			t.Errorf("addmul(2,3,4) = %d, want 14", res.Ret)
+		}
+		if _, err := vm.Run(prog, vm.Options{Entry: "addmul", Args: []int64{1}, Backend: be}); err == nil {
+			t.Error("arity mismatch accepted")
+		}
+		if _, err := vm.Run(prog, vm.Options{Entry: "missing", Backend: be}); err == nil {
+			t.Error("missing entry accepted")
+		}
+	})
 }
 
 func TestShiftAndBitwiseSemantics(t *testing.T) {
@@ -107,16 +113,18 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := vm.Run(prog, vm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	a := int64(1) << 62
 	b := a >> 3
 	c := (b & 255) | 129 ^ 2
 	e := int64(-8) >> 1 // arithmetic shift
 	want := c + e + b%1000000007
-	if res.Ret != want {
-		t.Errorf("got %d, want %d", res.Ret, want)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res, err := vm.Run(prog, vm.Options{Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ret != want {
+			t.Errorf("got %d, want %d", res.Ret, want)
+		}
+	})
 }

@@ -14,26 +14,27 @@ import (
 // hatch.
 func TestUseZeroCosts(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		defaulted := run(t, prog, vm.Options{Backend: be})
+		if defaulted.BaseCost == 0 {
+			t.Fatal("zero Costs without UseZeroCosts should default to DefaultCosts, got BaseCost = 0")
+		}
 
-	defaulted := run(t, prog, vm.Options{})
-	if defaulted.BaseCost == 0 {
-		t.Fatal("zero Costs without UseZeroCosts should default to DefaultCosts, got BaseCost = 0")
-	}
+		free := run(t, prog, vm.Options{UseZeroCosts: true, Backend: be})
+		if free.BaseCost != 0 || free.InstrCost != 0 {
+			t.Errorf("UseZeroCosts run cost = %d+%d, want 0+0", free.BaseCost, free.InstrCost)
+		}
+		if free.Steps != defaulted.Steps || free.Ret != defaulted.Ret {
+			t.Errorf("UseZeroCosts changed execution: steps %d vs %d, ret %d vs %d",
+				free.Steps, defaulted.Steps, free.Ret, defaulted.Ret)
+		}
 
-	free := run(t, prog, vm.Options{UseZeroCosts: true})
-	if free.BaseCost != 0 || free.InstrCost != 0 {
-		t.Errorf("UseZeroCosts run cost = %d+%d, want 0+0", free.BaseCost, free.InstrCost)
-	}
-	if free.Steps != defaulted.Steps || free.Ret != defaulted.Ret {
-		t.Errorf("UseZeroCosts changed execution: steps %d vs %d, ret %d vs %d",
-			free.Steps, defaulted.Steps, free.Ret, defaulted.Ret)
-	}
-
-	// An explicitly non-zero model is never overridden.
-	instrOnly := run(t, prog, vm.Options{Costs: vm.CostModel{Instr: 1}})
-	if instrOnly.BaseCost == 0 || instrOnly.BaseCost >= defaulted.BaseCost {
-		t.Errorf("Costs{Instr:1} BaseCost = %d, want in (0, %d)", instrOnly.BaseCost, defaulted.BaseCost)
-	}
+		// An explicitly non-zero model is never overridden.
+		instrOnly := run(t, prog, vm.Options{Costs: vm.CostModel{Instr: 1}, Backend: be})
+		if instrOnly.BaseCost == 0 || instrOnly.BaseCost >= defaulted.BaseCost {
+			t.Errorf("Costs{Instr:1} BaseCost = %d, want in (0, %d)", instrOnly.BaseCost, defaulted.BaseCost)
+		}
+	})
 }
 
 // emptyArrayProg hand-builds a program with a zero-length array (the
@@ -65,13 +66,15 @@ func emptyArrayProg(t *testing.T) *ir.Program {
 
 func TestEmptyArrayLoadStore(t *testing.T) {
 	prog := emptyArrayProg(t)
-	res := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true})
-	if res.Ret != 0 {
-		t.Errorf("load from empty array = %d, want 0", res.Ret)
-	}
-	if res.Steps != 4 {
-		t.Errorf("steps = %d, want 4", res.Steps)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true, Backend: be})
+		if res.Ret != 0 {
+			t.Errorf("load from empty array = %d, want 0", res.Ret)
+		}
+		if res.Steps != 4 {
+			t.Errorf("steps = %d, want 4", res.Steps)
+		}
+	})
 }
 
 // TestHugeIndexWraps exercises the wrap fast path's complement: an
@@ -81,8 +84,10 @@ func TestHugeIndexWraps(t *testing.T) {
 array a[8];
 func main() { a[8000000011] = 9; return a[3]; }`
 	prog := compile(t, src, lower.Options{})
-	res := run(t, prog, vm.Options{})
-	if res.Ret != 9 {
-		t.Errorf("a[8000000011 %% 8] = %d, want 9 (slot 3)", res.Ret)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res := run(t, prog, vm.Options{Backend: be})
+		if res.Ret != 9 {
+			t.Errorf("a[8000000011 %% 8] = %d, want 9 (slot 3)", res.Ret)
+		}
+	})
 }

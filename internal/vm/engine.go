@@ -24,17 +24,21 @@ import (
 	"pathprof/internal/vm/compile"
 )
 
-// Backend selects the execution engine.
+// Backend selects the execution engine. The zero value is
+// BackendCompiled, so every caller that names no backend runs threaded
+// code; BackendDense is the reference interpreter, named explicitly by
+// differential tests, fuzzing and `-backend dense`.
 type Backend int
 
 const (
-	// BackendDense is the dense-dispatch interpreter, the default.
-	BackendDense Backend = iota
 	// BackendCompiled specializes each routine into chained per-block
 	// closures (internal/vm/compile): successor choice, event-value
 	// arithmetic, and instrumentation ops fuse into one straight-line
-	// call per transition.
-	BackendCompiled
+	// call per transition. The default.
+	BackendCompiled Backend = iota
+	// BackendDense is the dense-dispatch interpreter, the reference the
+	// compiled backend is checked against.
+	BackendDense
 )
 
 func (b Backend) String() string {
@@ -47,15 +51,16 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", int(b))
 }
 
-// ParseBackend parses a backend name; the empty string means dense.
+// ParseBackend parses a backend name; the empty string means
+// compiled, the default.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "", "dense":
-		return BackendDense, nil
-	case "compiled":
+	case "", "compiled":
 		return BackendCompiled, nil
+	case "dense":
+		return BackendDense, nil
 	}
-	return 0, fmt.Errorf("vm: unknown backend %q (want dense or compiled)", s)
+	return 0, fmt.Errorf("vm: unknown backend %q (want compiled or dense)", s)
 }
 
 // routineRT is one routine's immutable engine state: the lowered
@@ -429,7 +434,7 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 			}
 			if mismatch {
 				if e.opts.Backend == BackendCompiled {
-					return nil, fmt.Errorf("vm: %s: sink edge profile has foreign slot order; the compiled backend needs fresh shards", name)
+					return nil, fmt.Errorf("vm: %s: sink edge profile has foreign slot order; the compiled backend needs fresh shards (Backend: vm.BackendDense re-slots)", name)
 				}
 				bd.blocks = reslot(rt, bd.edges)
 			}

@@ -3,6 +3,8 @@ package vm_test
 import (
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,67 +70,69 @@ func replPlans(t *testing.T, prog *ir.Program, hashThreshold int64) map[string]*
 // run.
 func TestRunReplicatedMatchesSequential(t *testing.T) {
 	prog := compile(t, replSrc, lower.Options{})
-	opts := vm.Options{CollectEdges: true, CollectPaths: true}
-	const n = 6
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		opts := vm.Options{CollectEdges: true, CollectPaths: true, Backend: be}
+		const n = 6
 
-	single := run(t, prog, opts)
-	seq, err := vm.RunReplicated(prog, opts, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Ret != single.Ret || seq.Workers != 1 || seq.Replicas != n {
-		t.Fatalf("sequential replicated: ret=%d workers=%d replicas=%d", seq.Ret, seq.Workers, seq.Replicas)
-	}
-	if seq.Steps != n*single.Steps || seq.BaseCost != n*single.BaseCost || seq.DynCalls != n*single.DynCalls {
-		t.Errorf("aggregates not %dx a single run: steps %d vs %d", n, seq.Steps, n*single.Steps)
-	}
-	for fn, ep := range single.Edges {
-		merged := seq.Merged.Edges[fn]
-		if merged == nil {
-			t.Fatalf("merged profile missing %s", fn)
-		}
-		for k, v := range ep.Freq() {
-			if got := merged.Get(k.Src, k.Dst); got != n*v {
-				t.Errorf("%s edge %v: merged %d, want %d", fn, k, got, n*v)
-			}
-		}
-	}
-	for fn, pp := range single.Paths {
-		mp := seq.Merged.Paths[fn]
-		if mp.Total() != n*pp.Total() || mp.Distinct() != pp.Distinct() {
-			t.Errorf("%s paths: total %d distinct %d, want %d/%d",
-				fn, mp.Total(), mp.Distinct(), n*pp.Total(), pp.Distinct())
-		}
-	}
-
-	want := seq.Merged.Fingerprint()
-	for _, par := range []int{2, 3, 4, 8} {
-		rr, err := vm.RunReplicated(prog, opts, n, par)
+		single := run(t, prog, opts)
+		seq, err := vm.RunReplicated(prog, opts, n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rr.Ret != seq.Ret || rr.Steps != seq.Steps || rr.BaseCost != seq.BaseCost {
-			t.Errorf("par=%d: aggregates differ from sequential", par)
+		if seq.Ret != single.Ret || seq.Workers != 1 || seq.Replicas != n {
+			t.Fatalf("sequential replicated: ret=%d workers=%d replicas=%d", seq.Ret, seq.Workers, seq.Replicas)
 		}
-		if fp := rr.Merged.Fingerprint(); fp != want {
-			t.Errorf("par=%d: merged fingerprint %#x != sequential %#x", par, fp, want)
+		if seq.Steps != n*single.Steps || seq.BaseCost != n*single.BaseCost || seq.DynCalls != n*single.DynCalls {
+			t.Errorf("aggregates not %dx a single run: steps %d vs %d", n, seq.Steps, n*single.Steps)
 		}
-		if rr.DAGs["main"] == nil {
-			t.Errorf("par=%d: no DAGs captured", par)
+		for fn, ep := range single.Edges {
+			merged := seq.Merged.Edges[fn]
+			if merged == nil {
+				t.Fatalf("merged profile missing %s", fn)
+			}
+			for k, v := range ep.Freq() {
+				if got := merged.Get(k.Src, k.Dst); got != n*v {
+					t.Errorf("%s edge %v: merged %d, want %d", fn, k, got, n*v)
+				}
+			}
 		}
-	}
+		for fn, pp := range single.Paths {
+			mp := seq.Merged.Paths[fn]
+			if mp.Total() != n*pp.Total() || mp.Distinct() != pp.Distinct() {
+				t.Errorf("%s paths: total %d distinct %d, want %d/%d",
+					fn, mp.Total(), mp.Distinct(), n*pp.Total(), pp.Distinct())
+			}
+		}
 
-	// par above n clamps to n workers.
-	rr, err := vm.RunReplicated(prog, opts, 2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Workers != 2 {
-		t.Errorf("workers = %d, want clamp to 2", rr.Workers)
-	}
-	if _, err := vm.RunReplicated(prog, opts, 0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
+		want := seq.Merged.Fingerprint()
+		for _, par := range []int{2, 3, 4, 8} {
+			rr, err := vm.RunReplicated(prog, opts, n, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rr.Ret != seq.Ret || rr.Steps != seq.Steps || rr.BaseCost != seq.BaseCost {
+				t.Errorf("par=%d: aggregates differ from sequential", par)
+			}
+			if fp := rr.Merged.Fingerprint(); fp != want {
+				t.Errorf("par=%d: merged fingerprint %#x != sequential %#x", par, fp, want)
+			}
+			if rr.DAGs["main"] == nil {
+				t.Errorf("par=%d: no DAGs captured", par)
+			}
+		}
+
+		// par above n clamps to n workers.
+		rr, err := vm.RunReplicated(prog, opts, 2, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Workers != 2 {
+			t.Errorf("workers = %d, want clamp to 2", rr.Workers)
+		}
+		if _, err := vm.RunReplicated(prog, opts, 0, 1); err == nil {
+			t.Error("n=0 accepted")
+		}
+	})
 }
 
 // TestRunReplicatedInstrumentedTables checks the sharded counter
@@ -136,46 +140,48 @@ func TestRunReplicatedMatchesSequential(t *testing.T) {
 // every worker count, including cold totals and lost counts.
 func TestRunReplicatedInstrumentedTables(t *testing.T) {
 	prog := compile(t, replSrc, lower.Options{})
-	for _, hashThreshold := range []int64{0, 2} { // default arrays, forced hash
-		plans := replPlans(t, prog, hashThreshold)
-		opts := vm.Options{Plans: plans, CollectPaths: true}
-		seq, err := vm.RunReplicated(prog, opts, 5, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq.Merged.Tables) == 0 {
-			t.Fatal("no tables collected")
-		}
-		hashed := false
-		for _, tab := range seq.Merged.Tables {
-			hashed = hashed || tab.Kind == profile.HashTable
-		}
-		if hashThreshold > 0 && !hashed {
-			t.Fatal("forced hash threshold produced no hash table")
-		}
-		want := seq.Merged.Fingerprint()
-		for _, par := range []int{2, 4} {
-			rr, err := vm.RunReplicated(prog, opts, 5, par)
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		for _, hashThreshold := range []int64{0, 2} { // default arrays, forced hash
+			plans := replPlans(t, prog, hashThreshold)
+			opts := vm.Options{Plans: plans, CollectPaths: true, Backend: be}
+			seq, err := vm.RunReplicated(prog, opts, 5, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fp := rr.Merged.Fingerprint(); fp != want {
-				t.Errorf("hashThreshold=%d par=%d: fingerprint %#x != sequential %#x",
-					hashThreshold, par, fp, want)
+			if len(seq.Merged.Tables) == 0 {
+				t.Fatal("no tables collected")
 			}
-			if rr.InstrCost != seq.InstrCost {
-				t.Errorf("hashThreshold=%d par=%d: instr cost %d vs %d",
-					hashThreshold, par, rr.InstrCost, seq.InstrCost)
+			hashed := false
+			for _, tab := range seq.Merged.Tables {
+				hashed = hashed || tab.Kind == profile.HashTable
 			}
-			for fn, tab := range seq.Merged.Tables {
-				got := rr.Merged.Tables[fn]
-				if got.ColdTotal() != tab.ColdTotal() || got.Lost != tab.Lost {
-					t.Errorf("%s: cold/lost %d/%d vs sequential %d/%d",
-						fn, got.ColdTotal(), got.Lost, tab.ColdTotal(), tab.Lost)
+			if hashThreshold > 0 && !hashed {
+				t.Fatal("forced hash threshold produced no hash table")
+			}
+			want := seq.Merged.Fingerprint()
+			for _, par := range []int{2, 4} {
+				rr, err := vm.RunReplicated(prog, opts, 5, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fp := rr.Merged.Fingerprint(); fp != want {
+					t.Errorf("hashThreshold=%d par=%d: fingerprint %#x != sequential %#x",
+						hashThreshold, par, fp, want)
+				}
+				if rr.InstrCost != seq.InstrCost {
+					t.Errorf("hashThreshold=%d par=%d: instr cost %d vs %d",
+						hashThreshold, par, rr.InstrCost, seq.InstrCost)
+				}
+				for fn, tab := range seq.Merged.Tables {
+					got := rr.Merged.Tables[fn]
+					if got.ColdTotal() != tab.ColdTotal() || got.Lost != tab.Lost {
+						t.Errorf("%s: cold/lost %d/%d vs sequential %d/%d",
+							fn, got.ColdTotal(), got.Lost, tab.ColdTotal(), tab.Lost)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestRunReplicatedPerWorkerHooks routes each worker's path stream to
@@ -183,33 +189,35 @@ func TestRunReplicatedInstrumentedTables(t *testing.T) {
 // every completed path.
 func TestRunReplicatedPerWorkerHooks(t *testing.T) {
 	prog := compile(t, replSrc, lower.Options{})
-	const n, par = 6, 3
-	counts := make([]int64, par)
-	opts := vm.Options{
-		CollectPaths: true,
-		PathHookFor: func(worker int) func(fn string, p cfg.Path) {
-			return func(fn string, p cfg.Path) { counts[worker]++ }
-		},
-	}
-	rr, err := vm.RunReplicated(prog, opts, n, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total, merged int64
-	for _, c := range counts {
-		total += c
-	}
-	for _, pp := range rr.Merged.Paths {
-		merged += pp.Total()
-	}
-	if total != merged || total == 0 {
-		t.Errorf("hooks saw %d paths, merged profile has %d", total, merged)
-	}
-	for w, c := range counts {
-		if c == 0 {
-			t.Errorf("worker %d hook never fired", w)
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		const n, par = 6, 3
+		counts := make([]int64, par)
+		opts := vm.Options{
+			CollectPaths: true, Backend: be,
+			PathHookFor: func(worker int) func(fn string, p cfg.Path) {
+				return func(fn string, p cfg.Path) { counts[worker]++ }
+			},
 		}
-	}
+		rr, err := vm.RunReplicated(prog, opts, n, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total, merged int64
+		for _, c := range counts {
+			total += c
+		}
+		for _, pp := range rr.Merged.Paths {
+			merged += pp.Total()
+		}
+		if total != merged || total == 0 {
+			t.Errorf("hooks saw %d paths, merged profile has %d", total, merged)
+		}
+		for w, c := range counts {
+			if c == 0 {
+				t.Errorf("worker %d hook never fired", w)
+			}
+		}
+	})
 }
 
 // TestRunReplicatedScaling is the throughput smoke: with 4+ CPUs, 4
@@ -262,4 +270,71 @@ func BenchmarkRunReplicated(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestForeignSlotSink runs against a sink whose edge profile already
+// registered the routine's edges in a foreign slot order. The dense
+// reference re-slots its successor table and collects exactly what a
+// fresh shard would; the compiled backend bakes slots into its closures,
+// so it must refuse the sink with an error naming the remedy rather
+// than panic or miscount.
+func TestForeignSlotSink(t *testing.T) {
+	prog := compile(t, replSrc, lower.Options{})
+	fresh := profile.NewCollector(1)
+	if _, err := vm.Run(prog, vm.Options{CollectEdges: true, CollectPaths: true, Sink: fresh.Shard(0)}); err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Merge().Fingerprint()
+
+	// foreign pre-registers every edge of work in reverse canonical
+	// slot order, before any run touches the shard.
+	canon := fresh.Shard(0).EdgeProfile("work")
+	var pairs []profile.EdgeKey
+	for k := range canon.Freq() {
+		pairs = append(pairs, k)
+	}
+	if len(pairs) < 2 {
+		t.Fatalf("work has %d edges; a foreign order needs two", len(pairs))
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		return canon.Slot(pairs[i].Src, pairs[i].Dst) > canon.Slot(pairs[j].Src, pairs[j].Dst)
+	})
+	foreign := func() *profile.Collector {
+		c := profile.NewCollector(1)
+		ep := c.Shard(0).EdgeProfile("work")
+		for _, k := range pairs {
+			ep.Slot(k.Src, k.Dst)
+		}
+		return c
+	}
+
+	t.Run("dense", func(t *testing.T) {
+		c := foreign()
+		opts := vm.Options{CollectEdges: true, CollectPaths: true, Sink: c.Shard(0), Backend: vm.BackendDense}
+		if _, err := vm.Run(prog, opts); err != nil {
+			t.Fatalf("dense run on a foreign-slot sink: %v", err)
+		}
+		if got := c.Merge().Fingerprint(); got != want {
+			t.Errorf("re-slotted fingerprint %#x, fresh shard %#x", got, want)
+		}
+	})
+
+	t.Run("compiled", func(t *testing.T) {
+		c := foreign()
+		opts := vm.Options{CollectEdges: true, CollectPaths: true, Sink: c.Shard(0)}
+		_, err := vm.Run(prog, opts)
+		if err == nil {
+			t.Fatal("compiled backend accepted a foreign-slot sink")
+		}
+		if !strings.Contains(err.Error(), "Backend: vm.BackendDense") {
+			t.Errorf("error %q does not name the dense backend as the remedy", err)
+		}
+		for fn, ep := range c.Merge().Edges {
+			for k, n := range ep.Freq() {
+				if n != 0 {
+					t.Errorf("%s edge %v counted %d on a refused run", fn, k, n)
+				}
+			}
+		}
+	})
 }

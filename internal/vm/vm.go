@@ -15,6 +15,12 @@
 // suspend the caller's path), which the evaluation uses as the actual
 // path profile that PP would measure.
 //
+// Two executors implement these semantics bit-identically. The default
+// (BackendCompiled, the zero value) runs each routine as threaded code
+// from internal/vm/compile, translation-validated before it runs. The
+// dense interpreter (BackendDense) is the reference the compiled code
+// is differentially tested against.
+//
 // The interpreter is built for throughput: prepare compiles every
 // block terminator into a dense successor table (per-transition state
 // is a slice index away, with no map lookups on the hot path), frames
@@ -127,10 +133,11 @@ type Options struct {
 	// shard quarantines); TraceUnit labels them.
 	Trace     *telemetry.Trace
 	TraceUnit string
-	// Backend selects the execution engine: BackendDense (the default)
-	// interprets over dense successor tables; BackendCompiled runs
-	// threaded code specialized per routine (internal/vm/compile). The
-	// two produce bit-identical results, profiles, and modeled costs.
+	// Backend selects the execution engine: BackendCompiled (the zero
+	// value, the default) runs threaded code specialized per routine
+	// (internal/vm/compile); BackendDense interprets over dense
+	// successor tables and is the reference. The two produce
+	// bit-identical results, profiles, and modeled costs.
 	// Building a compiled engine always runs translation validation:
 	// every compiled routine is driven against the spec it was lowered
 	// from and proven effect-equivalent (compile.Validate).

@@ -39,6 +39,19 @@ func run(t testing.TB, prog *ir.Program, opts vm.Options) *vm.Result {
 	return res
 }
 
+// backends is the executor matrix for tests of execution semantics:
+// the compiled default first, then the dense reference interpreter, so
+// the default never silently moves coverage off the reference.
+var backends = []vm.Backend{vm.BackendCompiled, vm.BackendDense}
+
+// forEachBackend runs body as one subtest per backend.
+func forEachBackend(t *testing.T, body func(t *testing.T, be vm.Backend)) {
+	t.Helper()
+	for _, be := range backends {
+		t.Run(be.String(), func(t *testing.T) { body(t, be) })
+	}
+}
+
 func TestFactorial(t *testing.T) {
 	src := `
 func fact(n) {
@@ -47,13 +60,15 @@ func fact(n) {
 }
 func main() { return fact(10); }`
 	prog := compile(t, src, lower.Options{})
-	res := run(t, prog, vm.Options{})
-	if res.Ret != 3628800 {
-		t.Errorf("fact(10) = %d, want 3628800", res.Ret)
-	}
-	if res.DynCalls != 10 {
-		t.Errorf("dynamic calls = %d, want 10", res.DynCalls)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res := run(t, prog, vm.Options{Backend: be})
+		if res.Ret != 3628800 {
+			t.Errorf("fact(10) = %d, want 3628800", res.Ret)
+		}
+		if res.DynCalls != 10 {
+			t.Errorf("dynamic calls = %d, want 10", res.DynCalls)
+		}
+	})
 }
 
 func TestLoopsAndArrays(t *testing.T) {
@@ -73,18 +88,20 @@ func main() {
 	return s;
 }`
 	prog := compile(t, src, lower.Options{})
-	var out bytes.Buffer
-	res := run(t, prog, vm.Options{Output: &out})
-	want := int64(0)
-	for i := int64(0); i < 16; i++ {
-		want += i * i
-	}
-	if res.Ret != want {
-		t.Errorf("sum = %d, want %d", res.Ret, want)
-	}
-	if got := strings.TrimSpace(out.String()); got != "1240" {
-		t.Errorf("printed %q, want 1240", got)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		var out bytes.Buffer
+		res := run(t, prog, vm.Options{Output: &out, Backend: be})
+		want := int64(0)
+		for i := int64(0); i < 16; i++ {
+			want += i * i
+		}
+		if res.Ret != want {
+			t.Errorf("sum = %d, want %d", res.Ret, want)
+		}
+		if got := strings.TrimSpace(out.String()); got != "1240" {
+			t.Errorf("printed %q, want 1240", got)
+		}
+	})
 }
 
 func TestShortCircuitAndControl(t *testing.T) {
@@ -105,20 +122,24 @@ func main() {
 	return s * 10 + hits;
 }`
 	prog := compile(t, src, lower.Options{})
-	res := run(t, prog, vm.Options{})
-	// s = 0+1+2+4+5+6 = 18
-	if res.Ret != 180 {
-		t.Errorf("result = %d, want 180", res.Ret)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res := run(t, prog, vm.Options{Backend: be})
+		// s = 0+1+2+4+5+6 = 18
+		if res.Ret != 180 {
+			t.Errorf("result = %d, want 180", res.Ret)
+		}
+	})
 }
 
 func TestDivModByZeroDefined(t *testing.T) {
 	src := `func main() { var z = 0; return 7 / z + 7 % z; }`
 	prog := compile(t, src, lower.Options{})
-	res := run(t, prog, vm.Options{})
-	if res.Ret != 0 {
-		t.Errorf("7/0 + 7%%0 = %d, want 0", res.Ret)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res := run(t, prog, vm.Options{Backend: be})
+		if res.Ret != 0 {
+			t.Errorf("7/0 + 7%%0 = %d, want 0", res.Ret)
+		}
+	})
 }
 
 func TestNegativeArrayIndexWraps(t *testing.T) {
@@ -126,10 +147,12 @@ func TestNegativeArrayIndexWraps(t *testing.T) {
 array a[8];
 func main() { a[0-1] = 42; return a[7]; }`
 	prog := compile(t, src, lower.Options{})
-	res := run(t, prog, vm.Options{})
-	if res.Ret != 42 {
-		t.Errorf("a[-1] wrap = %d, want 42", res.Ret)
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res := run(t, prog, vm.Options{Backend: be})
+		if res.Ret != 42 {
+			t.Errorf("a[-1] wrap = %d, want 42", res.Ret)
+		}
+	})
 }
 
 const loopSrc = `
@@ -183,107 +206,113 @@ func TestUnrollingPreservesSemantics(t *testing.T) {
 
 func TestPathProfileConsistency(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	res := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true})
-	for name, pp := range res.Paths {
-		ep := res.Edges[name]
-		g := mustCFG(t, prog.Func(name))
-		ep.ApplyTo(g)
-		g.Analyze()
-		if err := g.CheckFlow(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		// Total path executions = calls + back edge executions.
-		var backs int64
-		for _, e := range g.Edges {
-			if e.Back {
-				backs += e.Freq
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		res := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true, Backend: be})
+		for name, pp := range res.Paths {
+			ep := res.Edges[name]
+			g := mustCFG(t, prog.Func(name))
+			ep.ApplyTo(g)
+			g.Analyze()
+			if err := g.CheckFlow(); err != nil {
+				t.Errorf("%s: %v", name, err)
 			}
-		}
-		if got := pp.Total(); got != ep.Calls+backs {
-			t.Errorf("%s: %d paths, want calls %d + backs %d", name, got, ep.Calls, backs)
-		}
-		// Summing recorded paths over each real edge reproduces the
-		// edge profile.
-		edgeSum := map[[2]int]int64{}
-		for _, pc := range pp.Paths() {
-			for _, e := range pc.Path {
-				if e.CFG != nil {
-					edgeSum[[2]int{e.CFG.Src.ID, e.CFG.Dst.ID}] += pc.Count
+			// Total path executions = calls + back edge executions.
+			var backs int64
+			for _, e := range g.Edges {
+				if e.Back {
+					backs += e.Freq
+				}
+			}
+			if got := pp.Total(); got != ep.Calls+backs {
+				t.Errorf("%s: %d paths, want calls %d + backs %d", name, got, ep.Calls, backs)
+			}
+			// Summing recorded paths over each real edge reproduces the
+			// edge profile.
+			edgeSum := map[[2]int]int64{}
+			for _, pc := range pp.Paths() {
+				for _, e := range pc.Path {
+					if e.CFG != nil {
+						edgeSum[[2]int{e.CFG.Src.ID, e.CFG.Dst.ID}] += pc.Count
+					}
+				}
+			}
+			for _, e := range g.Edges {
+				if e.Back {
+					continue
+				}
+				if got := edgeSum[[2]int{e.Src.ID, e.Dst.ID}]; got != e.Freq {
+					t.Errorf("%s: edge %s path-sum %d, edge profile %d", name, e, got, e.Freq)
 				}
 			}
 		}
-		for _, e := range g.Edges {
-			if e.Back {
-				continue
-			}
-			if got := edgeSum[[2]int{e.Src.ID, e.Dst.ID}]; got != e.Freq {
-				t.Errorf("%s: edge %s path-sum %d, edge profile %d", name, e, got, e.Freq)
-			}
-		}
-	}
+	})
 }
 
 func TestPPInstrumentationMatchesGroundTruth(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	// Stage 1: collect the edge profile.
-	stage1 := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true})
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		// Stage 1: collect the edge profile.
+		stage1 := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true, Backend: be})
 
-	// Stage 2: build PP plans from the profile and rerun instrumented.
-	plans := map[string]*instr.Plan{}
-	for _, f := range prog.Funcs {
-		g := mustCFG(t, f)
-		stage1.Edges[f.Name].ApplyTo(g)
-		p, err := instr.Build(g, instr.PP(), instr.DefaultParams(), 0)
-		if err != nil {
-			t.Fatalf("plan %s: %v", f.Name, err)
+		// Stage 2: build PP plans from the profile and rerun instrumented.
+		plans := map[string]*instr.Plan{}
+		for _, f := range prog.Funcs {
+			g := mustCFG(t, f)
+			stage1.Edges[f.Name].ApplyTo(g)
+			p, err := instr.Build(g, instr.PP(), instr.DefaultParams(), 0)
+			if err != nil {
+				t.Fatalf("plan %s: %v", f.Name, err)
+			}
+			plans[f.Name] = p
 		}
-		plans[f.Name] = p
-	}
-	res := run(t, prog, vm.Options{Plans: plans, CollectPaths: true})
-	if res.Ret != stage1.Ret {
-		t.Fatalf("instrumentation changed the result: %d vs %d", res.Ret, stage1.Ret)
-	}
-	if res.InstrCost <= 0 {
-		t.Fatal("PP instrumentation has no cost")
-	}
+		res := run(t, prog, vm.Options{Plans: plans, CollectPaths: true, Backend: be})
+		if res.Ret != stage1.Ret {
+			t.Fatalf("instrumentation changed the result: %d vs %d", res.Ret, stage1.Ret)
+		}
+		if res.InstrCost <= 0 {
+			t.Fatal("PP instrumentation has no cost")
+		}
 
-	// PP measures every path exactly: table counts must match the
-	// ground-truth path profile.
-	for name, table := range res.Tables {
-		p := plans[name]
-		truth := res.Paths[name]
-		var want int64
-		measured := map[int64]int64{}
-		for _, ic := range table.HotCounts() {
-			measured[ic.Index] = ic.Count
-		}
-		for _, pc := range truth.Paths() {
-			num, ok := p.Num.PathNumber(pc.Path)
-			if !ok {
-				t.Fatalf("%s: ground truth path %s not numbered", name, pc.Path)
+		// PP measures every path exactly: table counts must match the
+		// ground-truth path profile.
+		for name, table := range res.Tables {
+			p := plans[name]
+			truth := res.Paths[name]
+			var want int64
+			measured := map[int64]int64{}
+			for _, ic := range table.HotCounts() {
+				measured[ic.Index] = ic.Count
 			}
-			if measured[num] != pc.Count {
-				t.Errorf("%s: path %s (#%d) measured %d, want %d",
-					name, pc.Path, num, measured[num], pc.Count)
+			for _, pc := range truth.Paths() {
+				num, ok := p.Num.PathNumber(pc.Path)
+				if !ok {
+					t.Fatalf("%s: ground truth path %s not numbered", name, pc.Path)
+				}
+				if measured[num] != pc.Count {
+					t.Errorf("%s: path %s (#%d) measured %d, want %d",
+						name, pc.Path, num, measured[num], pc.Count)
+				}
+				want += pc.Count
+				delete(measured, num)
 			}
-			want += pc.Count
-			delete(measured, num)
+			for num, c := range measured {
+				t.Errorf("%s: phantom count %d at number %d", name, c, num)
+			}
+			if table.Lost != 0 || table.ColdTotal() != 0 || table.Drops != 0 {
+				t.Errorf("%s: lost=%d cold=%d drops=%d, want all 0", name, table.Lost, table.ColdTotal(), table.Drops)
+			}
 		}
-		for num, c := range measured {
-			t.Errorf("%s: phantom count %d at number %d", name, c, num)
-		}
-		if table.Lost != 0 || table.ColdTotal() != 0 || table.Drops != 0 {
-			t.Errorf("%s: lost=%d cold=%d drops=%d, want all 0", name, table.Lost, table.ColdTotal(), table.Drops)
-		}
-	}
+	})
 }
 
 func TestMaxStepsAborts(t *testing.T) {
 	src := `func main() { var i = 0; while (i < 1000000) { i = i + 1; } return i; }`
 	prog := compile(t, src, lower.Options{})
-	if _, err := vm.Run(prog, vm.Options{MaxSteps: 100}); err == nil {
-		t.Error("expected step budget error")
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		if _, err := vm.Run(prog, vm.Options{MaxSteps: 100, Backend: be}); err == nil {
+			t.Error("expected step budget error")
+		}
+	})
 }
 
 func TestInfiniteLoopRejectedAtCompile(t *testing.T) {
@@ -295,12 +324,14 @@ func TestInfiniteLoopRejectedAtCompile(t *testing.T) {
 
 func TestEdgeInstrumentCost(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	plain := run(t, prog, vm.Options{})
-	edged := run(t, prog, vm.Options{EdgeInstrument: true})
-	if edged.InstrCost <= 0 {
-		t.Error("edge instrumentation has no cost")
-	}
-	if edged.BaseCost != plain.BaseCost {
-		t.Error("edge instrumentation changed base cost")
-	}
+	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+		plain := run(t, prog, vm.Options{Backend: be})
+		edged := run(t, prog, vm.Options{EdgeInstrument: true, Backend: be})
+		if edged.InstrCost <= 0 {
+			t.Error("edge instrumentation has no cost")
+		}
+		if edged.BaseCost != plain.BaseCost {
+			t.Error("edge instrumentation changed base cost")
+		}
+	})
 }
