@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 )
 
 // SpanStage names one stage of the profile service's ingest
@@ -75,12 +74,7 @@ const DefaultSpanCap = 1 << 14
 // fully preallocated so Emit never allocates, and a nil *SpanRing is a
 // valid no-op sink.
 type SpanRing struct {
-	mu      sync.Mutex
-	ringCap int
-	spans   []Span
-	start   int // index of the oldest span once the ring wrapped
-	seq     int64
-	dropped int64
+	r ring[Span]
 }
 
 // NewSpanRing returns a ring holding at most capacity spans
@@ -90,28 +84,17 @@ func NewSpanRing(capacity int) *SpanRing {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	return &SpanRing{ringCap: capacity, spans: make([]Span, 0, capacity)}
+	return &SpanRing{r: ring[Span]{capacity: capacity, items: make([]Span, 0, capacity)}}
 }
 
 // Emit records a span, assigning its sequence number. Nil-safe and
 // allocation-free: the span struct is copied into preallocated ring
-// storage under the ring mutex (the append never grows the slice
-// past the preallocated capacity; tests assert 0 allocs/op).
+// storage under the ring mutex (tests assert 0 allocs/op).
 func (r *SpanRing) Emit(sp Span) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.seq++
-	sp.Seq = r.seq
-	if len(r.spans) < r.ringCap {
-		r.spans = append(r.spans, sp)
-	} else {
-		r.spans[r.start] = sp
-		r.start = (r.start + 1) % r.ringCap
-		r.dropped++
-	}
-	r.mu.Unlock()
+	r.r.emit(&sp, &sp.Seq)
 }
 
 // Len returns the number of retained spans.
@@ -119,9 +102,7 @@ func (r *SpanRing) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
+	return r.r.len()
 }
 
 // Stats returns total emitted and dropped span counts.
@@ -129,9 +110,7 @@ func (r *SpanRing) Stats() (emitted, dropped int64) {
 	if r == nil {
 		return 0, 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq, r.dropped
+	return r.r.stats()
 }
 
 // Snapshot copies the retained spans in emission order.
@@ -139,12 +118,7 @@ func (r *SpanRing) Snapshot() []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.spans))
-	out = append(out, r.spans[r.start:]...)
-	out = append(out, r.spans[:r.start]...)
-	return out
+	return r.r.snapshot()
 }
 
 // sortedSnapshot orders spans by (Trace, Stage, Attempt, Status,

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 )
 
 // EventKind classifies one planner or runtime decision.
@@ -142,14 +141,10 @@ const DefaultTraceCap = 1 << 16
 // Trace is a bounded ring of decision events. Emission is
 // mutex-protected (decisions are planner/report-rate, never VM
 // hot-loop-rate) and a nil *Trace is a valid no-op sink, so emission
-// sites need no installed-sink check of their own.
+// sites need no installed-sink check of their own. Storage grows on
+// demand up to the capacity.
 type Trace struct {
-	mu      sync.Mutex
-	ringCap int
-	events  []Event
-	start   int // index of the oldest event once the ring wrapped
-	seq     int64
-	dropped int64
+	r ring[Event]
 }
 
 // NewTrace returns a trace holding at most capacity events
@@ -158,7 +153,7 @@ func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Trace{ringCap: capacity}
+	return &Trace{r: ring[Event]{capacity: capacity}}
 }
 
 // Emit records an event, assigning its sequence number. Nil-safe.
@@ -166,17 +161,7 @@ func (t *Trace) Emit(e Event) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.seq++
-	e.Seq = t.seq
-	if len(t.events) < t.ringCap {
-		t.events = append(t.events, e)
-	} else {
-		t.events[t.start] = e
-		t.start = (t.start + 1) % t.ringCap
-		t.dropped++
-	}
-	t.mu.Unlock()
+	t.r.emit(&e, &e.Seq)
 }
 
 // Len returns the number of retained events.
@@ -184,9 +169,7 @@ func (t *Trace) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
+	return t.r.len()
 }
 
 // Stats returns total emitted and dropped event counts.
@@ -194,9 +177,7 @@ func (t *Trace) Stats() (emitted, dropped int64) {
 	if t == nil {
 		return 0, 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq, t.dropped
+	return t.r.stats()
 }
 
 // Snapshot copies the retained events in emission order.
@@ -204,12 +185,7 @@ func (t *Trace) Snapshot() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.start:]...)
-	out = append(out, t.events[:t.start]...)
-	return out
+	return t.r.snapshot()
 }
 
 // sortedSnapshot orders events by (Unit, Routine, Seq). Concurrent
@@ -373,19 +349,16 @@ func (t *Trace) TopLoss(unit string) (Event, bool) {
 	if t == nil {
 		return Event{}, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var best Event
 	found := false
-	for i := range t.events {
-		e := &t.events[i]
+	t.r.each(func(e *Event) {
 		if e.Unit != unit || !e.Kind.Lossy() {
-			continue
+			return
 		}
 		if !found || e.Flow > best.Flow || (e.Flow == best.Flow && e.Seq < best.Seq) {
 			best = *e
 			found = true
 		}
-	}
+	})
 	return best, found
 }

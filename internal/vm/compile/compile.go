@@ -21,7 +21,8 @@
 //     table kind), and path tracking (incremental trie stepping) into
 //     one straight-line call per transition. Constant costs fold into
 //     one addition at compile time; the telemetry nil-sink branch is
-//     resolved at compile time by emitting telemetry-free variants.
+//     resolved at compile time by emitting telemetry-free variants of
+//     every fused closure.
 //
 // The compiled Program is immutable and shared: closures reach all
 // per-run state through the Exec (globals, arrays, cost accumulators)
@@ -42,26 +43,32 @@ import (
 	"pathprof/internal/planir"
 )
 
-// CostModel mirrors vm.CostModel (the vm package converts; compile
-// cannot import vm).
+// CostModel assigns modeled costs to executed operations. It is
+// vm.CostModel: the interpreter and the compiled backend charge from
+// the one struct.
 type CostModel struct {
-	Instr        int64
-	Term         int64
-	Call         int64
-	RegOp        int64
-	CountArray   int64
-	CountConst   int64
-	CountHash    int64
-	PoisonCheck  int64
-	ColdBump     int64
-	EdgeCount    int64
+	Instr       int64 // per IR instruction
+	Term        int64 // per block terminator
+	Call        int64 // extra per call (frame setup/teardown)
+	RegOp       int64 // r = v and r += v
+	CountArray  int64 // count[r]++ against an array
+	CountConst  int64 // count[c]++ against an array (no address arith)
+	CountHash   int64 // any count against the hash table
+	PoisonCheck int64 // the r < 0 test of check-based poisoning
+	ColdBump    int64 // incrementing the cold counter after a check
+	EdgeCount   int64 // per-branch edge-profiling counter update
+	// TakenPenalty charges control transfers to a block other than the
+	// next one in layout order (block index + 1): the fetch-redirect
+	// cost that makes straight-line code and trace formation pay on
+	// real machines.
 	TakenPenalty int64
 }
 
 // Options fixes the run shape the program is compiled for. Telemetry
-// and path hooks are compile-time decisions: with Telemetry false no
-// counter-bump code is emitted at all, and with PathHooks false no
-// hook-dispatch code is emitted.
+// and path hooks are compile-time decisions: with Telemetry false the
+// fused closures carry no counter-bump code (the RunOps fallback for
+// check-poisoned streams bumps the Exec's zero, no-op cells), and with
+// PathHooks false no hook-dispatch code is emitted.
 type Options struct {
 	Costs          CostModel
 	CollectEdges   bool
@@ -74,11 +81,12 @@ type Options struct {
 // SuccSpec describes one control-flow transition, resolved by the
 // engine (vm) from the DAG and the planir artifact: the successor
 // block, its canonical edge-profile slot, the lowered op stream, and
-// the path-tracking edges.
+// the path-tracking edges. It is the one transition record: the
+// interpreter steps through it (Stepper.Step) and the compiled backend
+// lowers it.
 type SuccSpec struct {
-	To     int
-	Branch bool // arm of a Branch terminator
-	Back   bool // follows a CFG back edge (path truncation)
+	To   int
+	Back bool // follows a CFG back edge (path truncation)
 	// EdgeSlot is the dense edge-counter slot (-1: none); InstrCost is
 	// the modeled edge-counting charge the engine resolved for this
 	// transition — EdgeCount on instrumented branches under spanning

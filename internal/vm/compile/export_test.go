@@ -47,6 +47,25 @@ func MutateFirstSuccEdgeSlot(delta int32) *MutatedSite {
 	})
 }
 
+// MutateFirstSuccAdd arms the hook to add delta to the register-fold
+// add constant of the first transition that applies the fold, so the
+// compiled code leaves the wrong path register.
+func MutateFirstSuccAdd(delta int64) *MutatedSite {
+	return mutateFirst(func(c *succConsts) bool {
+		if !c.Fold {
+			return false
+		}
+		c.Add += delta
+		return true
+	})
+}
+
+// MutateFirstSuccICost arms the hook to add delta to the first
+// transition's folded instrumentation-cost constant.
+func MutateFirstSuccICost(delta int64) *MutatedSite {
+	return mutateFirst(func(c *succConsts) bool { c.ICost += delta; return true })
+}
+
 // ClearMutateSucc disarms the lowering-mutation hook.
 func ClearMutateSucc() { testMutateSucc = nil }
 

@@ -21,18 +21,24 @@ import (
 //     constant that joins the terminator's base charge.
 //
 // Streams with a poison check or several counts (rare: check-based
-// poisoning ablations) fall back to a generic op loop equivalent to
-// the interpreter's runOps.
+// poisoning ablations) fall back to RunOps, the op stream the
+// interpreter steps through.
 //
-// The telemetry decision is made here, at compile time: the
-// Telemetry=false build emits closures containing no counter code at
-// all, rather than nil-checking a sink per transition.
+// The telemetry decision for the folds and the transition closures is
+// made here, at compile time: the Telemetry=false build emits them
+// with no counter code at all, rather than nil-checking a sink per
+// transition. The RunOps fallback is the exception: it always takes
+// the Exec's cells, which are the zero (no-op) VMCells when telemetry
+// is off.
 
 // succConsts exposes one transition closure's folded compile-time
-// constants to the mutation hook below.
+// constants to the mutation hook below. Fold reports whether the
+// closure applies the register fold (Mask, Add); a transition lowered
+// to an op closure ignores it.
 type succConsts struct {
 	Steps, Base, ICost, Mask, Add int64
 	EdgeSlot                      int32
+	Fold                          bool
 }
 
 // testMutateSucc, when non-nil, may corrupt a transition's folded
@@ -156,60 +162,20 @@ func (c *comp) lowerSingleCount(ops []planir.Op, ci int) lowered {
 	return lo
 }
 
-// lowerGeneric mirrors the interpreter's runOps for the shapes the
-// folds don't cover (poison checks, multiple counts). Costs are
-// data-dependent here, so they accrue at run time.
+// lowerGeneric runs the shapes the folds don't cover (poison checks,
+// multiple counts) through RunOps, the interpreter's own op stream.
+// Costs are data-dependent here, so they accrue at run time.
 func (c *comp) lowerGeneric(ops []planir.Op) lowered {
-	costs := c.opts.Costs
 	stream := append([]planir.Op(nil), ops...)
-	hash, poison := c.spec.Hash, c.spec.PoisonCheck
-	tel := c.opts.Telemetry
+	spec, costs := c.spec, &c.opts.Costs
 	c.closures++
-	fn := func(x *Exec, fr *frame) {
-		t := fr.ft.Table
-		for _, op := range stream {
-			switch op.Kind {
-			case planir.OpInc:
-				fr.r += op.V
-				x.icost += costs.RegOp
-			case planir.OpSet:
-				fr.r = op.V
-				x.icost += costs.RegOp
-			default:
-				idx := fr.r
-				switch op.Kind {
-				case planir.OpCountRV:
-					idx += op.V
-				case planir.OpCountC:
-					idx = op.V
-				}
-				if poison {
-					x.icost += costs.PoisonCheck
-					if fr.r < 0 {
-						t.BumpCold()
-						if tel {
-							x.tel.ColdBumps.Inc()
-						}
-						x.icost += costs.ColdBump
-						continue
-					}
-				}
-				switch {
-				case hash:
-					x.icost += costs.CountHash
-				case op.Kind == planir.OpCountC:
-					x.icost += costs.CountConst
-				default:
-					x.icost += costs.CountArray
-				}
-				t.Inc(idx)
-				if tel {
-					x.tel.TableIncs.Inc()
-				}
-			}
-		}
+	lo := lowered{mask: -1, n: int64(len(ops))}
+	lo.fn = func(x *Exec, fr *frame) {
+		var ic int64
+		fr.r, ic = RunOps(stream, fr.r, spec, fr.ft.Table, costs, &x.tel)
+		x.icost += ic
 	}
-	return lowered{fn: fn, mask: -1, n: int64(len(ops))}
+	return lo
 }
 
 // compileTerm lowers a block terminator. Jump and Branch compile to
@@ -329,7 +295,7 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 		baseC += to.segs[0].cost
 	}
 	if testMutateSucc != nil {
-		sc := succConsts{Steps: stepsC, Base: baseC, ICost: icostC, Mask: rm, Add: ra, EdgeSlot: slot}
+		sc := succConsts{Steps: stepsC, Base: baseC, ICost: icostC, Mask: rm, Add: ra, EdgeSlot: slot, Fold: opsFn == nil}
 		testMutateSucc(c.fname, from, s.To, &sc)
 		stepsC, baseC, icostC, rm, ra, slot = sc.Steps, sc.Base, sc.ICost, sc.Mask, sc.Add, sc.EdgeSlot
 		hasFold = rm != -1 || ra != 0

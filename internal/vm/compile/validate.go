@@ -1,28 +1,38 @@
 package compile
 
 // Translation validation: prove, per block pair, that the compiled
-// threaded code has the same observable effect as the specification it
-// was lowered from. The compiled form is aggressively fused — op
+// threaded code has the same observable effect as the interpreter's
+// transition semantics. The compiled form is aggressively fused — op
 // streams fold to masked adds, constant costs collapse into one
 // addition, solo successors' charges migrate into their predecessors'
 // terminators — so instead of trusting the folds, Validate replays
-// every retained transition closure (blockCode.arms) against a
-// reference interpretation built ONLY from the inputs: the ir.Func
-// terminator, the SuccSpec, and the planir op stream. Both sides run
-// over twin profile containers and the complete observable state is
-// compared after every probe:
+// every retained transition closure (blockCode.arms) against the one
+// per-transition step the dense interpreter executes (Stepper.Step and
+// EndPath, step.go), driven from the same activation over twin profile
+// containers. The step's charges stop at the instrumentation cost; the
+// terminator's step and base charges are derived independently from
+// the IR. The complete observable state is compared after every probe:
 //
 //   - path register (the fold target)
 //   - step, base-cost, and instrumentation-cost deltas, with the
-//     solo-successor charge derived independently from the IR (a
-//     call-free successor of n instructions folds n steps and
-//     n*Instr cost into the transition)
+//     solo-successor charge derived from the IR (a call-free successor
+//     of n instructions folds n steps and n*Instr cost into the
+//     transition)
 //   - returned successor identity (pointer into the function's blocks)
 //   - counter-table state (array or hash), including poison-check
 //     cold bumps, drops, and lost counts
 //   - edge-profile counts over every canonical slot
 //   - path-tracking effects: trie cursor, pending path, recorded
 //     totals, and path-hook invocations
+//
+// Each fused lowering — register folds, the single-count
+// specialization, the solo-successor charge fold, edge-slot bumps, and
+// incremental trie stepping — is thereby checked against the step. The
+// generic op lowering calls the step's own RunOps, so for it
+// validation checks only the wiring around the call; RunOps and Step
+// themselves are pinned by hand-computed expectations
+// (TestRunOpsCharges, TestStepCharges), since no differential check
+// can catch a fault that every executor shares.
 //
 // Probe register values cover zero, small positives that distinguish
 // mask from add, a value outside small table ranges, and negatives
@@ -50,7 +60,6 @@ import (
 
 	"pathprof/internal/cfg"
 	"pathprof/internal/ir"
-	"pathprof/internal/planir"
 	"pathprof/internal/profile"
 )
 
@@ -172,14 +181,6 @@ func staticCheck(p *Program, fi int) error {
 	return nil
 }
 
-// vTwin is one side's profile containers.
-type vTwin struct {
-	edges *profile.EdgeProfile
-	paths *profile.PathProfile
-	table *profile.Table
-	hooks hookLog
-}
-
 // hookLog records path-hook invocations without building strings:
 // entry i is routine fns[i] with the path of edge IDs
 // ids[ends[i-1]:ends[i]].
@@ -214,10 +215,11 @@ func (l *hookLog) same(o *hookLog, i int) bool {
 }
 
 // Validator drives compiled arms (got side, through a real Exec)
-// against the reference interpretation (ref side), one routine at a
-// time. The probe machinery is built once and shared by every routine
-// and probe: one Exec, one probe frame reset per probe, and a register
-// template copied into it, so driving an arm allocates nothing.
+// against the shared transition step (ref side, Stepper.Step over twin
+// containers), one routine at a time. The probe machinery is built
+// once and shared by every routine and probe: one Exec, one probe
+// frame reset per probe, and a register template copied into it, so
+// driving an arm allocates nothing.
 type Validator struct {
 	p *Program
 	// x is built on the first Func call, which keeps its cost inside
@@ -225,14 +227,18 @@ type Validator struct {
 	x       *Exec
 	fr      frame
 	regTmpl []int64 // regTmpl[i] = 1000 + i
-	refPath cfg.Path
 
-	// The routine being validated.
+	// The routine being validated: the compiled side's containers and
+	// hook log, and the reference step bound to their twins.
 	f        *ir.Func
 	spec     *FuncSpec
 	fc       *fnCode
 	fi       int
-	got, ref vTwin
+	got      FuncRun
+	gotHooks hookLog
+	ref      Stepper
+	refHooks hookLog
+	refTrack Track
 	// slotPairs lists the canonical (from, to) pairs by edge slot, for
 	// the edge-profile comparison after each probe.
 	slotPairs [][2]int
@@ -246,7 +252,14 @@ type Validator struct {
 }
 
 // NewValidator returns a validator for the routines of p.
-func NewValidator(p *Program) *Validator { return &Validator{p: p} }
+func NewValidator(p *Program) *Validator {
+	v := &Validator{p: p}
+	v.ref.Costs = &p.opts.Costs
+	if p.opts.PathHooks {
+		v.ref.Hook = v.refHooks.add
+	}
+	return v
+}
 
 // Func validates one routine by function index.
 func (v *Validator) Func(fi int) error {
@@ -298,13 +311,12 @@ func (v *Validator) bind(fi int) error {
 	if v.spec.Hash {
 		kind = profile.HashTable
 	}
-	v.got.table = profile.NewTable(kind, vTableSize, vTableSize)
-	v.ref.table = profile.NewTable(kind, vTableSize, vTableSize)
-	v.got.edges, v.ref.edges = nil, nil
+	got := FuncRun{Table: profile.NewTable(kind, vTableSize, vTableSize)}
+	ref := FuncRun{Table: profile.NewTable(kind, vTableSize, vTableSize)}
 	v.slotPairs = v.slotPairs[:0]
 	if p.opts.CollectEdges {
-		v.got.edges = profile.NewEdgeProfile(v.f.Name)
-		v.ref.edges = profile.NewEdgeProfile(v.f.Name)
+		got.Edges = profile.NewEdgeProfile(v.f.Name)
+		ref.Edges = profile.NewEdgeProfile(v.f.Name)
 		// Pre-register the canonical slot order on both twins and check
 		// it is the dense 0..n-1 numbering the spec promises.
 		bySlot := map[int][2]int{}
@@ -324,33 +336,32 @@ func (v *Validator) bind(fi int) error {
 				return &ValidationError{Routine: v.f.Name, From: -1, To: -1, Arm: -1,
 					Field: fmt.Sprintf("edge-slot-%d-unassigned", slot)}
 			}
-			if got := v.got.edges.Slot(pair[0], pair[1]); got != slot {
+			if n := got.Edges.Slot(pair[0], pair[1]); n != slot {
 				return &ValidationError{Routine: v.f.Name, From: pair[0], To: pair[1], Arm: -1,
-					Field: "edge-slot", Got: int64(got), Want: int64(slot)}
+					Field: "edge-slot", Got: int64(n), Want: int64(slot)}
 			}
-			v.ref.edges.Slot(pair[0], pair[1])
+			ref.Edges.Slot(pair[0], pair[1])
 			v.slotPairs = append(v.slotPairs, pair)
 		}
 	}
-	v.got.paths, v.ref.paths = nil, nil
 	if p.opts.CollectPaths {
-		v.got.paths = profile.NewPathProfile(v.f.Name)
-		v.ref.paths = profile.NewPathProfile(v.f.Name)
+		got.Paths = profile.NewPathProfile(v.f.Name)
+		ref.Paths = profile.NewPathProfile(v.f.Name)
 	}
-	v.got.hooks.reset()
-	v.ref.hooks.reset()
+	v.got = got
+	v.ref.Name, v.ref.Spec, v.ref.Run = v.f.Name, v.spec, ref
+	v.gotHooks.reset()
+	v.refHooks.reset()
 	v.hooksSeen = 0
 
 	if v.x == nil {
-		x, err := NewExec(p, Config{Fts: make([]FuncRun, len(p.fns)), PathHook: func(fn string, pa cfg.Path) {
-			v.got.hooks.add(fn, pa)
-		}})
+		x, err := NewExec(p, Config{Fts: make([]FuncRun, len(p.fns)), PathHook: v.gotHooks.add})
 		if err != nil {
 			return err
 		}
 		v.x = x
 	}
-	v.x.fts[fi] = FuncRun{Edges: v.got.edges, Paths: v.got.paths, Table: v.got.table}
+	v.x.fts[fi] = got
 	// The root-step memo points into the routine's path twin, which is
 	// fresh.
 	clear(v.x.rootMemo[fi])
@@ -361,50 +372,6 @@ func (v *Validator) bind(fi int) error {
 		v.fr.regs = make([]int64, v.fc.nregs)
 	}
 	return nil
-}
-
-// refOps is the reference interpretation of a planir op stream,
-// mirroring the dense interpreter's runOps contract (which planir
-// validation pins down): it returns the final path register and the
-// accrued instrumentation cost, recording counter effects in t.
-func refOps(ops []planir.Op, r int64, t *profile.Table, hash, poison bool, costs *CostModel) (int64, int64) {
-	var icost int64
-	for _, op := range ops {
-		switch op.Kind {
-		case planir.OpInc:
-			r += op.V
-			icost += costs.RegOp
-		case planir.OpSet:
-			r = op.V
-			icost += costs.RegOp
-		case planir.OpCountR, planir.OpCountRV, planir.OpCountC:
-			idx := r
-			switch op.Kind {
-			case planir.OpCountRV:
-				idx += op.V
-			case planir.OpCountC:
-				idx = op.V
-			}
-			if poison {
-				icost += costs.PoisonCheck
-				if r < 0 {
-					t.BumpCold()
-					icost += costs.ColdBump
-					continue
-				}
-			}
-			switch {
-			case hash:
-				icost += costs.CountHash
-			case op.Kind == planir.OpCountC:
-				icost += costs.CountConst
-			default:
-				icost += costs.CountArray
-			}
-			t.Inc(idx)
-		}
-	}
-	return r, icost
 }
 
 // checkArm drives one compiled transition closure through every probe
@@ -451,20 +418,15 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 	*fr = frame{fc: fc, ft: &x.fts[v.fi], r: probe, regs: regs, path: fr.path[:0]}
 	ret := fc.blocks[v.bi].arms[v.arm](x, fr)
 
-	// Reference side, derived from term/spec/IR only.
-	refR := probe
-	var wantSteps, wantBase, wantICost int64
-	refPath := v.refPath[:0]
-	refTrie := int32(0)
+	// Reference side: the shared step from the same fresh activation,
+	// plus the terminator charges derived from the IR.
+	rt := &v.refTrack
+	rt.R, rt.Path, rt.Trie = probe, rt.Path[:0], 0
+	wantSteps, wantBase := int64(1), costs.Term
+	var wantICost int64
 	wantSucc := -1 // block index of the returned code; -1 for Ret
 	if term.Kind == ir.Ret {
-		wantSteps, wantBase = 1, costs.Term
-		if p.opts.CollectPaths {
-			v.ref.paths.AddAt(0, nil, 1)
-			if p.opts.PathHooks {
-				v.ref.hooks.add(v.f.Name, nil)
-			}
-		}
+		v.ref.EndPath(rt)
 		wantRet := int64(0)
 		if term.Ret >= 0 {
 			wantRet = int64(1000 + term.Ret)
@@ -474,7 +436,6 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 		}
 	} else {
 		wantSucc = s.To
-		wantSteps, wantBase = 1, costs.Term
 		if s.To != v.bi+1 {
 			wantBase += costs.TakenPenalty
 		}
@@ -484,38 +445,16 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 			wantSteps += int64(len(toInstrs))
 			wantBase += int64(len(toInstrs)) * costs.Instr
 		}
-		var opIcost int64
-		refR, opIcost = refOps(s.Ops, probe, v.ref.table, v.spec.Hash, v.spec.PoisonCheck, costs)
-		wantICost = s.InstrCost + opIcost
-		if p.opts.CollectEdges && s.EdgeSlot >= 0 {
-			v.ref.edges.BumpSlot(int(s.EdgeSlot))
-		}
-		if p.opts.CollectPaths {
-			rp := v.ref.paths
-			if !s.Back {
-				refPath = append(refPath, s.PathEdge)
-				refTrie = rp.Step(0, int32(s.PathEdge.ID))
-			} else {
-				refTrie = rp.Step(0, int32(s.ExitDummy.ID))
-				refPath = append(refPath, s.ExitDummy)
-				rp.AddAt(refTrie, refPath, 1)
-				if p.opts.PathHooks {
-					v.ref.hooks.add(v.f.Name, refPath)
-				}
-				refPath = append(refPath[:0], s.EntryDummy)
-				refTrie = rp.Step(0, int32(s.EntryDummy.ID))
-			}
-		}
+		wantICost = v.ref.Step(s, rt)
 	}
-	v.refPath = refPath
 
 	// Successor identity: the returned pointer must be the compiled
 	// code of exactly the spec'd block.
 	if wantSucc < 0 && ret != nil || wantSucc >= 0 && ret != &fc.blocks[wantSucc] {
 		return v.fail("succ", int64(succIndex(fc, ret)), int64(wantSucc))
 	}
-	if fr.r != refR {
-		return v.fail("reg", fr.r, refR)
+	if fr.r != rt.R {
+		return v.fail("reg", fr.r, rt.R)
 	}
 	if x.steps != wantSteps {
 		return v.fail("steps", x.steps, wantSteps)
@@ -529,35 +468,36 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 	// The complete observable counter-table state of both twins: every
 	// counter or occupied hash slot, plus the cold, lost, drop, and
 	// saturation accounting.
-	if d, differ := v.got.table.Diff(v.ref.table); differ {
+	got, ref := &v.got, &v.ref.Run
+	if d, differ := got.Table.Diff(ref.Table); differ {
 		return v.fail(tableField(d), d.Got, d.Want)
 	}
 	if p.opts.CollectEdges {
 		// The twins count only through their dense slots, so comparing
 		// those compares every canonical edge's count.
-		if slot, g, w := v.got.edges.DiffSlots(v.ref.edges); slot >= 0 {
+		if slot, g, w := got.Edges.DiffSlots(ref.Edges); slot >= 0 {
 			return v.fail(fmt.Sprintf("edge[%d->%d]", v.slotPairs[slot][0], v.slotPairs[slot][1]), g, w)
 		}
 	}
 	if p.opts.CollectPaths {
-		if fr.trie != refTrie {
-			return v.fail("trie", int64(fr.trie), int64(refTrie))
+		if fr.trie != rt.Trie {
+			return v.fail("trie", int64(fr.trie), int64(rt.Trie))
 		}
-		if len(fr.path) != len(refPath) {
-			return v.fail("path-len", int64(len(fr.path)), int64(len(refPath)))
+		if len(fr.path) != len(rt.Path) {
+			return v.fail("path-len", int64(len(fr.path)), int64(len(rt.Path)))
 		}
-		for i := range refPath {
-			if fr.path[i].ID != refPath[i].ID {
-				return v.fail(fmt.Sprintf("path[%d]", i), int64(fr.path[i].ID), int64(refPath[i].ID))
+		for i := range rt.Path {
+			if fr.path[i].ID != rt.Path[i].ID {
+				return v.fail(fmt.Sprintf("path[%d]", i), int64(fr.path[i].ID), int64(rt.Path[i].ID))
 			}
 		}
-		if g, w := v.got.paths.Total(), v.ref.paths.Total(); g != w {
+		if g, w := got.Paths.Total(), ref.Paths.Total(); g != w {
 			return v.fail("path-total", g, w)
 		}
-		if g, w := v.got.paths.Distinct(), v.ref.paths.Distinct(); g != w {
+		if g, w := got.Paths.Distinct(), ref.Paths.Distinct(); g != w {
 			return v.fail("path-distinct", int64(g), int64(w))
 		}
-		gh, rh := &v.got.hooks, &v.ref.hooks
+		gh, rh := &v.gotHooks, &v.refHooks
 		if len(gh.fns) != len(rh.fns) {
 			return v.fail("hooks", int64(len(gh.fns)), int64(len(rh.fns)))
 		}

@@ -29,24 +29,26 @@ func weigh(n) {
 	}
 	return s;
 }
+func mix(n) {
+	var s = 0;
+	var i = 0;
+	while (i < n) {
+		if (i % 2 == 0) { s = s + 1; } else { s = s + 3; }
+		if (i % 3 == 0) { s = s * 2; } else { s = s - 1; }
+		if (i % 97 == 0) { s = s + 11; }
+		if (i % 5 == 0) { s = s ^ 7; }
+		i = i + 1;
+	}
+	return s;
+}
 func main() {
 	var acc = 0;
 	for (var i = 0; i < 40; i = i + 1) {
-		acc = acc + weigh(i);
+		acc = acc + weigh(i) + mix(i * 7);
 	}
 	total = acc;
 	return acc;
 }`
-
-func buildValidated(t *testing.T, opts vm.Options) (*vm.Engine, *vm.Result) {
-	t.Helper()
-	eng, _, _ := buildPlanned(t, opts, instr.PPP(), instr.DefaultParams())
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return eng, res
-}
 
 // buildPlanned compiles validateSrc, plans it with tech and par against
 // its own edge profile, and builds a validated compiled engine.
@@ -85,24 +87,53 @@ func buildPlanned(t *testing.T, opts vm.Options, tech instr.Techniques, par inst
 
 // TestValidatePasses proves every routine of a representative
 // instrumented program under the run shapes that change what the
-// transition closures do (edge slots, path tracking, hooks).
+// transition closures do (edge slots, path tracking, hooks), and under
+// the plan shapes that change how op streams lower: PPP's array
+// counts, check-based poisoning (every count carries an r<0 check, so
+// streams take the generic lowering), and PP's hash-table counts.
 func TestValidatePasses(t *testing.T) {
+	full := vm.Options{
+		CollectPaths: true, CollectEdges: true, EdgeInstrument: true,
+		PathHook: func(string, cfg.Path) {},
+	}
+	checked := instr.PPP()
+	checked.FreePoison = false
+	hashed := instr.DefaultParams()
+	hashed.HashThreshold = 1
 	shapes := []struct {
 		name string
 		opts vm.Options
+		tech instr.Techniques
+		par  instr.Params
+		// want reports whether a plan has the shape the case is for.
+		want func(p *instr.Plan) bool
 	}{
-		{"plain", vm.Options{}},
-		{"paths", vm.Options{CollectPaths: true}},
-		{"edges", vm.Options{CollectEdges: true, EdgeInstrument: true}},
-		{"full", vm.Options{
-			CollectPaths: true, CollectEdges: true, EdgeInstrument: true,
-			PathHook: func(string, cfg.Path) {},
-		}},
+		{"plain", vm.Options{}, instr.PPP(), instr.DefaultParams(), nil},
+		{"paths", vm.Options{CollectPaths: true}, instr.PPP(), instr.DefaultParams(), nil},
+		{"edges", vm.Options{CollectEdges: true, EdgeInstrument: true}, instr.PPP(), instr.DefaultParams(), nil},
+		{"full", full, instr.PPP(), instr.DefaultParams(), nil},
+		{"poison-check", full, checked, instr.DefaultParams(), func(p *instr.Plan) bool { return p.PoisonCheck }},
+		// PP keeps every path, so a threshold of one path hashes every
+		// instrumented routine.
+		{"pp-hash", full, instr.PP(), hashed, func(p *instr.Plan) bool { return p.Hash }},
 	}
 	for _, sh := range shapes {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
-			eng, res := buildValidated(t, sh.opts)
+			eng, _, plans := buildPlanned(t, sh.opts, sh.tech, sh.par)
+			if sh.want != nil {
+				found := false
+				for _, p := range plans {
+					found = found || p.Instrumented && sh.want(p)
+				}
+				if !found {
+					t.Fatalf("no instrumented routine has the %s plan shape", sh.name)
+				}
+			}
+			res, err := eng.Run()
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
 			us := eng.ValidateUs()
 			if len(us) == 0 {
 				t.Fatal("compiled engine reports no validation timings")
@@ -140,6 +171,10 @@ func TestValidateDetectsMutation(t *testing.T) {
 		{"edge-slot", func() *compile.MutatedSite { return compile.MutateFirstSuccEdgeSlot(1) },
 			vm.Options{Backend: vm.BackendCompiled, CollectEdges: true, CollectPaths: true},
 			func(site *compile.MutatedSite) string { return fmt.Sprintf("edge[%d->%d]", site.From, site.To) }},
+		{"reg", func() *compile.MutatedSite { return compile.MutateFirstSuccAdd(7) }, pathsOnly,
+			func(*compile.MutatedSite) string { return "reg" }},
+		{"icost", func() *compile.MutatedSite { return compile.MutateFirstSuccICost(7) }, pathsOnly,
+			func(*compile.MutatedSite) string { return "icost" }},
 	}
 	for _, mu := range mutations {
 		mu := mu

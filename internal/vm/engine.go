@@ -64,22 +64,19 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // routineRT is one routine's immutable engine state: the lowered
-// planir artifact, the path-tracking DAG, and the dense successor
-// template with canonical edge-slot numbering.
+// planir artifact, the path-tracking DAG, and the successor spec with
+// canonical edge-slot numbering, which both backends execute.
 type routineRT struct {
-	fn *ir.Func
-	d  *cfg.DAG
-	pr *planir.Routine
-
-	blocks []blockRT
+	fn   *ir.Func
+	d    *cfg.DAG
+	pr   *planir.Routine
+	spec compile.FuncSpec
 	// slotPairs lists the (from, to) block pairs in canonical slot
 	// order: pair i registers as slot i on every worker's shard, which
 	// is what keeps merged edge profiles bit-identical across worker
 	// counts.
 	slotPairs [][2]int32
 
-	hash         bool
-	poisonCheck  bool
 	instrumented bool
 	tableKind    profile.TableKind
 	tableN       int64
@@ -145,8 +142,12 @@ func NewEngine(prog *ir.Program, opts Options) (*Engine, error) {
 		}
 	}
 	if opts.Backend == BackendCompiled {
-		cp, err := compile.New(prog, e.buildSpecs(), compile.Options{
-			Costs:          compile.CostModel(opts.Costs),
+		specs := make([]compile.FuncSpec, len(e.routines))
+		for i, rt := range e.routines {
+			specs[i] = rt.spec
+		}
+		cp, err := compile.New(prog, specs, compile.Options{
+			Costs:          opts.Costs,
 			CollectEdges:   opts.CollectEdges,
 			CollectPaths:   opts.CollectPaths,
 			EdgeInstrument: opts.EdgeInstrument,
@@ -220,8 +221,8 @@ func (e *Engine) prepare(f *ir.Func) (*routineRT, error) {
 		// Reuse the plan's DAG so edge IDs resolve correctly.
 		rt.d = plan.D
 		rt.pr = planir.FromPlan(plan)
-		rt.hash = plan.Hash
-		rt.poisonCheck = plan.PoisonCheck
+		rt.spec.Hash = plan.Hash
+		rt.spec.PoisonCheck = plan.PoisonCheck
 		if plan.Instrumented {
 			rt.instrumented = true
 			rt.tableKind = profile.ArrayTable
@@ -295,79 +296,47 @@ func (e *Engine) prepare(f *ir.Func) (*routineRT, error) {
 		}
 	}
 
-	mk := func(from, to int, isBranch bool) succRT {
-		s := succRT{to: to, edgeSlot: -1}
-		if to != from+1 {
-			s.takenCost = e.opts.Costs.TakenPenalty
-		}
+	mk := func(from, to int, isBranch bool) compile.SuccSpec {
+		s := compile.SuccSpec{To: to, EdgeSlot: -1}
 		slotted := e.opts.CollectEdges
 		if probed != nil {
 			if probed[[2]int32{int32(from), int32(to)}] {
-				s.instrCost = e.opts.Costs.EdgeCount
+				s.InstrCost = e.opts.Costs.EdgeCount
 			} else {
 				slotted = false
 			}
 		} else if e.opts.EdgeInstrument && isBranch {
-			s.instrCost = e.opts.Costs.EdgeCount
+			s.InstrCost = e.opts.Costs.EdgeCount
 		}
 		if slotted {
-			s.edgeSlot = int32(len(rt.slotPairs))
+			s.EdgeSlot = int32(len(rt.slotPairs))
 			rt.slotPairs = append(rt.slotPairs, [2]int32{int32(from), int32(to)})
 		}
 		if transOps != nil {
-			s.ops = transOps[[2]int32{int32(from), int32(to)}]
+			s.Ops = transOps[[2]int32{int32(from), int32(to)}]
 		}
 		if rt.d != nil {
 			if back[[2]int{from, to}] {
-				s.back = true
-				s.exitDummy = exitDummy[from]
-				s.entryDummy = entryDummy[to]
+				s.Back = true
+				s.ExitDummy = exitDummy[from]
+				s.EntryDummy = entryDummy[to]
 			} else {
-				s.pathEdge = real[[2]int{from, to}]
+				s.PathEdge = real[[2]int{from, to}]
 			}
 		}
 		return s
 	}
-	rt.blocks = make([]blockRT, len(f.Blocks))
+	rt.spec.Succs = make([][2]compile.SuccSpec, len(f.Blocks))
 	for i, b := range f.Blocks {
 		switch b.Term.Kind {
 		case ir.Jump:
-			rt.blocks[i].succ[0] = mk(i, b.Term.To, false)
+			rt.spec.Succs[i][0] = mk(i, b.Term.To, false)
 		case ir.Branch:
-			rt.blocks[i].succ[0] = mk(i, b.Term.To, true)
-			rt.blocks[i].succ[1] = mk(i, b.Term.Else, true)
+			rt.spec.Succs[i][0] = mk(i, b.Term.To, true)
+			rt.spec.Succs[i][1] = mk(i, b.Term.Else, true)
 		}
 	}
 	return rt, nil
-}
-
-// buildSpecs converts the engine's successor templates into the
-// compile backend's input.
-func (e *Engine) buildSpecs() []compile.FuncSpec {
-	specs := make([]compile.FuncSpec, len(e.routines))
-	for i, rt := range e.routines {
-		sp := &specs[i]
-		sp.Hash, sp.PoisonCheck = rt.hash, rt.poisonCheck
-		sp.Succs = make([][2]compile.SuccSpec, len(rt.blocks))
-		for bi := range rt.blocks {
-			isBranch := rt.fn.Blocks[bi].Term.Kind == ir.Branch
-			for k := 0; k < 2; k++ {
-				s := &rt.blocks[bi].succ[k]
-				sp.Succs[bi][k] = compile.SuccSpec{
-					To:         s.to,
-					Branch:     isBranch,
-					Back:       s.back,
-					EdgeSlot:   s.edgeSlot,
-					InstrCost:  s.instrCost,
-					Ops:        s.ops,
-					PathEdge:   s.pathEdge,
-					ExitDummy:  s.exitDummy,
-					EntryDummy: s.entryDummy,
-				}
-			}
-		}
-	}
-	return specs
 }
 
 // binding is one worker's attachment of the engine to its profile
@@ -395,32 +364,27 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 	}
 	tel := e.opts.Metrics.Cells(worker)
 	nf := len(e.prog.Funcs)
-	type bound struct {
-		edges  *profile.EdgeProfile
-		paths  *profile.PathProfile
-		table  *profile.Table
-		blocks []blockRT
-	}
-	bounds := make([]bound, nf)
+	fts := make([]compile.FuncRun, nf)
+	succs := make([][][2]compile.SuccSpec, nf)
 	for i, rt := range e.routines {
 		name := rt.fn.Name
-		bd := &bounds[i]
-		bd.blocks = rt.blocks
+		run := &fts[i]
+		succs[i] = rt.spec.Succs
 		if rt.instrumented {
 			if sink != nil {
-				bd.table = sink.Table(name, rt.tableKind, rt.tableN, rt.tableSize)
+				run.Table = sink.Table(name, rt.tableKind, rt.tableN, rt.tableSize)
 			} else {
-				bd.table = profile.NewTable(rt.tableKind, rt.tableN, rt.tableSize)
+				run.Table = profile.NewTable(rt.tableKind, rt.tableN, rt.tableSize)
 			}
-			b.tables[name] = bd.table
+			b.tables[name] = run.Table
 		}
 		if e.opts.CollectEdges {
 			if sink != nil {
-				bd.edges = sink.EdgeProfile(name)
+				run.Edges = sink.EdgeProfile(name)
 			} else {
-				bd.edges = profile.NewEdgeProfile(name)
+				run.Edges = profile.NewEdgeProfile(name)
 			}
-			b.edges[name] = bd.edges
+			b.edges[name] = run.Edges
 			// Register the canonical slot order on this shard. A fresh
 			// container yields exactly the template numbering; a sink with
 			// foreign pre-registered slots can't serve baked-in compiled
@@ -428,7 +392,7 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 			// successor table.
 			mismatch := false
 			for si, p := range rt.slotPairs {
-				if bd.edges.Slot(int(p[0]), int(p[1])) != si {
+				if run.Edges.Slot(int(p[0]), int(p[1])) != si {
 					mismatch = true
 				}
 			}
@@ -436,16 +400,16 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 				if e.opts.Backend == BackendCompiled {
 					return nil, fmt.Errorf("vm: %s: sink edge profile has foreign slot order; the compiled backend needs fresh shards (Backend: vm.BackendDense re-slots)", name)
 				}
-				bd.blocks = reslot(rt, bd.edges)
+				succs[i] = reslot(rt, run.Edges)
 			}
 		}
 		if e.opts.CollectPaths {
 			if sink != nil {
-				bd.paths = sink.PathProfile(name)
+				run.Paths = sink.PathProfile(name)
 			} else {
-				bd.paths = profile.NewPathProfile(name)
+				run.Paths = profile.NewPathProfile(name)
 			}
-			b.paths[name] = bd.paths
+			b.paths[name] = run.Paths
 		}
 		if rt.d != nil {
 			b.dags[name] = rt.d
@@ -453,10 +417,6 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 	}
 
 	if e.compiled != nil {
-		fts := make([]compile.FuncRun, nf)
-		for i := range bounds {
-			fts[i] = compile.FuncRun{Edges: bounds[i].edges, Paths: bounds[i].paths, Table: bounds[i].table}
-		}
 		x, err := compile.NewExec(e.compiled, compile.Config{
 			Fts:      fts,
 			Out:      e.opts.Output,
@@ -471,7 +431,7 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 		return b, nil
 	}
 
-	m := &machine{prog: e.prog, opts: &e.opts, entry: e.entryIdx, tel: tel, pathHook: hook}
+	m := &machine{prog: e.prog, opts: &e.opts, entry: e.entryIdx}
 	m.globals = make([]int64, len(e.prog.GlobalInit))
 	m.arrays = make([][]int64, len(e.prog.Arrays))
 	for i, a := range e.prog.Arrays {
@@ -479,30 +439,28 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 	}
 	m.rts = make([]*funcRT, nf)
 	for i, rt := range e.routines {
-		m.rts[i] = &funcRT{
-			fn: rt.fn, d: rt.d,
-			blocks: bounds[i].blocks,
-			hash:   rt.hash, poisonCheck: rt.poisonCheck,
-			table: bounds[i].table, edges: bounds[i].edges, paths: bounds[i].paths,
-		}
+		m.rts[i] = &funcRT{fn: rt.fn, succs: succs[i], Stepper: compile.Stepper{
+			Name: rt.fn.Name, Spec: &rt.spec, Run: fts[i],
+			Costs: &e.opts.Costs, Tel: tel, Hook: hook,
+		}}
 	}
 	b.m = m
 	return b, nil
 }
 
-// reslot clones a routine's successor template with edge slots
+// reslot clones a routine's successor spec with edge slots
 // re-resolved against an already-populated edge profile.
-func reslot(rt *routineRT, ep *profile.EdgeProfile) []blockRT {
-	blocks := append([]blockRT(nil), rt.blocks...)
-	for i := range blocks {
+func reslot(rt *routineRT, ep *profile.EdgeProfile) [][2]compile.SuccSpec {
+	succs := append([][2]compile.SuccSpec(nil), rt.spec.Succs...)
+	for i := range succs {
 		for k := 0; k < 2; k++ {
-			s := &blocks[i].succ[k]
-			if s.edgeSlot >= 0 {
-				s.edgeSlot = int32(ep.Slot(i, s.to))
+			s := &succs[i][k]
+			if s.EdgeSlot >= 0 {
+				s.EdgeSlot = int32(ep.Slot(i, s.To))
 			}
 		}
 	}
-	return blocks
+	return succs
 }
 
 // run executes one replica on this binding's backend.

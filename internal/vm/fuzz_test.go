@@ -288,6 +288,8 @@ func FuzzCompiledVsInterp(f *testing.F) {
 	f.Add([]byte{7, 200, 13, 13, 13, 90, 4, 61})
 	f.Add([]byte{255, 254, 3, 3, 3, 3, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Add([]byte{17, 5, 5, 99, 42, 42, 42, 0, 0, 0, 201, 11})
+	f.Add([]byte{9, 7, 7, 50, 31, 200, 4, 4, 90, 13, 66})
+	f.Add([]byte{28, 141, 59, 26, 53, 58, 97, 93, 23, 84, 62, 64})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -312,8 +314,11 @@ func FuzzCompiledVsInterp(f *testing.F) {
 		}
 
 		// Instrumented rerun under a fuzzed technique; one flag bit flips
-		// the edge-probe placement to min-cost cotree chords.
-		tech := []func() instr.Techniques{instr.PP, instr.TPP, instr.PPP}[int(flags>>2)%3]()
+		// the edge-probe placement to min-cost cotree chords. PPP without
+		// free poisoning puts an r<0 check on every count, the shape the
+		// compiled backend runs through its generic op lowering.
+		checked := func() instr.Techniques { t := instr.PPP(); t.FreePoison = false; return t }
+		tech := []func() instr.Techniques{instr.PP, instr.TPP, instr.PPP, checked}[int(flags>>2)%4]()
 		pl := instr.PlaceSpanning
 		if flags&16 != 0 {
 			pl = instr.PlaceMinCost

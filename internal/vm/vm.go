@@ -19,7 +19,10 @@
 // (BackendCompiled, the zero value) runs each routine as threaded code
 // from internal/vm/compile, translation-validated before it runs. The
 // dense interpreter (BackendDense) is the reference the compiled code
-// is differentially tested against.
+// is differentially tested against. What a control-flow transition
+// does to the profiles is defined once, by compile.Stepper.Step: the
+// interpreter executes it, and translation validation checks every
+// compiled transition against it.
 //
 // The interpreter is built for throughput: prepare compiles every
 // block terminator into a dense successor table (per-transition state
@@ -38,29 +41,14 @@ import (
 	"pathprof/internal/cfg"
 	"pathprof/internal/instr"
 	"pathprof/internal/ir"
-	"pathprof/internal/planir"
 	"pathprof/internal/profile"
 	"pathprof/internal/telemetry"
+	"pathprof/internal/vm/compile"
 )
 
-// CostModel assigns costs to executed operations.
-type CostModel struct {
-	Instr       int64 // per IR instruction
-	Term        int64 // per block terminator
-	Call        int64 // extra per call (frame setup/teardown)
-	RegOp       int64 // r = v and r += v
-	CountArray  int64 // count[r]++ against an array
-	CountConst  int64 // count[c]++ against an array (no address arith)
-	CountHash   int64 // any count against the hash table
-	PoisonCheck int64 // the r < 0 test of check-based poisoning
-	ColdBump    int64 // incrementing the cold counter after a check
-	EdgeCount   int64 // per-branch edge-profiling counter update
-	// TakenPenalty charges control transfers to a block other than the
-	// next one in layout order (block index + 1): the fetch-redirect
-	// cost that makes straight-line code and trace formation pay on
-	// real machines.
-	TakenPenalty int64
-}
+// CostModel assigns costs to executed operations; both backends charge
+// from it.
+type CostModel = compile.CostModel
 
 // DefaultCosts returns the cost model used throughout the evaluation.
 func DefaultCosts() CostModel {
@@ -186,43 +174,13 @@ var ErrMaxSteps = errors.New("vm: step budget exhausted")
 
 const defaultMaxSteps = int64(2_000_000_000)
 
-// succRT is the precompiled state of one control-flow transition: what
-// the interpreter needs when a terminator selects this successor, with
-// every map lookup done once in prepare.
-type succRT struct {
-	to        int
-	edgeSlot  int32 // dense edge-profile slot; -1 when edges are off
-	back      bool  // transition follows a CFG back edge
-	takenCost int64 // TakenPenalty when to != from+1
-	instrCost int64 // EdgeCount under EdgeInstrument on branches
-	ops       []planir.Op
-	// Path tracking: real DAG edge to append, or the dummy pair that
-	// truncates and restarts the path at a back edge.
-	pathEdge   *cfg.DAGEdge
-	exitDummy  *cfg.DAGEdge
-	entryDummy *cfg.DAGEdge
-}
-
-// blockRT holds a block's successor table: succ[0] is the Jump target
-// or the Branch taken-arm, succ[1] the Branch else-arm.
-type blockRT struct {
-	succ [2]succRT
-}
-
 // funcRT is one routine's binding-level state: the engine's immutable
-// successor template joined with this worker's profile containers.
+// successor records joined with this worker's profile containers,
+// telemetry cells and path hook through the shared transition step.
 type funcRT struct {
 	fn    *ir.Func
-	d     *cfg.DAG
-	table *profile.Table
-
-	blocks []blockRT
-	// hash/poisonCheck mirror plan fields for the op interpreter.
-	hash        bool
-	poisonCheck bool
-
-	edges *profile.EdgeProfile
-	paths *profile.PathProfile
+	succs [][2]compile.SuccSpec // [0] Jump target or Branch taken arm, [1] Branch else arm
+	compile.Stepper
 }
 
 type frame struct {
@@ -230,9 +188,8 @@ type frame struct {
 	regs    []int64
 	block   int
 	pc      int
-	r       int64 // path register
-	path    cfg.Path
 	callDst int // caller register receiving the return value
+	compile.Track
 }
 
 // Run executes the program under the given options. It is
@@ -247,20 +204,14 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 }
 
 type machine struct {
-	prog  *ir.Program
-	opts  *Options // the engine's defaulted options, shared read-only
-	entry int
-	res   *Result
-	// pathHook is this worker's hook (Options.PathHook, or
-	// PathHookFor(worker) under RunReplicated).
-	pathHook func(fn string, p cfg.Path)
-	globals  []int64
-	arrays   [][]int64
-	rts      []*funcRT
-	pool     []*frame // recycled frames; regs/path capacity is retained
-	// tel is this run's private view of the telemetry counters; the
-	// zero VMCells (no registry installed) makes every bump a no-op.
-	tel telemetry.VMCells
+	prog    *ir.Program
+	opts    *Options // the engine's defaulted options, shared read-only
+	entry   int
+	res     *Result
+	globals []int64
+	arrays  [][]int64
+	rts     []*funcRT
+	pool    []*frame // recycled frames; regs/path capacity is retained
 }
 
 // run executes one replica: restore program state, run, report. The
@@ -296,7 +247,6 @@ func (m *machine) newFrame(fi, callDst int) *frame {
 	fr.rt = m.rts[fi]
 	fr.block = f.Entry
 	fr.pc = 0
-	fr.r = 0
 	fr.callDst = callDst
 	if cap(fr.regs) < f.NRegs {
 		fr.regs = make([]int64, f.NRegs)
@@ -306,9 +256,9 @@ func (m *machine) newFrame(fi, callDst int) *frame {
 			fr.regs[i] = 0
 		}
 	}
-	fr.path = fr.path[:0]
-	if fr.rt.edges != nil {
-		fr.rt.edges.BumpCalls()
+	fr.Track = compile.Track{Path: fr.Path[:0]}
+	if fr.rt.Run.Edges != nil {
+		fr.rt.Run.Edges.BumpCalls()
 	}
 	return fr
 }
@@ -322,7 +272,7 @@ func (m *machine) free(fr *frame) {
 // exec runs function fnIdx with the given arguments to completion.
 func (m *machine) exec(fnIdx int, args []int64) (int64, error) {
 	costs := &m.opts.Costs
-	cInstr, cTerm, cCall := costs.Instr, costs.Term, costs.Call
+	cInstr, cTerm, cCall, cTaken := costs.Instr, costs.Term, costs.Call, costs.TakenPenalty
 	maxSteps := m.opts.MaxSteps
 	var steps, base int64 // flushed to m.res on successful completion
 
@@ -442,14 +392,7 @@ func (m *machine) exec(fnIdx int, args []int64) (int64, error) {
 		t := &b.Term
 		switch t.Kind {
 		case ir.Ret:
-			if rt.paths != nil {
-				rt.paths.Add(fr.path, 1)
-				m.tel.Paths.Inc()
-				m.tel.PathLen.Observe(int64(len(fr.path)))
-				if m.pathHook != nil {
-					m.pathHook(rt.fn.Name, fr.path)
-				}
-			}
+			rt.EndPath(&fr.Track)
 			if t.Ret >= 0 {
 				retVal = fr.regs[t.Ret]
 			} else {
@@ -463,107 +406,22 @@ func (m *machine) exec(fnIdx int, args []int64) (int64, error) {
 				}
 			}
 			m.free(fr)
-		case ir.Jump:
-			s := &rt.blocks[fr.block].succ[0]
-			base += s.takenCost
-			m.transition(fr, s)
-			fr.block, fr.pc = s.to, 0
-		case ir.Branch:
-			idx := 1 // else arm
-			if fr.regs[t.Cond] != 0 {
-				idx = 0
+		case ir.Jump, ir.Branch:
+			arm := 0
+			if t.Kind == ir.Branch && fr.regs[t.Cond] == 0 {
+				arm = 1 // else arm
 			}
-			s := &rt.blocks[fr.block].succ[idx]
-			base += s.takenCost
-			m.transition(fr, s)
-			fr.block, fr.pc = s.to, 0
+			s := &rt.succs[fr.block][arm]
+			if s.To != fr.block+1 {
+				base += cTaken
+			}
+			m.res.InstrCost += rt.Step(s, &fr.Track)
+			fr.block, fr.pc = s.To, 0
 		}
 	}
 	m.res.Steps = steps
 	m.res.BaseCost = base
 	return retVal, nil
-}
-
-// transition handles a control-flow edge through its precompiled
-// successor state: edge profiling, path tracking, and instrumentation
-// ops, with no map lookups. The path appends below reuse fr.path's
-// capacity after the first few iterations; BenchmarkVM asserts zero
-// steady-state allocations.
-//
-//ppp:hotpath
-func (m *machine) transition(fr *frame, s *succRT) {
-	rt := fr.rt
-	m.tel.Transitions.Inc()
-	if s.edgeSlot >= 0 {
-		rt.edges.BumpSlot(int(s.edgeSlot))
-	}
-	m.res.InstrCost += s.instrCost
-	if s.ops != nil {
-		m.runOps(fr, s.ops)
-	}
-	if rt.paths != nil {
-		if s.back {
-			fr.path = append(fr.path, s.exitDummy) //ppp:allow(alloc)
-			rt.paths.Add(fr.path, 1)
-			m.tel.Paths.Inc()
-			m.tel.PathLen.Observe(int64(len(fr.path)))
-			if m.pathHook != nil {
-				m.pathHook(rt.fn.Name, fr.path)
-			}
-			fr.path = fr.path[:0]
-			fr.path = append(fr.path, s.entryDummy) //ppp:allow(alloc)
-		} else {
-			fr.path = append(fr.path, s.pathEdge) //ppp:allow(alloc)
-		}
-	}
-}
-
-// runOps executes a planir instrumentation op stream with modeled
-// cost.
-//
-//ppp:hotpath
-func (m *machine) runOps(fr *frame, ops []planir.Op) {
-	costs := &m.opts.Costs
-	rt := fr.rt
-	hash := rt.hash
-	m.tel.Ops.Add(int64(len(ops)))
-	for _, op := range ops {
-		switch op.Kind {
-		case planir.OpInc:
-			fr.r += op.V
-			m.res.InstrCost += costs.RegOp
-		case planir.OpSet:
-			fr.r = op.V
-			m.res.InstrCost += costs.RegOp
-		case planir.OpCountR, planir.OpCountRV, planir.OpCountC:
-			idx := fr.r
-			switch op.Kind {
-			case planir.OpCountRV:
-				idx += op.V
-			case planir.OpCountC:
-				idx = op.V
-			}
-			if rt.poisonCheck {
-				m.res.InstrCost += costs.PoisonCheck
-				if fr.r < 0 {
-					rt.table.BumpCold()
-					m.tel.ColdBumps.Inc()
-					m.res.InstrCost += costs.ColdBump
-					continue
-				}
-			}
-			switch {
-			case hash:
-				m.res.InstrCost += costs.CountHash
-			case op.Kind == planir.OpCountC:
-				m.res.InstrCost += costs.CountConst
-			default:
-				m.res.InstrCost += costs.CountArray
-			}
-			rt.table.Inc(idx)
-			m.tel.TableIncs.Inc()
-		}
-	}
 }
 
 func b2i(b bool) int64 {
