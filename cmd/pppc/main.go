@@ -8,7 +8,7 @@
 //	pppc -workload mcf -profiler PPP
 //	pppc -src prog.mc -profiler TPP -hot 10
 //	pppc -src prog.mc -profiler PPP -dump-plans
-//	pppc -workload mcf -profiler PPP -placement mincost -verify=both
+//	pppc -workload mcf -profiler PPP -placement mincost
 //	pppc -workload mcf -snapshot mcf.ppsnap
 //	pppc -workload mcf -faults seed=7,kind=panic+overflow
 //	pppc -workload mcf -trace trace.jsonl -serve :8080
@@ -18,6 +18,11 @@
 // or "dense" (the reference interpreter). Results, profiles and costs
 // are identical under either; a -faults drill traced under compiled
 // carries one validate event per routine.
+//
+// Every instrumentation plan the run builds is proven against the
+// paper's invariants over all acyclic paths (package verify): a
+// violation prints its diagnostics and exits nonzero, and success
+// prints one verdict line.
 //
 // -trace writes the planner decision trace on exit (JSON lines when
 // the path ends in .jsonl, Chrome trace_event JSON otherwise); -serve
@@ -68,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noOpt := fs.Bool("no-opt", false, "skip profile-guided inlining and unrolling")
 	backendName := fs.String("backend", "compiled", "VM execution backend (compiled, or dense for the reference interpreter)")
 	placementName := fs.String("placement", "spanning", "edge-probe placement (spanning, mincost)")
-	verifyMode := fs.String("verify", "", "statically verify every instrumentation plan: proof (all-paths abstract interpretation), enum (budgeted enumeration), or both (differential)")
 	dumpPlans := fs.Bool("dump-plans", false, "dump per-routine instrumentation plans")
 	saveProfile := fs.String("save-profile", "", "write the optimized run's edge profile to a file")
 	loadProfile := fs.String("load-profile", "", "guide instrumentation with this edge profile instead of the run's own")
@@ -217,22 +221,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("profile: %v", err)
 	}
-	if *verifyMode != "" {
-		mode, err := verify.ParseMode(*verifyMode)
-		if err != nil {
-			return fail("%v", err)
+	diags, ok := verify.CheckAll(pr.Plans, verify.Options{Trace: reg.Trace(), TraceUnit: name + "/verify"})
+	if !ok {
+		for _, d := range diags {
+			fmt.Fprintln(stderr, d)
 		}
-		diags, ok := verify.CheckAll(pr.Plans, verify.Options{
-			Mode: mode, Trace: reg.Trace(), TraceUnit: name + "/verify",
-		})
-		if !ok {
-			for _, d := range diags {
-				fmt.Fprintln(stderr, d)
-			}
-			return fail("verify: %d invariant violation(s) in %s plans", len(diags), *profiler)
-		}
-		fmt.Fprintf(stdout, "verify(%s): %d routine plan(s) ok\n", mode, len(pr.Plans))
+		return fail("verify: %d invariant violation(s) in %s plans", len(diags), *profiler)
 	}
+	fmt.Fprintf(stdout, "verify: %d routine plan(s) proven\n", len(pr.Plans))
 	if *dumpPlans {
 		names := make([]string, 0, len(pr.Plans))
 		for n := range pr.Plans {

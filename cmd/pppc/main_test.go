@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,6 +135,66 @@ func TestFaultDrillCompletes(t *testing.T) {
 	for _, want := range []string{"fault drill:", "guarded run:", "snapcorrupt:", "badcfg:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("drill output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestProofVerdict checks that a run with no flags proves every plan
+// it builds and says so, and that the trace carries exactly one proof
+// event per routine plan, byte-identically across two runs.
+func TestProofVerdict(t *testing.T) {
+	code, out, stderr := exec(t, "-workload", "mcf")
+	if code != 0 {
+		t.Fatalf("default run exited %d\nstderr: %s", code, stderr)
+	}
+	var plans int
+	for _, line := range strings.Split(out, "\n") {
+		if _, err := fmt.Sscanf(line, "verify: %d routine plan(s) proven", &plans); err == nil {
+			break
+		}
+	}
+	if plans == 0 {
+		t.Fatalf("no verdict line in output:\n%s", out)
+	}
+
+	dir := t.TempDir()
+	var exports [2][]byte
+	for i := range exports {
+		path := filepath.Join(dir, fmt.Sprintf("trace-%d.jsonl", i))
+		if code, _, stderr := exec(t, "-workload", "mcf", "-trace", path); code != 0 {
+			t.Fatalf("traced run exited %d\nstderr: %s", code, stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exports[i] = data
+	}
+	if !bytes.Equal(exports[0], exports[1]) {
+		t.Error("two identical runs wrote different trace exports")
+	}
+	proofs := map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(exports[0]), []byte("\n")) {
+		var ev struct {
+			Unit, Routine, Kind, Detail string
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if ev.Kind != "proof" {
+			continue
+		}
+		if ev.Unit != "mcf/verify" || ev.Detail != "ok" {
+			t.Errorf("proof event %q, want unit mcf/verify with detail ok", line)
+		}
+		proofs[ev.Routine]++
+	}
+	if len(proofs) != plans {
+		t.Errorf("trace proves %d routines, verdict line reports %d plans", len(proofs), plans)
+	}
+	for r, n := range proofs {
+		if n != 1 {
+			t.Errorf("routine %s has %d proof events, want 1", r, n)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // for one routine under one profiler: inserted path-profiling ops, the
 // edge-counter probe sites the plan's placement implies, and the cost
 // of the static proofs run over the plan — the all-paths verifier
-// (verify.ModeProof) and the compiled backend's translation validation,
+// (verify.Check) and the compiled backend's translation validation,
 // both in wall-clock microseconds.
 type StaticOpsRow struct {
 	Workload      string `json:"workload"`
@@ -59,7 +59,7 @@ func (s *Suite) StaticOpsRows() ([]StaticOpsRow, error) {
 					continue
 				}
 				start := time.Now()
-				rep := verify.CheckWith(plan, verify.Options{Mode: verify.ModeProof})
+				rep := verify.Check(plan)
 				proofUs := time.Since(start).Microseconds()
 				if !rep.OK() {
 					return nil, fmt.Errorf("bench: %s/%s/%s: plan fails the all-paths proof:\n%s",

@@ -117,12 +117,6 @@ func (g *Graph) intersect(a, b *Block) *Block {
 	return a
 }
 
-// Idom returns the immediate dominator of b (entry dominates itself).
-func (g *Graph) Idom(b *Block) *Block {
-	g.Analyze()
-	return g.idom[b.ID]
-}
-
 // Dominates reports whether a dominates b.
 func (g *Graph) Dominates(a, b *Block) bool {
 	g.Analyze()

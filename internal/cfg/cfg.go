@@ -186,13 +186,6 @@ func (g *Graph) RPO() []*Block {
 	return g.rpo
 }
 
-// RPOIndex returns the reverse-postorder position of each block, indexed
-// by block ID.
-func (g *Graph) RPOIndex() []int {
-	g.Analyze()
-	return g.rpoIndex
-}
-
 // Dump renders the graph as text, one block per line with successors and
 // edge frequencies, for debugging and golden tests.
 func (g *Graph) Dump() string {

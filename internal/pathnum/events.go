@@ -1,7 +1,6 @@
 package pathnum
 
 import (
-	"math"
 	"sort"
 
 	"pathprof/internal/cfg"
@@ -237,48 +236,4 @@ func EventCount(n *Numbering, w Weights) (inc []int64, chord []bool) {
 		inc[c.ID] = sum
 	}
 	return inc, chord
-}
-
-// CheckEventCount verifies on small routines that the chord increments
-// preserve every path's number; used by tests and debug assertions.
-func CheckEventCount(n *Numbering, inc []int64, chord []bool, maxPathsToCheck int) bool {
-	if n.N > int64(maxPathsToCheck) {
-		return true
-	}
-	paths := n.D.EnumeratePaths(n.Excluded, maxPathsToCheck)
-	for _, p := range paths {
-		want, ok := n.PathNumber(p)
-		if !ok {
-			continue
-		}
-		var got int64
-		for _, e := range p {
-			if chord[e.ID] {
-				got += inc[e.ID]
-			}
-		}
-		if got != want {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxAbsInc returns the largest absolute chord increment, a proxy for
-// instrumentation range used in diagnostics.
-func MaxAbsInc(inc []int64) int64 {
-	var m int64
-	for _, v := range inc {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	if m > math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return m
 }

@@ -165,24 +165,6 @@ type Routine struct {
 	Probes    []EdgeProbe
 }
 
-// ColdRange returns the counter-index interval [lo, hi) reserved for
-// poisoned (cold) executions. Empty when the routine has no cold
-// region.
-func (r *Routine) ColdRange() (lo, hi int64) { return r.N, r.TableSize }
-
-// TransitionOps returns the lowered op stream for the CFG edge
-// src -> dst (nil when the transition carries no instrumentation).
-// Intended for set-up code; executors should index Transitions once.
-func (r *Routine) TransitionOps(src, dst int) []Op {
-	for i := range r.Transitions {
-		t := &r.Transitions[i]
-		if int(t.Src) == src && int(t.Dst) == dst {
-			return t.Ops
-		}
-	}
-	return nil
-}
-
 // Validate checks the artifact's structural invariants: index ranges,
 // the op rules for cold and disconnected edges, count bounds against
 // the table shape, and — the invariant executors depend on — that every

@@ -93,9 +93,6 @@ func NewCollector(n int) *Collector {
 	return &Collector{shards: make([]Shard, n)}
 }
 
-// NumShards returns the shard count.
-func (c *Collector) NumShards() int { return len(c.shards) }
-
 // Shard returns shard i. The caller must ensure at most one goroutine
 // uses a given shard at a time.
 func (c *Collector) Shard(i int) *Shard { return &c.shards[i] }

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -100,13 +101,11 @@ func fuzzTechniques(b byte) instr.Techniques {
 	return tech
 }
 
-// FuzzProofVsEnum differentially tests the two verifier modes: on
-// small graphs, where budgeted enumeration is exhaustive, the
-// abstract-interpretation proof and the enumerator must reach the same
-// verdict — on pristine planner output and on deterministically
-// corrupted plans alike. Enumeration rejecting while the proof accepts
-// is always a soundness bug in the proof (it claims to cover all
-// paths); the reverse is a completeness bug when enumeration finished.
+// FuzzProofVsEnum differentially tests the all-paths proof against the
+// enumeration oracle: on small graphs, where budgeted enumeration is
+// exhaustive, the two must reach the same verdict (see crossCheck) —
+// on pristine planner output and on deterministically corrupted plans
+// alike.
 func FuzzProofVsEnum(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{0xFF})       // entry==exit degenerate routine
@@ -114,6 +113,7 @@ func FuzzProofVsEnum(f *testing.F) {
 	f.Add([]byte{1, 3, 2})
 	f.Add([]byte{2, 1, 2, 0, 5})
 	f.Add([]byte{4, 1, 7, 3, 99, 6})
+	f.Add([]byte("b00n1ll1B\x7f")) // shifts a cold edge's poison below N
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -148,23 +148,61 @@ func FuzzProofVsEnum(f *testing.F) {
 			return
 		}
 		// Half the inputs corrupt one op value so the differential
-		// covers invalid plans, not just planner output.
+		// covers invalid plans, not just planner output: a hot op's
+		// value, or a cold edge's poison, shifted down by multiples of
+		// N toward the hot range.
 		if len(data) > 2 && data[len(data)-3]&1 == 1 && p.Instrumented {
-			if sites := mutableOps(p); len(sites) > 0 {
-				s := sites[int(data[len(data)-3])%len(sites)]
-				p.Ops[s.edge.ID][s.op].V += 1 + int64(data[len(data)-3]%3)
+			b := data[len(data)-3]
+			hot := mutableOps(p)
+			if sites := append(hot, poisonOps(p)...); len(sites) > 0 {
+				i := int(b) % len(sites)
+				delta := 1 + int64(b%3)
+				if i >= len(hot) {
+					delta *= -p.N
+				}
+				p.Ops[sites[i].edge.ID][sites[i].op].V += delta
 			}
 		}
 
-		proof := verify.CheckWith(p, verify.Options{Mode: verify.ModeProof})
-		enum := verify.CheckWith(p, verify.Options{Mode: verify.ModeEnum})
-		if !enum.OK() && proof.OK() {
-			t.Fatalf("enumeration rejects but the all-paths proof accepts:\n%s\n%s", enum, p.Dump())
-		}
-		if !proof.OK() && enum.OK() && !enum.Sampled && !enum.Truncated {
-			t.Fatalf("proof rejects but exhaustive enumeration accepts:\n%s\n%s", proof, p.Dump())
+		if _, _, err := crossCheck(p); err != nil {
+			t.Fatalf("%v\n%s", err, p.Dump())
 		}
 	})
+}
+
+// poisonOps lists the poison assignment on every cold edge, the values
+// the cold half of the proof reasons about.
+func poisonOps(p *instr.Plan) []mutation {
+	var sites []mutation
+	for _, e := range p.D.Edges {
+		if !p.Cold[e.ID] {
+			continue
+		}
+		for i, op := range p.Ops[e.ID] {
+			if op.Kind == instr.OpSet {
+				sites = append(sites, mutation{edge: e, op: i, desc: e.String() + ":" + op.String()})
+			}
+		}
+	}
+	return sites
+}
+
+// crossCheck verifies p with the all-paths proof and the enumeration
+// oracle and returns both verdicts, with an error when they disagree.
+// The oracle rejecting a plan the proof accepts is always a soundness
+// bug in the proof, which claims to cover all paths; the proof
+// rejecting a plan the oracle accepts is a completeness bug when the
+// enumeration was exhaustive.
+func crossCheck(p *instr.Plan) (*verify.Report, *verify.EnumReport, error) {
+	proof := verify.Check(p)
+	enum := verify.Enumerate(p, 0, 0)
+	switch {
+	case !enum.OK() && proof.OK():
+		return proof, enum, fmt.Errorf("enumeration rejects but the all-paths proof accepts:\n%s", enum)
+	case !proof.OK() && enum.OK() && !enum.Sampled && !enum.Truncated:
+		return proof, enum, fmt.Errorf("proof rejects but exhaustive enumeration accepts:\n%s", proof)
+	}
+	return proof, enum, nil
 }
 
 // FuzzVerifyPlan generates random small CFGs, plans instrumentation

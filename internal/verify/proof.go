@@ -8,49 +8,6 @@ import (
 	"pathprof/internal/instr"
 )
 
-// Mode selects how the path-sensitive invariants are established.
-type Mode int
-
-const (
-	// ModeProof (the default) proves the invariants over all acyclic
-	// paths by interval abstract interpretation in O(E) per routine.
-	// No path is enumerated; failures carry witness paths walked back
-	// through the lattice.
-	ModeProof Mode = iota
-	// ModeEnum is the PR 3 behaviour: budgeted exact enumeration with
-	// a stride-sampling fallback above the budget.
-	ModeEnum
-	// ModeBoth runs the proof and then enumeration, and reports a
-	// disagreement diagnostic when one side finds a violation the
-	// other conclusively missed.
-	ModeBoth
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeProof:
-		return "proof"
-	case ModeEnum:
-		return "enum"
-	case ModeBoth:
-		return "both"
-	}
-	return "unknown"
-}
-
-// ParseMode parses a -verify flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "proof":
-		return ModeProof, nil
-	case "enum":
-		return ModeEnum, nil
-	case "both":
-		return ModeBoth, nil
-	}
-	return ModeProof, fmt.Errorf("verify: unknown mode %q (want proof, enum, or both)", s)
-}
-
 // Hot-domain provenance slots. The hot proof partitions path prefixes
 // by fire count: class U has fired no count yet, F1 exactly one, F2
 // two or more. U tracks d = r - W (register minus the numbering-value
@@ -257,9 +214,9 @@ func (v *checker) proofAttrPath(i int, a instr.EdgeAttr, attrNums map[int64]cfg.
 }
 
 // hotWitness re-derives a hot-path diagnostic from a concrete witness
-// path, so proof-mode messages match enumeration's exactly and a
-// walked-back path vouches for itself. The abstract finding stands as
-// a fallback if the walk-back could not be reconstructed.
+// path, so the proof's messages match the enumeration oracle's exactly
+// and a walked-back path vouches for itself. The abstract finding
+// stands as a fallback if the walk-back could not be reconstructed.
 func (v *checker) hotWitness(path cfg.Path, rule Rule, abstract string) {
 	if len(path) == 0 {
 		v.diag(rule, nil, nil, "%s (witness reconstruction failed)", abstract)
@@ -286,7 +243,7 @@ func (v *checker) hotWitness(path cfg.Path, rule Rule, abstract string) {
 // has crossed at least one and its last assignment (if any) was hot,
 // CP's last assignment was a cold-edge poison. Each class tracks the
 // register r and the overcount ledgers a = unpoisoned events - sets
-// and b = events - sets; the enumerator's per-path bound
+// and b = events - sets; coldPathDiags' per-path bound
 // "unpoisoned <= sets+1 and events <= sets+1" becomes a.Hi <= 1 and
 // b.Hi <= 1 at the exit for the cold-crossing classes.
 const (
@@ -397,7 +354,7 @@ func (cp *coldProver) transfer(e *cfg.DAGEdge, in coldState) coldState {
 }
 
 // fire checks one count op against every reachable class and charges
-// the overcount ledgers, mirroring the enumerator's per-event checks:
+// the overcount ledgers, mirroring coldPathDiags' per-event checks:
 // unpoisoned events must land in [0, N); poisoned events must stay
 // negative under check-based poisoning or inside [N, TableSize) under
 // free poisoning. Checks are gated on a completion existing (for H, a
@@ -480,7 +437,7 @@ func (cp *coldProver) fire(e *cfg.DAGEdge, op instr.Op, out *coldState) {
 
 // proofCold proves the poisoning and overcount invariants over all
 // cold-crossing completions at once. Skipping only disconnected edges
-// keeps the walked universe identical to the enumerator's.
+// keeps the walked universe identical to the enumeration oracle's.
 //
 //ppp:dataflow
 func (v *checker) proofCold() {
@@ -503,7 +460,8 @@ func (v *checker) proofCold() {
 	cpr := &coldProver{v: v, reach: dataflow.ReachExit(d, skip)}
 	// ahead[b]: some b->exit completion over non-disc edges crosses at
 	// least one cold edge. Gating H-class fires on this matches the
-	// enumerator, which only visits paths that end up cold-crossing.
+	// enumeration oracle, which only visits paths that end up
+	// cold-crossing.
 	cpr.ahead = make([]bool, len(d.G.Blocks))
 	for i := len(d.Topo) - 1; i >= 0; i-- {
 		b := d.Topo[i]
@@ -651,7 +609,7 @@ func (cp *coldProver) complete(prefix cfg.Path, from *cfg.Block, needCold bool) 
 }
 
 // coldWitness re-checks a resolved witness path with the concrete
-// per-path rules, so proof-mode diagnostics carry the enumerator's
+// per-path rules, so the proof's diagnostics carry coldPathDiags'
 // exact wording; the abstract finding stands if reconstruction failed
 // or the concrete pass (unexpectedly) finds nothing.
 func (v *checker) coldWitness(path cfg.Path, rule Rule, abstract string) {

@@ -18,18 +18,17 @@
 //     tree, and cold/disconnected edges carry only their sanctioned
 //     ops.
 //
-// Path-sensitive invariants are established by default through
-// abstract interpretation (ModeProof): a forward interval dataflow
-// over the acyclic path DAG whose per-component transfers are affine,
-// so one topological sweep computes the exact min/max of every tracked
-// quantity over all paths at once — a proof covering routines with
-// billions of paths in O(E) time (see package dataflow and proof.go).
-// Failed proofs walk the lattice back to a concrete witness path.
-// Budgeted exact enumeration (ModeEnum, the PR 3 behaviour with its
-// sampling fallback) remains available as an independent cross-check,
-// and ModeBoth runs both and reports any disagreement. Violations come
-// back as structured diagnostics carrying a concrete witness path
-// whenever one exists.
+// Path-sensitive invariants are established by abstract
+// interpretation: a forward interval dataflow over the acyclic path
+// DAG whose per-component transfers are affine, so one topological
+// sweep computes the exact min/max of every tracked quantity over all
+// paths at once — a proof covering routines with billions of paths in
+// O(E) time (see package dataflow and proof.go). Failed proofs walk
+// the lattice back to a concrete witness path, so violations come back
+// as structured diagnostics carrying a witness whenever one exists.
+// The proof is the only verifier; budgeted path enumeration lives in
+// this package's tests as the oracle the proof is differentially
+// checked against.
 package verify
 
 import (
@@ -79,9 +78,6 @@ const (
 	// cycle of unprobed edges — or flow-conservation recovery from the
 	// probes fails to reproduce the guide profile exactly.
 	RuleProbes Rule = "probe-set"
-	// RuleDisagree: under ModeBoth, the all-paths proof and exhaustive
-	// enumeration reached different verdicts — a verifier bug.
-	RuleDisagree Rule = "mode-disagreement"
 )
 
 // Diagnostic is one verifier finding.
@@ -108,44 +104,22 @@ func (d Diagnostic) String() string {
 	return sb.String()
 }
 
-// Options tune the verification effort.
+// Options carry the verifier's trace sink.
 type Options struct {
-	// Mode selects proof (default), enumeration, or both.
-	Mode Mode
-	// Budget bounds exact path enumeration under ModeEnum/ModeBoth
-	// (hot paths and cold-crossing paths each). Zero means
-	// DefaultBudget. Routines with more hot paths than the budget —
-	// in particular hash-table routines above the SAC threshold — are
-	// verified symbolically plus by sampling.
-	Budget int
-	// Samples is the number of hot paths reconstructed and simulated
-	// in sampling mode. Zero means DefaultSamples.
-	Samples int
 	// Trace, when set, receives one EvProof event per verified routine
-	// (nil-safe; enumeration-only runs emit nothing).
+	// (nil-safe).
 	Trace *telemetry.Trace
 	// TraceUnit labels emitted trace events.
 	TraceUnit string
 }
 
-// DefaultBudget matches the instrumentation hashing threshold: every
-// array-table routine is enumerated exactly.
-const DefaultBudget = 4096
-
-// DefaultSamples is the sampling-mode path count.
-const DefaultSamples = 256
-
 // Report is the outcome of verifying one plan.
 type Report struct {
 	Routine string
-	// HotChecked and ColdChecked count the paths covered — simulated
-	// under ModeEnum, proven under ModeProof (saturating); Sampled is
-	// set when enumeration's hot side used the sampling fallback,
-	// Truncated when its cold walk exhausted the budget.
+	// HotChecked and ColdChecked count the paths the proof covers
+	// (saturating).
 	HotChecked  int
 	ColdChecked int
-	Sampled     bool
-	Truncated   bool
 	Diags       []Diagnostic
 }
 
@@ -166,19 +140,13 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// Check verifies p with default options (proof mode).
+// Check verifies p with no trace sink.
 func Check(p *instr.Plan) *Report { return CheckWith(p, Options{}) }
 
 // CheckWith verifies p. Non-instrumented plans get structural checks
 // only; a skipped routine with a well-formed attribution always
 // passes.
 func CheckWith(p *instr.Plan, opts Options) *Report {
-	if opts.Budget <= 0 {
-		opts.Budget = DefaultBudget
-	}
-	if opts.Samples <= 0 {
-		opts.Samples = DefaultSamples
-	}
 	v := &checker{p: p, opts: opts, rep: &Report{Routine: p.G.Name}}
 	v.structural()
 	if len(v.rep.Diags) > 0 {
@@ -190,34 +158,8 @@ func CheckWith(p *instr.Plan, opts Options) *Report {
 	if p.Instrumented {
 		v.numbering()
 		v.placement()
-		switch opts.Mode {
-		case ModeEnum:
-			v.hotPaths()
-			v.coldPaths()
-		case ModeBoth:
-			pre := len(v.rep.Diags)
-			v.proofHot()
-			v.proofCold()
-			proofBad := len(v.rep.Diags) > pre
-			mid := len(v.rep.Diags)
-			v.hotPaths()
-			v.coldPaths()
-			enumBad := len(v.rep.Diags) > mid
-			// Enumeration only refutes the proof when it was itself
-			// exhaustive; the proof always covers all paths, so a
-			// clean proof against enum findings is a bug either way.
-			switch {
-			case enumBad && !proofBad:
-				v.diag(RuleDisagree, nil, nil,
-					"enumeration found violations the all-paths proof missed")
-			case proofBad && !enumBad && !v.rep.Sampled && !v.rep.Truncated:
-				v.diag(RuleDisagree, nil, nil,
-					"all-paths proof found violations exhaustive enumeration missed")
-			}
-		default: // ModeProof
-			v.proofHot()
-			v.proofCold()
-		}
+		v.proofHot()
+		v.proofCold()
 	}
 	v.emitProofEvent()
 	return v.rep
@@ -226,7 +168,7 @@ func CheckWith(p *instr.Plan, opts Options) *Report {
 // emitProofEvent records the verdict in the decision trace. The detail
 // is deterministic (no timing): traces must byte-compare across runs.
 func (v *checker) emitProofEvent() {
-	if v.opts.Trace == nil || v.opts.Mode == ModeEnum {
+	if v.opts.Trace == nil {
 		return
 	}
 	detail := "ok"
@@ -470,10 +412,9 @@ func (v *checker) placement() {
 // the probe set must be exactly a spanning-tree complement — E-V+2
 // probes (the cycle-space dimension, the provable minimum), each on a
 // distinct real edge, with the unprobed edges plus the virtual
-// exit->entry edge forming a spanning tree — and flow-conservation
-// recovery from the probes alone must reproduce the guide profile
-// bit for bit. Runs for every routine carrying a probe spec,
-// instrumented or not.
+// exit->entry edge forming a spanning tree, which makes
+// flow-conservation recovery from the probes alone exact. Runs for
+// every routine carrying a probe spec, instrumented or not.
 func (v *checker) probes() {
 	p := v.p
 	if p.Placement != instr.PlaceMinCost {
@@ -570,17 +511,6 @@ func (v *checker) probes() {
 	if comps != 1 {
 		v.diag(RuleProbes, nil, nil,
 			"unprobed edges leave the graph in %d components: flow on the cut edges is unrecoverable", comps)
-		return
-	}
-	// Under enumeration modes, additionally replay the guide profile
-	// through the recovery as a dynamic cross-check of the same fact.
-	// Only meaningful when the guide profile itself conserves flow.
-	if v.opts.Mode != ModeProof {
-		if err := g.CheckFlow(); err == nil {
-			if err := spec.CheckExact(g); err != nil {
-				v.diag(RuleProbes, nil, nil, "recovery not exact on the guide profile: %v", err)
-			}
-		}
 	}
 }
 
@@ -617,214 +547,10 @@ func simulate(p *instr.Plan, path cfg.Path) (events []event, sets int) {
 	return events, sets
 }
 
-// hotPaths checks the counting behaviour on hot paths: exact
-// enumeration within budget, otherwise the sampling fallback over
-// reconstructed paths (the symbolic bijection from numbering() already
-// covers uniqueness and density).
-func (v *checker) hotPaths() {
-	p := v.p
-	if p.N <= int64(v.opts.Budget) {
-		v.hotExact()
-		return
-	}
-	v.rep.Sampled = true
-	v.hotSampled()
-}
-
-// attrKey indexes attributed paths by their rendering.
-func attrSet(p *instr.Plan) map[string]bool {
-	m := make(map[string]bool, len(p.Attr))
-	for _, a := range p.Attr {
-		m[a.Path.String()] = true
-	}
-	return m
-}
-
-func (v *checker) hotExact() {
-	p := v.p
-	attributed := attrSet(p)
-	paths := p.D.EnumeratePaths(excluded(p), v.opts.Budget+1)
-	if int64(len(paths)) != p.N {
-		v.diag(RuleNumbering, nil, nil, "enumerated %d hot paths, plan claims N=%d", len(paths), p.N)
-		return
-	}
-	seen := make(map[int64]cfg.Path, len(paths))
-	for _, path := range paths {
-		v.rep.HotChecked++
-		want, ok := p.Num.PathNumber(path)
-		if !ok {
-			v.diag(RuleNumbering, path, nil, "hot path rejected by the numbering")
-			continue
-		}
-		events, _ := simulate(p, path)
-		if attributed[path.String()] {
-			if len(events) != 0 {
-				v.diag(RuleHotCount, path, nil, "edge-attributed path fires %d counts", len(events))
-			}
-			// The attribution's recorded number stands in for the fire.
-			if prev, dup := seen[want]; dup {
-				v.diag(RuleHotID, path, nil, "number %d already used by %s", want, prev)
-			}
-			seen[want] = path
-			continue
-		}
-		if len(events) != 1 {
-			v.diag(RuleHotCount, path, nil, "hot path fires %d counts, want exactly 1", len(events))
-			continue
-		}
-		ev := events[0]
-		if ev.index != want {
-			v.diag(RuleHotID, path, nil, "hot path counted at %d, want its number %d", ev.index, want)
-			continue
-		}
-		if prev, dup := seen[ev.index]; dup {
-			v.diag(RuleHotID, path, nil, "number %d already used by %s", ev.index, prev)
-			continue
-		}
-		seen[ev.index] = path
-	}
-	// Density: with exactly N paths all distinct in [0, N), every
-	// number must appear; report the first gap as a witness-free diag.
-	if int64(len(seen)) == p.N {
-		return
-	}
-	for id := int64(0); id < p.N; id++ {
-		if _, ok := seen[id]; !ok {
-			v.diag(RuleHotID, nil, nil, "no hot path counts at %d: numbering not dense", id)
-			return
-		}
-	}
-}
-
-// hotSampled reconstructs a deterministic stride of path numbers and
-// checks each reconstructed path fires once at its own number. The
-// path-number sum is re-verified against the reconstruction so a bug
-// in Reconstruct cannot vouch for itself.
-func (v *checker) hotSampled() {
-	p := v.p
-	attributed := attrSet(p)
-	stride := p.N / int64(v.opts.Samples)
-	if stride < 1 {
-		stride = 1
-	}
-	checked := map[int64]bool{}
-	sample := func(id int64) {
-		if checked[id] {
-			return
-		}
-		checked[id] = true
-		path, err := p.Num.Reconstruct(id)
-		if err != nil {
-			v.diag(RuleNumbering, nil, nil, "cannot reconstruct path %d: %v", id, err)
-			return
-		}
-		if got, ok := p.Num.PathNumber(path); !ok || got != id {
-			v.diag(RuleNumbering, path, nil, "reconstructed path sums to %d, want %d", got, id)
-			return
-		}
-		v.rep.HotChecked++
-		events, _ := simulate(p, path)
-		if attributed[path.String()] {
-			if len(events) != 0 {
-				v.diag(RuleHotCount, path, nil, "edge-attributed path fires %d counts", len(events))
-			}
-			return
-		}
-		if len(events) != 1 {
-			v.diag(RuleHotCount, path, nil, "hot path fires %d counts, want exactly 1", len(events))
-			return
-		}
-		if events[0].index != id {
-			v.diag(RuleHotID, path, nil, "hot path counted at %d, want its number %d", events[0].index, id)
-		}
-	}
-	// Always include the extreme paths explicitly. The stride loop
-	// covers id 0 but misses p.N-1 whenever stride does not divide
-	// p.N-1 — notably N = budget+1, where stride sampling alone would
-	// silently skip the single max-ID path.
-	sample(0)
-	sample(p.N - 1)
-	for id := int64(0); id < p.N; id += stride {
-		sample(id)
-	}
-}
-
-// coldPaths enumerates executions crossing at least one cold edge
-// (pruning pure-hot subtrees, bounded by the budget) and checks the
-// poisoning and overcount invariants on each.
-func (v *checker) coldPaths() {
-	p := v.p
-	anyCold := false
-	for _, c := range p.Cold {
-		if c {
-			anyCold = true
-			break
-		}
-	}
-	if !anyCold {
-		return
-	}
-
-	// coldAhead[b]: some cold edge is reachable from b over
-	// non-disconnected edges. Walking only where a cold edge was
-	// crossed or still can be prunes the pure-hot subtrees, so the
-	// budget is spent entirely on cold-crossing paths.
-	d := p.D
-	coldAhead := make([]bool, len(d.G.Blocks))
-	for i := len(d.Topo) - 1; i >= 0; i-- {
-		b := d.Topo[i]
-		for _, e := range d.Out[b.ID] {
-			if p.Disc[e.ID] {
-				continue
-			}
-			if p.Cold[e.ID] || coldAhead[e.Dst.ID] {
-				coldAhead[b.ID] = true
-				break
-			}
-		}
-	}
-
-	var cur cfg.Path
-	budget := v.opts.Budget
-	var walk func(b *cfg.Block, crossed bool) bool
-	walk = func(b *cfg.Block, crossed bool) bool {
-		if b == d.G.Exit {
-			if crossed {
-				v.checkColdPath(cur)
-				budget--
-			}
-			return budget > 0
-		}
-		for _, e := range d.Out[b.ID] {
-			if p.Disc[e.ID] {
-				continue
-			}
-			if !crossed && !p.Cold[e.ID] && !coldAhead[e.Dst.ID] {
-				continue // would end as a pure hot path
-			}
-			cur = append(cur, e)
-			ok := walk(e.Dst, crossed || p.Cold[e.ID])
-			cur = cur[:len(cur)-1]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if !walk(d.G.Entry, false) {
-		v.rep.Truncated = true
-	}
-}
-
-func (v *checker) checkColdPath(path cfg.Path) {
-	v.rep.ColdChecked++
-	v.coldPathDiags(path)
-}
-
 // coldPathDiags runs the concrete per-path poisoning and overcount
-// checks, emitting diagnostics only. Shared between the enumerator and
-// proof-mode witness resolution (which re-derives the enumerator's
-// exact wording from a walked-back path).
+// checks, emitting diagnostics only. The proof's witness resolution
+// re-derives its wording from a walked-back path, and the enumeration
+// oracle in this package's tests applies it to every cold path.
 func (v *checker) coldPathDiags(path cfg.Path) {
 	p := v.p
 	events, sets := simulate(p, path)

@@ -247,7 +247,7 @@ func TestMutationWitnessIsConcrete(t *testing.T) {
 }
 
 // TestSamplingFallback forces a routine over the enumeration budget
-// and checks the verifier switches to reconstruction sampling, still
+// and checks the oracle switches to reconstruction sampling, still
 // accepting the valid plan and still catching a corruption.
 func TestSamplingFallback(t *testing.T) {
 	// Twelve chained diamonds: 4096 paths, all hot under PP.
@@ -276,8 +276,7 @@ func TestSamplingFallback(t *testing.T) {
 	if !p.Instrumented || p.N != 4096 {
 		t.Fatalf("want 4096 hot paths, got N=%d", p.N)
 	}
-	opts := verify.Options{Mode: verify.ModeEnum, Budget: 100, Samples: 64}
-	rep := verify.CheckWith(p, opts)
+	rep := verify.Enumerate(p, 100, 64)
 	if !rep.OK() {
 		t.Fatalf("sampled verification rejected valid plan: %s", rep)
 	}
@@ -301,7 +300,7 @@ func TestSamplingFallback(t *testing.T) {
 		t.Fatal("no nonzero edge value to corrupt")
 	}
 	p.Num.Val[victim.ID]++
-	rep = verify.CheckWith(p, opts)
+	rep = verify.Enumerate(p, 100, 64)
 	p.Num.Val[victim.ID]--
 	if rep.OK() {
 		t.Error("corrupted numbering accepted in sampling mode")
@@ -343,7 +342,7 @@ func TestSamplingIncludesExtremes(t *testing.T) {
 	if !p.Instrumented || p.N != 129 {
 		t.Fatalf("want 129 hot paths, got N=%d", p.N)
 	}
-	rep := verify.CheckWith(p, verify.Options{Mode: verify.ModeEnum, Budget: 128, Samples: 43})
+	rep := verify.Enumerate(p, 128, 43)
 	if !rep.OK() {
 		t.Fatalf("sampled verification rejected valid plan: %s", rep)
 	}

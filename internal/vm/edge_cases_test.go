@@ -8,25 +8,20 @@ import (
 	"pathprof/internal/vm"
 )
 
-// TestUseZeroCosts covers the Options.Costs sentinel: a zero CostModel
-// used to be silently replaced by DefaultCosts(), making a genuinely
-// free execution impossible to request. UseZeroCosts is the escape
-// hatch.
-func TestUseZeroCosts(t *testing.T) {
+// TestZeroCostsDefault covers the Options.Costs sentinel: a zero
+// CostModel runs under DefaultCosts(), and an explicitly non-zero model
+// is used as given.
+func TestZeroCostsDefault(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
 	forEachBackend(t, func(t *testing.T, be vm.Backend) {
 		defaulted := run(t, prog, vm.Options{Backend: be})
 		if defaulted.BaseCost == 0 {
-			t.Fatal("zero Costs without UseZeroCosts should default to DefaultCosts, got BaseCost = 0")
+			t.Fatal("zero Costs should default to DefaultCosts, got BaseCost = 0")
 		}
-
-		free := run(t, prog, vm.Options{UseZeroCosts: true, Backend: be})
-		if free.BaseCost != 0 || free.InstrCost != 0 {
-			t.Errorf("UseZeroCosts run cost = %d+%d, want 0+0", free.BaseCost, free.InstrCost)
-		}
-		if free.Steps != defaulted.Steps || free.Ret != defaulted.Ret {
-			t.Errorf("UseZeroCosts changed execution: steps %d vs %d, ret %d vs %d",
-				free.Steps, defaulted.Steps, free.Ret, defaulted.Ret)
+		explicit := run(t, prog, vm.Options{Costs: vm.DefaultCosts(), Backend: be})
+		if explicit.BaseCost != defaulted.BaseCost || explicit.InstrCost != defaulted.InstrCost {
+			t.Errorf("zero Costs ran at %d+%d, DefaultCosts() at %d+%d",
+				defaulted.BaseCost, defaulted.InstrCost, explicit.BaseCost, explicit.InstrCost)
 		}
 
 		// An explicitly non-zero model is never overridden.

@@ -109,7 +109,7 @@ func NewEngine(prog *ir.Program, opts Options) (*Engine, error) {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = defaultMaxSteps
 	}
-	if !opts.UseZeroCosts && opts.Costs == (CostModel{}) {
+	if opts.Costs == (CostModel{}) {
 		opts.Costs = DefaultCosts()
 	}
 	entryIdx, ok := prog.FuncIndex[opts.Entry]
@@ -190,10 +190,6 @@ func (e *Engine) ValidateUs() map[string]int64 { return e.validateUs }
 // Compiled returns the validated threaded-code program (nil under the
 // dense backend).
 func (e *Engine) Compiled() *compile.Program { return e.compiled }
-
-// PlanIR returns the validated planir artifact the engine executes
-// (nil when no routine has a plan).
-func (e *Engine) PlanIR() *planir.Program { return e.plan }
 
 // Backend reports which backend the engine was built for.
 func (e *Engine) Backend() Backend { return e.opts.Backend }

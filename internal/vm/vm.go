@@ -61,12 +61,8 @@ func DefaultCosts() CostModel {
 
 // Options configures a run.
 type Options struct {
+	// Costs is the cost model; the zero CostModel means DefaultCosts().
 	Costs CostModel
-	// UseZeroCosts runs with Costs exactly as given even when it is the
-	// zero CostModel. Without it, a zero Costs is replaced by
-	// DefaultCosts(), so an intentionally free execution (e.g. counting
-	// steps without modeling cost) needs this escape hatch.
-	UseZeroCosts bool
 	// Entry is the function to run (default "main"); Args its
 	// arguments.
 	Entry string
