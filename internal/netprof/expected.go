@@ -30,10 +30,11 @@ type Expectation struct {
 // (ties break toward the lexicographically smallest edge-ID
 // sequence, so the output is deterministic for a given profile).
 //
-// Paths decoded from the PPSNAP wire format carry only DAG edge IDs —
-// no block structure — so every wire path folds to the routine-entry
-// head; in-process profiles distinguish loop-header heads exactly as
-// Observe does. threshold <= 0 uses DefaultThreshold.
+// Paths are read as edge-ID runs, and only a path's first edge is
+// resolved, for its head. Paths decoded from the PPSNAP wire format
+// resolve to no DAG edge, so every wire path folds to the
+// routine-entry head; in-process profiles distinguish loop-header
+// heads exactly as Observe does. threshold <= 0 uses DefaultThreshold.
 func Expected(paths map[string]*profile.PathProfile, threshold int64) []Expectation {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
@@ -46,19 +47,21 @@ func Expected(paths map[string]*profile.PathProfile, threshold int64) []Expectat
 
 	var out []Expectation
 	for _, fn := range fns {
+		pp := paths[fn]
 		type headAgg struct {
-			count int64
-			best  profile.PathCount
-			has   bool
+			count     int64
+			best      []int32
+			bestCount int64
 		}
 		agg := map[int]*headAgg{} // head block ID; -1 = entry
 		var heads []int
-		for _, pc := range paths[fn].Paths() {
-			if len(pc.Path) == 0 {
+		for i := range pp.Distinct() {
+			ids, count := pp.PathAt(i)
+			if len(ids) == 0 {
 				continue
 			}
 			h := -1
-			if first := pc.Path[0]; first.Kind != cfg.RealEdge && first.Dst != nil {
+			if first := pp.Edge(ids[0]); first != nil && first.Kind != cfg.RealEdge && first.Dst != nil {
 				h = first.Dst.ID
 			}
 			a := agg[h]
@@ -67,9 +70,9 @@ func Expected(paths map[string]*profile.PathProfile, threshold int64) []Expectat
 				agg[h] = a
 				heads = append(heads, h)
 			}
-			a.count = satAdd(a.count, pc.Count)
-			if !a.has || better(pc, a.best) {
-				a.best, a.has = pc, true
+			a.count = satAdd(a.count, count)
+			if a.best == nil || better(ids, count, a.best, a.bestCount) {
+				a.best, a.bestCount = ids, count
 			}
 		}
 		sort.Ints(heads)
@@ -82,32 +85,33 @@ func Expected(paths map[string]*profile.PathProfile, threshold int64) []Expectat
 			if h >= 0 {
 				name = fmt.Sprintf("b%d", h)
 			}
-			ids := make([]int, len(a.best.Path))
-			for i, e := range a.best.Path {
-				ids[i] = e.ID
+			ids := make([]int, len(a.best))
+			for i, id := range a.best {
+				ids[i] = int(id)
 			}
 			out = append(out, Expectation{
 				Func: fn, Head: name, Count: a.count,
-				Path: ids, Hits: a.best.Count,
-				Share: float64(a.best.Count) / float64(a.count),
+				Path: ids, Hits: a.bestCount,
+				Share: float64(a.bestCount) / float64(a.count),
 			})
 		}
 	}
 	return out
 }
 
-// better orders candidate traces: higher count wins, then the
-// lexicographically smaller edge-ID sequence.
-func better(a, b profile.PathCount) bool {
-	if a.Count != b.Count {
-		return a.Count > b.Count
+// better orders candidate traces, given as edge-ID runs with their
+// counts: higher count wins, then the lexicographically smaller
+// edge-ID sequence.
+func better(a []int32, ac int64, b []int32, bc int64) bool {
+	if ac != bc {
+		return ac > bc
 	}
-	for i := 0; i < len(a.Path) && i < len(b.Path); i++ {
-		if a.Path[i].ID != b.Path[i].ID {
-			return a.Path[i].ID < b.Path[i].ID
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
 		}
 	}
-	return len(a.Path) < len(b.Path)
+	return len(a) < len(b)
 }
 
 // satAdd clamps at profile.CounterMax like every other merge-side sum.

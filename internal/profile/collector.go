@@ -217,13 +217,13 @@ func (s *Snapshot) Fingerprint() uint64 {
 		if pp.Saturated {
 			h.str("sat")
 		}
-		for i := range pp.paths {
-			pc := &pp.paths[i]
-			h.int(int64(len(pc.Path)))
-			for _, e := range pc.Path {
-				h.int(int64(e.ID))
+		for i := range pp.Distinct() {
+			ids, count := pp.PathAt(i)
+			h.int(int64(len(ids)))
+			for _, id := range ids {
+				h.int(int64(id))
 			}
-			h.int(pc.Count)
+			h.int(count)
 		}
 	}
 	for _, fn := range sortedKeys(s.Tables) {

@@ -17,6 +17,15 @@ func fakeEdges(n int) []*cfg.DAGEdge {
 	return out
 }
 
+// edgeIDs returns p's edge IDs, the form executors record paths in.
+func edgeIDs(p cfg.Path) []int32 {
+	ids := make([]int32, len(p))
+	for i, e := range p {
+		ids[i] = int32(e.ID)
+	}
+	return ids
+}
+
 // TestStepAddAtMatchesAdd drives random path streams through the
 // incremental cursor API and the one-shot Add, asserting identical
 // interned order, counts, and fingerprints.
@@ -40,7 +49,7 @@ func TestStepAddAtMatchesAdd(t *testing.T) {
 		for _, e := range p {
 			cur = inc.Step(cur, int32(e.ID))
 		}
-		inc.AddAt(cur, p, 1)
+		inc.AddAt(cur, edgeIDs(p), 1)
 	}
 	if !reflect.DeepEqual(batch.Paths(), inc.Paths()) {
 		t.Fatal("incremental recording diverges from Add")
@@ -70,8 +79,8 @@ func TestStepInterleavedSuspension(t *testing.T) {
 	ca = inc.Step(ca, int32(pa[1].ID))
 	cb = inc.Step(cb, int32(pb[1].ID))
 	ca = inc.Step(ca, int32(pa[2].ID))
-	inc.AddAt(cb, pb, 1)
-	inc.AddAt(ca, pa, 1)
+	inc.AddAt(cb, edgeIDs(pb), 1)
+	inc.AddAt(ca, edgeIDs(pa), 1)
 
 	batch := NewPathProfile("f")
 	batch.Add(pb, 1)
@@ -92,13 +101,14 @@ func TestStepInterleavedSuspension(t *testing.T) {
 func TestStepAllocFree(t *testing.T) {
 	edges := fakeEdges(4)
 	p := cfg.Path{edges[0], edges[1], edges[2], edges[3]}
+	ids := edgeIDs(p)
 	pp := NewPathProfile("f")
 	record := func() {
 		cur := pp.Root()
-		for _, e := range p {
-			cur = pp.Step(cur, int32(e.ID))
+		for _, id := range ids {
+			cur = pp.Step(cur, id)
 		}
-		pp.AddAt(cur, p, 1)
+		pp.AddAt(cur, ids, 1)
 	}
 	record() // warm: grow nodes, intern
 	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {

@@ -57,7 +57,6 @@ func (s *Snapshot) MergeSnapshot(other *Snapshot) {
 // leaves s untouched, and the copy fingerprints and encodes exactly
 // like s. This is the profile service's per-commit scratch aggregate,
 // so it copies backing slices wholesale rather than replaying counts.
-// Interned paths are immutable once recorded and stay shared.
 func (s *Snapshot) Clone() *Snapshot {
 	c := &Snapshot{
 		Edges:  make(map[string]*EdgeProfile, len(s.Edges)),
@@ -85,25 +84,17 @@ func (ep *EdgeProfile) clone() *EdgeProfile {
 	return &c
 }
 
-// clone copies the trie and the interned path list. All nodes'
-// overflow siblings move into one backing array, each node's window
-// capped at its length, so a later addKid reallocates that node's
-// siblings instead of writing over the next node's.
+// clone copies the trie, the sibling chains, the path records and the
+// ID arena, none of which holds a pointer. An edge table of pp's own
+// is copied too; a bound DAG's table stays shared.
 func (pp *PathProfile) clone() *PathProfile {
 	c := *pp
 	c.nodes = slices.Clone(pp.nodes)
-	c.paths = slices.Clone(pp.paths)
-	n := 0
-	for i := range pp.nodes {
-		n += len(pp.nodes[i].rest)
-	}
-	rest := make([]pathKid, 0, n)
-	for i := range c.nodes {
-		if r := c.nodes[i].rest; r != nil {
-			at := len(rest)
-			rest = append(rest, r...)
-			c.nodes[i].rest = rest[at:len(rest):len(rest)]
-		}
+	c.sibs = slices.Clone(pp.sibs)
+	c.recs = slices.Clone(pp.recs)
+	c.ids = slices.Clone(pp.ids)
+	if pp.ownEdges {
+		c.edges = slices.Clone(pp.edges)
 	}
 	return &c
 }

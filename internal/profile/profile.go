@@ -8,8 +8,11 @@
 // live in a dense slot-indexed array (one slice index per bump, no map
 // hash), and path counts are keyed by an interned path ID resolved by
 // walking a trie over DAG edge IDs (no string key is built per
-// completed path). The map views that planners, serializers, and tests
-// consume are materialized lazily.
+// completed path). A path is stored as what it is on the wire and in
+// the fingerprint, a run of int32 edge IDs in one arena, so a path
+// profile holds no pointer per path edge. The map and cfg.Path views
+// that planners, serializers, and tests consume are materialized
+// lazily.
 package profile
 
 import (
@@ -286,10 +289,14 @@ type PathCount struct {
 // paths truncate at back edges and routine exits; calls suspend the
 // caller's path.
 //
-// Paths are interned: a trie over DAG edge IDs maps each distinct path
-// to a small integer ID assigned in first-seen order, so recording a
-// repeat execution walks the trie (a few comparisons per edge) without
-// building a string key or allocating.
+// Paths are interned as what they are on the wire and in the
+// fingerprint, runs of DAG edge IDs: a trie over edge IDs maps each
+// distinct path to a small integer ID assigned in first-seen order,
+// and the interned paths' IDs sit back to back in one arena. Recording
+// a repeat execution walks the trie (a few comparisons per edge)
+// without building a key or allocating, and the trie, the arena and
+// the path records hold no pointers, so the garbage collector never
+// scans them and Clone is a handful of slice copies.
 type PathProfile struct {
 	Func string
 
@@ -300,13 +307,26 @@ type PathProfile struct {
 	// nodes[0] is the trie root. Node IDs index this slice so the
 	// backing array can grow without invalidating references.
 	nodes []pathNode
-	// paths is indexed by interned path ID (also first-seen order).
-	paths []PathCount
+	// sibs holds every node's overflow children, each node's chained
+	// through next from its more.
+	sibs []pathSib
+	// recs is indexed by interned path ID (also first-seen order); a
+	// path's edge IDs are ids[off : off+n].
+	recs []pathRec
+	ids  []int32
 	// total is the saturating sum of every path count, kept by AddAt
 	// so Total is O(1).
 	total int64
+
+	// edges resolves edge IDs to DAG edges for Paths and Edge:
+	// edges[id], when non-nil, is the edge with that ID, from Bind,
+	// Merge or a path handed to Add. It may be a DAG's own edge table
+	// (ownEdges false), so it is copied before its first write.
+	edges    []*cfg.DAGEdge
+	ownEdges bool
 }
 
+// pathNode is one trie node: 16 bytes and no pointers.
 type pathNode struct {
 	// id is the interned path ID + 1 of the path ending at this node;
 	// 0 means no recorded path ends here.
@@ -315,13 +335,17 @@ type pathNode struct {
 	// first-walked order, so on the skewed branches of real profiles
 	// kid0 is the hot successor and Step's inlined probe touches only
 	// this node's cache line. edge is noKid while the node is
-	// childless; later siblings overflow to rest.
+	// childless; later children overflow to the sibs chain at more.
 	kid0 pathKid
-	rest []pathKid
+	more int32
 }
 
-// noKid marks an empty kid0 slot (edge IDs are non-negative).
-const noKid = int32(-1)
+// noKid marks an empty kid0 slot (edge IDs are non-negative); noSib
+// ends a sibling chain.
+const (
+	noKid = int32(-1)
+	noSib = int32(-1)
+)
 
 // pathKid is one trie child, keyed by DAG edge ID. Fan-out per node is
 // tiny (bounded by a block's successor count), so the inline first
@@ -331,9 +355,21 @@ type pathKid struct {
 	node int32
 }
 
+// pathSib is an overflow child, linked to the next one of its node.
+type pathSib struct {
+	pathKid
+	next int32
+}
+
+// pathRec is one interned path: its run in the ID arena and its count.
+type pathRec struct {
+	off, n int32
+	count  int64
+}
+
 // newPathNode returns a childless trie node.
 func newPathNode() pathNode {
-	return pathNode{kid0: pathKid{edge: noKid}}
+	return pathNode{kid0: pathKid{edge: noKid}, more: noSib}
 }
 
 // NewPathProfile returns an empty path profile.
@@ -341,32 +377,67 @@ func NewPathProfile(name string) *PathProfile {
 	return &PathProfile{Func: name, nodes: []pathNode{newPathNode()}}
 }
 
-// walk returns the trie node index for path p, appending missing nodes
-// when grow is set (otherwise -1).
-func (pp *PathProfile) walk(p cfg.Path, grow bool) int32 {
-	cur := int32(0)
-	for _, e := range p {
-		id := int32(e.ID)
-		next := int32(-1)
-		if n := &pp.nodes[cur]; n.kid0.edge == id {
-			next = n.kid0.node
-		} else {
-			for _, kid := range n.rest {
-				if kid.edge == id {
-					next = kid.node
-					break
-				}
-			}
-		}
-		if next < 0 {
-			if !grow {
-				return -1
-			}
-			next = pp.addKid(cur, id)
-		}
-		cur = next
+// Bind makes Paths and Edge resolve edge IDs through a routine's DAG
+// edge table (edges[i].ID == i). The table is shared, never written.
+// An executor binds its run's profile once and then records edge IDs
+// only.
+func (pp *PathProfile) Bind(edges []*cfg.DAGEdge) { pp.adopt(edges) }
+
+// Edge returns the DAG edge that edge ID id resolves to, or nil when
+// the profile knows only the ID (a decoded profile, say).
+func (pp *PathProfile) Edge(id int32) *cfg.DAGEdge {
+	if uint32(id) < uint32(len(pp.edges)) {
+		return pp.edges[id]
 	}
-	return cur
+	return nil
+}
+
+// adopt resolves the IDs pp cannot resolve yet through tab as well,
+// sharing tab outright when pp has no table of its own.
+func (pp *PathProfile) adopt(tab []*cfg.DAGEdge) {
+	switch {
+	case len(tab) == 0:
+	case pp.edges == nil:
+		pp.edges, pp.ownEdges = tab, false
+	case len(pp.edges) >= len(tab) && &pp.edges[0] == &tab[0]:
+		// tab is pp's own table or a prefix of it.
+	default:
+		for _, e := range tab {
+			if e != nil {
+				pp.learn(e)
+			}
+		}
+	}
+}
+
+// learn records e as the edge its ID resolves to, unless the ID
+// already resolves.
+func (pp *PathProfile) learn(e *cfg.DAGEdge) {
+	if e.ID < len(pp.edges) && pp.edges[e.ID] != nil {
+		return
+	}
+	if !pp.ownEdges {
+		pp.edges = slices.Clone(pp.edges)
+		pp.ownEdges = true
+	}
+	if e.ID >= len(pp.edges) {
+		pp.edges = append(pp.edges, make([]*cfg.DAGEdge, e.ID+1-len(pp.edges))...)
+	}
+	pp.edges[e.ID] = e
+}
+
+// kid returns cur's child along edge id, or -1.
+func (pp *PathProfile) kid(cur, id int32) int32 {
+	n := &pp.nodes[cur]
+	if n.kid0.edge == id {
+		return n.kid0.node
+	}
+	for s := n.more; s != noSib; s = pp.sibs[s].next {
+		if pp.sibs[s].edge == id {
+			return pp.sibs[s].node
+		}
+	}
+	return -1
 }
 
 // addKid appends a fresh node under cur for edge id.
@@ -377,14 +448,29 @@ func (pp *PathProfile) addKid(cur, id int32) int32 {
 	if n.kid0.edge == noKid {
 		n.kid0 = pathKid{edge: id, node: next}
 	} else {
-		n.rest = append(n.rest, pathKid{edge: id, node: next})
+		pp.sibs = append(pp.sibs, pathSib{pathKid{edge: id, node: next}, n.more})
+		n.more = int32(len(pp.sibs) - 1)
 	}
 	return next
 }
 
 // Add records count executions of path p, saturating at CounterMax.
+// p's edges become the ones Paths resolves their IDs to, where no
+// edge was known for an ID yet.
 func (pp *PathProfile) Add(p cfg.Path, count int64) {
-	pp.AddAt(pp.walk(p, true), p, count)
+	cur := pp.Root()
+	for _, e := range p {
+		pp.learn(e)
+		cur = pp.Step(cur, int32(e.ID))
+	}
+	var ids []int32
+	if pp.nodes[cur].id == 0 {
+		ids = make([]int32, len(p))
+		for i, e := range p {
+			ids[i] = int32(e.ID)
+		}
+	}
+	pp.AddAt(cur, ids, count)
 }
 
 // Root returns the trie cursor for an empty path, the starting point
@@ -417,73 +503,114 @@ func (pp *PathProfile) Step(cur int32, edgeID int32) int32 {
 //
 //go:noinline
 func (pp *PathProfile) stepScan(cur, edgeID int32) int32 {
-	for _, kid := range pp.nodes[cur].rest {
-		if kid.edge == edgeID {
-			return kid.node
-		}
+	if n := pp.kid(cur, edgeID); n >= 0 {
+		return n
 	}
 	return pp.addKid(cur, edgeID)
 }
 
 // AddAt records count executions of the path ending at trie cursor n,
-// which must have been produced by Step calls over exactly p's edges
-// (or walk(p, true)). Interns p (copied) on first sight, so interned
-// path IDs stay in first-seen completion order no matter how the trie
-// nodes were grown.
+// which must have been produced by Step calls over exactly the edge
+// IDs ids. Interns ids (copied into the arena) on first sight, so
+// interned path IDs stay in first-seen completion order no matter how
+// the trie nodes were grown; ids is only read then.
 //
 //ppp:hotpath
-func (pp *PathProfile) AddAt(n int32, p cfg.Path, count int64) {
+func (pp *PathProfile) AddAt(n int32, ids []int32, count int64) {
 	if pp.nodes[n].id == 0 {
-		pp.intern(n, p)
+		pp.intern(n, ids)
 	}
-	pc := &pp.paths[pp.nodes[n].id-1]
+	r := &pp.recs[pp.nodes[n].id-1]
 	var sat bool
-	pc.Count, sat = satAdd(pc.Count, count)
+	r.count, sat = satAdd(r.count, count)
 	if sat {
 		pp.Saturated = true
 	}
 	pp.total, _ = satAdd(pp.total, count)
 }
 
-// intern assigns the next path ID to node n and stores a copy of p.
-func (pp *PathProfile) intern(n int32, p cfg.Path) {
-	cp := make(cfg.Path, len(p))
-	copy(cp, p)
-	pp.paths = append(pp.paths, PathCount{Path: cp})
-	pp.nodes[n].id = int32(len(pp.paths))
+// intern assigns the next path ID to node n and appends ids to the
+// arena.
+func (pp *PathProfile) intern(n int32, ids []int32) {
+	pp.recs = append(pp.recs, pathRec{off: int32(len(pp.ids)), n: int32(len(ids))})
+	pp.ids = append(pp.ids, ids...)
+	pp.nodes[n].id = int32(len(pp.recs))
 }
 
 // Get returns the count of path p (0 if never taken).
 func (pp *PathProfile) Get(p cfg.Path) int64 {
-	n := pp.walk(p, false)
-	if n < 0 || pp.nodes[n].id == 0 {
-		return 0
+	cur := pp.Root()
+	for _, e := range p {
+		if cur = pp.kid(cur, int32(e.ID)); cur < 0 {
+			return 0
+		}
 	}
-	return pp.paths[pp.nodes[n].id-1].Count
+	if id := pp.nodes[cur].id; id != 0 {
+		return pp.recs[id-1].count
+	}
+	return 0
 }
 
-// Paths returns all recorded paths in first-seen order.
+// PathAt returns interned path i (0 <= i < Distinct, first-seen
+// order) as its DAG edge IDs, with its count. This is how the
+// profile's paths are read without building edges: ids aliases the
+// arena, so it is read-only and valid until the profile next records.
+func (pp *PathProfile) PathAt(i int) (ids []int32, count int64) {
+	r := pp.recs[i]
+	return pp.ids[r.off : r.off+r.n : r.off+r.n], r.count
+}
+
+// Paths returns all recorded paths in first-seen order, their edges
+// resolved as Edge does. An ID the profile cannot resolve gets a
+// placeholder edge carrying only the ID, one per ID and call.
 func (pp *PathProfile) Paths() []PathCount {
-	out := make([]PathCount, len(pp.paths))
-	copy(out, pp.paths)
+	out := make([]PathCount, len(pp.recs))
+	all := make(cfg.Path, len(pp.ids))
+	var ph map[int32]*cfg.DAGEdge
+	for i := range pp.recs {
+		ids, count := pp.PathAt(i)
+		p := all[:len(ids):len(ids)]
+		all = all[len(ids):]
+		for k, id := range ids {
+			e := pp.Edge(id)
+			if e == nil {
+				if e = ph[id]; e == nil {
+					if ph == nil {
+						ph = map[int32]*cfg.DAGEdge{}
+					}
+					e = &cfg.DAGEdge{ID: int(id)}
+					ph[id] = e
+				}
+			}
+			p[k] = e
+		}
+		out[i] = PathCount{Path: p, Count: count}
+	}
 	return out
 }
 
 // Distinct returns the number of distinct paths taken.
-func (pp *PathProfile) Distinct() int { return len(pp.paths) }
+func (pp *PathProfile) Distinct() int { return len(pp.recs) }
 
 // Total returns the total number of path executions, saturating at
 // CounterMax.
 func (pp *PathProfile) Total() int64 { return pp.total }
 
-// Merge adds other's counts into pp.
+// Merge adds other's counts into pp, and resolves IDs through the
+// edges other resolves them to where pp cannot.
 func (pp *PathProfile) Merge(other *PathProfile) {
 	if other.Saturated {
 		pp.Saturated = true
 	}
-	for i := range other.paths {
-		pp.Add(other.paths[i].Path, other.paths[i].Count)
+	for i := range other.recs {
+		ids, count := other.PathAt(i)
+		cur := pp.Root()
+		for _, id := range ids {
+			cur = pp.Step(cur, id)
+		}
+		pp.AddAt(cur, ids, count)
 	}
+	pp.adopt(other.edges)
 }
 
 // TableKind selects the counter storage.

@@ -136,3 +136,42 @@ func TestDecodeAllocsFollowDistinctPaths(t *testing.T) {
 		t.Errorf("allocs grew with path length: %.0f at 256 edges vs %.0f at 16", long, short)
 	}
 }
+
+// bitPaths encodes one routine holding distinct paths of sixteen
+// edges over 32 edge IDs (path i spells i's low sixteen bits, two IDs
+// per bit position), each with count 1.
+func bitPaths(distinct int) []byte {
+	s := profile.NewSnapshot()
+	pp := profile.NewPathProfile("f")
+	for i := 0; i < distinct; i++ {
+		p := make(cfg.Path, 16)
+		for k := range p {
+			p[k] = &cfg.DAGEdge{ID: 2*k + (i>>k)&1}
+		}
+		pp.Add(p, 1)
+	}
+	s.Paths["f"] = pp
+	return snapshot.Encode(s)
+}
+
+// TestDecodeAllocsIgnoreDistinctPaths: interning a decoded path
+// appends its edge IDs to the profile's arena, so sixteen times the
+// distinct paths costs only the arenas' extra growth steps (a
+// logarithmic few), not an allocation per path: 3 840 more paths may
+// cost at most 60 more allocations.
+func TestDecodeAllocsIgnoreDistinctPaths(t *testing.T) {
+	const few, many = 256, 4096
+	allocs := func(distinct int) float64 {
+		data := bitPaths(distinct)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := snapshot.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(few), allocs(many)
+	t.Logf("decode allocs: %d paths %.0f, %d paths %.0f", few, a, many, b)
+	if b-a > (many-few)/64 {
+		t.Errorf("allocs grew with distinct paths: %.0f at %d vs %.0f at %d", b, many, a, few)
+	}
+}

@@ -20,6 +20,7 @@ func FuzzSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/4] ^= 0x80
 	f.Add(flipped)
+	f.Add(onePath(1 << 31)) // an edge ID past int32
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := snapshot.Decode(data)

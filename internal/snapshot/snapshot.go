@@ -16,9 +16,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 
-	"pathprof/internal/cfg"
 	"pathprof/internal/profile"
 )
 
@@ -88,14 +88,14 @@ func Encode(s *profile.Snapshot) []byte {
 		pp := s.Paths[fn]
 		w.str(fn)
 		w.bool(pp.Saturated)
-		paths := pp.Paths()
-		w.uv(uint64(len(paths)))
-		for _, pc := range paths {
-			w.uv(uint64(len(pc.Path)))
-			for _, e := range pc.Path {
-				w.uv(uint64(e.ID))
+		w.uv(uint64(pp.Distinct()))
+		for i := range pp.Distinct() {
+			ids, count := pp.PathAt(i)
+			w.uv(uint64(len(ids)))
+			for _, id := range ids {
+				w.uv(uint64(id))
 			}
-			w.uv(uint64(pc.Count))
+			w.uv(uint64(count))
 		}
 	}
 
@@ -144,11 +144,12 @@ func Encode(s *profile.Snapshot) []byte {
 
 // Decode rebuilds a snapshot from Encode's output, verifying the
 // magic, version, checksum, and structural invariants. Any damage
-// yields a *CorruptError and no snapshot. Decoded paths reference
-// placeholder DAG edges carrying only the edge ID, one edge shared
-// per routine and ID — enough for fingerprinting, counting, and
-// merging; resolving them against a program's real DAGs is the
-// caller's concern, and placeholders must not be mutated.
+// yields a *CorruptError and no snapshot. Decoded paths are runs of
+// DAG edge IDs, as on the wire — enough for fingerprinting, counting,
+// merging and re-encoding. They resolve to no DAG: PathProfile.Paths
+// gives each ID a placeholder edge carrying only the ID, and
+// resolving them against a program's real DAGs is the caller's
+// concern. An edge ID must fit an int32, the profile's ID width.
 func Decode(data []byte) (*profile.Snapshot, error) {
 	if len(data) < len(Magic)+2+4 {
 		return nil, corrupt(0, "short input: %d bytes", len(data))
@@ -188,12 +189,12 @@ func Decode(data []byte) (*profile.Snapshot, error) {
 		snap.Edges[fn] = ep
 	}
 
-	// Every path is read into one scratch path over placeholder edges
-	// shared per routine and edge ID: Add copies a path only when it
-	// interns it, so allocation follows distinct paths and edge IDs,
-	// not path edges.
+	// Every path is read into one scratch run of edge IDs while its
+	// trie cursor descends; AddAt copies the run into the profile's ID
+	// arena only when it interns a new path, so allocation follows
+	// distinct paths (and arena growth), not path edges.
 	nPaths := r.count()
-	var p cfg.Path
+	var ids []int32
 	for i := uint64(0); i < nPaths && r.err == nil; i++ {
 		fn := r.str()
 		if _, dup := snap.Paths[fn]; dup {
@@ -201,23 +202,22 @@ func Decode(data []byte) (*profile.Snapshot, error) {
 		}
 		pp := profile.NewPathProfile(fn)
 		pp.Saturated = r.bool()
-		edges := map[int64]*cfg.DAGEdge{}
 		n := r.count()
 		for j := uint64(0); j < n && r.err == nil; j++ {
 			ne := r.count()
-			p = p[:0]
+			ids = ids[:0]
+			cur := pp.Root()
 			for k := uint64(0); k < ne && r.err == nil; k++ {
 				id := r.nonneg()
-				e := edges[id]
-				if e == nil {
-					e = &cfg.DAGEdge{ID: int(id)}
-					edges[id] = e
+				if id > math.MaxInt32 {
+					return nil, corrupt(r.off, "path edge ID %d exceeds %d", id, math.MaxInt32)
 				}
-				p = append(p, e)
+				ids = append(ids, int32(id))
+				cur = pp.Step(cur, int32(id))
 			}
 			count := r.nonneg()
 			if r.err == nil {
-				pp.Add(p, count)
+				pp.AddAt(cur, ids, count)
 			}
 		}
 		snap.Paths[fn] = pp

@@ -2,7 +2,10 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -102,6 +105,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{"flip-payload", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }},
 		{"flip-checksum", func(b []byte) []byte { b[len(b)-2] ^= 1; return b }},
 		{"appended-garbage", func(b []byte) []byte { return append(b, 0xAB, 0xCD) }},
+		{"edge-id-overflow", func([]byte) []byte { return onePath(math.MaxInt32 + 1) }},
 	}
 	for _, c := range cases {
 		b := c.mangle(append([]byte(nil), good...))
@@ -206,5 +210,33 @@ func TestEmptySnapshotRoundTrip(t *testing.T) {
 	}
 	if back.Fingerprint() != empty.Fingerprint() {
 		t.Error("empty snapshot fingerprint changed")
+	}
+}
+
+// onePath hand-encodes a well-formed snapshot whose one path profile
+// holds the single path [id], so a wire edge ID no encoder would
+// write can be checked: a profile stores edge IDs as int32.
+func onePath(id uint64) []byte {
+	b := append([]byte(snapshot.Magic), snapshot.Version, 0)
+	b = append(b, 0, 1, 1, 'f', 0, 1, 1) // no edges; one path profile "f", unsaturated, one path of one edge
+	b = binary.AppendUvarint(b, id)
+	b = append(b, 1, 0) // count 1; no tables
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestDecodeEdgeIDAtLimit: the largest int32 edge ID decodes and
+// re-encodes to the same bytes (one more is a TestDecodeRejectsDamage
+// case).
+func TestDecodeEdgeIDAtLimit(t *testing.T) {
+	ok := onePath(math.MaxInt32)
+	snap, err := snapshot.Decode(ok)
+	if err != nil {
+		t.Fatalf("edge ID %d rejected: %v", math.MaxInt32, err)
+	}
+	if ids, _ := snap.Paths["f"].PathAt(0); len(ids) != 1 || ids[0] != math.MaxInt32 {
+		t.Fatalf("decoded path %v, want [%d]", ids, math.MaxInt32)
+	}
+	if !bytes.Equal(snapshot.Encode(snap), ok) {
+		t.Error("edge ID at the limit does not re-encode to its bytes")
 	}
 }

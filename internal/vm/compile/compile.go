@@ -106,7 +106,11 @@ type SuccSpec struct {
 type FuncSpec struct {
 	// Succs is indexed by block: [0] the Jump target or Branch taken
 	// arm, [1] the Branch else arm.
-	Succs       [][2]SuccSpec
+	Succs [][2]SuccSpec
+	// Edges is the routine's DAG edge table (Edges[i].ID == i): paths
+	// are tracked as edge IDs, and a path hook's cfg.Path is resolved
+	// through it. Nil when paths are off.
+	Edges       []*cfg.DAGEdge
 	Hash        bool
 	PoisonCheck bool
 }

@@ -47,14 +47,14 @@ type Counters struct {
 }
 
 // frame is one activation record. Register and path slices are pooled
-// across calls and replicas; trie is the incremental path-trie cursor
-// into ft.Paths.
+// across calls and replicas; path holds the pending path's DAG edge
+// IDs and trie is its incremental path-trie cursor into ft.Paths.
 type frame struct {
 	fc      *fnCode
 	ft      *FuncRun
 	regs    []int64
 	r       int64 // path register
-	path    cfg.Path
+	path    []int32
 	trie    int32
 	bc      *blockCode
 	seg     int32
@@ -72,6 +72,7 @@ type Exec struct {
 	out       io.Writer
 	tel       telemetry.VMCells
 	pathHook  func(fn string, p cfg.Path)
+	hookPath  cfg.Path // reused buffer a hooked path is resolved into
 	maxSteps  int64
 	bumpCalls bool
 
@@ -171,6 +172,13 @@ func (x *Exec) newFrame(fi, callDst int32) *frame {
 		fr.ft.Edges.BumpCalls()
 	}
 	return fr
+}
+
+// hook hands a completed path of edge IDs to the path hook, resolved
+// through the routine's DAG edge table into the Exec's reused buffer.
+func (x *Exec) hook(name string, edges []*cfg.DAGEdge, ids []int32) {
+	x.hookPath = appendEdges(x.hookPath[:0], edges, ids)
+	x.pathHook(name, x.hookPath)
 }
 
 // rootStep resolves the back-edge restart Step from the trie root,

@@ -31,13 +31,17 @@ type Stepper struct {
 	Costs *CostModel
 	Tel   telemetry.VMCells
 	Hook  func(fn string, p cfg.Path)
+	// hookPath is the reused buffer a completed path's edges are
+	// resolved into for Hook.
+	hookPath cfg.Path
 }
 
 // Track is one activation's path state: the path register, the
-// pending Ball-Larus path, and the path's trie cursor in Run.Paths.
+// pending Ball-Larus path as DAG edge IDs, and the path's trie cursor
+// in Run.Paths.
 type Track struct {
 	R    int64
-	Path cfg.Path
+	Path []int32
 	Trie int32
 }
 
@@ -65,15 +69,17 @@ func (st *Stepper) Step(s *SuccSpec, t *Track) int64 {
 		return icost
 	}
 	if !s.Back {
-		t.Path = append(t.Path, s.PathEdge) //ppp:allow(alloc)
-		t.Trie = pp.Step(t.Trie, int32(s.PathEdge.ID))
+		id := int32(s.PathEdge.ID)
+		t.Path = append(t.Path, id) //ppp:allow(alloc)
+		t.Trie = pp.Step(t.Trie, id)
 		return icost
 	}
-	t.Path = append(t.Path, s.ExitDummy) //ppp:allow(alloc)
-	t.Trie = pp.Step(t.Trie, int32(s.ExitDummy.ID))
+	xd, ed := int32(s.ExitDummy.ID), int32(s.EntryDummy.ID)
+	t.Path = append(t.Path, xd) //ppp:allow(alloc)
+	t.Trie = pp.Step(t.Trie, xd)
 	st.EndPath(t)
-	t.Path = append(t.Path[:0], s.EntryDummy) //ppp:allow(alloc)
-	t.Trie = pp.Step(0, int32(s.EntryDummy.ID))
+	t.Path = append(t.Path[:0], ed) //ppp:allow(alloc)
+	t.Trie = pp.Step(0, ed)
 	return icost
 }
 
@@ -90,8 +96,19 @@ func (st *Stepper) EndPath(t *Track) {
 	st.Tel.Paths.Inc()
 	st.Tel.PathLen.Observe(int64(len(t.Path)))
 	if st.Hook != nil {
-		st.Hook(st.Name, t.Path)
+		st.hookPath = appendEdges(st.hookPath[:0], st.Spec.Edges, t.Path)
+		st.Hook(st.Name, st.hookPath)
 	}
+}
+
+// appendEdges appends the DAG edges of edge IDs ids to dst, resolved
+// through the routine's edge table: the path a hook receives, built
+// only when one is installed.
+func appendEdges(dst cfg.Path, edges []*cfg.DAGEdge, ids []int32) cfg.Path {
+	for _, id := range ids {
+		dst = append(dst, edges[id])
+	}
+	return dst
 }
 
 // RunOps executes a planir instrumentation op stream from path

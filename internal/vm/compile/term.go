@@ -226,7 +226,7 @@ func (c *comp) compileTerm(fc *fnCode, bi int, t *ir.Term, cond condFn) termFn {
 func (c *comp) mkRet(t *ir.Term) termFn {
 	baseC := c.opts.Costs.Term
 	retReg := t.Ret
-	name := c.fname
+	name, edges := c.fname, c.spec.Edges
 	tel, hooks := c.opts.Telemetry, c.opts.PathHooks
 	c.closures++
 	if !c.opts.CollectPaths {
@@ -250,7 +250,7 @@ func (c *comp) mkRet(t *ir.Term) termFn {
 			x.tel.PathLen.Observe(int64(len(fr.path)))
 		}
 		if hooks && x.pathHook != nil {
-			x.pathHook(name, fr.path)
+			x.hook(name, edges, fr.path)
 		}
 		if retReg >= 0 {
 			x.ret = fr.regs[retReg]
@@ -346,8 +346,7 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 	}
 
 	if !s.Back {
-		pe := s.PathEdge
-		peID := int32(pe.ID)
+		peID := int32(s.PathEdge.ID)
 		if !c.opts.Telemetry {
 			//ppp:hotpath
 			return func(x *Exec, fr *frame) *blockCode {
@@ -364,7 +363,7 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 				} else {
 					fr.r = (fr.r & rm) + ra
 				}
-				fr.path = append(fr.path, pe) //ppp:allow(alloc)
+				fr.path = append(fr.path, peID) //ppp:allow(alloc)
 				fr.trie = fr.ft.Paths.Step(fr.trie, peID)
 				return to
 			}
@@ -388,7 +387,7 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 			} else if hasFold {
 				fr.r = (fr.r & rm) + ra
 			}
-			fr.path = append(fr.path, pe) //ppp:allow(alloc)
+			fr.path = append(fr.path, peID) //ppp:allow(alloc)
 			fr.trie = fr.ft.Paths.Step(fr.trie, peID)
 			return to
 		}
@@ -397,9 +396,8 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 	// Back edge: finish the path at the exit dummy, restart it at the
 	// entry dummy. The trie cursor was advanced edge by edge, so the
 	// completed path is one AddAt away.
-	xd, ed := s.ExitDummy, s.EntryDummy
-	xdID, edID := int32(xd.ID), int32(ed.ID)
-	name := c.fname
+	xdID, edID := int32(s.ExitDummy.ID), int32(s.EntryDummy.ID)
+	name, edges := c.fname, c.spec.Edges
 	hooks := c.opts.PathHooks
 	// The restart Step always descends from the trie root along the
 	// same entry dummy, so its node is memoized per Exec after the
@@ -423,13 +421,13 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 				fr.r = (fr.r & rm) + ra
 			}
 			pp := fr.ft.Paths
-			fr.path = append(fr.path, xd) //ppp:allow(alloc)
+			fr.path = append(fr.path, xdID) //ppp:allow(alloc)
 			fr.trie = pp.Step(fr.trie, xdID)
 			pp.AddAt(fr.trie, fr.path, 1)
 			if hooks && x.pathHook != nil {
-				x.pathHook(name, fr.path)
+				x.hook(name, edges, fr.path)
 			}
-			fr.path = append(fr.path[:0], ed) //ppp:allow(alloc)
+			fr.path = append(fr.path[:0], edID) //ppp:allow(alloc)
 			fr.trie = x.rootStep(fr, memoID, edID)
 			return to
 		}
@@ -454,15 +452,15 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 			fr.r = (fr.r & rm) + ra
 		}
 		pp := fr.ft.Paths
-		fr.path = append(fr.path, xd) //ppp:allow(alloc)
+		fr.path = append(fr.path, xdID) //ppp:allow(alloc)
 		fr.trie = pp.Step(fr.trie, xdID)
 		pp.AddAt(fr.trie, fr.path, 1)
 		x.tel.Paths.Inc()
 		x.tel.PathLen.Observe(int64(len(fr.path)))
 		if hooks && x.pathHook != nil {
-			x.pathHook(name, fr.path)
+			x.hook(name, edges, fr.path)
 		}
-		fr.path = append(fr.path[:0], ed) //ppp:allow(alloc)
+		fr.path = append(fr.path[:0], edID) //ppp:allow(alloc)
 		fr.trie = x.rootStep(fr, memoID, edID)
 		return to
 	}

@@ -487,8 +487,8 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 			return v.fail("path-len", int64(len(fr.path)), int64(len(rt.Path)))
 		}
 		for i := range rt.Path {
-			if fr.path[i].ID != rt.Path[i].ID {
-				return v.fail(fmt.Sprintf("path[%d]", i), int64(fr.path[i].ID), int64(rt.Path[i].ID))
+			if fr.path[i] != rt.Path[i] {
+				return v.fail(fmt.Sprintf("path[%d]", i), int64(fr.path[i]), int64(rt.Path[i]))
 			}
 		}
 		if g, w := got.Paths.Total(), ref.Paths.Total(); g != w {

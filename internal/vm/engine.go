@@ -322,6 +322,9 @@ func (e *Engine) prepare(f *ir.Func) (*routineRT, error) {
 		}
 		return s
 	}
+	if e.opts.CollectPaths {
+		rt.spec.Edges = rt.d.Edges
+	}
 	rt.spec.Succs = make([][2]compile.SuccSpec, len(f.Blocks))
 	for i, b := range f.Blocks {
 		switch b.Term.Kind {
@@ -405,6 +408,7 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 			} else {
 				run.Paths = profile.NewPathProfile(name)
 			}
+			run.Paths.Bind(rt.spec.Edges)
 			b.paths[name] = run.Paths
 		}
 		if rt.d != nil {
