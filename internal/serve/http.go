@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -53,6 +54,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/ppp", s.handleDashboard)
 	if s.cfg.Registry != nil {
+		mux.HandleFunc("GET /metrics", s.handleMetrics)
 		mux.Handle("/", s.cfg.Registry.Handler())
 	}
 	return s.chaos(s.observe(mux))
@@ -172,7 +174,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	admitSpan(0, "")
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	ack, code, err := s.ingest(ctx, tenantName, key, traceID, attempt, snap)
+	ack, code, err := s.ingest(ctx, tenantName, key, traceID, attempt, snap, body)
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			s.retryHint(w)
@@ -367,11 +369,30 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rep)
 }
 
+// handleMetrics serves the Prometheus exposition. The handlers and the
+// committer (also after its acks) write the metric cells under
+// s.met.mu, so the scrape folds them under it too, into a buffer.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var buf bytes.Buffer
+	s.met.mu.Lock()
+	err := s.cfg.Registry.WritePrometheus(&buf)
+	s.met.mu.Unlock()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = w.Write(buf.Bytes())
+}
+
 // handleDashboard serves the live ops view: service state and the
 // per-tenant drift table first, then the generic registry sections
-// (histogram quantiles, gauges, counters, recent trace events).
+// (histogram quantiles, gauges, counters, recent trace events), read
+// under s.met.mu like /metrics.
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
+	s.met.mu.Lock()
 	page := s.cfg.Registry.DashboardPage("pppd — profile service")
+	s.met.mu.Unlock()
 	service := telemetry.DashSection{
 		Title: "Service",
 		Cols:  []string{"queue depth", "queue cap", "draining", "tenants"},
@@ -402,7 +423,24 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 			strconv.FormatFloat(rep.SecsSinceReplan, 'f', 1, 64),
 		})
 	}
+	storeSec := telemetry.DashSection{
+		Title: "Tenant store",
+		Note:  "log bytes appended since the last checkpoint; a checkpoint runs once they exceed its size",
+		Cols:  []string{"tenant", "acked seq", "log bytes since checkpoint", "checkpoint bytes"},
+	}
+	s.mu.Lock()
+	for name, t := range s.tenants { //ppp:allow(mapiter) — rows sorted below
+		storeSec.Rows = append(storeSec.Rows, []string{
+			name, strconv.FormatUint(t.nextSeq, 10),
+			strconv.FormatInt(t.logged, 10), strconv.FormatInt(t.ckptBytes, 10),
+		})
+	}
+	s.mu.Unlock()
+	sort.Slice(storeSec.Rows, func(i, j int) bool { return storeSec.Rows[i][0] < storeSec.Rows[j][0] })
 	front := []telemetry.DashSection{service}
+	if len(storeSec.Rows) > 0 {
+		front = append(front, storeSec)
+	}
 	if len(driftSec.Rows) > 0 {
 		front = append(front, driftSec)
 	}

@@ -188,6 +188,9 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 		"ppp_serve_commit_merge_us_bucket",
 		"ppp_serve_store_save_us_bucket",
 		"ppp_serve_ack_e2e_us_bucket",
+		"ppp_serve_fingerprint_us_bucket",
+		"ppp_serve_checkpoint_us_bucket",
+		"ppp_serve_encode_us_bucket",
 		`ppp_serve_http_requests_total{endpoint="ingest"}`,
 		"ppp_span_events_total",
 	} {
@@ -249,7 +252,7 @@ func TestDashboardRenders(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/ppp: status %d", code)
 	}
-	for _, want := range []string{"pppd", "Profile drift", "Service", "ppp_serve_ack_e2e_us"} {
+	for _, want := range []string{"pppd", "Profile drift", "Service", "ppp_serve_ack_e2e_us", "Tenant store", "log bytes since checkpoint"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/debug/ppp missing %q", want)
 		}

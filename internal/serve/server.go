@@ -22,13 +22,13 @@ import (
 // Config tunes the service's robustness envelope. The zero value is
 // usable; New fills defaults.
 type Config struct {
-	// Store is where acked aggregates become durable. Required.
+	// Store is where acked commits become durable. Required.
 	Store Store
 	// QueueDepth bounds the ingest queue; a full queue answers 429.
 	// Default 256.
 	QueueDepth int
 	// BatchMax caps how many queued snapshots one commit folds; a
-	// deeper queue stretches the save cadence up to this, so one
+	// deeper queue stretches the log-append cadence up to this, so one
 	// fsync amortizes over more acks. Default 64.
 	BatchMax int
 	// MaxSnapshotBytes caps an ingest body; larger requests are
@@ -121,17 +121,41 @@ type TenantInfo struct {
 // mutable fields are guarded by Server.mu; only the committer
 // goroutine writes them after creation.
 type tenant struct {
-	name     string
-	agg      *profile.Snapshot
-	aggBytes []byte
-	fp       uint64
-	nextSeq  uint64
-	seqs     map[string]uint64
-	log      []LogEntry
+	name    string
+	cur     *version // nil until the first commit or a recovered aggregate
+	nextSeq uint64
+	seqs    map[string]uint64
+	log     []LogEntry
+
+	// logged counts the log bytes appended since the last checkpoint,
+	// and ckptBytes that checkpoint's size (0 when this process has
+	// not written one, so a recovered tenant's first commit folds the
+	// replayed log into a fresh checkpoint).
+	logged, ckptBytes int64
 
 	stageOnce sync.Once
 	staged    *core.Staged
 	stageErr  error
+}
+
+// version is one committed aggregate. It is immutable once published;
+// its canonical PPSNAP encoding is made once, on first read (or by the
+// checkpoint that needs it), so acks never wait on it.
+type version struct {
+	agg  *profile.Snapshot
+	fp   uint64
+	once sync.Once
+	data []byte
+}
+
+// encoded returns v's PPSNAP bytes, encoding them on first use.
+func (s *Server) encoded(v *version) []byte {
+	v.once.Do(func() {
+		start := time.Now()
+		v.data = snapshot.Encode(v.agg)
+		s.met.observeHist(s.met.encode, time.Since(start).Microseconds())
+	})
+	return v.data
 }
 
 // ingestItem is one queued snapshot awaiting commit. traceID and
@@ -140,6 +164,7 @@ type tenant struct {
 type ingestItem struct {
 	tenant, key string
 	snap        *profile.Snapshot
+	data        []byte // snap's bytes as received; what the log record holds
 	done        chan ackResult
 
 	traceID   string
@@ -169,6 +194,8 @@ type Server struct {
 	mu      sync.Mutex
 	tenants map[string]*tenant
 
+	rec []byte // the committer's log-record buffer, reused per commit
+
 	met   serveMetrics
 	trace *telemetry.Trace
 	spans *telemetry.SpanRing
@@ -196,12 +223,15 @@ type serveMetrics struct {
 	ingest, acked, deduped, quarantined *telemetry.Cell
 	backpressure, shed, waitTimeout     *telemetry.Cell
 	saves, saveErrs, batches, merged    *telemetry.Cell
+	ckptErrs                            *telemetry.Cell
 
 	queueDepth, tenants *telemetry.Gauge
 	batchSize           *telemetry.HistCell
 
 	queueWait, commitMerge *telemetry.HistCell
 	storeSave, ackE2E      *telemetry.HistCell
+	fingerprint, ckpt      *telemetry.HistCell
+	encode                 *telemetry.HistCell
 }
 
 func (m *serveMetrics) bump(c *telemetry.Cell) {
@@ -263,8 +293,9 @@ func New(cfg Config) (*Server, error) {
 	s.met.backpressure = c("ppp_serve_backpressure_total", "ingests refused with 429 because the queue was full")
 	s.met.shed = c("ppp_serve_shed_total", "read/plan requests shed with 503 under overload")
 	s.met.waitTimeout = c("ppp_serve_ingest_wait_timeouts_total", "ingests that timed out waiting for their commit")
-	s.met.saves = c("ppp_serve_store_saves_total", "durable store saves attempted")
-	s.met.saveErrs = c("ppp_serve_store_save_errors_total", "durable store saves that failed (batch not acked)")
+	s.met.saves = c("ppp_serve_store_saves_total", "durable log appends attempted, one per group commit")
+	s.met.saveErrs = c("ppp_serve_store_save_errors_total", "durable log appends that failed (batch not acked)")
+	s.met.ckptErrs = c("ppp_serve_checkpoint_errors_total", "checkpoints that failed after their batch was acked (retried on a later commit)")
 	s.met.batches = c("ppp_serve_commit_batches_total", "group commits executed")
 	s.met.merged = c("ppp_serve_commit_snapshots_total", "snapshots folded into aggregates")
 	s.met.queueDepth = reg.Gauge("ppp_serve_queue_depth", "ingest queue depth at last enqueue/dequeue")
@@ -273,8 +304,11 @@ func New(cfg Config) (*Server, error) {
 		[]int64{1, 2, 4, 8, 16, 32, 64, 128}).Cell(0)
 	h := func(name, help string) *telemetry.HistCell { return reg.Histogram(name, help, usBounds).Cell(0) }
 	s.met.queueWait = h("ppp_serve_queue_wait_us", "time an ingest spent in the bounded queue before its committer dequeued it, microseconds")
-	s.met.commitMerge = h("ppp_serve_commit_merge_us", "time the committer spent cloning the aggregate in memory, folding one tenant batch into it, and encoding the result, microseconds")
-	s.met.storeSave = h("ppp_serve_store_save_us", "time one durable store save took, microseconds")
+	s.met.commitMerge = h("ppp_serve_commit_merge_us", "time the committer spent cloning the aggregate in memory and folding one tenant batch into it, microseconds")
+	s.met.storeSave = h("ppp_serve_store_save_us", "time one log append (write and fsync of a batch's record) took, microseconds")
+	s.met.fingerprint = h("ppp_serve_fingerprint_us", "time fingerprinting a committed aggregate for its acks took, microseconds")
+	s.met.ckpt = h("ppp_serve_checkpoint_us", "time one checkpoint (encode, atomic rewrite, log reset) took after its acks, microseconds")
+	s.met.encode = h("ppp_serve_encode_us", "time encoding one aggregate version on its first read took, microseconds")
 	s.met.ackE2E = h("ppp_serve_ack_e2e_us", "admission-to-ack latency of successfully committed ingests, microseconds")
 	if reg != nil {
 		s.trace = reg.Trace()
@@ -324,24 +358,26 @@ func (s *Server) overloaded() bool {
 	return float64(len(s.queue)) >= s.cfg.ShedThreshold*float64(cap(s.queue))
 }
 
-// Ingest validates nothing (the HTTP layer already decoded snap) and
-// runs the queue/commit/ack protocol: enqueue with backpressure, wait
-// for the committer's durable ack. The returned int is an HTTP status
-// for the error cases (429 full, 503 draining/timeout/save-failure).
+// Ingest runs the queue/commit/ack protocol for an in-process caller:
+// encode snap once (the bytes its log record holds), enqueue with
+// backpressure, wait for the committer's durable ack. The returned int
+// is an HTTP status for the error cases (429 full, 503
+// draining/timeout/append-failure).
 func (s *Server) Ingest(ctx context.Context, tenantName, key string, snap *profile.Snapshot) (Ack, int, error) {
-	return s.ingest(ctx, tenantName, key, TraceIDForKey(key), 0, snap)
+	return s.ingest(ctx, tenantName, key, TraceIDForKey(key), 0, snap, snapshot.Encode(snap))
 }
 
-// ingest is Ingest plus the trace identity the HTTP layer extracted
-// (or derived) from the request, so committer spans stitch to the
-// client's attempts.
-func (s *Server) ingest(ctx context.Context, tenantName, key, traceID string, attempt int, snap *profile.Snapshot) (Ack, int, error) {
+// ingest is Ingest for a snapshot already decoded from data (the HTTP
+// layer validated it), plus the trace identity the HTTP layer
+// extracted (or derived) from the request, so committer spans stitch
+// to the client's attempts.
+func (s *Server) ingest(ctx context.Context, tenantName, key, traceID string, attempt int, snap *profile.Snapshot, data []byte) (Ack, int, error) {
 	s.met.bump(s.met.ingest)
 	if s.draining.Load() {
 		return Ack{}, 503, fmt.Errorf("serve: draining")
 	}
 	item := &ingestItem{
-		tenant: tenantName, key: key, snap: snap, done: make(chan ackResult, 1),
+		tenant: tenantName, key: key, snap: snap, data: data, done: make(chan ackResult, 1),
 		traceID: traceID, attempt: attempt, admitAt: time.Now(),
 	}
 	item.enqueueAt = item.admitAt
@@ -448,11 +484,14 @@ func (s *Server) commitBatch(batch []*ingestItem) {
 }
 
 // commitTenant folds one tenant's batch into a scratch copy of the
-// aggregate, saves it, and only then swaps it in and acks — the
-// transactional heart of acked-implies-durable. A failed save leaves
-// the previous aggregate (in memory and on disk) untouched and nacks
-// the whole batch, so clients retry and nothing half-merged can ever
-// be served or double-counted.
+// aggregate, appends the batch's log record, and only once that record
+// is durable swaps the copy in and acks — the transactional heart of
+// acked-implies-durable. A failed append leaves the previous aggregate
+// (in memory and on disk) untouched and nacks the whole batch, so
+// clients retry and nothing half-merged can ever be served or
+// double-counted. Work over the whole aggregate other than the
+// fingerprint the acks carry (drift scoring, the checkpoint) runs
+// after the acks.
 func (s *Server) commitTenant(name string, items []*ingestItem) {
 	t, err := s.tenantFor(name)
 	if err != nil {
@@ -480,17 +519,15 @@ func (s *Server) commitTenant(name string, items []*ingestItem) {
 		pending[it.key] = it
 		fresh = append(fresh, it)
 	}
-	cur := t.agg
+	cur := t.cur
+	first := t.nextSeq + 1
 	s.mu.Unlock()
 
 	if len(fresh) == 0 {
 		// Nothing to fold: every item was a known duplicate.
-		s.mu.Lock()
-		fp := t.fp
-		s.mu.Unlock()
 		for _, it := range items {
 			s.met.bump(s.met.deduped)
-			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: dupOf[it], Fingerprint: fpString(fp), Deduped: true}, code: 200})
+			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: dupOf[it], Fingerprint: fpString(cur.fp), Deduped: true}, code: 200})
 		}
 		return
 	}
@@ -500,12 +537,11 @@ func (s *Server) commitTenant(name string, items []*ingestItem) {
 	mergeStart := time.Now()
 	next := profile.NewSnapshot()
 	if cur != nil {
-		next = cur.Clone()
+		next = cur.agg.Clone()
 	}
 	for _, it := range fresh {
 		next.MergeSnapshot(it.snap)
 	}
-	data := snapshot.Encode(next)
 	mergeUS := time.Since(mergeStart).Microseconds()
 	s.met.observeHist(s.met.commitMerge, mergeUS)
 	for _, it := range fresh {
@@ -516,12 +552,13 @@ func (s *Server) commitTenant(name string, items []*ingestItem) {
 	}
 	s.met.bump(s.met.saves)
 	saveStart := time.Now()
-	saveErr := s.cfg.Store.Save(name, data)
+	s.rec = appendRecord(s.rec[:0], first, fresh)
+	saveErr := s.cfg.Store.Append(name, s.rec)
 	saveUS := time.Since(saveStart).Microseconds()
 	s.met.observeHist(s.met.storeSave, saveUS)
 	saveStatus, saveDetail := 0, ""
 	if saveErr != nil {
-		saveStatus, saveDetail = 503, "store save failed"
+		saveStatus, saveDetail = 503, "log append failed"
 	}
 	for _, it := range fresh {
 		s.spans.Emit(telemetry.Span{
@@ -534,17 +571,19 @@ func (s *Server) commitTenant(name string, items []*ingestItem) {
 		s.trace.Emit(telemetry.Event{
 			Unit: "serve", Routine: name, Kind: telemetry.EvStoreFault,
 			Flow:   int64(len(fresh)),
-			Detail: "store save failed; batch not acked: " + saveErr.Error(),
+			Detail: "log append failed; batch not acked: " + saveErr.Error(),
 		})
-		s.nackFresh(name, items, dupOf, saveErr)
+		s.nackFresh(name, items, dupOf, cur, saveErr)
 		return
 	}
 
-	fp := next.Fingerprint()
+	fpStart := time.Now()
+	v := &version{agg: next, fp: next.Fingerprint()}
+	s.met.observeHist(s.met.fingerprint, time.Since(fpStart).Microseconds())
+	fp := fpString(v.fp)
 	s.mu.Lock()
-	t.agg = next
-	t.aggBytes = data
-	t.fp = fp
+	t.cur = v
+	t.logged += int64(len(s.rec))
 	seqOf := map[string]uint64{}
 	for _, it := range fresh {
 		t.nextSeq++
@@ -555,25 +594,57 @@ func (s *Server) commitTenant(name string, items []*ingestItem) {
 	liveSeq := t.nextSeq
 	s.mu.Unlock()
 
-	// Re-score drift against the guide now that the new aggregate is
-	// live. Only the committer mutates aggregates, so reading
-	// next.Edges here races with nothing.
-	s.drift.ObserveCommit(name, next.Edges, liveSeq)
-
 	for _, it := range items {
 		switch {
 		case dupOf[it] != 0:
 			s.met.bump(s.met.deduped)
-			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: dupOf[it], Fingerprint: fpString(fp), Deduped: true}, code: 200})
+			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: dupOf[it], Fingerprint: fp, Deduped: true}, code: 200})
 		case pendingDup[it] != "":
 			s.met.bump(s.met.deduped)
-			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: seqOf[pendingDup[it]], Fingerprint: fpString(fp), Deduped: true}, code: 200})
+			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: seqOf[pendingDup[it]], Fingerprint: fp, Deduped: true}, code: 200})
 		default:
 			s.met.bump(s.met.acked)
 			s.met.bump(s.met.merged)
-			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: seqOf[it.key], Fingerprint: fpString(fp)}, code: 200})
+			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: seqOf[it.key], Fingerprint: fp}, code: 200})
 		}
 	}
+
+	// Re-score drift against the guide now that the new aggregate is
+	// live. Only the committer mutates aggregates, so reading
+	// next.Edges here races with nothing.
+	s.drift.ObserveCommit(name, next.Edges, liveSeq)
+	s.checkpoint(t, v)
+}
+
+// checkpoint folds the log into a fresh checkpoint once the bytes
+// logged since the last one exceed its size, so the log (and so
+// replay on restart) stays no larger than the aggregate and every
+// acked byte is written at most twice. It runs after the acks: a
+// failure is recorded and retried on a later commit, never nacked.
+func (s *Server) checkpoint(t *tenant, v *version) {
+	s.mu.Lock()
+	due := t.logged > t.ckptBytes
+	s.mu.Unlock()
+	if !due {
+		return
+	}
+	start := time.Now()
+	// t.log is written only by this goroutine, so reading it here
+	// without s.mu races with nothing.
+	ckpt := encodeCheckpoint(t.log, s.encoded(v))
+	err := s.cfg.Store.Save(t.name, ckpt)
+	s.met.observeHist(s.met.ckpt, time.Since(start).Microseconds())
+	if err != nil {
+		s.met.bump(s.met.ckptErrs)
+		s.trace.Emit(telemetry.Event{
+			Unit: "serve", Routine: t.name, Kind: telemetry.EvStoreFault,
+			Detail: "checkpoint failed; acked commits stay in the log, retried next commit: " + err.Error(),
+		})
+		return
+	}
+	s.mu.Lock()
+	t.logged, t.ckptBytes = 0, int64(len(ckpt))
+	s.mu.Unlock()
 }
 
 // finish delivers one item's outcome: the ack-e2e histogram observes
@@ -603,33 +674,32 @@ func (s *Server) nack(name string, items []*ingestItem, err error) {
 }
 
 // nackFresh rejects the items whose data did not become durable;
-// already-committed duplicates still ack (their data is durable).
-func (s *Server) nackFresh(name string, items []*ingestItem, dupOf map[*ingestItem]uint64, err error) {
-	s.mu.Lock()
-	fp := s.tenants[name].fp
-	s.mu.Unlock()
+// already-committed duplicates still ack (their data is durable) with
+// the fingerprint of cur, the aggregate still live.
+func (s *Server) nackFresh(name string, items []*ingestItem, dupOf map[*ingestItem]uint64, cur *version, err error) {
 	for _, it := range items {
 		if seq, ok := dupOf[it]; ok {
 			s.met.bump(s.met.deduped)
-			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: seq, Fingerprint: fpString(fp), Deduped: true}, code: 200})
+			s.finish(it, ackResult{ack: Ack{Tenant: name, Seq: seq, Fingerprint: fpString(cur.fp), Deduped: true}, code: 200})
 			continue
 		}
-		s.finish(it, ackResult{code: 503, err: fmt.Errorf("serve: durable save failed, not acked: %w", err)})
+		s.finish(it, ackResult{code: 503, err: fmt.Errorf("serve: durable log append failed, not acked: %w", err)})
 	}
 }
 
-// tenantFor returns (creating if needed) the tenant, seeding its
-// aggregate from the durable store on first touch — the crash
-// recovery path: whatever the store's last acknowledged aggregate
-// was, the service resumes from it. Only a tenant the store has
-// never seen starts empty; an unreadable stored aggregate is an
-// error, so the next commit cannot save over it.
+// tenantFor returns (creating if needed) the tenant, recovering it
+// from the durable store on first touch — the crash recovery path:
+// the store's checkpoint with its log replayed gives the last acked
+// aggregate, and its commit log gives the seqs and idempotency keys,
+// so the service resumes exactly where its acks left off. Only a
+// tenant the store has never seen starts empty; an unreadable stored
+// state is an error, so the next commit cannot write over it.
 func (s *Server) tenantFor(name string) (*tenant, error) {
 	return s.resolve(name, true)
 }
 
-// resolve returns the in-memory tenant, loading it from the store on
-// first touch (one load, one decode). A tenant the store does not
+// resolve returns the in-memory tenant, recovering it from the store
+// on first touch (one load, one decode). A tenant the store does not
 // know is created empty when create is set and is nil otherwise. Any
 // other load failure emits a store-fault event and returns an error
 // without caching anything, so every later touch retries the load
@@ -643,11 +713,18 @@ func (s *Server) resolve(name string, create bool) (*tenant, error) {
 	}
 	t = &tenant{name: name, seqs: map[string]uint64{}}
 	data, snap, err := loadAggregate(s.cfg.Store, name)
+	if err == nil {
+		t.log, err = s.cfg.Store.Log(name)
+	}
 	switch {
 	case err == nil:
-		t.agg = snap
-		t.aggBytes = data
-		t.fp = snap.Fingerprint()
+		t.cur = &version{agg: snap, fp: snap.Fingerprint()}
+		// The store's bytes are this version's encoding already.
+		t.cur.once.Do(func() { t.cur.data = data })
+		for _, e := range t.log {
+			t.seqs[e.Key] = e.Seq
+		}
+		t.nextSeq = uint64(len(t.log))
 	case errors.Is(err, os.ErrNotExist):
 		if !create {
 			return nil, nil
@@ -673,12 +750,11 @@ func (s *Server) resolve(name string, create bool) (*tenant, error) {
 func fpString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
 // lookup resolves a tenant for the read paths: in-memory state when
-// it exists, else a lazy load from the durable store — so a restarted
-// server serves every recovered aggregate without waiting for a fresh
-// ingest. Unknown tenants are nil (reads must not fabricate state);
-// an unreadable stored aggregate is an error. Commit logs and
-// idempotency keys are per-process: a restart starts both fresh while
-// the durable aggregate carries every acked commit.
+// it exists, else a lazy recovery from the durable store — so a
+// restarted server serves every recovered aggregate, commit log and
+// idempotency key without waiting for a fresh ingest. Unknown tenants
+// are nil (reads must not fabricate state); an unreadable stored
+// state is an error.
 func (s *Server) lookup(name string) (*tenant, error) {
 	if !ValidTenant(name) {
 		return nil, nil
@@ -686,7 +762,18 @@ func (s *Server) lookup(name string) (*tenant, error) {
 	return s.resolve(name, false)
 }
 
-// AggregateBytes returns the current durable aggregate encoding for a
+// live returns the tenant's current version (nil when the tenant is
+// unknown or has no aggregate).
+func (s *Server) live(t *tenant) *version {
+	if t == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return t.cur
+}
+
+// AggregateBytes returns the current acked aggregate's encoding for a
 // tenant (nil when the tenant is unknown, empty or unreadable), plus
 // its fingerprint string.
 func (s *Server) AggregateBytes(name string) ([]byte, string) {
@@ -694,16 +781,14 @@ func (s *Server) AggregateBytes(name string) ([]byte, string) {
 	return s.aggregateBytes(t)
 }
 
+// aggregateBytes encodes the live version on its first read; the bytes
+// always belong to the version whose fingerprint comes with them.
 func (s *Server) aggregateBytes(t *tenant) ([]byte, string) {
-	if t == nil {
+	v := s.live(t)
+	if v == nil {
 		return nil, ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t.aggBytes == nil {
-		return nil, ""
-	}
-	return t.aggBytes, fpString(t.fp)
+	return s.encoded(v), fpString(v.fp)
 }
 
 // Aggregate returns the decoded aggregate (nil when absent). The
@@ -714,12 +799,10 @@ func (s *Server) Aggregate(name string) *profile.Snapshot {
 }
 
 func (s *Server) aggregate(t *tenant) *profile.Snapshot {
-	if t == nil {
-		return nil
+	if v := s.live(t); v != nil {
+		return v.agg
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return t.agg
+	return nil
 }
 
 // CommitLog returns a copy of the tenant's fold order.
@@ -748,16 +831,14 @@ func (s *Server) info(t *tenant) (TenantInfo, bool) {
 		return TenantInfo{}, false
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	info := TenantInfo{
-		Tenant:      t.name,
-		Fingerprint: fpString(t.fp),
-		Acked:       t.nextSeq,
-		Bytes:       len(t.aggBytes),
-	}
-	if t.agg != nil {
-		info.Routines = len(t.agg.Edges)
-		info.Saturated = t.agg.SaturatedRoutines()
+	v := t.cur
+	info := TenantInfo{Tenant: t.name, Acked: t.nextSeq, Fingerprint: fpString(0)}
+	s.mu.Unlock()
+	if v != nil {
+		info.Fingerprint = fpString(v.fp)
+		info.Bytes = len(s.encoded(v))
+		info.Routines = len(v.agg.Edges)
+		info.Saturated = v.agg.SaturatedRoutines()
 	}
 	return info, true
 }

@@ -169,21 +169,22 @@ func TestBackpressure429AndBoundedQueue(t *testing.T) {
 	}
 }
 
-// flakyStore fails its first n saves, then heals.
+// flakyStore fails its first n log appends (the durable write an ack
+// waits on), then heals.
 type flakyStore struct {
 	serve.Store
 	mu       sync.Mutex
 	failures int
 }
 
-func (f *flakyStore) Save(tenant string, data []byte) error {
+func (f *flakyStore) Append(tenant string, rec []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failures > 0 {
 		f.failures--
-		return fmt.Errorf("flaky: injected save failure")
+		return fmt.Errorf("flaky: injected append failure")
 	}
-	return f.Store.Save(tenant, data)
+	return f.Store.Append(tenant, rec)
 }
 
 func TestSaveFailureNacksWholeBatch(t *testing.T) {
@@ -583,4 +584,48 @@ func TestFirstTouchLoadsOnce(t *testing.T) {
 	if store.loads != 1 {
 		t.Errorf("store loaded %d times, want 1", store.loads)
 	}
+}
+
+// TestReadsDuringCommitsSeeWholeVersions: readers racing the committer
+// (each new version is encoded lazily by whichever read or checkpoint
+// comes first) always get bytes that are the canonical encoding of the
+// version whose fingerprint comes with them.
+func TestReadsDuringCommitsSeeWholeVersions(t *testing.T) {
+	s := newServer(t, serve.Config{})
+	s.Start()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				data, fp := s.AggregateBytes("app")
+				if data == nil {
+					continue
+				}
+				snap, err := snapshot.Decode(data)
+				if err != nil {
+					t.Errorf("served bytes corrupt: %v", err)
+					return
+				}
+				if got := fmt.Sprintf("%016x", snap.Fingerprint()); got != fp || !bytes.Equal(snapshot.Encode(snap), data) {
+					t.Errorf("served bytes of %s are not its canonical encoding (they fingerprint %s)", fp, got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 24; i++ {
+		if _, _, err := s.Ingest(context.Background(), "app", fmt.Sprintf("k%d", i), testSnap(i%4, i)); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

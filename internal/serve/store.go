@@ -8,8 +8,13 @@
 // Robustness is the organizing principle, not a feature flag:
 //
 //   - Acked implies durable. An ingest is acknowledged only after the
-//     updated aggregate has been committed to the Store; a crash at
-//     any moment loses nothing a client was told was accepted.
+//     log record of the batch that folded it (its seqs, keys and
+//     upload bytes) is fsynced in the Store; a crash at any moment
+//     loses nothing a client was told was accepted, and a restart
+//     recovers the aggregate, the seqs and the idempotency keys, so a
+//     retry of a logged but unacked snapshot dedupes instead of
+//     folding twice. Checkpoints, which bound the log, run after the
+//     acks.
 //   - Bounded everything. The ingest queue, request bodies, commit
 //     batches, and per-request waits all have hard limits; overload
 //     turns into 429/503 + Retry-After, never unbounded memory.
@@ -18,7 +23,7 @@
 //     (mirroring replication's whole-shard quarantine).
 //   - Graceful degradation. Under pressure the server sheds read and
 //     plan traffic before ingest, and group commit stretches the
-//     merge/save cadence so one fsync amortizes over a deeper queue.
+//     merge/append cadence so one fsync amortizes over a deeper queue.
 package serve
 
 import (
@@ -36,23 +41,35 @@ import (
 	"pathprof/internal/snapshot"
 )
 
-// Store abstracts where durable tenant aggregates live. Save's
-// contract is the service's foundation: a nil error means the bytes
-// are recoverable after a crash, so the server may acknowledge the
-// snapshots folded into them. Implementations must tolerate torn
-// writes from previous incarnations (recover on open, not on save).
+// Store abstracts where tenants' durable state lives: per tenant, a
+// checkpoint (the aggregate as of some seq, with the commit log up to
+// it) and a log of the batches committed since (see wal.go for both
+// encodings). Append's contract is the service's foundation: a nil
+// error means the record is recoverable after a crash, so the server
+// may acknowledge the batch it names. Implementations must tolerate
+// torn writes from previous incarnations (recover on open, not on
+// write).
 type Store interface {
-	// Save durably replaces tenant's aggregate bytes.
-	Save(tenant string, data []byte) error
-	// Load returns the last durably saved aggregate, or os.ErrNotExist
-	// (possibly wrapped) when the tenant has none.
+	// Append durably appends one log record to tenant's log. The store
+	// must not keep rec.
+	Append(tenant string, rec []byte) error
+	// Save durably replaces tenant's checkpoint with ckpt, which must
+	// cover every record the log holds, and then empties the log. A
+	// bare PPSNAP aggregate is a checkpoint at seq 0.
+	Save(tenant string, ckpt []byte) error
+	// Load returns the acked aggregate, the checkpoint's with the log
+	// replayed onto it, as PPSNAP bytes; or os.ErrNotExist (possibly
+	// wrapped) when the tenant has no durable state.
 	Load(tenant string) ([]byte, error)
+	// Log returns the tenant's commit log in seq order (empty when the
+	// tenant has none).
+	Log(tenant string) ([]LogEntry, error)
 	// Tenants lists tenants with durable state, sorted.
 	Tenants() ([]string, error)
 }
 
 // snapshotLoader is implemented by stores whose Load already decodes
-// the bytes to validate them; they hand back that decode with the
+// the bytes to replay them; they hand back that decode with the
 // bytes, so a tenant's first touch decodes its aggregate once.
 type snapshotLoader interface {
 	LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error)
@@ -89,29 +106,85 @@ func ValidTenant(name string) bool {
 // both sides so callers cannot alias its buffers.
 type MemStore struct {
 	mu sync.Mutex
-	m  map[string][]byte
+	m  map[string]*memTenant
+}
+
+// memTenant is one tenant's checkpoint and log bytes.
+type memTenant struct {
+	ckpt, log []byte
 }
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{m: map[string][]byte{}} }
+func NewMemStore() *MemStore { return &MemStore{m: map[string]*memTenant{}} }
 
-// Save implements Store.
-func (ms *MemStore) Save(tenant string, data []byte) error {
+func (ms *MemStore) tenant(name string) *memTenant {
+	t := ms.m[name]
+	if t == nil {
+		t = &memTenant{}
+		ms.m[name] = t
+	}
+	return t
+}
+
+// Append implements Store.
+func (ms *MemStore) Append(tenant string, rec []byte) error {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	ms.m[tenant] = append([]byte(nil), data...)
+	t := ms.tenant(tenant)
+	t.log = append(t.log, rec...)
 	return nil
+}
+
+// Save implements Store.
+func (ms *MemStore) Save(tenant string, ckpt []byte) error {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	t := ms.tenant(tenant)
+	t.ckpt, t.log = append([]byte(nil), ckpt...), nil
+	return nil
+}
+
+// durable parses a copy of the tenant's state.
+func (ms *MemStore) durable(tenant string) (durable, error) {
+	ms.mu.Lock()
+	t := ms.m[tenant]
+	var ckpt, log []byte
+	if t != nil {
+		ckpt, log = append([]byte(nil), t.ckpt...), append([]byte(nil), t.log...)
+	}
+	ms.mu.Unlock()
+	if len(ckpt) == 0 && len(log) == 0 {
+		return durable{}, fmt.Errorf("serve: tenant %q: %w", tenant, os.ErrNotExist)
+	}
+	d, err := parseDurable(ckpt, log)
+	if err != nil {
+		return d, fmt.Errorf("serve: store: tenant %q: %w", tenant, err)
+	}
+	return d, nil
 }
 
 // Load implements Store.
 func (ms *MemStore) Load(tenant string) ([]byte, error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	data, ok := ms.m[tenant]
-	if !ok {
-		return nil, fmt.Errorf("serve: tenant %q: %w", tenant, os.ErrNotExist)
+	data, _, err := ms.LoadSnapshot(tenant)
+	return data, err
+}
+
+// LoadSnapshot is Load that also returns the replayed aggregate.
+func (ms *MemStore) LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error) {
+	d, err := ms.durable(tenant)
+	if err != nil {
+		return nil, nil, err
 	}
-	return append([]byte(nil), data...), nil
+	return d.fold()
+}
+
+// Log implements Store.
+func (ms *MemStore) Log(tenant string) ([]LogEntry, error) {
+	d, err := ms.durable(tenant)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	return d.commitLog(), err
 }
 
 // Tenants implements Store.
@@ -126,22 +199,40 @@ func (ms *MemStore) Tenants() ([]string, error) {
 	return out, nil
 }
 
-// FileStore keeps one snapshot.Store per tenant under a directory:
+// FileStore keeps each tenant's durable state under one directory:
 //
-//	<dir>/<tenant>.ppsnap        current aggregate
-//	<dir>/<tenant>.ppsnap.prev   previous good aggregate
-//	<dir>/<tenant>.ppsnap.tmp    in-flight write
+//	<dir>/<tenant>.ppsnap        checkpoint: aggregate as of seq n + commit log 1..n
+//	<dir>/<tenant>.ppsnap.prev   previous checkpoint (fallback)
+//	<dir>/<tenant>.ppsnap.tmp    in-flight checkpoint write
+//	<dir>/<tenant>.pplog         one CRC-framed record per batch since
 //
-// Saves inherit the atomic write + fsync + .prev rotation, and Open
-// runs crash recovery over every tenant before serving: stale or torn
-// .tmp files are rolled back and torn rotations are repaired, so the
-// store always comes up at each tenant's last acknowledged aggregate.
+// Appends write one record at the log's end and fsync it. Checkpoints
+// inherit snapshot.Store's atomic write + fsync + .prev rotation, and
+// then truncate the log; a crash between the two leaves records the
+// checkpoint covers, which replay skips by seq. Open runs crash
+// recovery over every tenant before serving: stale or torn .tmp files
+// are rolled back, torn rotations are repaired, and a log's torn tail
+// record (an append that was never acked) is cut off, so the store
+// always comes up at each tenant's last acknowledged state.
 type FileStore struct {
-	dir string
-	mu  sync.Mutex
+	dir  string
+	mu   sync.Mutex
+	logs map[string]*logFile
 }
 
-const snapExt = ".ppsnap"
+// logFile is one tenant's open log: size is the length of its whole
+// records, and torn marks bytes past size that the next append must
+// cut off first.
+type logFile struct {
+	f    *os.File
+	size int64
+	torn bool
+}
+
+const (
+	snapExt = ".ppsnap"
+	logExt  = ".pplog"
+)
 
 // OpenFileStore opens (creating if needed) a file-backed store rooted
 // at dir and recovers every tenant from whatever a crash left behind.
@@ -149,7 +240,7 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: store: %w", err)
 	}
-	fs := &FileStore{dir: dir}
+	fs := &FileStore{dir: dir, logs: map[string]*logFile{}}
 	if err := fs.recoverAll(); err != nil {
 		return nil, err
 	}
@@ -163,28 +254,25 @@ func (fs *FileStore) pathOf(tenant string) string {
 	return filepath.Join(fs.dir, tenant+snapExt)
 }
 
-// recoverAll rolls every tenant back to its last acknowledged state
-// (see snapshot.Store.Recover) and validates that what remains
-// decodes, falling back past torn primaries to .prev.
+func (fs *FileStore) logPath(tenant string) string {
+	return filepath.Join(fs.dir, tenant+logExt)
+}
+
+// recoverAll rolls every tenant back to its last acknowledged state:
+// checkpoint files as snapshot.Store.Recover does, and each log cut
+// back to its last whole record.
 func (fs *FileStore) recoverAll() error {
-	tenants, err := fs.Tenants()
-	if err != nil {
-		return err
-	}
-	// Tenants() only sees *.ppsnap primaries; a torn rotation leaves
-	// only .prev/.tmp behind, so sweep those too.
 	entries, err := os.ReadDir(fs.dir)
 	if err != nil {
 		return fmt.Errorf("serve: store: %w", err)
 	}
+	// A torn rotation leaves only .prev/.tmp behind, and a tenant that
+	// never checkpointed has only a log, so every suffix names one.
 	seen := map[string]bool{}
-	for _, t := range tenants {
-		seen[t] = true
-	}
+	var tenants []string
 	for _, e := range entries {
-		name := e.Name()
-		for _, suffix := range []string{snapExt + ".prev", snapExt + ".tmp"} {
-			if t, ok := strings.CutSuffix(name, suffix); ok && !seen[t] {
+		for _, suffix := range []string{snapExt, snapExt + ".prev", snapExt + ".tmp", logExt} {
+			if t, ok := strings.CutSuffix(e.Name(), suffix); ok && ValidTenant(t) && !seen[t] {
 				tenants = append(tenants, t)
 				seen[t] = true
 			}
@@ -195,56 +283,200 @@ func (fs *FileStore) recoverAll() error {
 		if _, err := snapshot.NewStore(fs.pathOf(t)).Recover(); err != nil {
 			return fmt.Errorf("serve: store: recover %s: %w", t, err)
 		}
+		if err := fs.recoverLog(t); err != nil {
+			return fmt.Errorf("serve: store: recover %s: %w", t, err)
+		}
 	}
 	return nil
 }
 
-// Save implements Store with crash-safe semantics: the bytes are
-// fsynced, renamed into place, and the directory entry is fsynced
-// before Save returns.
-func (fs *FileStore) Save(tenant string, data []byte) error {
+// recoverLog cuts a tenant's log back to its last whole record.
+func (fs *FileStore) recoverLog(tenant string) error {
+	log, err := os.ReadFile(fs.logPath(tenant))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	valid := 0
+	for rest := log; len(rest) > 0; {
+		_, next, ferr := nextFrame(rest)
+		if ferr != nil {
+			break
+		}
+		rest, valid = next, len(log)-len(next)
+	}
+	if valid == len(log) {
+		return nil
+	}
+	f, err := os.OpenFile(fs.logPath(tenant), os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	if err := f.Truncate(int64(valid)); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// openLog returns the tenant's open log, opening (and on first use
+// creating, with the directory entry fsynced) it. Callers hold fs.mu.
+func (fs *FileStore) openLog(tenant string) (*logFile, error) {
+	if lf := fs.logs[tenant]; lf != nil {
+		return lf, nil
+	}
+	path := fs.logPath(tenant)
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	if err == nil && errors.Is(statErr, os.ErrNotExist) {
+		err = snapshot.SyncDir(fs.dir)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	lf := &logFile{f: f, size: st.Size()}
+	fs.logs[tenant] = lf
+	return lf, nil
+}
+
+// Append implements Store: the record is written at the end of the
+// log's whole records and fsynced before Append returns. A failed
+// write is cut back off, so the log stays a run of whole records.
+func (fs *FileStore) Append(tenant string, rec []byte) error {
 	if !ValidTenant(tenant) {
 		return fmt.Errorf("serve: store: invalid tenant %q", tenant)
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return snapshot.NewStore(fs.pathOf(tenant)).SaveBytes(data)
+	lf, err := fs.openLog(tenant)
+	if err != nil {
+		return fmt.Errorf("serve: store: append: %w", err)
+	}
+	if lf.torn {
+		if err := lf.f.Truncate(lf.size); err != nil {
+			return fmt.Errorf("serve: store: append: %w", err)
+		}
+		lf.torn = false
+	}
+	if _, err := lf.f.WriteAt(rec, lf.size); err != nil {
+		lf.torn = true
+		return fmt.Errorf("serve: store: append: %w", err)
+	}
+	if err := lf.f.Sync(); err != nil {
+		lf.torn = true
+		return fmt.Errorf("serve: store: append: %w", err)
+	}
+	lf.size += int64(len(rec))
+	return nil
 }
 
-// Load implements Store, falling back past a torn or corrupt primary
-// to the .prev rotation exactly as snapshot.Store does.
+// Save implements Store: the checkpoint is written with
+// snapshot.Store's atomic rename and directory fsync, then the log is
+// truncated.
+func (fs *FileStore) Save(tenant string, ckpt []byte) error {
+	if !ValidTenant(tenant) {
+		return fmt.Errorf("serve: store: invalid tenant %q", tenant)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := snapshot.NewStore(fs.pathOf(tenant)).SaveBytes(ckpt); err != nil {
+		return err
+	}
+	// The reset needs no fsync: until it is durable, replay skips the
+	// records the checkpoint covers.
+	if err := os.Truncate(fs.logPath(tenant), 0); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("serve: store: reset log: %w", err)
+	}
+	if lf := fs.logs[tenant]; lf != nil {
+		lf.size, lf.torn = 0, false
+	}
+	return nil
+}
+
+// durable reads and parses the tenant's state: its log replayed onto
+// the checkpoint, or onto the .prev checkpoint when the checkpoint is
+// damaged, exactly as snapshot.Store.Load falls back. The fallback is
+// refused when the log exists but is empty: a checkpoint has reset it
+// since .prev was written, so the commits between the two are gone
+// from both, and serving .prev would lose acked commits and reuse
+// their seqs.
+func (fs *FileStore) durable(tenant string) (durable, error) {
+	if !ValidTenant(tenant) {
+		return durable{}, fmt.Errorf("serve: store: invalid tenant %q", tenant)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	log, err := os.ReadFile(fs.logPath(tenant))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return durable{}, fmt.Errorf("serve: store: %w", err)
+	}
+	resetLog := err == nil && len(log) == 0
+	st := snapshot.NewStore(fs.pathOf(tenant))
+	var d durable
+	ckpt, err := os.ReadFile(st.Path())
+	if err == nil {
+		if d, err = parseDurable(ckpt, log); err == nil {
+			return d, nil
+		}
+	}
+	prev, perr := os.ReadFile(st.PrevPath())
+	switch {
+	case perr == nil && resetLog:
+		perr = errors.New("older than the last log reset")
+	case perr == nil:
+		if d, perr = parseDurable(prev, log); perr == nil {
+			return d, nil
+		}
+	}
+	switch {
+	case !errors.Is(err, os.ErrNotExist):
+		return d, fmt.Errorf("serve: store: tenant %q: checkpoint unusable: %v (fallback: %v)", tenant, err, perr)
+	case len(log) > 0 && errors.Is(perr, os.ErrNotExist):
+		// A tenant that has not checkpointed yet: all in the log.
+		if d, err = parseDurable(nil, log); err != nil {
+			return d, fmt.Errorf("serve: store: tenant %q: %w", tenant, err)
+		}
+		return d, nil
+	case len(log) > 0:
+		return d, fmt.Errorf("serve: store: tenant %q: checkpoint missing, fallback unusable: %v", tenant, perr)
+	default:
+		return d, fmt.Errorf("serve: store: tenant %q: %w (fallback: %v)", tenant, os.ErrNotExist, perr)
+	}
+}
+
+// Load implements Store.
 func (fs *FileStore) Load(tenant string) ([]byte, error) {
 	data, _, err := fs.LoadSnapshot(tenant)
 	return data, err
 }
 
-// LoadSnapshot is Load that also returns the decoded aggregate the
-// validation produced.
+// LoadSnapshot is Load that also returns the replayed aggregate.
 func (fs *FileStore) LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error) {
-	if !ValidTenant(tenant) {
-		return nil, nil, fmt.Errorf("serve: store: invalid tenant %q", tenant)
+	d, err := fs.durable(tenant)
+	if err != nil {
+		return nil, nil, err
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	st := snapshot.NewStore(fs.pathOf(tenant))
-	data, err := os.ReadFile(st.Path())
-	if err == nil {
-		if snap, derr := snapshot.Decode(data); derr == nil {
-			return data, snap, nil
-		}
+	return d.fold()
+}
+
+// Log implements Store.
+func (fs *FileStore) Log(tenant string) ([]LogEntry, error) {
+	d, err := fs.durable(tenant)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
-	prev, perr := os.ReadFile(st.PrevPath())
-	if perr == nil {
-		if snap, derr := snapshot.Decode(prev); derr == nil {
-			return prev, snap, nil
-		}
-	}
-	if err == nil {
-		err = fmt.Errorf("serve: store: tenant %q: primary and fallback both corrupt", tenant)
-	} else if errors.Is(err, os.ErrNotExist) && !errors.Is(perr, os.ErrNotExist) {
-		err = fmt.Errorf("serve: store: tenant %q: %w (fallback unusable: %v)", tenant, os.ErrNotExist, perr)
-	}
-	return nil, nil, err
+	return d.commitLog(), err
 }
 
 // Tenants implements Store.
@@ -255,15 +487,22 @@ func (fs *FileStore) Tenants() ([]string, error) {
 	}
 	var out []string
 	for _, e := range entries {
-		if t, ok := strings.CutSuffix(e.Name(), snapExt); ok && ValidTenant(t) {
-			out = append(out, t)
+		for _, ext := range []string{snapExt, logExt} {
+			if t, ok := strings.CutSuffix(e.Name(), ext); ok && ValidTenant(t) {
+				if ext == logExt {
+					if _, err := os.Stat(fs.pathOf(t)); err == nil {
+						continue // listed by its checkpoint
+					}
+				}
+				out = append(out, t)
+			}
 		}
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// tearTmp leaves a deliberately torn in-flight write behind, for
+// tearTmp leaves a deliberately torn in-flight checkpoint behind, for
 // partial-write fault injection: the bytes a real short write would
 // strand in .tmp, which the next recovery must roll back past.
 func (fs *FileStore) tearTmp(tenant string, data []byte) {
@@ -273,18 +512,36 @@ func (fs *FileStore) tearTmp(tenant string, data []byte) {
 	_ = os.WriteFile(st.TmpPath(), data[:len(data)/2], 0o644)
 }
 
+// tearLog leaves a deliberately torn record at the log's end, as a
+// crash mid-append would: recovery on the next open cuts it off, and
+// the next append overwrites it.
+func (fs *FileStore) tearLog(tenant string, rec []byte) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	lf, err := fs.openLog(tenant)
+	if err != nil {
+		return
+	}
+	if _, err := lf.f.WriteAt(rec[:len(rec)/2], lf.size); err == nil {
+		lf.torn = true
+		_ = lf.f.Sync()
+	}
+}
+
 // tearer is implemented by stores that can leave torn bytes behind
 // when a partial-write fault fires.
 type tearer interface {
 	tearTmp(tenant string, data []byte)
+	tearLog(tenant string, rec []byte)
 }
 
-// FaultStore wraps a Store with deterministic save-side fault
-// injection: StoreFail makes Save fail with nothing written,
-// PartialWrite makes it fail after tearing a write (when the inner
-// store has anything to tear). The decision site is a pure function
-// of (tenant, per-tenant save ordinal), so a fixed commit sequence
-// yields a fixed fault pattern.
+// FaultStore wraps a Store with deterministic write-side fault
+// injection on both log appends and checkpoints: StoreFail makes the
+// write fail with nothing written, PartialWrite makes it fail after
+// tearing it (a torn log tail or a torn in-flight checkpoint, when the
+// inner store has anything to tear). The decision site is a pure
+// function of (tenant, per-tenant write ordinal), so a fixed commit
+// sequence yields a fixed fault pattern.
 type FaultStore struct {
 	Inner  Store
 	Inject *faultinject.Injector
@@ -298,31 +555,44 @@ func NewFaultStore(inner Store, inj *faultinject.Injector) *FaultStore {
 	return &FaultStore{Inner: inner, Inject: inj, ordinals: map[string]uint64{}}
 }
 
-// ErrInjectedSave reports an injected save failure, so drills can
+// ErrInjectedSave reports an injected write failure, so drills can
 // tell injected faults from real ones.
 var ErrInjectedSave = errors.New("serve: injected store fault")
 
-func (f *FaultStore) site(tenant string) uint64 {
+// fault draws the next write's fault for tenant; on a partial write it
+// calls tear with the inner store when that store can tear.
+func (f *FaultStore) fault(tenant string, data []byte, tear func(tearer)) error {
 	f.mu.Lock()
 	ord := f.ordinals[tenant]
 	f.ordinals[tenant] = ord + 1
 	f.mu.Unlock()
-	return hash64(tenant) ^ ord
-}
-
-// Save implements Store.
-func (f *FaultStore) Save(tenant string, data []byte) error {
-	site := f.site(tenant)
+	site := hash64(tenant) ^ ord
 	if f.Inject.Hit(faultinject.StoreFail, site) {
 		return fmt.Errorf("%w: storefail at site %d", ErrInjectedSave, site)
 	}
 	if f.Inject.Hit(faultinject.PartialWrite, site) {
 		if t, ok := f.Inner.(tearer); ok && len(data) > 1 {
-			t.tearTmp(tenant, data)
+			tear(t)
 		}
 		return fmt.Errorf("%w: partial write at site %d", ErrInjectedSave, site)
 	}
-	return f.Inner.Save(tenant, data)
+	return nil
+}
+
+// Append implements Store.
+func (f *FaultStore) Append(tenant string, rec []byte) error {
+	if err := f.fault(tenant, rec, func(t tearer) { t.tearLog(tenant, rec) }); err != nil {
+		return err
+	}
+	return f.Inner.Append(tenant, rec)
+}
+
+// Save implements Store.
+func (f *FaultStore) Save(tenant string, ckpt []byte) error {
+	if err := f.fault(tenant, ckpt, func(t tearer) { t.tearTmp(tenant, ckpt) }); err != nil {
+		return err
+	}
+	return f.Inner.Save(tenant, ckpt)
 }
 
 // Load implements Store.
@@ -332,6 +602,9 @@ func (f *FaultStore) Load(tenant string) ([]byte, error) { return f.Inner.Load(t
 func (f *FaultStore) LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error) {
 	return loadAggregate(f.Inner, tenant)
 }
+
+// Log implements Store.
+func (f *FaultStore) Log(tenant string) ([]LogEntry, error) { return f.Inner.Log(tenant) }
 
 // Tenants implements Store.
 func (f *FaultStore) Tenants() ([]string, error) { return f.Inner.Tenants() }

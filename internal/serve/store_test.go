@@ -2,14 +2,19 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"pathprof/internal/faultinject"
+	"pathprof/internal/profile"
 	"pathprof/internal/serve"
 	"pathprof/internal/snapshot"
+	"pathprof/internal/telemetry"
 )
 
 func TestValidTenant(t *testing.T) {
@@ -209,5 +214,177 @@ func TestFaultStorePartialWriteLeavesTornTmp(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "app.ppsnap.tmp")); !os.IsNotExist(err) {
 		t.Error("torn .tmp survived recovery")
+	}
+}
+
+// TestFailedAppendLeavesStateIntact: an injected failure of a batch's
+// log append, outright or torn halfway, nacks the batch and leaves the
+// served aggregate, the commit log and the recovered durable state as
+// they were; the next append lands after the last whole record.
+func TestFailedAppendLeavesStateIntact(t *testing.T) {
+	for _, kind := range []string{"storefail", "partialwrite"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := serve.OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			s := newServer(t, serve.Config{Store: fs})
+			s.Start()
+			if _, _, err := s.Ingest(ctx, "app", "k1", testSnap(0, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			wantData, wantFP := s.AggregateBytes("app")
+
+			inj, err := faultinject.Parse("seed=1,kind=" + kind + ",rate=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2 := newServer(t, serve.Config{Store: serve.NewFaultStore(fs, inj)})
+			s2.Start()
+			if _, code, err := s2.Ingest(ctx, "app", "k2", testSnap(1, 2)); err == nil || code != 503 {
+				t.Fatalf("ingest over a failing append: code %d, err %v; want 503", code, err)
+			}
+			if data, fp := s2.AggregateBytes("app"); fp != wantFP || !bytes.Equal(data, wantData) {
+				t.Errorf("served aggregate %s after a nack, want %s", fp, wantFP)
+			}
+			if log := s2.CommitLog("app"); len(log) != 1 {
+				t.Errorf("commit log %+v after a nack, want only k1", log)
+			}
+			reopened, err := serve.OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data, err := reopened.Load("app"); err != nil || !bytes.Equal(data, wantData) {
+				t.Errorf("durable aggregate changed by a failed append (err %v)", err)
+			}
+			if log, err := reopened.Log("app"); err != nil || len(log) != 1 {
+				t.Errorf("durable commit log %+v (err %v), want only k1", log, err)
+			}
+
+			// The same store heals: the retry is a fresh seq 2 whose
+			// record follows k1's, torn bytes or not.
+			s3 := newServer(t, serve.Config{Store: fs})
+			s3.Start()
+			ack, _, err := s3.Ingest(ctx, "app", "k2", testSnap(1, 2))
+			if err != nil || ack.Seq != 2 || ack.Deduped {
+				t.Fatalf("retry = %+v, %v; want fresh seq 2", ack, err)
+			}
+			want := profile.NewSnapshot()
+			want.MergeSnapshot(testSnap(0, 1))
+			want.MergeSnapshot(testSnap(1, 2))
+			again, err := serve.OpenFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data, err := again.Load("app"); err != nil || !bytes.Equal(data, snapshot.Encode(want)) {
+				t.Errorf("recovered aggregate is not k1+k2 (err %v)", err)
+			}
+		})
+	}
+}
+
+// saveFailStore fails its first n checkpoints, then heals.
+type saveFailStore struct {
+	serve.Store
+	mu           sync.Mutex
+	fails, saves int
+}
+
+func (f *saveFailStore) Save(tenant string, ckpt []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.fails > 0 {
+		f.fails--
+		return errors.New("checkpoint failure")
+	}
+	f.saves++
+	return f.Store.Save(tenant, ckpt)
+}
+
+// TestFailedCheckpointRetriesWithoutNack: a checkpoint that fails
+// after its batch was acked changes no ack; the acked commits stay in
+// the log, and a later commit retries the checkpoint.
+func TestFailedCheckpointRetriesWithoutNack(t *testing.T) {
+	inner := serve.NewMemStore()
+	store := &saveFailStore{Store: inner, fails: 2}
+	reg := telemetry.NewRegistry(1)
+	s := newServer(t, serve.Config{Store: store, Registry: reg})
+	s.Start()
+	ctx := context.Background()
+	want := profile.NewSnapshot()
+	for i := 0; i < 3; i++ {
+		ack, code, err := s.Ingest(ctx, "app", fmt.Sprintf("k%d", i), testSnap(2, i))
+		if err != nil || ack.Seq != uint64(i+1) {
+			t.Fatalf("ingest %d: %+v, code %d, err %v", i, ack, code, err)
+		}
+		want.MergeSnapshot(testSnap(2, i))
+		if data, err := inner.Load("app"); err != nil || !bytes.Equal(data, snapshot.Encode(want)) {
+			t.Fatalf("durable aggregate after ack %d is not the fold (err %v)", i, err)
+		}
+	}
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if store.saves != 1 {
+		t.Errorf("%d checkpoints landed, want the third attempt's", store.saves)
+	}
+	if v := reg.Counter("ppp_serve_checkpoint_errors_total", "").Value(); v != 2 {
+		t.Errorf("checkpoint error counter = %d, want 2", v)
+	}
+	if log, err := inner.Log("app"); err != nil || len(log) != 3 {
+		t.Errorf("commit log after the checkpoint = %+v (err %v), want 3 entries", log, err)
+	}
+}
+
+// TestDamagedCheckpointAfterLogResetRefusesTenant: once a checkpoint
+// has reset the log, the commits since .prev live only in that
+// checkpoint. If it is damaged the tenant is refused, not rolled back
+// to .prev, which would lose acked commits and hand their seqs out
+// again.
+func TestDamagedCheckpointAfterLogResetRefusesTenant(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := serve.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t, serve.Config{Store: fs})
+	s.Start()
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		if _, _, err := s.Ingest(ctx, "app", fmt.Sprintf("k%d", i), testSnap(1, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(filepath.Join(dir, "app.pplog")); err != nil || st.Size() != 0 {
+		t.Fatalf("want the last commit to have checkpointed and reset the log (err %v)", err)
+	}
+	primary := filepath.Join(dir, "app.ppsnap")
+	data, err := os.ReadFile(primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(primary, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := serve.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reopened.Load("app"); err == nil || errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Load served %d bytes (err %v) from a fallback older than the log reset", len(got), err)
+	}
+	s2 := newServer(t, serve.Config{Store: reopened})
+	s2.Start()
+	if _, code, err := s2.Ingest(ctx, "app", "k5", testSnap(1, 5)); err == nil || code != 503 {
+		t.Errorf("ingest into the damaged tenant: code %d, err %v; want 503", code, err)
 	}
 }

@@ -95,6 +95,19 @@ func BenchmarkCommitClone(b *testing.B) {
 	}
 }
 
+// BenchmarkFingerprintAggregate fingerprints a vpr-sized aggregate,
+// the one whole-aggregate term left on the profile service's ack path.
+func BenchmarkFingerprintAggregate(b *testing.B) {
+	agg, _ := vprAggregate(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpSink = agg.Fingerprint()
+	}
+}
+
+var fpSink uint64
+
 // manyPaths encodes one routine holding distinct paths of length l,
 // over sixteen edge IDs (path i spells i's low eight bits, two IDs per
 // bit position), each with count i+1.

@@ -66,7 +66,7 @@ func (st *Store) SaveBytes(data []byte) error {
 	if err := os.Rename(st.TmpPath(), st.path); err != nil {
 		return fmt.Errorf("snapshot: commit: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return fmt.Errorf("snapshot: commit: %w", err)
 	}
 	return nil
@@ -91,8 +91,9 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// syncDir fsyncs a directory so renames within it survive a crash.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so renames and file creations within it
+// survive a crash.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -142,7 +143,7 @@ func (st *Store) Recover() (RecoveryReport, error) {
 		}
 	}
 	if rep.RemovedTmp || rep.RestoredPrev {
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			return rep, fmt.Errorf("snapshot: recover: %w", err)
 		}
 	}

@@ -22,7 +22,7 @@ const (
 	// StageCommitMerge: the committer folding the batch into the
 	// aggregate clone.
 	StageCommitMerge
-	// StageStoreSave: the durable store save that makes the batch
+	// StageStoreSave: the durable log append that makes the batch
 	// ackable.
 	StageStoreSave
 	// StageAck: end-to-end admission-to-ack, the latency a client
