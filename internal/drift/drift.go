@@ -21,14 +21,17 @@
 //     paths worth optimizing changing even while mass stays spread
 //     similarly.
 //
-// All folds iterate in sorted key order so reports are deterministic
+// Each profile is flattened once into its flow items in key order, and
+// every fold walks them in that order, so reports are deterministic
 // for a given pair of profiles.
 package drift
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"pathprof/internal/profile"
 )
@@ -87,138 +90,155 @@ func (k flowKey) String() string {
 	return fmt.Sprintf("%s:b%d->b%d", k.routine, k.src, k.dst)
 }
 
-// flatten folds a per-routine edge-profile map into one flow
-// distribution over (routine, edge) items.
-func flatten(edges map[string]*profile.EdgeProfile) map[flowKey]int64 {
-	out := map[flowKey]int64{}
-	for name, ep := range edges { //ppp:allow(mapiter) — consumers sort
-		if ep == nil {
-			continue
+// compareKeys orders flow items by routine, then source, then
+// destination block: the order every fold below runs in.
+func compareKeys(a, b flowKey) int {
+	if c := strings.Compare(a.routine, b.routine); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.dst, b.dst)
+}
+
+// flow is one flow item and its count.
+type flow struct {
+	flowKey
+	count int64
+}
+
+// side is one profile of a comparison, flattened once: its flow items
+// with a nonzero count in key order, its total flow, and its hot set
+// in key order.
+type side struct {
+	flows []flow
+	total int64
+	hot   []flowKey
+}
+
+// newSide flattens a per-routine edge-profile map into one flow
+// distribution over (routine, edge) items: routines in name order,
+// each routine's edges in (src, dst) order as AppendCounts lists them,
+// so the items come out in key order with no sort.
+func newSide(edges map[string]*profile.EdgeProfile, hotFrac float64) *side {
+	names := make([]string, 0, len(edges))
+	for name, ep := range edges { //ppp:allow(mapiter) — sorted below
+		if ep != nil {
+			names = append(names, name)
 		}
-		for k, v := range ep.Freq() { //ppp:allow(mapiter) — consumers sort
-			if v > 0 {
-				out[flowKey{routine: name, src: k.Src, dst: k.Dst}] += v
+	}
+	slices.Sort(names)
+	sd := &side{}
+	var counts []profile.EdgeCount
+	for _, name := range names {
+		counts = edges[name].AppendCounts(counts[:0])
+		for _, ec := range counts {
+			if ec.Count > 0 {
+				sd.flows = append(sd.flows, flow{flowKey{name, ec.Src, ec.Dst}, ec.Count})
+				sd.total += ec.Count
 			}
 		}
 	}
-	return out
-}
-
-// sortedKeys returns the union of both distributions' keys in
-// deterministic order.
-func sortedKeys(a, b map[flowKey]int64) []flowKey {
-	seen := map[flowKey]bool{}
-	keys := make([]flowKey, 0, len(a)+len(b))
-	for k := range a { //ppp:allow(mapiter) — sorted below
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for k := range b { //ppp:allow(mapiter) — sorted below
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].routine != keys[j].routine {
-			return keys[i].routine < keys[j].routine
-		}
-		if keys[i].src != keys[j].src {
-			return keys[i].src < keys[j].src
-		}
-		return keys[i].dst < keys[j].dst
-	})
-	return keys
-}
-
-// total sums a distribution's flow.
-func total(d map[flowKey]int64) int64 {
-	var n int64
-	for _, v := range d { //ppp:allow(mapiter) — commutative int sum
-		n += v
-	}
-	return n
+	sd.hot = hotSet(sd.flows, sd.total, hotFrac)
+	return sd
 }
 
 // divergence is the total-variation distance between the normalized
 // distributions: 0.5 · Σ |p(k) − q(k)| over the union of items,
-// folded in sorted key order so the float sum is deterministic.
-func divergence(guide, live map[flowKey]int64) float64 {
-	gTotal, lTotal := total(guide), total(live)
-	if gTotal == 0 && lTotal == 0 {
+// folded in key order (a merge of the two key-ordered lists) so the
+// float sum is deterministic.
+func divergence(guide, live *side) float64 {
+	if guide.total == 0 && live.total == 0 {
 		return 0
 	}
-	if gTotal == 0 || lTotal == 0 {
+	if guide.total == 0 || live.total == 0 {
 		return 1
 	}
+	gTotal, lTotal := float64(guide.total), float64(live.total)
+	g, l := guide.flows, live.flows
 	var sum float64
-	for _, k := range sortedKeys(guide, live) {
-		p := float64(guide[k]) / float64(gTotal)
-		q := float64(live[k]) / float64(lTotal)
+	for len(g) > 0 || len(l) > 0 {
+		c := 0
+		switch {
+		case len(g) == 0:
+			c = 1
+		case len(l) == 0:
+			c = -1
+		default:
+			c = compareKeys(g[0].flowKey, l[0].flowKey)
+		}
+		var p, q float64
+		if c <= 0 {
+			p = float64(g[0].count) / gTotal
+			g = g[1:]
+		}
+		if c >= 0 {
+			q = float64(l[0].count) / lTotal
+			l = l[1:]
+		}
 		sum += math.Abs(p - q)
 	}
 	return sum / 2
 }
 
-// hotSet returns the minimal count-descending prefix of the
-// distribution's items covering frac of its total flow. Ties break on
-// sorted key order so the set is deterministic.
-func hotSet(d map[flowKey]int64, frac float64) map[flowKey]bool {
-	tot := total(d)
-	if tot == 0 {
+// hotSet returns, in key order, the minimal count-descending prefix
+// of the key-ordered items flows (whose counts sum to total) covering
+// frac of the total flow. Ties take the lower key first, which a
+// stable sort of the key-ordered items gives.
+func hotSet(flows []flow, total int64, frac float64) []flowKey {
+	if total == 0 {
 		return nil
 	}
-	keys := make([]flowKey, 0, len(d))
-	for k := range d { //ppp:allow(mapiter) — sorted below
-		keys = append(keys, k)
+	order := make([]int32, len(flows))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if d[keys[i]] != d[keys[j]] {
-			return d[keys[i]] > d[keys[j]]
-		}
-		if keys[i].routine != keys[j].routine {
-			return keys[i].routine < keys[j].routine
-		}
-		if keys[i].src != keys[j].src {
-			return keys[i].src < keys[j].src
-		}
-		return keys[i].dst < keys[j].dst
-	})
-	need := int64(math.Ceil(frac * float64(tot)))
-	hot := map[flowKey]bool{}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(flows[b].count, flows[a].count) })
+	need := int64(math.Ceil(frac * float64(total)))
 	var covered int64
-	for _, k := range keys {
+	n := 0
+	for _, i := range order {
 		if covered >= need {
 			break
 		}
-		hot[k] = true
-		covered += d[k]
+		covered += flows[i].count
+		n++
 	}
-	return hot
+	hot := order[:n]
+	slices.Sort(hot)
+	keys := make([]flowKey, n)
+	for k, i := range hot {
+		keys[k] = flows[i].flowKey
+	}
+	return keys
 }
 
-// overlap is the Jaccard overlap |a∩b| / |a∪b|; 1 when both are
-// empty (nothing to disagree about).
-func overlap(a, b map[flowKey]bool) (jaccard float64, shared int) {
+// overlap is the Jaccard overlap |a∩b| / |a∪b| of two key-ordered
+// sets; 1 when both are empty (nothing to disagree about).
+func overlap(a, b []flowKey) (jaccard float64, shared int) {
 	if len(a) == 0 && len(b) == 0 {
 		return 1, 0
 	}
-	union := len(b)
-	for k := range a { //ppp:allow(mapiter) — counting only
-		if b[k] {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := compareKeys(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
 			shared++
-		} else {
-			union++
+			i++
+			j++
 		}
 	}
-	return float64(shared) / float64(union), shared
+	return float64(shared) / float64(len(a)+len(b)-shared), shared
 }
 
 // Compare computes the drift report between a guide profile and a
 // live aggregate (both per-routine edge-profile maps). Seq and
 // cadence fields are left for the caller (Monitor) to fill.
 func Compare(guide, live map[string]*profile.EdgeProfile, opts Options) Report {
-	return compareFlows(flatten(guide), flatten(live), opts)
+	opts = opts.fill()
+	return compareSides(newSide(guide, opts.HotFlowFrac), newSide(live, opts.HotFlowFrac), opts)
 }

@@ -1,6 +1,10 @@
 package drift
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -188,5 +192,203 @@ func TestMonitorNilSafe(t *testing.T) {
 	}
 	if names := m.Tenants(); names != nil {
 		t.Fatalf("nil monitor lists tenants: %v", names)
+	}
+}
+
+// The map-based scoring this package computed before it flattened
+// profiles into key-ordered slices, kept as the oracle the slice code
+// must match report for report, floats bit for bit.
+
+func oracleFlatten(edges map[string]*profile.EdgeProfile) map[flowKey]int64 {
+	out := map[flowKey]int64{}
+	for name, ep := range edges { //ppp:allow(mapiter) — consumers sort
+		if ep == nil {
+			continue
+		}
+		for k, v := range ep.Freq() { //ppp:allow(mapiter) — consumers sort
+			if v > 0 {
+				out[flowKey{routine: name, src: k.Src, dst: k.Dst}] += v
+			}
+		}
+	}
+	return out
+}
+
+func oracleSortedKeys(a, b map[flowKey]int64) []flowKey {
+	seen := map[flowKey]bool{}
+	keys := make([]flowKey, 0, len(a)+len(b))
+	for k := range a { //ppp:allow(mapiter) — sorted below
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	for k := range b { //ppp:allow(mapiter) — sorted below
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].routine != keys[j].routine {
+			return keys[i].routine < keys[j].routine
+		}
+		if keys[i].src != keys[j].src {
+			return keys[i].src < keys[j].src
+		}
+		return keys[i].dst < keys[j].dst
+	})
+	return keys
+}
+
+func oracleTotal(d map[flowKey]int64) int64 {
+	var n int64
+	for _, v := range d { //ppp:allow(mapiter) — commutative int sum
+		n += v
+	}
+	return n
+}
+
+func oracleDivergence(guide, live map[flowKey]int64) float64 {
+	gTotal, lTotal := oracleTotal(guide), oracleTotal(live)
+	if gTotal == 0 && lTotal == 0 {
+		return 0
+	}
+	if gTotal == 0 || lTotal == 0 {
+		return 1
+	}
+	var sum float64
+	for _, k := range oracleSortedKeys(guide, live) {
+		p := float64(guide[k]) / float64(gTotal)
+		q := float64(live[k]) / float64(lTotal)
+		sum += math.Abs(p - q)
+	}
+	return sum / 2
+}
+
+func oracleHotSet(d map[flowKey]int64, frac float64) map[flowKey]bool {
+	tot := oracleTotal(d)
+	if tot == 0 {
+		return nil
+	}
+	keys := make([]flowKey, 0, len(d))
+	for k := range d { //ppp:allow(mapiter) — sorted below
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if d[keys[i]] != d[keys[j]] {
+			return d[keys[i]] > d[keys[j]]
+		}
+		if keys[i].routine != keys[j].routine {
+			return keys[i].routine < keys[j].routine
+		}
+		if keys[i].src != keys[j].src {
+			return keys[i].src < keys[j].src
+		}
+		return keys[i].dst < keys[j].dst
+	})
+	need := int64(math.Ceil(frac * float64(tot)))
+	hot := map[flowKey]bool{}
+	var covered int64
+	for _, k := range keys {
+		if covered >= need {
+			break
+		}
+		hot[k] = true
+		covered += d[k]
+	}
+	return hot
+}
+
+func oracleOverlap(a, b map[flowKey]bool) (jaccard float64, shared int) {
+	if len(a) == 0 && len(b) == 0 {
+		return 1, 0
+	}
+	union := len(b)
+	for k := range a { //ppp:allow(mapiter) — counting only
+		if b[k] {
+			shared++
+		} else {
+			union++
+		}
+	}
+	return float64(shared) / float64(union), shared
+}
+
+func oracleCompare(guide, live map[string]*profile.EdgeProfile, opts Options) Report {
+	opts = opts.fill()
+	g, l := oracleFlatten(guide), oracleFlatten(live)
+	var rep Report
+	rep.FlowDivergence = oracleDivergence(g, l)
+	gHot, lHot := oracleHotSet(g, opts.HotFlowFrac), oracleHotSet(l, opts.HotFlowFrac)
+	var jac float64
+	jac, rep.HotShared = oracleOverlap(gHot, lHot)
+	rep.HotOverlap = jac
+	rep.HotGuide, rep.HotLive = len(gHot), len(lHot)
+	switch {
+	case rep.FlowDivergence >= opts.DivergenceThreshold:
+		rep.Drifted = true
+		rep.Reason = fmt.Sprintf("flow divergence %.3f >= %.3f", rep.FlowDivergence, opts.DivergenceThreshold)
+	case rep.HotOverlap <= opts.OverlapFloor && (rep.HotGuide > 0 || rep.HotLive > 0):
+		rep.Drifted = true
+		rep.Reason = fmt.Sprintf("hot-set overlap %.3f <= %.3f", rep.HotOverlap, opts.OverlapFloor)
+	}
+	return rep
+}
+
+// randomEdges draws a per-routine edge-profile map: up to four
+// routines (sometimes none, sometimes a nil profile), edges counted
+// through the dense slots, the sparse backing or both, and counts from
+// a small range, so ties, zero counts and routine-only profiles are
+// common.
+func randomEdges(rng *rand.Rand) map[string]*profile.EdgeProfile {
+	out := map[string]*profile.EdgeProfile{}
+	for _, name := range []string{"alpha", "beta", "main", "work"} {
+		switch rng.IntN(4) {
+		case 0:
+			continue
+		case 1:
+			if rng.IntN(4) == 0 {
+				out[name] = nil
+				continue
+			}
+		}
+		ep := profile.NewEdgeProfile(name)
+		for range rng.IntN(12) {
+			src, dst, v := rng.IntN(5), rng.IntN(5), int64(rng.IntN(6))
+			if rng.IntN(2) == 0 {
+				slot := ep.Slot(src, dst)
+				for range v {
+					ep.BumpSlot(slot)
+				}
+			} else {
+				ep.Add(src, dst, v)
+			}
+		}
+		out[name] = ep
+	}
+	return out
+}
+
+// TestCompareMatchesMapOracle: over seeded random pairs of profiles,
+// Compare and the Monitor (guide set, then a commit scored) produce
+// exactly the oracle's report, at several hot-flow fractions.
+func TestCompareMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 7))
+	for i := range 2000 {
+		guide, live := randomEdges(rng), randomEdges(rng)
+		opts := Options{HotFlowFrac: []float64{0, 0.3, 0.5, 0.9, 1}[i%5]}
+		want := oracleCompare(guide, live, opts)
+		if got := Compare(guide, live, opts); got != want {
+			t.Fatalf("pair %d: Compare = %+v, oracle %+v", i, got, want)
+		}
+		m := NewMonitor(nil, opts)
+		m.SetNow(func() time.Time { return time.Unix(0, 0) })
+		m.SetGuide("t", guide, 1)
+		got := m.ObserveCommit("t", live, 2)
+		want.Tenant, want.GuideSeq, want.LiveSeq, want.CommitsSinceReplan = "t", 1, 2, 1
+		if got != want {
+			t.Fatalf("pair %d: Monitor = %+v, oracle %+v", i, got, want)
+		}
 	}
 }

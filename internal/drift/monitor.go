@@ -31,9 +31,10 @@ type Monitor struct {
 	tenants map[string]*tenantState
 }
 
-// tenantState is one tenant's frozen guide plus last verdict.
+// tenantState is one tenant's frozen guide, flattened with its hot
+// set when it is set, plus last verdict.
 type tenantState struct {
-	guide    map[flowKey]int64
+	guide    *side // nil until adopted or set
 	guideSeq uint64
 	guideAt  time.Time
 	commits  uint64 // commits since the guide was (re)adopted
@@ -97,7 +98,7 @@ func (m *Monitor) SetGuide(tenant string, edges map[string]*profile.EdgeProfile,
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.state(tenant)
-	st.guide = flatten(edges)
+	st.guide = newSide(edges, m.opts.HotFlowFrac)
 	st.guideSeq = seq
 	st.guideAt = m.now()
 	st.commits = 0
@@ -115,7 +116,7 @@ func (m *Monitor) ObserveCommit(tenant string, edges map[string]*profile.EdgePro
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.state(tenant)
-	live := flatten(edges)
+	live := newSide(edges, m.opts.HotFlowFrac)
 	if st.guide == nil {
 		st.guide = live
 		st.guideSeq = seq
@@ -129,8 +130,8 @@ func (m *Monitor) ObserveCommit(tenant string, edges map[string]*profile.EdgePro
 
 // score computes, publishes, and records the tenant's report. Caller
 // holds m.mu.
-func (m *Monitor) score(tenant string, st *tenantState, live map[flowKey]int64, liveSeq uint64) Report {
-	rep := compareFlows(st.guide, live, m.opts)
+func (m *Monitor) score(tenant string, st *tenantState, live *side, liveSeq uint64) Report {
+	rep := compareSides(st.guide, live, m.opts)
 	rep.Tenant = tenant
 	rep.GuideSeq = st.guideSeq
 	rep.LiveSeq = liveSeq
@@ -149,7 +150,7 @@ func (m *Monitor) score(tenant string, st *tenantState, live map[flowKey]int64, 
 		}
 		m.reg.Trace().Emit(telemetry.Event{
 			Unit: "serve", Routine: tenant, Kind: telemetry.EvDrift,
-			Flow: total(live), Detail: detail,
+			Flow: live.total, Detail: detail,
 		})
 		st.drifted = rep.Drifted
 	}
@@ -157,16 +158,13 @@ func (m *Monitor) score(tenant string, st *tenantState, live map[flowKey]int64, 
 	return rep
 }
 
-// compareFlows is Compare over already-flattened distributions.
-func compareFlows(guide, live map[flowKey]int64, opts Options) Report {
-	opts = opts.fill()
+// compareSides is Compare over already-flattened profiles, whose hot
+// sets were taken at opts.HotFlowFrac.
+func compareSides(guide, live *side, opts Options) Report {
 	var rep Report
 	rep.FlowDivergence = divergence(guide, live)
-	gHot, lHot := hotSet(guide, opts.HotFlowFrac), hotSet(live, opts.HotFlowFrac)
-	var jac float64
-	jac, rep.HotShared = overlap(gHot, lHot)
-	rep.HotOverlap = jac
-	rep.HotGuide, rep.HotLive = len(gHot), len(lHot)
+	rep.HotOverlap, rep.HotShared = overlap(guide.hot, live.hot)
+	rep.HotGuide, rep.HotLive = len(guide.hot), len(live.hot)
 	switch {
 	case rep.FlowDivergence >= opts.DivergenceThreshold:
 		rep.Drifted = true

@@ -246,11 +246,7 @@ func (ep *EdgeProfile) ApplyTo(g *cfg.Graph) {
 // folded in sorted key order so merged profiles are built identically
 // regardless of how other's map laid out its entries.
 func (ep *EdgeProfile) Merge(other *EdgeProfile) {
-	var sat bool
-	ep.Calls, sat = satAdd(ep.Calls, other.Calls)
-	if sat || other.Saturated {
-		ep.Saturated = true
-	}
+	ep.MergeCalls(other.Calls, other.Saturated)
 	for i, k := range other.keys {
 		if other.dense[i] != 0 {
 			ep.Add(k.Src, k.Dst, other.dense[i])
@@ -260,6 +256,18 @@ func (ep *EdgeProfile) Merge(other *EdgeProfile) {
 		if v := other.extra[k]; v != 0 {
 			ep.Add(k.Src, k.Dst, v)
 		}
+	}
+}
+
+// MergeCalls is Merge's fold of another profile's header: calls more
+// routine entries, saturating, and ep marked saturated when the other
+// profile was. A caller holding the other profile's edge counts in
+// wire form adds them with Add (nonzero counts only, as Merge does).
+func (ep *EdgeProfile) MergeCalls(calls int64, saturated bool) {
+	var sat bool
+	ep.Calls, sat = satAdd(ep.Calls, calls)
+	if sat || saturated {
+		ep.Saturated = true
 	}
 }
 
@@ -805,13 +813,7 @@ func (t *Table) Get(idx int64) int64 {
 // from a single-table run, exactly as the paper's arrival-order-
 // sensitive hash table would.
 func (t *Table) Merge(other *Table) {
-	var sat [3]bool
-	t.Lost, sat[0] = satAdd(t.Lost, other.Lost)
-	t.Cold, sat[1] = satAdd(t.Cold, other.Cold)
-	t.Drops, sat[2] = satAdd(t.Drops, other.Drops)
-	if sat[0] || sat[1] || sat[2] || other.Saturated {
-		t.Saturated = true
-	}
+	t.MergeTotals(other.Lost, other.Cold, other.Drops, other.Saturated)
 	if other.Kind == ArrayTable {
 		for i, v := range other.arr {
 			if v != 0 {
@@ -824,6 +826,20 @@ func (t *Table) Merge(other *Table) {
 		if other.used[s] {
 			t.add(other.keys[s], other.vals[s])
 		}
+	}
+}
+
+// MergeTotals is Merge's fold of another table's totals: its lost,
+// cold and dropped counts, saturating, and its saturation flag. A
+// caller holding the other table's counters in wire form replays them
+// with Add, as Merge does.
+func (t *Table) MergeTotals(lost, cold, drops int64, saturated bool) {
+	var sat [3]bool
+	t.Lost, sat[0] = satAdd(t.Lost, lost)
+	t.Cold, sat[1] = satAdd(t.Cold, cold)
+	t.Drops, sat[2] = satAdd(t.Drops, drops)
+	if sat[0] || sat[1] || sat[2] || saturated {
+		t.Saturated = true
 	}
 }
 

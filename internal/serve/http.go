@@ -135,7 +135,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "invalid tenant name", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSnapshotBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxSnapshotBytes), r.ContentLength, s.cfg.MaxSnapshotBytes)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -148,7 +148,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	snap, err := snapshot.Decode(body)
+	up, err := snapshot.Parse(body)
 	if err != nil {
 		// Whole-request quarantine: corrupt bytes never reach a merge,
 		// and the rejection is accounted, not silent.
@@ -174,7 +174,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	admitSpan(0, "")
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	ack, code, err := s.ingest(ctx, tenantName, key, traceID, attempt, snap, body)
+	ack, code, err := s.ingest(ctx, tenantName, key, traceID, attempt, up, body)
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			s.retryHint(w)
@@ -183,6 +183,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ack)
+}
+
+// readBody reads an ingest body whole into one buffer sized from its
+// declared length, capped at limit+1 (the limit reader fails once the
+// body passes limit, and the spare byte takes the read that sees EOF),
+// so a body that declares its length is read without regrowing the
+// buffer. A body of unknown length (chunked) starts at 512 bytes and
+// grows as io.ReadAll's does.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	size := int64(512)
+	if declared > 0 {
+		size = min(declared, limit) + 1
+	}
+	buf := make([]byte, 0, size)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 func (s *Server) quarantine(tenantName, detail string) {

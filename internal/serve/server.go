@@ -163,8 +163,8 @@ func (s *Server) encoded(v *version) []byte {
 // admitAt/enqueueAt anchor the ack-e2e and queue-wait measurements.
 type ingestItem struct {
 	tenant, key string
-	snap        *profile.Snapshot
-	data        []byte // snap's bytes as received; what the log record holds
+	up          *snapshot.Upload // data, validated; what the committer folds
+	data        []byte           // the bytes as received; what the log record holds
 	done        chan ackResult
 
 	traceID   string
@@ -304,7 +304,7 @@ func New(cfg Config) (*Server, error) {
 		[]int64{1, 2, 4, 8, 16, 32, 64, 128}).Cell(0)
 	h := func(name, help string) *telemetry.HistCell { return reg.Histogram(name, help, usBounds).Cell(0) }
 	s.met.queueWait = h("ppp_serve_queue_wait_us", "time an ingest spent in the bounded queue before its committer dequeued it, microseconds")
-	s.met.commitMerge = h("ppp_serve_commit_merge_us", "time the committer spent cloning the aggregate in memory and folding one tenant batch into it, microseconds")
+	s.met.commitMerge = h("ppp_serve_commit_merge_us", "time the committer spent on one tenant batch's clone + fold of the parsed uploads into the aggregate, microseconds")
 	s.met.storeSave = h("ppp_serve_store_save_us", "time one log append (write and fsync of a batch's record) took, microseconds")
 	s.met.fingerprint = h("ppp_serve_fingerprint_us", "time fingerprinting a committed aggregate for its acks took, microseconds")
 	s.met.ckpt = h("ppp_serve_checkpoint_us", "time one checkpoint (encode, atomic rewrite, log reset) took after its acks, microseconds")
@@ -359,25 +359,32 @@ func (s *Server) overloaded() bool {
 }
 
 // Ingest runs the queue/commit/ack protocol for an in-process caller:
-// encode snap once (the bytes its log record holds), enqueue with
-// backpressure, wait for the committer's durable ack. The returned int
-// is an HTTP status for the error cases (429 full, 503
-// draining/timeout/append-failure).
+// encode snap once (the bytes its log record holds) and parse the
+// bytes as the HTTP handler does, so the committer folds every upload
+// the same way; enqueue with backpressure, wait for the committer's
+// durable ack. The returned int is an HTTP status for the error cases
+// (400 a snapshot past the codec's limits, which replay could not
+// read back, 429 full, 503 draining/timeout/append-failure).
 func (s *Server) Ingest(ctx context.Context, tenantName, key string, snap *profile.Snapshot) (Ack, int, error) {
-	return s.ingest(ctx, tenantName, key, TraceIDForKey(key), 0, snap, snapshot.Encode(snap))
+	data := snapshot.Encode(snap)
+	up, err := snapshot.Parse(data)
+	if err != nil {
+		return Ack{}, 400, fmt.Errorf("serve: snapshot does not read back from its encoding: %w", err)
+	}
+	return s.ingest(ctx, tenantName, key, TraceIDForKey(key), 0, up, data)
 }
 
-// ingest is Ingest for a snapshot already decoded from data (the HTTP
+// ingest is Ingest for an upload already parsed from data (the HTTP
 // layer validated it), plus the trace identity the HTTP layer
 // extracted (or derived) from the request, so committer spans stitch
 // to the client's attempts.
-func (s *Server) ingest(ctx context.Context, tenantName, key, traceID string, attempt int, snap *profile.Snapshot, data []byte) (Ack, int, error) {
+func (s *Server) ingest(ctx context.Context, tenantName, key, traceID string, attempt int, up *snapshot.Upload, data []byte) (Ack, int, error) {
 	s.met.bump(s.met.ingest)
 	if s.draining.Load() {
 		return Ack{}, 503, fmt.Errorf("serve: draining")
 	}
 	item := &ingestItem{
-		tenant: tenantName, key: key, snap: snap, data: data, done: make(chan ackResult, 1),
+		tenant: tenantName, key: key, up: up, data: data, done: make(chan ackResult, 1),
 		traceID: traceID, attempt: attempt, admitAt: time.Now(),
 	}
 	item.enqueueAt = item.admitAt
@@ -540,7 +547,7 @@ func (s *Server) commitTenant(name string, items []*ingestItem) {
 		next = cur.agg.Clone()
 	}
 	for _, it := range fresh {
-		next.MergeSnapshot(it.snap)
+		it.up.FoldInto(next)
 	}
 	mergeUS := time.Since(mergeStart).Microseconds()
 	s.met.observeHist(s.met.commitMerge, mergeUS)

@@ -399,6 +399,74 @@ func TestHTTPQuarantineAndLimits(t *testing.T) {
 	}
 }
 
+// TestIngestBodyLengths: the ingest body is read into a buffer sized
+// from its Content-Length, so a body of exactly the limit, one byte
+// past it (declared or chunked, with no Content-Length) and a valid
+// chunked upload must each take the path a whole read gives them: a
+// body at the limit is parsed (and refused as corrupt), past it 413
+// and quarantined, and the chunked upload acked as sent.
+func TestIngestBodyLengths(t *testing.T) {
+	const limit = 256
+	reg := telemetry.NewRegistry(1)
+	s := newServer(t, serve.Config{Registry: reg, MaxSnapshotBytes: limit})
+	s.Start()
+	var mu sync.Mutex
+	var declared []int64
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		declared = append(declared, r.ContentLength)
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	valid := encodeSnap(1, 2)
+	if len(valid) >= limit {
+		t.Fatalf("test snapshot of %d bytes does not fit the %d-byte limit", len(valid), limit)
+	}
+	// chunked hides the body's length, so the client sends it chunked.
+	chunked := func(b []byte) io.Reader { return io.MultiReader(bytes.NewReader(b)) }
+	cases := []struct {
+		name   string
+		body   io.Reader
+		length int64 // as the server sees it; -1 for chunked
+		status int
+	}{
+		{"at-limit", bytes.NewReader(make([]byte, limit)), limit, 400},
+		{"past-limit", bytes.NewReader(make([]byte, limit+1)), limit + 1, 413},
+		{"past-limit-chunked", chunked(make([]byte, 4*limit)), -1, 413},
+		{"valid-chunked", chunked(valid), -1, 200},
+	}
+	for i, c := range cases {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/profiles/app", c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if readBody(t, resp); resp.StatusCode != c.status {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.status)
+		}
+		mu.Lock()
+		if declared[i] != c.length {
+			t.Errorf("%s: server saw Content-Length %d, want %d", c.name, declared[i], c.length)
+		}
+		mu.Unlock()
+	}
+	if v := reg.Counter("ppp_serve_ingest_quarantined_total", "").Value(); v != 3 {
+		t.Errorf("quarantine counter = %d, want 3", v)
+	}
+	got, _ := s.AggregateBytes("app")
+	want := profile.NewSnapshot()
+	want.MergeSnapshot(testSnap(1, 2))
+	if !bytes.Equal(got, snapshot.Encode(want)) {
+		t.Error("the chunked upload did not fold as sent")
+	}
+}
+
 func TestReadsShedUnderOverload(t *testing.T) {
 	// Committer not started; fill the queue past the shed threshold.
 	reg := telemetry.NewRegistry(1)

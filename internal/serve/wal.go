@@ -218,20 +218,20 @@ func (d *durable) commitLog() []LogEntry {
 }
 
 // fold rebuilds the acked aggregate: the checkpoint's, with every
-// logged upload merged in seq order, as the committer merged them.
-// data is its canonical encoding (the checkpoint's own bytes when the
-// log adds nothing). fold consumes d.
+// logged upload parsed and folded in seq order, exactly as the
+// committer folded them. data is its canonical encoding (the
+// checkpoint's own bytes when the log adds nothing). fold consumes d.
 func (d *durable) fold() (data []byte, agg *profile.Snapshot, err error) {
 	agg = d.base
 	if agg == nil {
 		agg = profile.NewSnapshot()
 	}
-	for i, up := range d.uploads {
-		snap, err := snapshot.Decode(up)
+	for i, data := range d.uploads {
+		up, err := snapshot.Parse(data)
 		if err != nil {
 			return nil, nil, fmt.Errorf("logged upload of seq %d: %w", d.ckptSeq+i+1, err)
 		}
-		agg.MergeSnapshot(snap)
+		up.FoldInto(agg)
 	}
 	if len(d.uploads) == 0 && d.ckpt != nil {
 		return d.ckpt, agg, nil

@@ -1,6 +1,7 @@
 package snapshot_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -17,6 +18,7 @@ var vpr struct {
 	once    sync.Once
 	agg     *profile.Snapshot   // four emitter runs folded
 	uploads []*profile.Snapshot // the emitter runs, decoded
+	data    [][]byte            // the emitter runs, encoded
 	err     error
 }
 
@@ -24,7 +26,7 @@ var vpr struct {
 // vpr workload profiled with its PPP plans under four values of its
 // LCG seed global, each run decoded the way an upload arrives and
 // folded in order.
-func vprAggregate(b *testing.B) (*profile.Snapshot, []*profile.Snapshot) {
+func vprAggregate(b testing.TB) (*profile.Snapshot, []*profile.Snapshot) {
 	b.Helper()
 	vpr.once.Do(func() {
 		w, _ := workloads.ByName("vpr")
@@ -49,11 +51,13 @@ func vprAggregate(b *testing.B) (*profile.Snapshot, []*profile.Snapshot) {
 				vpr.err = err
 				return
 			}
-			up, err := snapshot.Decode(snapshot.Encode(run.Snapshot()))
+			data := snapshot.Encode(run.Snapshot())
+			up, err := snapshot.Decode(data)
 			if err != nil {
 				vpr.err = err
 				return
 			}
+			vpr.data = append(vpr.data, data)
 			vpr.uploads = append(vpr.uploads, up)
 			vpr.agg.MergeSnapshot(up)
 		}
@@ -80,18 +84,91 @@ func BenchmarkDecodeAggregate(b *testing.B) {
 	}
 }
 
-// BenchmarkCommitClone is the committer's in-memory work for a batch
-// of one upload: clone the live aggregate, fold the upload, encode the
-// result for the store and fingerprint it for the ack.
-func BenchmarkCommitClone(b *testing.B) {
-	agg, uploads := vprAggregate(b)
+// vprUploads returns the vpr emitter runs as uploads arrive: encoded,
+// and parsed.
+func vprUploads(b testing.TB) ([][]byte, []*snapshot.Upload) {
+	vprAggregate(b)
+	ups := make([]*snapshot.Upload, len(vpr.data))
+	for i, data := range vpr.data {
+		var err error
+		if ups[i], err = snapshot.Parse(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return vpr.data, ups
+}
+
+// BenchmarkParseUpload parses one vpr upload (about 88 KB), the
+// ingest handler's admission work.
+func BenchmarkParseUpload(b *testing.B) {
+	data, _ := vprUploads(b)
+	b.SetBytes(int64(len(data[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snapshot.Parse(data[i%len(data)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFoldUpload is the committer's merge for a batch of one
+// upload: clone the live vpr aggregate and fold the parsed upload into
+// the copy.
+func BenchmarkFoldUpload(b *testing.B) {
+	agg, _ := vprAggregate(b)
+	_, ups := vprUploads(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		next := agg.Clone()
-		next.MergeSnapshot(uploads[i%len(uploads)])
+		ups[i%len(ups)].FoldInto(next)
+	}
+}
+
+// BenchmarkCommitClone is the committer's in-memory work for a batch
+// of one upload plus a checkpoint's encode: clone the live aggregate,
+// fold the parsed upload, encode the result and fingerprint it for the
+// ack.
+func BenchmarkCommitClone(b *testing.B) {
+	agg, _ := vprAggregate(b)
+	_, ups := vprUploads(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next := agg.Clone()
+		ups[i%len(ups)].FoldInto(next)
 		_ = snapshot.Encode(next)
 		_ = next.Fingerprint()
+	}
+}
+
+// TestParseAllocsUpload holds a vpr upload's Parse (82 946 path edges
+// in 1 287 paths) to at most 100 allocations and under 0.5 MB, where
+// building it as a snapshot (Decode) costs about 270 and 2.6 MB.
+func TestParseAllocsUpload(t *testing.T) {
+	data, _ := vprUploads(t)
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := snapshot.Parse(data[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := snapshot.Parse(data[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("vpr upload (%d bytes): Parse %.0f allocs, %.0f bytes", len(data[0]), allocs, perOp)
+	if allocs > 100 {
+		t.Errorf("Parse allocates %.0f times, want at most 100", allocs)
+	}
+	if perOp >= 0.5e6 {
+		t.Errorf("Parse allocates %.0f bytes, want under 0.5 MB", perOp)
 	}
 }
 

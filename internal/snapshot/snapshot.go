@@ -10,13 +10,22 @@
 // The codec round-trips every observable the profile fingerprint
 // hashes: a decoded snapshot's Fingerprint equals the encoded one's,
 // including hash-table slot layout and saturation flags.
+//
+// Reading has one parser and two consumers. Parse validates the bytes
+// and keeps them in wire form (an Upload: per-routine ranges into flat
+// arenas of edge counts, path runs and edge IDs, and table cells).
+// Upload.FoldInto merges that straight into an aggregate, which is how
+// the profile service ingests and replays uploads without building
+// them; Decode builds it into a profile.Snapshot.
 package snapshot
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 
 	"pathprof/internal/profile"
@@ -142,15 +151,76 @@ func Encode(s *profile.Snapshot) []byte {
 	return append(w.buf, foot[:]...)
 }
 
-// Decode rebuilds a snapshot from Encode's output, verifying the
-// magic, version, checksum, and structural invariants. Any damage
-// yields a *CorruptError and no snapshot. Decoded paths are runs of
-// DAG edge IDs, as on the wire — enough for fingerprinting, counting,
-// merging and re-encoding. They resolve to no DAG: PathProfile.Paths
-// gives each ID a placeholder edge carrying only the ID, and
-// resolving them against a program's real DAGs is the caller's
-// concern. An edge ID must fit an int32, the profile's ID width.
-func Decode(data []byte) (*profile.Snapshot, error) {
+// Upload is a snapshot Parse has validated, held as it is on the wire:
+// per routine its header and the range of its entries in one shared
+// arena per kind (edge counts; path lengths and counts, with every
+// path's edge IDs back to back in one ID arena; table cells). It
+// builds no trie and no table. FoldInto merges it into an aggregate
+// and Decode builds it into a snapshot; both read it only, so one
+// Upload may be folded any number of times.
+type Upload struct {
+	edges  []upEdges
+	paths  []upPaths
+	tables []upTable
+
+	counts []profile.EdgeCount // edge entries, wire order
+	runs   []pathRun           // paths, wire order
+	ids    []int32             // each run's edge IDs, back to back
+	cells  []tableCell         // table entries, index or slot order
+}
+
+// upEdges is one routine's edge profile: counts[lo:hi] in wire order,
+// duplicates and zero counts included.
+type upEdges struct {
+	name      string
+	calls     int64
+	saturated bool
+	lo, hi    int
+}
+
+// upPaths is one routine's path profile: runs[lo:hi], whose edge IDs
+// start at ids[off].
+type upPaths struct {
+	name        string
+	saturated   bool
+	lo, hi, off int
+}
+
+// pathRun is one path on the wire: its edge count and its count.
+type pathRun struct {
+	n     int32
+	count int64
+}
+
+// upTable is one routine's counter table: the state's scalar fields
+// (Arr, Slots, Keys and Vals left empty) and cells[lo:hi].
+type upTable struct {
+	name   string
+	st     profile.TableState
+	lo, hi int
+}
+
+// tableCell is one table entry: an array counter (at is its index,
+// key unused) or an occupied hash slot (at is the slot). Parse leaves
+// a table's cells in ascending at order, an array index's last value
+// winning, which is what the table it decodes to holds.
+type tableCell struct {
+	at       int32
+	key, val int64
+}
+
+// Parse validates Encode's output and returns it in wire form. It
+// checks the checksum, magic and version, every count against the
+// bytes left, every value against CounterMax and every path edge ID
+// against the int32 profile ID width, duplicate routine names in each
+// section, the table kind, size, index and slot rules, and trailing
+// bytes. Any damage yields a *CorruptError, naming the first damage
+// met in reading order, and no Upload.
+//
+// Parsing allocates per routine and per arena, not per path or path
+// edge: the ID arena is sized once from the bytes left, which bound
+// the IDs that can follow.
+func Parse(data []byte) (*Upload, error) {
 	if len(data) < len(Magic)+2+4 {
 		return nil, corrupt(0, "short input: %d bytes", len(data))
 	}
@@ -165,68 +235,61 @@ func Decode(data []byte) (*profile.Snapshot, error) {
 	if v := r.u16(); v != Version {
 		return nil, corrupt(r.off, "unsupported version %d (want %d)", v, Version)
 	}
-
-	snap := &profile.Snapshot{
-		Edges:  map[string]*profile.EdgeProfile{},
-		Paths:  map[string]*profile.PathProfile{},
-		Tables: map[string]*profile.Table{},
+	u := &Upload{}
+	seen := map[string]bool{}
+	dup := func(fn string) bool {
+		d := seen[fn]
+		seen[fn] = true
+		return d
 	}
 
 	nEdges := r.count()
 	for i := uint64(0); i < nEdges && r.err == nil; i++ {
 		fn := r.str()
-		if _, dup := snap.Edges[fn]; dup {
+		if dup(fn) {
 			return nil, corrupt(r.off, "duplicate edge profile %q", fn)
 		}
-		ep := profile.NewEdgeProfile(fn)
-		ep.Calls = r.nonneg()
-		ep.Saturated = r.bool()
+		e := upEdges{name: fn, calls: r.nonneg(), saturated: r.bool(), lo: len(u.counts)}
 		n := r.count()
+		u.counts = slices.Grow(u.counts, int(n))
 		for j := uint64(0); j < n && r.err == nil; j++ {
 			src, dst, v := r.nonneg(), r.nonneg(), r.nonneg()
-			ep.Add(int(src), int(dst), v)
+			u.counts = append(u.counts, profile.EdgeCount{EdgeKey: profile.EdgeKey{Src: int(src), Dst: int(dst)}, Count: v})
 		}
-		snap.Edges[fn] = ep
+		e.hi = len(u.counts)
+		u.edges = append(u.edges, e)
 	}
 
-	// Every path is read into one scratch run of edge IDs while its
-	// trie cursor descends; AddAt copies the run into the profile's ID
-	// arena only when it interns a new path, so allocation follows
-	// distinct paths (and arena growth), not path edges.
+	clear(seen)
 	nPaths := r.count()
-	var ids []int32
 	for i := uint64(0); i < nPaths && r.err == nil; i++ {
 		fn := r.str()
-		if _, dup := snap.Paths[fn]; dup {
+		if dup(fn) {
 			return nil, corrupt(r.off, "duplicate path profile %q", fn)
 		}
-		pp := profile.NewPathProfile(fn)
-		pp.Saturated = r.bool()
+		p := upPaths{name: fn, saturated: r.bool(), lo: len(u.runs), off: len(u.ids)}
 		n := r.count()
+		u.runs = slices.Grow(u.runs, int(n))
 		for j := uint64(0); j < n && r.err == nil; j++ {
 			ne := r.count()
-			ids = ids[:0]
-			cur := pp.Root()
-			for k := uint64(0); k < ne && r.err == nil; k++ {
-				id := r.nonneg()
-				if id > math.MaxInt32 {
-					return nil, corrupt(r.off, "path edge ID %d exceeds %d", id, math.MaxInt32)
-				}
-				ids = append(ids, int32(id))
-				cur = pp.Step(cur, int32(id))
+			if u.ids == nil && ne > 0 {
+				// Every edge ID takes at least one byte.
+				u.ids = make([]int32, 0, len(r.buf)-r.off)
 			}
-			count := r.nonneg()
-			if r.err == nil {
-				pp.AddAt(cur, ids, count)
+			if err := r.pathIDs(ne, &u.ids); err != nil {
+				return nil, err
 			}
+			u.runs = append(u.runs, pathRun{n: int32(ne), count: r.nonneg()})
 		}
-		snap.Paths[fn] = pp
+		p.hi = len(u.runs)
+		u.paths = append(u.paths, p)
 	}
 
+	clear(seen)
 	nTables := r.count()
 	for i := uint64(0); i < nTables && r.err == nil; i++ {
 		fn := r.str()
-		if _, dup := snap.Tables[fn]; dup {
+		if dup(fn) {
 			return nil, corrupt(r.off, "duplicate table %q", fn)
 		}
 		var st profile.TableState
@@ -239,37 +302,44 @@ func Decode(data []byte) (*profile.Snapshot, error) {
 		st.Size = r.nonneg()
 		st.Lost, st.Cold, st.Drops = r.nonneg(), r.nonneg(), r.nonneg()
 		st.Saturated = r.bool()
+		lo := len(u.cells)
 		if st.Kind == profile.ArrayTable {
 			if st.Size > maxTableSize {
 				return nil, corrupt(r.off, "array table size %d exceeds limit %d", st.Size, maxTableSize)
 			}
-			st.Arr = make([]int64, st.Size)
 			nz := r.count()
+			u.cells = slices.Grow(u.cells, int(nz))
 			for j := uint64(0); j < nz && r.err == nil; j++ {
 				idx, v := r.nonneg(), r.nonneg()
 				if r.err == nil && idx >= st.Size {
 					return nil, corrupt(r.off, "array index %d outside table of %d", idx, st.Size)
 				}
-				if r.err == nil {
-					st.Arr[idx] = v
-				}
+				// idx < st.Size <= maxTableSize, so it fits the cell.
+				u.cells = append(u.cells, tableCell{at: int32(idx), val: v})
 			}
 		} else {
 			ns := r.count()
+			u.cells = slices.Grow(u.cells, int(ns))
 			for j := uint64(0); j < ns && r.err == nil; j++ {
-				st.Slots = append(st.Slots, int32(r.nonneg()))
-				st.Keys = append(st.Keys, r.iv())
-				st.Vals = append(st.Vals, r.nonneg())
+				slot := int32(r.nonneg())
+				key := r.iv()
+				u.cells = append(u.cells, tableCell{at: slot, key: key, val: r.nonneg()})
 			}
 		}
 		if r.err != nil {
 			break
 		}
-		tab, err := profile.NewTableFromState(st)
-		if err != nil {
+		tab := upTable{name: fn, st: st, lo: lo, hi: len(u.cells)}
+		cells, ok := sortCells(st.Kind, u.cells[lo:])
+		if !ok {
+			// A hash slot out of range or repeated: the table
+			// constructor names the first one, as it does for Decode.
+			_, err := profile.NewTableFromState(u.tableState(tab))
 			return nil, corrupt(r.off, "table %q: %v", fn, err)
 		}
-		snap.Tables[fn] = tab
+		u.cells = u.cells[:lo+len(cells)]
+		tab.hi = len(u.cells)
+		u.tables = append(u.tables, tab)
 	}
 
 	if r.err != nil {
@@ -277,6 +347,161 @@ func Decode(data []byte) (*profile.Snapshot, error) {
 	}
 	if r.off != len(r.buf) {
 		return nil, corrupt(r.off, "%d trailing bytes", len(r.buf)-r.off)
+	}
+	return u, nil
+}
+
+// sortCells puts one table's cells, as read, in the order of the
+// table they decode to: ascending at, an array index read twice
+// keeping its last value. It returns the cells kept, or false, with
+// cells as read, for a hash slot out of range or repeated.
+func sortCells(kind profile.TableKind, cells []tableCell) ([]tableCell, bool) {
+	if kind == profile.HashTable {
+		var used [profile.HashSlots]bool
+		for _, c := range cells {
+			if c.at < 0 || c.at >= profile.HashSlots || used[c.at] {
+				return cells, false
+			}
+			used[c.at] = true
+		}
+	}
+	slices.SortStableFunc(cells, func(a, b tableCell) int { return cmp.Compare(a.at, b.at) })
+	out := cells[:0]
+	for _, c := range cells {
+		if n := len(out); n > 0 && out[n-1].at == c.at {
+			out[n-1] = c
+			continue
+		}
+		out = append(out, c)
+	}
+	return out, true
+}
+
+// tableState is table t's complete state, as NewTableFromState takes
+// it.
+func (u *Upload) tableState(t upTable) profile.TableState {
+	st := t.st
+	cells := u.cells[t.lo:t.hi]
+	if st.Kind == profile.ArrayTable {
+		st.Arr = make([]int64, st.Size)
+		for _, c := range cells {
+			st.Arr[c.at] = c.val
+		}
+		return st
+	}
+	st.Slots = make([]int32, len(cells))
+	st.Keys = make([]int64, len(cells))
+	st.Vals = make([]int64, len(cells))
+	for i, c := range cells {
+		st.Slots[i], st.Keys[i], st.Vals[i] = c.at, c.key, c.val
+	}
+	return st
+}
+
+// addPaths records routine p's paths into pp in wire order: a trie
+// descent per path edge, and the ID run copied into pp's arena only
+// when the path is new to pp.
+func (u *Upload) addPaths(pp *profile.PathProfile, p upPaths) {
+	off := p.off
+	for _, run := range u.runs[p.lo:p.hi] {
+		ids := u.ids[off : off+int(run.n)]
+		off += int(run.n)
+		cur := pp.Root()
+		for _, id := range ids {
+			cur = pp.Step(cur, id)
+		}
+		pp.AddAt(cur, ids, run.count)
+	}
+}
+
+// FoldInto merges u into dst, leaving dst exactly as
+// dst.MergeSnapshot(Decode(data)) would (in Fingerprint and in Encode
+// bytes) without building the snapshot: edge calls and counts add
+// saturating, zero edge counts are skipped, a path or edge listed
+// twice sums, paths new to dst are interned in first-seen wire order,
+// table cells replay in index or slot order, Saturated flags carry
+// over, and routines new to dst are created. Merging the wire entries
+// in order equals merging their decoded sums, because saturating
+// addition of non-negative counts is associative.
+func (u *Upload) FoldInto(dst *profile.Snapshot) {
+	for _, e := range u.edges {
+		ep := dst.Edges[e.name]
+		if ep == nil {
+			ep = profile.NewEdgeProfile(e.name)
+			dst.Edges[e.name] = ep
+		}
+		ep.MergeCalls(e.calls, e.saturated)
+		for _, ec := range u.counts[e.lo:e.hi] {
+			if ec.Count != 0 {
+				ep.Add(ec.Src, ec.Dst, ec.Count)
+			}
+		}
+	}
+	for _, p := range u.paths {
+		pp := dst.Paths[p.name]
+		if pp == nil {
+			pp = profile.NewPathProfile(p.name)
+			dst.Paths[p.name] = pp
+		}
+		if p.saturated {
+			pp.Saturated = true
+		}
+		u.addPaths(pp, p)
+	}
+	for _, t := range u.tables {
+		tab := dst.Tables[t.name]
+		if tab == nil {
+			tab = profile.NewTable(t.st.Kind, t.st.N, t.st.Size)
+			dst.Tables[t.name] = tab
+		}
+		tab.MergeTotals(t.st.Lost, t.st.Cold, t.st.Drops, t.st.Saturated)
+		for _, c := range u.cells[t.lo:t.hi] {
+			switch {
+			case t.st.Kind == profile.HashTable:
+				tab.Add(c.key, c.val)
+			case c.val != 0:
+				tab.Add(int64(c.at), c.val)
+			}
+		}
+	}
+}
+
+// Decode rebuilds a snapshot from Encode's output: Parse, then one
+// profile per routine built from the wire entries. Any damage yields
+// Parse's *CorruptError and no snapshot. Decoded paths are runs of
+// DAG edge IDs, as on the wire — enough for fingerprinting, counting,
+// merging and re-encoding. They resolve to no DAG: PathProfile.Paths
+// gives each ID a placeholder edge carrying only the ID, and
+// resolving them against a program's real DAGs is the caller's
+// concern. Edge entries are added as listed (a zero count included),
+// and hash tables keep their encoded slot layout.
+func Decode(data []byte) (*profile.Snapshot, error) {
+	u, err := Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	snap := profile.NewSnapshot()
+	for _, e := range u.edges {
+		ep := profile.NewEdgeProfile(e.name)
+		ep.Calls, ep.Saturated = e.calls, e.saturated
+		for _, ec := range u.counts[e.lo:e.hi] {
+			ep.Add(ec.Src, ec.Dst, ec.Count)
+		}
+		snap.Edges[e.name] = ep
+	}
+	for _, p := range u.paths {
+		pp := profile.NewPathProfile(p.name)
+		pp.Saturated = p.saturated
+		u.addPaths(pp, p)
+		snap.Paths[p.name] = pp
+	}
+	for _, t := range u.tables {
+		tab, err := profile.NewTableFromState(u.tableState(t))
+		if err != nil {
+			// Unreachable: Parse checked the state.
+			return nil, err
+		}
+		snap.Tables[t.name] = tab
 	}
 	return snap, nil
 }
@@ -368,6 +593,38 @@ func (r *decoder) iv() int64 {
 	}
 	r.off += n
 	return v
+}
+
+// pathIDs appends a path's n edge IDs to *ids. One- and two-byte
+// varints, which hold every edge ID below 16384, are decoded in line;
+// a longer one goes through nonneg, which reports every malformed or
+// overflowing varint, and is then checked against the int32 ID width.
+func (r *decoder) pathIDs(n uint64, ids *[]int32) error {
+	buf, off, out := r.buf, r.off, *ids
+	for k := uint64(0); k < n; k++ {
+		if off < len(buf) && buf[off] < 0x80 {
+			out = append(out, int32(buf[off]))
+			off++
+			continue
+		}
+		if off+1 < len(buf) && buf[off+1] < 0x80 {
+			out = append(out, int32(buf[off]&0x7f)|int32(buf[off+1])<<7)
+			off += 2
+			continue
+		}
+		r.off = off
+		id := r.nonneg()
+		if r.err != nil {
+			return r.err
+		}
+		if id > math.MaxInt32 {
+			return corrupt(r.off, "path edge ID %d exceeds %d", id, math.MaxInt32)
+		}
+		out = append(out, int32(id))
+		off = r.off
+	}
+	r.off, *ids = off, out
+	return nil
 }
 
 // nonneg reads an unsigned field that must fit in int64.
