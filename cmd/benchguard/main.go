@@ -17,8 +17,8 @@
 // usage errors. A missing or unreadable baseline is informational
 // either way — the first run after a cache wipe has nothing to
 // compare against and must not break the build. So is a baseline
-// measured under a different configuration (backend, placement or
-// workload set): its wall clock says nothing about this run's.
+// measured under a different configuration (placement or workload
+// set): its wall clock says nothing about this run's.
 package main
 
 import (
@@ -36,7 +36,6 @@ import (
 // evolve independently.
 type benchReport struct {
 	Workloads []string           `json:"workloads"`
-	Backend   string             `json:"backend"`
 	Placement string             `json:"placement"`
 	TotalSecs float64            `json:"total_seconds"`
 	Headline  map[string]float64 `json:"headline"`
@@ -146,7 +145,6 @@ func configDiff(cur, base *benchReport) string {
 			diffs = append(diffs, fmt.Sprintf("%s %q in the baseline, %q in the report", name, b, c))
 		}
 	}
-	field("backend", base.Backend, cur.Backend)
 	field("placement", base.Placement, cur.Placement)
 	field("workloads", strings.Join(base.Workloads, ","), strings.Join(cur.Workloads, ","))
 	return strings.Join(diffs, "; ")

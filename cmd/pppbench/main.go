@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	pppbench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|sac|net|static|throughput|faults|backend|placement]
-//	         [-backend compiled|dense] [-placement spanning|mincost] [-workloads a,b,c]
+//	pppbench [-exp all|table1|table2|fig9|fig10|fig11|fig12|fig13|sac|net|static|throughput|faults|placement]
+//	         [-placement spanning|mincost] [-workloads a,b,c]
 //	         [-par n] [-replicas n] [-faults spec] [-json] [-v] [-cpuprofile f] [-memprofile f]
 //
 // The workload sweep runs on a bounded worker pool (-par, default
@@ -23,19 +23,10 @@
 // -exp faults runs guarded replication under deterministic fault
 // injection (-faults seed=N,kind=panic+stall+overflow[,rate=r]) and
 // reports shard quarantine, lost flow, counter saturation, and merge
-// determinism across worker counts and both VM backends. Also
-// explicit-only: its outcome depends on the requested fault spec.
-//
-// -backend selects the VM execution strategy for the pipeline runs:
-// "compiled" (threaded code, default) or "dense" (the reference
-// interpreter); every table and figure is identical under either.
-// Each compiled engine built under the decision trace (-exp faults
-// with -trace) logs one validate event per routine. -exp backend runs
-// the cross-backend smoke: the workload sweep PP-instrumented on both
-// backends at 1 and 8 workers, diffing merged fingerprints (a
-// divergence is a hard failure) and reporting wall clock, speedup, and
-// per-routine compile cost. With -json, the comparison lands in the
-// report's backend_comparison field.
+// determinism across repeats. Also explicit-only: its outcome depends
+// on the requested fault spec. Each engine built under the decision
+// trace (-exp faults with -trace) logs one translation-validation event
+// per routine.
 //
 // -placement selects the edge-probe placement the suite's pipelines
 // plan under: "spanning" (a counter per CFG transition, default) or
@@ -44,8 +35,8 @@
 // and figure is identical under either. -exp placement runs the
 // spanning-vs-mincost head-to-head: per-workload probe-site counts and
 // modeled overhead for PP/TPP/PPP under both placements, plus the
-// recovery bit-identity check at 1/2/4/8 workers on both backends (a
-// fingerprint divergence is a hard failure). With -json, the
+// recovery bit-identity check at 1/2/4/8 workers (a fingerprint
+// divergence is a hard failure). With -json, the
 // comparison lands in the report's placement_comparison field.
 //
 // Observability: -serve :addr exposes the suite's live telemetry over
@@ -72,7 +63,6 @@ import (
 	"pathprof/internal/instr"
 	srv "pathprof/internal/serve"
 	"pathprof/internal/telemetry"
-	"pathprof/internal/vm"
 	"pathprof/internal/workloads"
 )
 
@@ -80,7 +70,6 @@ import (
 type report struct {
 	Workloads   []string           `json:"workloads"`
 	Parallelism int                `json:"parallelism"`
-	Backend     string             `json:"backend"`
 	Placement   string             `json:"placement"`
 	Experiments []experimentTiming `json:"experiments"`
 	TotalSecs   float64            `json:"total_seconds"`
@@ -89,9 +78,6 @@ type report struct {
 	// (path-profiling ops and edge probe sites) under the selected
 	// placement.
 	StaticOps []bench.StaticOpsRow `json:"static_ops,omitempty"`
-	// Backends holds the dense-vs-compiled comparison (wall clock,
-	// speedup, per-routine compile stats) when -exp backend ran.
-	Backends *bench.BackendReport `json:"backend_comparison,omitempty"`
 	// Placements holds the spanning-vs-mincost probe-placement
 	// head-to-head when -exp placement ran.
 	Placements *bench.PlacementReport `json:"placement_comparison,omitempty"`
@@ -105,8 +91,7 @@ type experimentTiming struct {
 func main() { os.Exit(run()) }
 
 func run() int {
-	exp := flag.String("exp", "all", "experiment to regenerate (all, table1, table2, fig9, fig10, fig11, fig12, fig13, sac, net, static, throughput, faults, backend, placement)")
-	backendName := flag.String("backend", "compiled", "VM execution backend for pipeline runs (compiled, or dense for the reference interpreter)")
+	exp := flag.String("exp", "all", "experiment to regenerate (all, table1, table2, fig9, fig10, fig11, fig12, fig13, sac, net, static, throughput, faults, placement)")
 	placementName := flag.String("placement", "spanning", "edge-probe placement for pipeline runs (spanning, mincost)")
 	names := flag.String("workloads", "", "comma-separated subset of workloads (default: all 18)")
 	par := flag.Int("par", 0, "worker pool size for the workload sweep (0 = GOMAXPROCS, 1 = sequential)")
@@ -148,11 +133,6 @@ func run() int {
 		}()
 	}
 
-	backend, err := vm.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
-	}
 	placement, err := instr.ParsePlacement(*placementName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -160,7 +140,6 @@ func run() int {
 	}
 	s := bench.NewSuite()
 	s.Parallelism = *par
-	s.Backend = backend
 	s.Placement = placement
 	if *verbose {
 		s.Log = os.Stderr
@@ -211,16 +190,10 @@ func run() int {
 		{"static", s.StaticReport, false},
 		{"throughput", func(w io.Writer) error { return s.ThroughputReport(w, *replicas) }, true},
 		{"faults", func(w io.Writer) error { return s.FaultsReport(w, *faults, *replicas) }, true},
-		// run functions filled in below; they need access to rep.
-		{"backend", nil, true},
+		// run function filled in below; it needs access to rep.
 		{"placement", nil, true},
 	}
-	rep := report{Parallelism: s.Parallelism, Backend: backend.String(), Placement: placement.String()}
-	all[len(all)-2].run = func(w io.Writer) error {
-		br, err := s.BackendSmoke(w, *replicas)
-		rep.Backends = br
-		return err
-	}
+	rep := report{Parallelism: s.Parallelism, Placement: placement.String()}
 	all[len(all)-1].run = func(w io.Writer) error {
 		pr, err := s.PlacementTable(w, *replicas)
 		rep.Placements = pr

@@ -13,11 +13,9 @@
 //	pppc -workload mcf -faults seed=7,kind=panic+overflow
 //	pppc -workload mcf -trace trace.jsonl -serve :8080
 //
-// -backend selects the VM executor for every run: "compiled" (threaded
-// code, translation-validated per routine before it runs; the default)
-// or "dense" (the reference interpreter). Results, profiles and costs
-// are identical under either; a -faults drill traced under compiled
-// carries one validate event per routine.
+// Every run executes compiled threaded code, translation-validated
+// per routine before it runs; a traced -faults drill carries one
+// validate event per routine.
 //
 // Every instrumentation plan the run builds is proven against the
 // paper's invariants over all acyclic paths (package verify): a
@@ -71,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profiler := fs.String("profiler", "PPP", "profiler: PP, TPP, PPP, or PPP-{SAC,FP,Push,SPN,LC}")
 	hot := fs.Int("hot", 10, "number of hot paths to print")
 	noOpt := fs.Bool("no-opt", false, "skip profile-guided inlining and unrolling")
-	backendName := fs.String("backend", "compiled", "VM execution backend (compiled, or dense for the reference interpreter)")
 	placementName := fs.String("placement", "spanning", "edge-probe placement (spanning, mincost)")
 	dumpPlans := fs.Bool("dump-plans", false, "dump per-routine instrumentation plans")
 	saveProfile := fs.String("save-profile", "", "write the optimized run's edge profile to a file")
@@ -159,10 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		telemetryErr = telemetrySrv.Start(ln)
 	}
 
-	backend, err := vm.ParseBackend(*backendName)
-	if err != nil {
-		return fail("%v", err)
-	}
 	placement, err := instr.ParsePlacement(*placementName)
 	if err != nil {
 		return fail("%v", err)
@@ -170,7 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	pipe := core.NewPipeline(name, source)
 	pipe.NoOpt = *noOpt
-	pipe.Backend = backend
 	pipe.Instr.Placement = placement
 	pipe.Instr.Trace = reg.Trace()
 	pipe.Metrics = telemetry.NewVMMetrics(reg)
@@ -334,7 +326,6 @@ func faultDrill(w io.Writer, inj *faultinject.Injector, staged *core.Staged, pr 
 			CollectEdges: true, CollectPaths: true,
 			Guard: bench.FaultGuard(inj, []string{entry}, tr, unit),
 			Trace: tr, TraceUnit: unit,
-			Backend: staged.Pipeline.Backend,
 		}
 		rr, err := vm.RunReplicated(staged.Prog, opts, 8, 4)
 		if err != nil {

@@ -18,7 +18,6 @@ import (
 	"pathprof/internal/instr"
 	"pathprof/internal/netprof"
 	"pathprof/internal/telemetry"
-	"pathprof/internal/vm"
 	"pathprof/internal/workloads"
 )
 
@@ -67,10 +66,6 @@ type Suite struct {
 	// synchronized, and per-unit export order is deterministic); reports
 	// publish gauges into it. Nil disables all of it.
 	Telemetry *telemetry.Registry
-	// Backend selects the VM execution strategy for every pipeline run
-	// (dense interpreter or compiled threaded code). All tables and
-	// figures are identical under either; only wall clock differs.
-	Backend vm.Backend
 	// Placement selects the edge-probe placement every pipeline in the
 	// suite plans under: spanning full counters (the default) or
 	// min-cost cotree-chord probes. All tables and figures are identical
@@ -146,7 +141,6 @@ func (s *Suite) runWorkload(name string) (*WorkloadResult, error) {
 	pred := netprof.New(netprof.DefaultThreshold)
 	pl := core.NewPipeline(w.Name, w.Source)
 	pl.PathHook = pred.Hook()
-	pl.Backend = s.Backend
 	pl.Instr.Placement = s.Placement
 	pl.Instr.Trace = s.Telemetry.Trace()
 	staged, err := pl.Stage()

@@ -17,7 +17,7 @@ var PlacementWorkers = []int{1, 2, 4, 8}
 // PlacementCell is one profiler x placement measurement for a
 // workload: modeled edge-acquisition overhead from a single
 // instrumented run, and wall clock accumulated across the replicated
-// sweep (PlacementWorkers x both backends).
+// sweep (PlacementWorkers).
 type PlacementCell struct {
 	OverheadPct float64 `json:"overhead_pct"`
 	Secs        float64 `json:"seconds"`
@@ -72,8 +72,8 @@ var placementModes = []struct {
 
 // PlacementCompare measures every workload under PP/TPP/PPP with both
 // probe placements: one costed run per cell for the modeled overhead,
-// then vm.RunReplicated at PlacementWorkers on both backends for wall
-// clock and the recovery bit-identity check.
+// then vm.RunReplicated at PlacementWorkers for wall clock and the
+// recovery bit-identity check.
 func (s *Suite) PlacementCompare(replicas int) (*PlacementReport, error) {
 	if replicas <= 0 {
 		replicas = DefaultThroughputReplicas
@@ -88,8 +88,8 @@ func (s *Suite) PlacementCompare(replicas int) (*PlacementReport, error) {
 		for _, prof := range core.Profilers() {
 			pp := PlacementProfiler{Profiler: prof.Name}
 			// The merged fingerprint after recovery must agree across
-			// every cell of this profiler: both placements, both
-			// backends, every worker count.
+			// every cell of this profiler: both placements, every
+			// worker count.
 			var want uint64
 			haveWant := false
 			for _, mode := range placementModes {
@@ -127,28 +127,25 @@ func (s *Suite) PlacementCompare(replicas int) (*PlacementReport, error) {
 					Plans: plans, EdgeInstrument: true,
 					CollectEdges: true, CollectPaths: true,
 				}
-				for _, be := range []vm.Backend{vm.BackendDense, vm.BackendCompiled} {
-					opts.Backend = be
-					for _, par := range PlacementWorkers {
-						rr, err := vm.RunReplicated(wr.Staged.Prog, opts, replicas, par)
-						if err != nil {
-							return nil, fmt.Errorf("%s/%s/%s/%s w=%d: %w",
-								wl.Name, prof.Name, mode.Name, be, par, err)
-						}
-						elapsed += rr.Elapsed
-						snap, err := vm.RecoverEdges(rr.Merged, plans)
-						if err != nil {
-							return nil, fmt.Errorf("%s/%s/%s/%s w=%d: %w",
-								wl.Name, prof.Name, mode.Name, be, par, err)
-						}
-						fp := snap.Fingerprint()
-						if !haveWant {
-							want, haveWant = fp, true
-						} else if fp != want {
-							rep.Divergent = append(rep.Divergent,
-								fmt.Sprintf("%s/%s placement=%s backend=%s w=%d: %#x != %#x",
-									wl.Name, prof.Name, mode.Name, be, par, fp, want))
-						}
+				for _, par := range PlacementWorkers {
+					rr, err := vm.RunReplicated(wr.Staged.Prog, opts, replicas, par)
+					if err != nil {
+						return nil, fmt.Errorf("%s/%s/%s w=%d: %w",
+							wl.Name, prof.Name, mode.Name, par, err)
+					}
+					elapsed += rr.Elapsed
+					snap, err := vm.RecoverEdges(rr.Merged, plans)
+					if err != nil {
+						return nil, fmt.Errorf("%s/%s/%s w=%d: %w",
+							wl.Name, prof.Name, mode.Name, par, err)
+					}
+					fp := snap.Fingerprint()
+					if !haveWant {
+						want, haveWant = fp, true
+					} else if fp != want {
+						rep.Divergent = append(rep.Divergent,
+							fmt.Sprintf("%s/%s placement=%s w=%d: %#x != %#x",
+								wl.Name, prof.Name, mode.Name, par, fp, want))
 					}
 				}
 				cell.Secs = elapsed.Seconds()
@@ -184,7 +181,7 @@ func (s *Suite) PlacementTable(w io.Writer, replicas int) (*PlacementReport, err
 		return nil, err
 	}
 	fmt.Fprintf(w, "Probe placement head-to-head: spanning (full edge counters) vs mincost (cotree chords + recovery)\n")
-	fmt.Fprintf(w, "%d workloads x %d replicas at workers %v, both backends\n", rep.Workloads, rep.Replicas, rep.Workers)
+	fmt.Fprintf(w, "%d workloads x %d replicas at workers %v\n", rep.Workloads, rep.Replicas, rep.Workers)
 	fmt.Fprintf(w, "%-10s %8s %8s %6s  %s\n", "bench", "span", "minc", "sites", "overhead% span->minc (PP | TPP | PPP)")
 	for _, row := range rep.Rows {
 		pct := 0.0
@@ -201,7 +198,7 @@ func (s *Suite) PlacementTable(w io.Writer, replicas int) (*PlacementReport, err
 	fmt.Fprintf(w, "wall clock: spanning %.3fs, mincost %.3fs\n", rep.SpanningSecs, rep.MinCostSecs)
 	fmt.Fprintf(w, "recovered fingerprints: ")
 	if len(rep.Divergent) == 0 {
-		fmt.Fprintf(w, "bit-identical to spanning across placements, backends, and worker counts\n")
+		fmt.Fprintf(w, "bit-identical to spanning across placements and worker counts\n")
 		return rep, nil
 	}
 	fmt.Fprintf(w, "DIVERGED\n")

@@ -11,7 +11,7 @@ import (
 // over the small suite. Beyond rendering, this is the end-to-end
 // acceptance check for min-cost placement: every mincost cell's
 // recovered snapshot must fingerprint identically to the spanning run
-// at every worker count on both backends, and mincost must place
+// at every worker count, and mincost must place
 // strictly fewer probe sites.
 func TestPlacementTableRenders(t *testing.T) {
 	s := smallSuite(t)

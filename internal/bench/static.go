@@ -13,7 +13,7 @@ import (
 // for one routine under one profiler: inserted path-profiling ops, the
 // edge-counter probe sites the plan's placement implies, and the cost
 // of the static proofs run over the plan — the all-paths verifier
-// (verify.Check) and the compiled backend's translation validation,
+// (verify.Check) and the compiled code's translation validation,
 // both in wall-clock microseconds.
 type StaticOpsRow struct {
 	Workload      string `json:"workload"`
@@ -45,7 +45,6 @@ func (s *Suite) StaticOpsRows() ([]StaticOpsRow, error) {
 			eng, err := vm.NewEngine(r.Staged.Prog, vm.Options{
 				Costs: pl.Costs, Entry: pl.Entry, MaxSteps: pl.MaxSteps,
 				Plans: r.Profilers[p].Plans, CollectPaths: true,
-				Backend: vm.BackendCompiled,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s/%s: compiled engine: %w", r.W.Name, p, err)

@@ -32,11 +32,6 @@ const DefaultThroughputReplicas = 16
 // Unlike the paper's tables, the throughput numbers are wall-clock
 // measurements and vary run to run; the determinism column is the part
 // that must never vary.
-//
-// Every mode runs under both VM backends (dense interpreter, compiled
-// threaded code); the merge column checks fingerprints across worker
-// counts AND across backends, so a compiled-backend divergence from
-// the interpreter shows up as DIVERGED, not as a plausible number.
 func (s *Suite) ThroughputReport(w io.Writer, replicas int) error {
 	if replicas <= 0 {
 		replicas = DefaultThroughputReplicas
@@ -44,12 +39,11 @@ func (s *Suite) ThroughputReport(w io.Writer, replicas int) error {
 	sel := s.throughputWorkloads()
 	fmt.Fprintf(w, "Sharded collection throughput: %d replicas/run, GOMAXPROCS=%d, %d CPUs\n",
 		replicas, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	fmt.Fprintf(w, "%-10s %-6s %-8s", "bench", "mode", "backend")
+	fmt.Fprintf(w, "%-10s %-6s", "bench", "mode")
 	for _, par := range ThroughputWorkers {
 		fmt.Fprintf(w, " %11s", fmt.Sprintf("w=%d", par))
 	}
 	fmt.Fprintf(w, " %8s %6s  %s\n", "speedup", "eff", "merge")
-	backends := []vm.Backend{vm.BackendDense, vm.BackendCompiled}
 	for _, wl := range sel {
 		wr, err := s.Run(wl.Name)
 		if err != nil {
@@ -71,50 +65,43 @@ func (s *Suite) ThroughputReport(w io.Writer, replicas int) error {
 				Metrics: telemetry.NewVMMetrics(s.Telemetry),
 			}})
 		}
-		baseRPS := map[string]float64{} // mode/backend -> w=1 replicas/sec
+		baseRPS := map[string]float64{} // mode -> w=1 replicas/sec
 		for _, mode := range modes {
-			var modeFPs []uint64 // all worker counts x both backends
-			for _, be := range backends {
-				fmt.Fprintf(w, "%-10s %-6s %-8s", wl.Name, mode.name, be)
-				opts := mode.opts
-				opts.Backend = be
-				var rps []float64
-				for _, par := range ThroughputWorkers {
-					rr, err := vm.RunReplicated(wr.Staged.Prog, opts, replicas, par)
-					if err != nil {
-						return err
-					}
-					rps = append(rps, rr.RunsPerSec())
-					modeFPs = append(modeFPs, rr.Merged.Fingerprint())
-					fmt.Fprintf(w, " %9.1f/s", rr.RunsPerSec())
+			fmt.Fprintf(w, "%-10s %-6s", wl.Name, mode.name)
+			var rps []float64
+			var fps []uint64
+			for _, par := range ThroughputWorkers {
+				rr, err := vm.RunReplicated(wr.Staged.Prog, mode.opts, replicas, par)
+				if err != nil {
+					return err
 				}
-				baseRPS[mode.name+"/"+be.String()] = rps[0]
-				best := 0
-				for i := range rps {
-					if rps[i] > rps[best] {
-						best = i
-					}
-				}
-				speedup := 1.0
-				if rps[0] > 0 {
-					speedup = rps[best] / rps[0]
-				}
-				eff := speedup / float64(ThroughputWorkers[best])
-				merge := "identical"
-				for _, f := range modeFPs {
-					if f != modeFPs[0] {
-						merge = "DIVERGED"
-					}
-				}
-				fmt.Fprintf(w, " %7.2fx %5.0f%%  %s\n", speedup, 100*eff, merge)
+				rps = append(rps, rr.RunsPerSec())
+				fps = append(fps, rr.Merged.Fingerprint())
+				fmt.Fprintf(w, " %9.1f/s", rr.RunsPerSec())
 			}
+			baseRPS[mode.name] = rps[0]
+			best := 0
+			for i := range rps {
+				if rps[i] > rps[best] {
+					best = i
+				}
+			}
+			speedup := 1.0
+			if rps[0] > 0 {
+				speedup = rps[best] / rps[0]
+			}
+			eff := speedup / float64(ThroughputWorkers[best])
+			merge := "identical"
+			for _, f := range fps {
+				if f != fps[0] {
+					merge = "DIVERGED"
+				}
+			}
+			fmt.Fprintf(w, " %7.2fx %5.0f%%  %s\n", speedup, 100*eff, merge)
 		}
-		if pp, tel := baseRPS["PP/dense"], baseRPS["PP+tel/dense"]; pp > 0 && tel > 0 {
-			fmt.Fprintf(w, "%-10s telemetry overhead at w=1 (dense): %+.1f%%\n",
+		if pp, tel := baseRPS["PP"], baseRPS["PP+tel"]; pp > 0 && tel > 0 {
+			fmt.Fprintf(w, "%-10s telemetry overhead at w=1: %+.1f%%\n",
 				"", 100*(pp-tel)/pp)
-		}
-		if d, c := baseRPS["PP/dense"], baseRPS["PP/compiled"]; d > 0 && c > 0 {
-			fmt.Fprintf(w, "%-10s compiled speedup at w=1 (PP): %.2fx\n", "", c/d)
 		}
 	}
 	return nil

@@ -58,10 +58,11 @@ type Pipeline struct {
 	// Metrics, if set, receives the VM hot-loop counters from every run
 	// the pipeline performs. Nil is the zero-overhead no-op sink.
 	Metrics *telemetry.VMMetrics
-	// Backend selects the VM execution strategy for every run the
-	// pipeline performs: the zero value is compiled threaded code,
-	// vm.BackendDense the reference interpreter. Both produce identical
-	// results, profiles, and cost accounting.
+	// Backend has one value, and the pipeline ignores it.
+	//
+	// Deprecated: every run executes compiled threaded code. The field
+	// stays so callers that still read it (the perfbench module) build
+	// unchanged.
 	Backend vm.Backend
 }
 
@@ -102,7 +103,7 @@ func (p *Pipeline) Stage() (*Staged, error) {
 		o := vm.Options{
 			Costs: p.Costs, Entry: p.Entry, MaxSteps: p.MaxSteps,
 			CollectEdges: true, CollectPaths: paths,
-			Metrics: p.Metrics, Backend: p.Backend,
+			Metrics: p.Metrics,
 		}
 		if final && paths {
 			o.PathHook = p.PathHook
@@ -334,7 +335,7 @@ func (s *Staged) ProfileWith(name string, tech instr.Techniques, guide map[strin
 	run, err := vm.Run(s.Prog, vm.Options{
 		Costs: s.Pipeline.Costs, Entry: s.Pipeline.Entry, MaxSteps: s.Pipeline.MaxSteps,
 		Plans: plans, CollectPaths: true,
-		Metrics: s.Pipeline.Metrics, Backend: s.Pipeline.Backend,
+		Metrics: s.Pipeline.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: instrumented run: %w", s.Pipeline.Name, name, err)
@@ -499,7 +500,7 @@ func (s *Staged) EdgeOverheadRun() (*vm.Result, error) {
 	return vm.Run(s.Prog, vm.Options{
 		Costs: s.Pipeline.Costs, Entry: s.Pipeline.Entry,
 		MaxSteps: s.Pipeline.MaxSteps, EdgeInstrument: true,
-		Metrics: s.Pipeline.Metrics, Backend: s.Pipeline.Backend,
+		Metrics: s.Pipeline.Metrics,
 	})
 }
 

@@ -7,9 +7,9 @@
 //
 // The planner (internal/instr) builds plans against live cfg.DAG
 // structures; planir.FromPlan lowers one into a Routine, a closed value
-// of slices and scalars with a canonical binary encoding. The
-// interpreter, the threaded-code compiler (internal/vm/compile), and
-// the static verifier all consume this one artifact instead of
+// of slices and scalars with a canonical binary encoding. The VM
+// engine, the threaded-code compiler (internal/vm/compile), and the
+// static verifier all consume this one artifact instead of
 // re-deriving the lowering from planner internals, so a plan that
 // round-trips through the codec executes identically to the original.
 package planir

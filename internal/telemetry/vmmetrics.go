@@ -1,6 +1,6 @@
 package telemetry
 
-// VMMetrics bundles the interpreter hot-loop counters. Constructing it
+// VMMetrics bundles the VM hot-loop counters. Constructing it
 // registers the metric catalog's ppp_vm_* family; Cells hands one
 // worker's private view to a VM run. Registration is idempotent
 // (Registry constructors dedupe by name), so several runs — or a
@@ -31,7 +31,7 @@ func NewVMMetrics(r *Registry) *VMMetrics {
 }
 
 // VMCells is one worker's view of VMMetrics: plain padded cells the
-// interpreter bumps with single-threaded stores. The zero VMCells
+// executor bumps with single-threaded stores. The zero VMCells
 // (every field nil) is the no-op sink a run without telemetry uses —
 // each bump then costs one predictable branch.
 type VMCells struct {

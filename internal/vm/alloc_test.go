@@ -21,7 +21,7 @@ func main() {
 	return acc;
 }`
 
-// TestCompiledSteadyStateAllocs pins the compiled backend's zero-alloc
+// TestCompiledSteadyStateAllocs pins the compiled executor's zero-alloc
 // contract: after the first replica has grown the path trie, interned
 // its paths, and sized the frame and path pools, every further replica
 // must allocate nothing. This is what makes replicated runs scale —
@@ -35,7 +35,6 @@ func TestCompiledSteadyStateAllocs(t *testing.T) {
 
 	steady := func(t *testing.T, opts Options) {
 		t.Helper()
-		opts.Backend = BackendCompiled
 		e, err := NewEngine(prog, opts)
 		if err != nil {
 			t.Fatal(err)

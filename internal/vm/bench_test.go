@@ -3,10 +3,12 @@ package vm_test
 import (
 	"testing"
 
+	"pathprof/internal/core"
 	"pathprof/internal/instr"
 	"pathprof/internal/ir"
 	"pathprof/internal/lower"
 	"pathprof/internal/vm"
+	"pathprof/internal/workloads"
 )
 
 // hotSrc is a VM-bound workload: a tight loop with a data-dependent
@@ -55,8 +57,8 @@ func ppPlans(tb testing.TB, prog *ir.Program) map[string]*instr.Plan {
 	return plans
 }
 
-// BenchmarkRunPlain measures the bare execution loop on each backend.
-// A compiled vm.Run also pays closure compilation and translation
+// BenchmarkRunPlain measures the bare execution loop on each executor.
+// Every vm.Run also pays closure compilation and translation
 // validation once per run.
 func BenchmarkRunPlain(b *testing.B) {
 	benchRun(b, hotProgram(b), vm.Options{})
@@ -76,11 +78,11 @@ func BenchmarkRunInstrumented(b *testing.B) {
 }
 
 // benchRun times one-shot vm.Run of prog under opts, as one
-// sub-benchmark per backend.
+// sub-benchmark per executor.
 func benchRun(b *testing.B, prog *ir.Program, opts vm.Options) {
-	for _, be := range backends {
-		b.Run(be.String(), func(b *testing.B) {
-			opts.Backend = be
+	for _, ex := range executors {
+		b.Run(ex.name, func(b *testing.B) {
+			opts := ex.on(opts)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := vm.Run(prog, opts)
@@ -95,31 +97,21 @@ func benchRun(b *testing.B, prog *ir.Program, opts vm.Options) {
 
 // TestSteadyStateTransitionAllocs locks in the pooling win on the
 // reference interpreter: a run with ~800k steps (200k+ transitions and
-// 500 calls) must allocate only the per-run constant (machine setup,
-// profiles, pooled-frame high-water mark) — nothing proportional to
-// executed transitions.
+// 500 calls) must allocate only the per-run constant (profiles,
+// pooled-frame high-water mark) — nothing proportional to executed
+// transitions. The engine is built once, outside the measurement.
 func TestSteadyStateTransitionAllocs(t *testing.T) {
-	prog := hotProgram(t)
-	opts := vm.Options{CollectEdges: true, CollectPaths: true, Backend: vm.BackendDense}
-	warm, err := vm.Run(prog, opts)
-	if err != nil {
-		t.Fatal(err)
+	allocs, steps := engineRunAllocs(t, vm.Interp(vm.Options{CollectEdges: true, CollectPaths: true}))
+	if steps < 500_000 {
+		t.Fatalf("workload too small to be a steady-state probe: %d steps", steps)
 	}
-	if warm.Steps < 500_000 {
-		t.Fatalf("workload too small to be a steady-state probe: %d steps", warm.Steps)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := vm.Run(prog, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
 	// The seed implementation allocated per transition and per call
 	// (frames, arg slices, path-string keys): hundreds of thousands of
 	// allocations for this workload's ~3M steps. Dense dispatch plus
-	// pooling leaves only run setup (~350), independent of step count.
+	// pooling leaves only run setup, independent of step count.
 	if allocs > runAllocBudget {
-		t.Errorf("Run allocated %.0f times for %d steps; budget %d (per-transition allocation crept back in)",
-			allocs, warm.Steps, runAllocBudget)
+		t.Errorf("Engine.Run allocated %.0f times for %d steps; budget %d (per-transition allocation crept back in)",
+			allocs, steps, runAllocBudget)
 	}
 }
 
@@ -133,24 +125,20 @@ const runAllocBudget = 500
 // the measurement; each Engine.Run binds fresh containers and executes,
 // and must stay within the same per-run constant.
 func TestCompiledEngineRunAllocs(t *testing.T) {
-	allocs, steps := compiledEngineRunAllocs(t, vm.Options{CollectEdges: true, CollectPaths: true})
+	allocs, steps := engineRunAllocs(t, vm.Options{CollectEdges: true, CollectPaths: true})
 	if allocs > runAllocBudget {
 		t.Errorf("Engine.Run allocated %.0f times for %d steps; budget %d (per-transition allocation crept back in)",
 			allocs, steps, runAllocBudget)
 	}
 }
 
-// compiledEngineRunAllocs builds a default (compiled) engine for
-// hotProgram under opts and returns the allocations of one warm
-// Engine.Run and its step count.
-func compiledEngineRunAllocs(t *testing.T, opts vm.Options) (float64, int64) {
+// engineRunAllocs builds an engine for hotProgram under opts and
+// returns the allocations of one warm Engine.Run and its step count.
+func engineRunAllocs(t *testing.T, opts vm.Options) (float64, int64) {
 	t.Helper()
 	e, err := vm.NewEngine(hotProgram(t), opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.Compiled() == nil {
-		t.Fatal("default options built no compiled program")
 	}
 	warm, err := e.Run()
 	if err != nil {
@@ -176,14 +164,14 @@ func main() {
 	return s;
 }`
 	}
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		measure := func(calls int) float64 {
 			prog, err := lower.Compile(src(calls), lower.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return testing.AllocsPerRun(3, func() {
-				res, err := vm.Run(prog, vm.Options{CollectPaths: true, Backend: be})
+				res, err := vm.Run(prog, on(vm.Options{CollectPaths: true}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,4 +199,39 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// BenchmarkInstrumentedRun measures one PP-instrumented replica of a
+// staged workload on each executor: the configuration whose
+// interpreter tax the compiled code exists to cut. Engine construction
+// (plan lowering, DAGs, compilation and validation) is outside the
+// timed region, matching the replicated serving shape where it happens
+// once.
+func BenchmarkInstrumentedRun(b *testing.B) {
+	for _, name := range []string{"crafty", "bzip2", "swim"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			b.Fatalf("unknown workload %q", name)
+		}
+		staged, err := core.NewPipeline(w.Name, w.Source).Stage()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pr, err := staged.Profile("PP", core.Profilers()[0].Tech)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ex := range executors {
+			b.Run(name+"/"+ex.name, func(b *testing.B) {
+				e, err := vm.NewEngine(staged.Prog, ex.on(vm.Options{Plans: pr.Plans, CollectPaths: true}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				if _, err := e.RunReplicated(b.N, 1); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
 }

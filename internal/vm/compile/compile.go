@@ -1,6 +1,8 @@
-// Package compile is the VM's threaded-code backend: it specializes
-// each routine of an IR program into chained Go closures, eliminating
-// the dense-dispatch interpreter's per-instruction bookkeeping.
+// Package compile is the VM's executor: it specializes each routine of
+// an IR program into chained Go closures, eliminating an interpreter's
+// per-instruction dispatch and bookkeeping. The dense interpreter in
+// internal/vm's tests is the reference it is differentially tested
+// against.
 //
 // Layout of the compiled form:
 //
@@ -36,7 +38,6 @@ package compile
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"pathprof/internal/cfg"
 	"pathprof/internal/ir"
@@ -44,8 +45,8 @@ import (
 )
 
 // CostModel assigns modeled costs to executed operations. It is
-// vm.CostModel: the interpreter and the compiled backend charge from
-// the one struct.
+// vm.CostModel: the compiled code and the reference interpreter in
+// internal/vm's tests charge from the one struct.
 type CostModel struct {
 	Instr       int64 // per IR instruction
 	Term        int64 // per block terminator
@@ -82,8 +83,8 @@ type Options struct {
 // engine (vm) from the DAG and the planir artifact: the successor
 // block, its canonical edge-profile slot, the lowered op stream, and
 // the path-tracking edges. It is the one transition record: the
-// interpreter steps through it (Stepper.Step) and the compiled backend
-// lowers it.
+// compiler lowers it, and translation validation and the reference
+// interpreter in internal/vm's tests step through it (Stepper.Step).
 type SuccSpec struct {
 	To   int
 	Back bool // follows a CFG back edge (path truncation)
@@ -115,15 +116,6 @@ type FuncSpec struct {
 	PoisonCheck bool
 }
 
-// Stat records one routine's compilation: the closure count is the
-// static size of the threaded code.
-type Stat struct {
-	Name     string
-	Blocks   int
-	Closures int
-	Elapsed  time.Duration
-}
-
 // Program is an immutable compiled program, shared across Execs.
 type Program struct {
 	fns        []fnCode
@@ -135,9 +127,6 @@ type Program struct {
 	// the IR terminator and successor spec it was lowered from.
 	prog  *ir.Program
 	specs []FuncSpec
-	// Stats holds per-routine compile time and code size, in function
-	// index order.
-	Stats []Stat
 }
 
 type instrFn func(x *Exec, fr *frame)
@@ -219,38 +208,29 @@ func New(prog *ir.Program, specs []FuncSpec, opts Options) (*Program, error) {
 		prog:       prog,
 		specs:      specs,
 		fns:        make([]fnCode, len(prog.Funcs)),
-		Stats:      make([]Stat, 0, len(prog.Funcs)),
 	}
 	p.arraySizes = make([]int64, len(prog.Arrays))
 	for i, a := range prog.Arrays {
 		p.arraySizes[i] = a.Size
 	}
 	for fi := range prog.Funcs {
-		start := time.Now()
 		c := &comp{prog: prog, opts: &p.opts, spec: &specs[fi]}
 		fc, err := c.compileFunc(fi)
 		if err != nil {
 			return nil, err
 		}
 		p.fns[fi] = fc
-		p.Stats = append(p.Stats, Stat{
-			Name:     prog.Funcs[fi].Name,
-			Blocks:   len(fc.blocks),
-			Closures: c.closures,
-			Elapsed:  time.Since(start),
-		})
 	}
 	return p, nil
 }
 
 // comp compiles one function.
 type comp struct {
-	prog     *ir.Program
-	opts     *Options
-	spec     *FuncSpec
-	fname    string
-	closures int
-	memoN    int
+	prog  *ir.Program
+	opts  *Options
+	spec  *FuncSpec
+	fname string
+	memoN int
 	// reads[r] counts reads of register r across the whole function
 	// (operands, call arguments, branch conditions, return values).
 	// Registers are invisible outside a run, so a fused constant whose
@@ -417,7 +397,6 @@ func (c *comp) fuseRun(instrs []ir.Instr) instrFn {
 	}
 	if len(instrs) >= microMin {
 		if ms := c.lowerMicros(instrs); ms != nil {
-			c.closures += len(ms)
 			return microExec(ms)
 		}
 	}
@@ -437,7 +416,6 @@ func (c *comp) fuseRun(instrs []ir.Instr) instrFn {
 		}
 		fns = append(fns, c.instrClosure(&instrs[i]))
 	}
-	c.closures += len(fns)
 	return seqN(fns)
 }
 
@@ -727,13 +705,11 @@ func (c *comp) fuseCond(instrs []ir.Instr, cond int) (condFn, int) {
 		if a := &instrs[n-2]; a.Op == ir.Const && last.B == a.Dst {
 			wt := c.reads[a.Dst] > 1
 			if f := condCmpConst(last.Op, a.Dst, a.Imm, last.Dst, last.A, wt, wd); f != nil {
-				c.closures++
 				return f, 2
 			}
 		}
 	}
 	if f := condCmp(last.Op, last.Dst, last.A, last.B, wd); f != nil {
-		c.closures++
 		return f, 1
 	}
 	return nil, 0
@@ -980,8 +956,11 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// safeDiv, safeMod, and wrap mirror the interpreter's total arithmetic
-// (vm.safeDiv etc.); the backends must agree bit for bit.
+// safeDiv, safeMod, and wrap are the IR's total arithmetic: division
+// and modulo by zero yield 0, MinInt64/-1 yields MinInt64 (modulo 0),
+// and array indices wrap modulo the array size. This is the only
+// production copy; the reference interpreter in internal/vm's tests
+// keeps an independent one, and the two must agree bit for bit.
 func safeDiv(a, b int64) int64 {
 	if b == 0 {
 		return 0

@@ -37,8 +37,8 @@ type Config struct {
 	MaxSteps int64 // <= 0 means unlimited
 }
 
-// Counters are the run's accounting totals, matching the interpreter's
-// Result fields.
+// Counters are the run's accounting totals, matching vm.Result's
+// fields.
 type Counters struct {
 	Steps     int64
 	BaseCost  int64

@@ -2,7 +2,7 @@ package compile
 
 import "pathprof/internal/ir"
 
-// This file is the second of the backend's two instruction-lowering
+// This file is the second of the compiler's two instruction-lowering
 // strategies. Short call-free runs compile to chained closures
 // (fuseRun); runs of at least microMin simple instructions compile to
 // a pre-decoded micro-op array executed by ONE closure. The array form

@@ -8,12 +8,11 @@ import (
 )
 
 // This file is the one definition of what a control-flow transition
-// does to a run's profiling state. The dense interpreter (internal/vm)
-// executes Stepper.Step on every transition; translation validation
-// (validate.go) replays it over twin containers as the reference every
-// compiled transition closure is checked against; and the compiled
-// generic op lowering (term.go) calls RunOps. It lives here because
-// this is the one package both executors import.
+// does to a run's profiling state. Translation validation (validate.go)
+// replays Stepper.Step over twin containers as the reference every
+// compiled transition closure is checked against; the compiled generic
+// op lowering (term.go) calls RunOps; and the reference interpreter in
+// internal/vm's tests executes Stepper.Step on every transition.
 //
 // Charges that depend only on the block layout — the terminator's step
 // and base cost, the taken penalty, the solo-successor fold — are not

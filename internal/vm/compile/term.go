@@ -21,8 +21,8 @@ import (
 //     constant that joins the terminator's base charge.
 //
 // Streams with a poison check or several counts (rare: check-based
-// poisoning ablations) fall back to RunOps, the op stream the
-// interpreter steps through.
+// poisoning ablations) fall back to RunOps, the op stream
+// Stepper.Step runs.
 //
 // The telemetry decision for the folds and the transition closures is
 // made here, at compile time: the Telemetry=false build emits them
@@ -134,7 +134,6 @@ func (c *comp) lowerSingleCount(ops []planir.Op, ci int) lowered {
 		cost: int64(len(ops)-1)*costs.RegOp + countCost,
 		n:    int64(len(ops)),
 	}
-	c.closures++
 	switch {
 	case c.spec.Hash && c.opts.Telemetry:
 		lo.fn = func(x *Exec, fr *frame) {
@@ -163,12 +162,11 @@ func (c *comp) lowerSingleCount(ops []planir.Op, ci int) lowered {
 }
 
 // lowerGeneric runs the shapes the folds don't cover (poison checks,
-// multiple counts) through RunOps, the interpreter's own op stream.
+// multiple counts) through RunOps, Stepper.Step's own op stream.
 // Costs are data-dependent here, so they accrue at run time.
 func (c *comp) lowerGeneric(ops []planir.Op) lowered {
 	stream := append([]planir.Op(nil), ops...)
 	spec, costs := c.spec, &c.opts.Costs
-	c.closures++
 	lo := lowered{mask: -1, n: int64(len(ops))}
 	lo.fn = func(x *Exec, fr *frame) {
 		var ic int64
@@ -198,7 +196,6 @@ func (c *comp) compileTerm(fc *fnCode, bi int, t *ir.Term, cond condFn) termFn {
 		f0 := c.mkSucc(fc, bi, &c.spec.Succs[bi][0])
 		f1 := c.mkSucc(fc, bi, &c.spec.Succs[bi][1])
 		bc.arms[0], bc.arms[1] = f0, f1
-		c.closures++
 		if cond != nil {
 			//ppp:hotpath
 			return func(x *Exec, fr *frame) *blockCode {
@@ -228,7 +225,6 @@ func (c *comp) mkRet(t *ir.Term) termFn {
 	retReg := t.Ret
 	name, edges := c.fname, c.spec.Edges
 	tel, hooks := c.opts.Telemetry, c.opts.PathHooks
-	c.closures++
 	if !c.opts.CollectPaths {
 		return func(x *Exec, fr *frame) *blockCode {
 			x.steps++
@@ -300,7 +296,6 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec) termFn {
 		stepsC, baseC, icostC, rm, ra, slot = sc.Steps, sc.Base, sc.ICost, sc.Mask, sc.Add, sc.EdgeSlot
 		hasFold = rm != -1 || ra != 0
 	}
-	c.closures++
 
 	if !c.opts.CollectPaths {
 		if !c.opts.Telemetry {

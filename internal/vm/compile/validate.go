@@ -1,15 +1,14 @@
 package compile
 
 // Translation validation: prove, per block pair, that the compiled
-// threaded code has the same observable effect as the interpreter's
+// threaded code has the same observable effect as the reference
 // transition semantics. The compiled form is aggressively fused — op
 // streams fold to masked adds, constant costs collapse into one
 // addition, solo successors' charges migrate into their predecessors'
 // terminators — so instead of trusting the folds, Validate replays
 // every retained transition closure (blockCode.arms) against the one
-// per-transition step the dense interpreter executes (Stepper.Step and
-// EndPath, step.go), driven from the same activation over twin profile
-// containers. The step's charges stop at the instrumentation cost; the
+// per-transition step definition (Stepper.Step and EndPath, step.go),
+// driven from the same activation over twin profile containers. The step's charges stop at the instrumentation cost; the
 // terminator's step and base charges are derived independently from
 // the IR. The complete observable state is compared after every probe:
 //

@@ -76,7 +76,6 @@ func buildPlanned(t *testing.T, opts vm.Options, tech instr.Techniques, par inst
 		}
 		plans[f.Name] = p
 	}
-	opts.Backend = vm.BackendCompiled
 	opts.Plans = plans
 	eng, err := vm.NewEngine(prog, opts)
 	if err != nil {
@@ -144,7 +143,7 @@ func TestValidatePasses(t *testing.T) {
 				}
 			}
 			if res.ValidateUs == nil {
-				t.Error("Result.ValidateUs not populated on the compiled backend")
+				t.Error("Result.ValidateUs not populated")
 			}
 		})
 	}
@@ -155,7 +154,7 @@ func TestValidatePasses(t *testing.T) {
 // build with a structured error naming the exact block pair, the
 // field, and the first probe.
 func TestValidateDetectsMutation(t *testing.T) {
-	pathsOnly := vm.Options{Backend: vm.BackendCompiled, CollectPaths: true}
+	pathsOnly := vm.Options{CollectPaths: true}
 	mutations := []struct {
 		name  string
 		arm   func() *compile.MutatedSite
@@ -169,7 +168,7 @@ func TestValidateDetectsMutation(t *testing.T) {
 		// The bump lands one slot along, so the first slot whose count
 		// diverges is the mutated transition's own.
 		{"edge-slot", func() *compile.MutatedSite { return compile.MutateFirstSuccEdgeSlot(1) },
-			vm.Options{Backend: vm.BackendCompiled, CollectEdges: true, CollectPaths: true},
+			vm.Options{CollectEdges: true, CollectPaths: true},
 			func(site *compile.MutatedSite) string { return fmt.Sprintf("edge[%d->%d]", site.From, site.To) }},
 		{"reg", func() *compile.MutatedSite { return compile.MutateFirstSuccAdd(7) }, pathsOnly,
 			func(*compile.MutatedSite) string { return "reg" }},
@@ -291,7 +290,6 @@ func BenchmarkValidate(b *testing.B) {
 			var progs []*compile.Program
 			for _, plans := range planSets {
 				opts := sh.opts
-				opts.Backend = vm.BackendCompiled
 				opts.Plans = plans
 				eng, err := vm.NewEngine(st.Prog, opts)
 				if err != nil {

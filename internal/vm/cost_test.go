@@ -25,14 +25,14 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		costs := vm.DefaultCosts()
-		base, err := vm.Run(prog, vm.Options{Costs: costs, Backend: be})
+		base, err := vm.Run(prog, on(vm.Options{Costs: costs}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		costs.TakenPenalty = 0
-		flat, err := vm.Run(prog, vm.Options{Costs: costs, Backend: be})
+		flat, err := vm.Run(prog, on(vm.Options{Costs: costs}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,8 +63,8 @@ func main() { return down(200000); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res, err := vm.Run(prog, vm.Options{Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res, err := vm.Run(prog, on(vm.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,18 +82,18 @@ func main() { return 0; }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res, err := vm.Run(prog, vm.Options{Entry: "addmul", Args: []int64{2, 3, 4}, Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res, err := vm.Run(prog, on(vm.Options{Entry: "addmul", Args: []int64{2, 3, 4}}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Ret != 14 {
 			t.Errorf("addmul(2,3,4) = %d, want 14", res.Ret)
 		}
-		if _, err := vm.Run(prog, vm.Options{Entry: "addmul", Args: []int64{1}, Backend: be}); err == nil {
+		if _, err := vm.Run(prog, on(vm.Options{Entry: "addmul", Args: []int64{1}})); err == nil {
 			t.Error("arity mismatch accepted")
 		}
-		if _, err := vm.Run(prog, vm.Options{Entry: "missing", Backend: be}); err == nil {
+		if _, err := vm.Run(prog, on(vm.Options{Entry: "missing"})); err == nil {
 			t.Error("missing entry accepted")
 		}
 	})
@@ -118,8 +118,8 @@ func main() {
 	c := (b & 255) | 129 ^ 2
 	e := int64(-8) >> 1 // arithmetic shift
 	want := c + e + b%1000000007
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res, err := vm.Run(prog, vm.Options{Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res, err := vm.Run(prog, on(vm.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}

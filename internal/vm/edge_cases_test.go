@@ -13,19 +13,19 @@ import (
 // is used as given.
 func TestZeroCostsDefault(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		defaulted := run(t, prog, vm.Options{Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		defaulted := run(t, prog, on(vm.Options{}))
 		if defaulted.BaseCost == 0 {
 			t.Fatal("zero Costs should default to DefaultCosts, got BaseCost = 0")
 		}
-		explicit := run(t, prog, vm.Options{Costs: vm.DefaultCosts(), Backend: be})
+		explicit := run(t, prog, on(vm.Options{Costs: vm.DefaultCosts()}))
 		if explicit.BaseCost != defaulted.BaseCost || explicit.InstrCost != defaulted.InstrCost {
 			t.Errorf("zero Costs ran at %d+%d, DefaultCosts() at %d+%d",
 				defaulted.BaseCost, defaulted.InstrCost, explicit.BaseCost, explicit.InstrCost)
 		}
 
 		// An explicitly non-zero model is never overridden.
-		instrOnly := run(t, prog, vm.Options{Costs: vm.CostModel{Instr: 1}, Backend: be})
+		instrOnly := run(t, prog, on(vm.Options{Costs: vm.CostModel{Instr: 1}}))
 		if instrOnly.BaseCost == 0 || instrOnly.BaseCost >= defaulted.BaseCost {
 			t.Errorf("Costs{Instr:1} BaseCost = %d, want in (0, %d)", instrOnly.BaseCost, defaulted.BaseCost)
 		}
@@ -61,8 +61,8 @@ func emptyArrayProg(t *testing.T) *ir.Program {
 
 func TestEmptyArrayLoadStore(t *testing.T) {
 	prog := emptyArrayProg(t)
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true, Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res := run(t, prog, on(vm.Options{CollectEdges: true, CollectPaths: true}))
 		if res.Ret != 0 {
 			t.Errorf("load from empty array = %d, want 0", res.Ret)
 		}
@@ -79,8 +79,8 @@ func TestHugeIndexWraps(t *testing.T) {
 array a[8];
 func main() { a[8000000011] = 9; return a[3]; }`
 	prog := compile(t, src, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res := run(t, prog, vm.Options{Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res := run(t, prog, on(vm.Options{}))
 		if res.Ret != 9 {
 			t.Errorf("a[8000000011 %% 8] = %d, want 9 (slot 3)", res.Ret)
 		}

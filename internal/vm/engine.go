@@ -2,12 +2,12 @@ package vm
 
 // The engine is the once-per-plan half of the VM, split out so
 // replicated runs stop paying it per replica: plans lower to the
-// planir artifact and validate once, DAGs and dense successor tables
-// build once, and (under BackendCompiled) every routine compiles to
-// threaded code once. Workers then bind the immutable engine to their
-// private profile shard — container lookup, canonical edge-slot
-// registration, telemetry cells — and run replicas against the shared
-// tables with no per-replica setup beyond a state reset.
+// planir artifact and validate once, DAGs and successor specs build
+// once, and every routine compiles to threaded code and is
+// translation-validated once. Workers then bind the immutable engine
+// to their private profile shard — container lookup, canonical
+// edge-slot registration, telemetry cells — and run replicas against
+// the shared code with no per-replica setup beyond a state reset.
 
 import (
 	"errors"
@@ -24,48 +24,22 @@ import (
 	"pathprof/internal/vm/compile"
 )
 
-// Backend selects the execution engine. The zero value is
-// BackendCompiled, so every caller that names no backend runs threaded
-// code; BackendDense is the reference interpreter, named explicitly by
-// differential tests, fuzzing and `-backend dense`.
-type Backend int
+// Backend is the type of Options.Backend, which no longer selects
+// anything: it has the one value BackendCompiled.
+//
+// Deprecated: compiled threaded code is the only executor. Backend and
+// BackendCompiled stay so callers that still name them (the perfbench
+// module) build unchanged.
+type Backend struct{}
 
-const (
-	// BackendCompiled specializes each routine into chained per-block
-	// closures (internal/vm/compile): successor choice, event-value
-	// arithmetic, and instrumentation ops fuse into one straight-line
-	// call per transition. The default.
-	BackendCompiled Backend = iota
-	// BackendDense is the dense-dispatch interpreter, the reference the
-	// compiled backend is checked against.
-	BackendDense
-)
-
-func (b Backend) String() string {
-	switch b {
-	case BackendDense:
-		return "dense"
-	case BackendCompiled:
-		return "compiled"
-	}
-	return fmt.Sprintf("backend(%d)", int(b))
-}
-
-// ParseBackend parses a backend name; the empty string means
-// compiled, the default.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "compiled":
-		return BackendCompiled, nil
-	case "dense":
-		return BackendDense, nil
-	}
-	return 0, fmt.Errorf("vm: unknown backend %q (want compiled or dense)", s)
-}
+// BackendCompiled is the only Backend value.
+//
+// Deprecated: see Backend.
+var BackendCompiled Backend
 
 // routineRT is one routine's immutable engine state: the lowered
 // planir artifact, the path-tracking DAG, and the successor spec with
-// canonical edge-slot numbering, which both backends execute.
+// canonical edge-slot numbering, which the compiled code executes.
 type routineRT struct {
 	fn   *ir.Func
 	d    *cfg.DAG
@@ -83,10 +57,11 @@ type routineRT struct {
 	tableSize    int64
 }
 
-// Engine is the sharable, immutable artifact of plan validation and
-// backend setup. Build it once with NewEngine; Run and RunReplicated
-// construct a throwaway one internally, so only callers that reuse a
-// program across many runs need to hold one.
+// Engine is the sharable, immutable artifact of plan validation,
+// compilation and translation validation. Build it once with
+// NewEngine; Run and RunReplicated construct a throwaway one
+// internally, so only callers that reuse a program across many runs
+// need to hold one.
 type Engine struct {
 	prog     *ir.Program
 	opts     Options
@@ -95,13 +70,13 @@ type Engine struct {
 	plan     *planir.Program
 	compiled *compile.Program
 	// validateUs records per-routine translation-validation wall time
-	// (µs), populated when the compiled backend builds.
+	// (µs).
 	validateUs map[string]int64
 }
 
 // NewEngine prepares prog for execution under opts: option defaulting,
-// plan lowering and validation, DAG and successor-table construction,
-// and — under BackendCompiled — threaded-code compilation.
+// plan lowering and validation, DAG and successor-spec construction,
+// threaded-code compilation and translation validation.
 func NewEngine(prog *ir.Program, opts Options) (*Engine, error) {
 	if opts.Entry == "" {
 		opts.Entry = "main"
@@ -141,67 +116,51 @@ func NewEngine(prog *ir.Program, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("vm: instrumentation plan rejected: %w", err)
 		}
 	}
-	if opts.Backend == BackendCompiled {
-		specs := make([]compile.FuncSpec, len(e.routines))
-		for i, rt := range e.routines {
-			specs[i] = rt.spec
-		}
-		cp, err := compile.New(prog, specs, compile.Options{
-			Costs:          opts.Costs,
-			CollectEdges:   opts.CollectEdges,
-			CollectPaths:   opts.CollectPaths,
-			EdgeInstrument: opts.EdgeInstrument,
-			Telemetry:      opts.Metrics != nil,
-			PathHooks:      opts.PathHook != nil || opts.PathHookFor != nil,
-		})
+	specs := make([]compile.FuncSpec, len(e.routines))
+	for i, rt := range e.routines {
+		specs[i] = rt.spec
+	}
+	cp, err := compile.New(prog, specs, compile.Options{
+		Costs:          opts.Costs,
+		CollectEdges:   opts.CollectEdges,
+		CollectPaths:   opts.CollectPaths,
+		EdgeInstrument: opts.EdgeInstrument,
+		Telemetry:      opts.Metrics != nil,
+		PathHooks:      opts.PathHook != nil || opts.PathHookFor != nil,
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.compiled = cp
+	// Translation validation: prove each compiled routine effect-
+	// equivalent to the spec it was lowered from before any replica
+	// runs it. The trace detail stays deterministic (no timing) so
+	// decision traces byte-compare across runs.
+	e.validateUs = make(map[string]int64, len(prog.Funcs))
+	v := compile.NewValidator(cp)
+	for fi, f := range prog.Funcs {
+		start := time.Now()
+		err := v.Func(fi)
+		e.validateUs[f.Name] = time.Since(start).Microseconds()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("vm: translation validation: %w", err)
 		}
-		e.compiled = cp
-		// Translation validation: prove each compiled routine
-		// effect-equivalent to the spec it was lowered from before any
-		// replica runs it. The trace detail stays deterministic (no
-		// timing) so decision traces byte-compare across runs.
-		e.validateUs = make(map[string]int64, len(prog.Funcs))
-		v := compile.NewValidator(cp)
-		for fi, f := range prog.Funcs {
-			start := time.Now()
-			err := v.Func(fi)
-			e.validateUs[f.Name] = time.Since(start).Microseconds()
-			if err != nil {
-				return nil, fmt.Errorf("vm: translation validation: %w", err)
-			}
-			opts.Trace.Emit(telemetry.Event{
-				Unit:    opts.TraceUnit,
-				Routine: f.Name,
-				Kind:    telemetry.EvValidate,
-				Detail:  "ok",
-			})
-		}
+		opts.Trace.Emit(telemetry.Event{
+			Unit:    opts.TraceUnit,
+			Routine: f.Name,
+			Kind:    telemetry.EvValidate,
+			Detail:  "ok",
+		})
 	}
 	return e, nil
 }
 
 // ValidateUs returns per-routine translation-validation wall time in
-// microseconds (nil under the dense backend, which has nothing to
-// validate).
+// microseconds.
 func (e *Engine) ValidateUs() map[string]int64 { return e.validateUs }
 
-// Compiled returns the validated threaded-code program (nil under the
-// dense backend).
+// Compiled returns the validated threaded-code program.
 func (e *Engine) Compiled() *compile.Program { return e.compiled }
-
-// Backend reports which backend the engine was built for.
-func (e *Engine) Backend() Backend { return e.opts.Backend }
-
-// CompileStats returns per-routine threaded-code compilation stats
-// (nil under the dense backend).
-func (e *Engine) CompileStats() []compile.Stat {
-	if e.compiled == nil {
-		return nil
-	}
-	return e.compiled.Stats
-}
 
 // prepare builds one routine's engine state. Instrumentation ops come
 // from the planir transitions — the same artifact Validate checked —
@@ -338,13 +297,20 @@ func (e *Engine) prepare(f *ir.Func) (*routineRT, error) {
 	return rt, nil
 }
 
+// executor runs one worker's replicas: *compile.Exec in production,
+// the reference interpreter under vm.Interp in tests.
+type executor interface {
+	Reset()
+	Run(entry int, args []int64) (int64, error)
+	Counters() compile.Counters
+}
+
 // binding is one worker's attachment of the engine to its profile
 // containers: the part of a run that depends on the shard, built once
 // per worker and reused across its replicas.
 type binding struct {
 	eng    *Engine
-	m      *machine
-	x      *compile.Exec
+	x      executor
 	edges  map[string]*profile.EdgeProfile
 	paths  map[string]*profile.PathProfile
 	tables map[string]*profile.Table
@@ -361,14 +327,10 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 		tables: map[string]*profile.Table{},
 		dags:   map[string]*cfg.DAG{},
 	}
-	tel := e.opts.Metrics.Cells(worker)
-	nf := len(e.prog.Funcs)
-	fts := make([]compile.FuncRun, nf)
-	succs := make([][][2]compile.SuccSpec, nf)
+	fts := make([]compile.FuncRun, len(e.prog.Funcs))
 	for i, rt := range e.routines {
 		name := rt.fn.Name
 		run := &fts[i]
-		succs[i] = rt.spec.Succs
 		if rt.instrumented {
 			if sink != nil {
 				run.Table = sink.Table(name, rt.tableKind, rt.tableN, rt.tableSize)
@@ -386,20 +348,12 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 			b.edges[name] = run.Edges
 			// Register the canonical slot order on this shard. A fresh
 			// container yields exactly the template numbering; a sink with
-			// foreign pre-registered slots can't serve baked-in compiled
-			// slots, and makes the dense backend fall back to a rebound
-			// successor table.
-			mismatch := false
+			// foreign pre-registered slots can't serve the slots compiled
+			// into the code.
 			for si, p := range rt.slotPairs {
 				if run.Edges.Slot(int(p[0]), int(p[1])) != si {
-					mismatch = true
+					return nil, fmt.Errorf("vm: %s: sink edge profile has foreign slot order; runs need fresh shards", name)
 				}
-			}
-			if mismatch {
-				if e.opts.Backend == BackendCompiled {
-					return nil, fmt.Errorf("vm: %s: sink edge profile has foreign slot order; the compiled backend needs fresh shards (Backend: vm.BackendDense re-slots)", name)
-				}
-				succs[i] = reslot(rt, run.Edges)
 			}
 		}
 		if e.opts.CollectPaths {
@@ -416,73 +370,42 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 		}
 	}
 
-	if e.compiled != nil {
-		x, err := compile.NewExec(e.compiled, compile.Config{
-			Fts:      fts,
-			Out:      e.opts.Output,
-			Tel:      tel,
-			PathHook: hook,
-			MaxSteps: e.opts.MaxSteps,
-		})
-		if err != nil {
-			return nil, err
-		}
-		b.x = x
-		return b, nil
+	conf := compile.Config{
+		Fts:      fts,
+		Out:      e.opts.Output,
+		Tel:      e.opts.Metrics.Cells(worker),
+		PathHook: hook,
+		MaxSteps: e.opts.MaxSteps,
 	}
-
-	m := &machine{prog: e.prog, opts: &e.opts, entry: e.entryIdx}
-	m.globals = make([]int64, len(e.prog.GlobalInit))
-	m.arrays = make([][]int64, len(e.prog.Arrays))
-	for i, a := range e.prog.Arrays {
-		m.arrays[i] = make([]int64, a.Size)
+	var err error
+	if e.opts.newExec != nil {
+		b.x, err = e.opts.newExec(e, conf)
+	} else {
+		b.x, err = compile.NewExec(e.compiled, conf)
 	}
-	m.rts = make([]*funcRT, nf)
-	for i, rt := range e.routines {
-		m.rts[i] = &funcRT{fn: rt.fn, succs: succs[i], Stepper: compile.Stepper{
-			Name: rt.fn.Name, Spec: &rt.spec, Run: fts[i],
-			Costs: &e.opts.Costs, Tel: tel, Hook: hook,
-		}}
+	if err != nil {
+		return nil, err
 	}
-	b.m = m
 	return b, nil
 }
 
-// reslot clones a routine's successor spec with edge slots
-// re-resolved against an already-populated edge profile.
-func reslot(rt *routineRT, ep *profile.EdgeProfile) [][2]compile.SuccSpec {
-	succs := append([][2]compile.SuccSpec(nil), rt.spec.Succs...)
-	for i := range succs {
-		for k := 0; k < 2; k++ {
-			s := &succs[i][k]
-			if s.EdgeSlot >= 0 {
-				s.EdgeSlot = int32(ep.Slot(i, s.To))
-			}
-		}
-	}
-	return succs
-}
-
-// run executes one replica on this binding's backend.
+// run executes one replica on this binding's executor.
 func (b *binding) run(args []int64) (*Result, error) {
-	if b.x != nil {
-		b.x.Reset()
-		ret, err := b.x.Run(b.eng.entryIdx, args)
-		if err != nil {
-			if errors.Is(err, compile.ErrMaxSteps) {
-				return nil, ErrMaxSteps
-			}
-			return nil, err
+	b.x.Reset()
+	ret, err := b.x.Run(b.eng.entryIdx, args)
+	if err != nil {
+		if errors.Is(err, compile.ErrMaxSteps) {
+			return nil, ErrMaxSteps
 		}
-		c := b.x.Counters()
-		return &Result{
-			Ret: ret, BaseCost: c.BaseCost, InstrCost: c.InstrCost,
-			Steps: c.Steps, DynCalls: c.DynCalls,
-			Edges: b.edges, Paths: b.paths, Tables: b.tables, DAGs: b.dags,
-			ValidateUs: b.eng.validateUs,
-		}, nil
+		return nil, err
 	}
-	return b.m.run(args, b)
+	c := b.x.Counters()
+	return &Result{
+		Ret: ret, BaseCost: c.BaseCost, InstrCost: c.InstrCost,
+		Steps: c.Steps, DynCalls: c.DynCalls,
+		Edges: b.edges, Paths: b.paths, Tables: b.tables, DAGs: b.dags,
+		ValidateUs: b.eng.validateUs,
+	}, nil
 }
 
 // Run executes one run under the engine's options (opts.Args, Sink,

@@ -11,12 +11,12 @@ import (
 )
 
 // The differential fuzzer: random structured (hence reducible) IR
-// programs run on both backends under fuzzed option mixes, and every
-// observable — return value, step count, modeled costs, dynamic call
-// count, profile fingerprint, budget-exhaustion behavior — must be
-// bit-identical. This is the contract the compiled backend lives by;
-// the workload suite (TestBackendsAgree) checks it on realistic
-// programs, the fuzzer checks it on adversarial ones.
+// programs run on the compiled executor and the reference interpreter
+// under fuzzed option mixes, and every observable — return value, step
+// count, modeled costs, dynamic call count, profile fingerprint,
+// budget-exhaustion behavior — must be bit-identical. This is the
+// contract the compiled executor lives by; TestInterpAgreesOnWorkloads
+// checks it on realistic programs, the fuzzer on adversarial ones.
 
 const (
 	fuzzRegs = 8 // r0-r4 scratch, r5 unused, r6 cond/one, r7 loop counter
@@ -211,16 +211,15 @@ func genProg(data []byte) *ir.Program {
 	}
 }
 
-// runBoth executes prog under opts on each backend with its own
-// telemetry registry (when tel) and requires identical success or
-// identical budget exhaustion; results are nil on error.
+// runBoth executes prog under opts on the reference interpreter, then
+// on the compiled executor, each with its own telemetry registry (when
+// tel), and requires identical success or identical budget exhaustion;
+// results are nil on error.
 func runBoth(t *testing.T, prog *ir.Program, opts vm.Options, tel bool) (*vm.Result, *vm.Result) {
 	t.Helper()
 	var res [2]*vm.Result
 	var errs [2]error
-	for i, be := range []vm.Backend{vm.BackendDense, vm.BackendCompiled} {
-		o := opts
-		o.Backend = be
+	for i, o := range []vm.Options{vm.Interp(opts), opts} {
 		if tel {
 			o.Metrics = telemetry.NewVMMetrics(telemetry.NewRegistry(1))
 		}
@@ -228,7 +227,7 @@ func runBoth(t *testing.T, prog *ir.Program, opts vm.Options, tel bool) (*vm.Res
 	}
 	for i, err := range errs {
 		if err != nil && !errors.Is(err, vm.ErrMaxSteps) {
-			t.Fatalf("backend %d unexpected error: %v\n%s", i, err, prog.Dump())
+			t.Fatalf("executor %d unexpected error: %v\n%s", i, err, prog.Dump())
 		}
 	}
 	if (errs[0] == nil) != (errs[1] == nil) {
@@ -316,7 +315,7 @@ func FuzzCompiledVsInterp(f *testing.F) {
 		// Instrumented rerun under a fuzzed technique; one flag bit flips
 		// the edge-probe placement to min-cost cotree chords. PPP without
 		// free poisoning puts an r<0 check on every count, the shape the
-		// compiled backend runs through its generic op lowering.
+		// compiled executor runs through its generic op lowering.
 		checked := func() instr.Techniques { t := instr.PPP(); t.FreePoison = false; return t }
 		tech := []func() instr.Techniques{instr.PP, instr.TPP, instr.PPP, checked}[int(flags>>2)%4]()
 		pl := instr.PlaceSpanning
@@ -331,7 +330,7 @@ func FuzzCompiledVsInterp(f *testing.F) {
 
 			// Min-cost differential: sparse chord acquisition plus
 			// Kirchhoff recovery must reproduce the fully instrumented
-			// spanning run's profiles bit for bit, on both backends.
+			// spanning run's profiles bit for bit, on both executors.
 			if pl == instr.PlaceMinCost && di != nil {
 				eopts := vm.Options{Plans: plans, CollectPaths: true, CollectEdges: true, EdgeInstrument: true}
 				de, ce := runBoth(t, prog, eopts, false)
@@ -362,7 +361,7 @@ func FuzzCompiledVsInterp(f *testing.F) {
 }
 
 // TestCompiledReplicatedWorkers sweeps sharded replication across
-// worker counts on generated programs: every (backend, workers) cell
+// worker counts on generated programs: every (executor, workers) cell
 // must merge to one fingerprint.
 func TestCompiledReplicatedWorkers(t *testing.T) {
 	seeds := [][]byte{
@@ -375,21 +374,20 @@ func TestCompiledReplicatedWorkers(t *testing.T) {
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("seed %d invalid: %v", si, err)
 		}
-		opts := vm.Options{CollectEdges: true, CollectPaths: true}
 		var want uint64
 		haveWant := false
-		for _, be := range []vm.Backend{vm.BackendDense, vm.BackendCompiled} {
-			opts.Backend = be
+		for _, ex := range executors {
+			opts := ex.on(vm.Options{CollectEdges: true, CollectPaths: true})
 			for _, par := range []int{1, 2, 4, 8} {
 				rr, err := vm.RunReplicated(prog, opts, 16, par)
 				if err != nil {
-					t.Fatalf("seed %d %s w=%d: %v", si, be, par, err)
+					t.Fatalf("seed %d %s w=%d: %v", si, ex.name, par, err)
 				}
 				fp := rr.Merged.Fingerprint()
 				if !haveWant {
 					want, haveWant = fp, true
 				} else if fp != want {
-					t.Errorf("seed %d %s w=%d: fingerprint %#x, want %#x", si, be, par, fp, want)
+					t.Errorf("seed %d %s w=%d: fingerprint %#x, want %#x", si, ex.name, par, fp, want)
 				}
 			}
 		}

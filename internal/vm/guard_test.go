@@ -27,8 +27,8 @@ func runReplicated(t *testing.T, opts vm.Options, n, par int) *vm.ReplicatedResu
 // mode (no faults injected) changes nothing: same merged fingerprint,
 // no quarantines.
 func TestGuardZeroFaultBitIdentical(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		opts := vm.Options{CollectEdges: true, CollectPaths: true, Backend: be}
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		opts := on(vm.Options{CollectEdges: true, CollectPaths: true})
 		plain := runReplicated(t, opts, 12, 4)
 
 		opts.Guard = &vm.GuardConfig{ReplicaRetries: 2, ReplicaDeadline: time.Minute}
@@ -50,8 +50,8 @@ func TestGuardZeroFaultBitIdentical(t *testing.T) {
 // of every replica; with a retry budget the run must succeed with no
 // quarantine and a bit-identical snapshot.
 func TestGuardCleanFaultRetries(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		opts := vm.Options{CollectEdges: true, CollectPaths: true, Backend: be}
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		opts := on(vm.Options{CollectEdges: true, CollectPaths: true})
 		want := runReplicated(t, opts, 8, 4).Merged.Fingerprint()
 
 		opts.Guard = &vm.GuardConfig{
@@ -78,8 +78,8 @@ func TestGuardCleanFaultRetries(t *testing.T) {
 // equal a run that only ever executed the surviving replicas, and the
 // lost-flow accounting must cover the dead shards' whole blocks.
 func TestGuardExhaustedRetriesQuarantines(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		opts := vm.Options{CollectEdges: true, CollectPaths: true, Backend: be}
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		opts := on(vm.Options{CollectEdges: true, CollectPaths: true})
 		// 8 replicas over 4 workers: blocks of 2. Workers 1 and 2 die,
 		// so 4 replicas survive; identical replicas make the expected
 		// merge equal to a clean 4-replica run.
@@ -117,9 +117,9 @@ func TestGuardExhaustedRetriesQuarantines(t *testing.T) {
 // hook) on one worker: the shard must be quarantined as tainted and
 // the rest of the run survive.
 func TestGuardPanicInRunTaintsShard(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		opts := vm.Options{
-			CollectEdges: true, CollectPaths: true, Backend: be,
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		opts := on(vm.Options{
+			CollectEdges: true, CollectPaths: true,
 			PathHookFor: func(w int) func(fn string, p cfg.Path) {
 				if w != 1 {
 					return nil
@@ -129,7 +129,7 @@ func TestGuardPanicInRunTaintsShard(t *testing.T) {
 				}
 			},
 			Guard: &vm.GuardConfig{ReplicaRetries: 3},
-		}
+		})
 		rr := runReplicated(t, opts, 8, 4)
 		if len(rr.Faults) != 1 {
 			t.Fatalf("faults = %v, want exactly worker 1", rr.Faults)
@@ -142,7 +142,7 @@ func TestGuardPanicInRunTaintsShard(t *testing.T) {
 		if !strings.Contains(f.Err.Error(), "injected mid-run panic") {
 			t.Errorf("fault error %v", f.Err)
 		}
-		clean := vm.Options{CollectEdges: true, CollectPaths: true, Backend: be}
+		clean := on(vm.Options{CollectEdges: true, CollectPaths: true})
 		want := runReplicated(t, clean, 6, 3).Merged.Fingerprint()
 		if rr.Merged.Fingerprint() != want {
 			t.Error("merge after tainted quarantine differs from clean survivor run")
@@ -154,9 +154,9 @@ func TestGuardPanicInRunTaintsShard(t *testing.T) {
 // deadline; the worker quarantines after its bounded retries instead
 // of hanging the run.
 func TestGuardStallDeadline(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		opts := vm.Options{
-			CollectEdges: true, Backend: be,
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		opts := on(vm.Options{
+			CollectEdges: true,
 			Guard: &vm.GuardConfig{
 				ReplicaRetries:  1,
 				ReplicaDeadline: 5 * time.Millisecond,
@@ -167,7 +167,7 @@ func TestGuardStallDeadline(t *testing.T) {
 					return nil
 				},
 			},
-		}
+		})
 		rr := runReplicated(t, opts, 4, 2)
 		if len(rr.Faults) != 1 || rr.Faults[0].Worker != 0 {
 			t.Fatalf("faults = %v, want stalled worker 0", rr.Faults)
@@ -185,13 +185,13 @@ func TestGuardStallDeadline(t *testing.T) {
 // reports a structured error instead of returning an empty snapshot.
 func TestGuardAllShardsQuarantined(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		opts := vm.Options{
-			CollectEdges: true, Backend: be,
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		opts := on(vm.Options{
+			CollectEdges: true,
 			Guard: &vm.GuardConfig{
 				FaultHook: func(ctx vm.FaultContext) error { return fmt.Errorf("boom") },
 			},
-		}
+		})
 		_, err := vm.RunReplicated(prog, opts, 4, 2)
 		if err == nil || !strings.Contains(err.Error(), "all 2 shards quarantined") {
 			t.Fatalf("err = %v, want all-shards-quarantined", err)
@@ -203,9 +203,9 @@ func TestGuardAllShardsQuarantined(t *testing.T) {
 // counter at the ceiling; the merged snapshot must surface the
 // saturated routine without quarantining anything.
 func TestGuardOverflowPreload(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		opts := vm.Options{
-			CollectEdges: true, CollectPaths: true, Backend: be,
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		opts := on(vm.Options{
+			CollectEdges: true, CollectPaths: true,
 			Guard: &vm.GuardConfig{
 				FaultHook: func(ctx vm.FaultContext) error {
 					if ctx.Replica == 0 && ctx.Attempt == 0 {
@@ -215,7 +215,7 @@ func TestGuardOverflowPreload(t *testing.T) {
 					return nil
 				},
 			},
-		}
+		})
 		rr := runReplicated(t, opts, 8, 4)
 		if len(rr.Faults) != 0 {
 			t.Fatalf("overflow pressure quarantined a shard: %v", rr.Faults)
@@ -232,7 +232,7 @@ func TestGuardOverflowPreload(t *testing.T) {
 // identical outcomes: same fingerprints, same fault lists, no crash.
 func TestGuardFaultMatrixDeterministic(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		for _, kind := range []faultinject.Kind{faultinject.Panic, faultinject.Overflow} {
 			for _, seed := range []uint64{1, 7, 2026} {
 				spec := fmt.Sprintf("seed=%d,kind=%s", seed, kind)
@@ -241,13 +241,13 @@ func TestGuardFaultMatrixDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				run := func() (uint64, string) {
-					opts := vm.Options{
-						CollectEdges: true, CollectPaths: true, Backend: be,
+					opts := on(vm.Options{
+						CollectEdges: true, CollectPaths: true,
 						Guard: &vm.GuardConfig{
 							ReplicaRetries: 1,
 							FaultHook:      GuardHookForTest(inj),
 						},
-					}
+					})
 					rr, err := vm.RunReplicated(prog, opts, 12, 4)
 					if err != nil {
 						// All shards dead is an acceptable structured

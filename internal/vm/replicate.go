@@ -15,7 +15,6 @@ import (
 	"pathprof/internal/ir"
 	"pathprof/internal/profile"
 	"pathprof/internal/telemetry"
-	"pathprof/internal/vm/compile"
 )
 
 // ProfileSink supplies a run's profile containers so repeated runs
@@ -106,11 +105,6 @@ type ReplicatedResult struct {
 	// from Merged because their shard was quarantined.
 	LostReplicas int
 
-	// CompileStats holds per-routine threaded-code compile stats when
-	// the run used BackendCompiled (nil under dense). The compilation
-	// happened once, before the workers started.
-	CompileStats []compile.Stat
-
 	Elapsed time.Duration // wall clock of the whole replicated run
 }
 
@@ -133,11 +127,11 @@ func (r *ReplicatedResult) RunsPerSec() float64 {
 // shards merge afterwards in worker order, which makes the merged
 // snapshot bit-identical to a sequential run regardless of par.
 //
-// The engine — plan lowering and validation, DAGs, successor tables,
-// threaded-code compilation under BackendCompiled — is built ONCE and
+// The engine — plan lowering and validation, DAGs, successor specs,
+// threaded-code compilation and its validation — is built ONCE and
 // shared by every worker; each worker binds it to its own shard and
-// reuses that binding (machine or compiled executor, pooled frames)
-// across all of its replicas.
+// reuses that binding (executor, pooled frames) across all of its
+// replicas.
 //
 // opts.Sink and opts.PathHook are overridden per worker (use
 // opts.PathHookFor for per-worker hooks); opts.Output, if set, must be
@@ -229,7 +223,7 @@ func (e *Engine) RunReplicated(n, par int) (*ReplicatedResult, error) {
 	}
 	wg.Wait()
 
-	rr := &ReplicatedResult{Replicas: n, Workers: par, CompileStats: e.CompileStats()}
+	rr := &ReplicatedResult{Replicas: n, Workers: par}
 	include := make([]bool, par)
 	for w := range outs {
 		o := &outs[w]

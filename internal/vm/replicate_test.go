@@ -70,8 +70,8 @@ func replPlans(t *testing.T, prog *ir.Program, hashThreshold int64) map[string]*
 // run.
 func TestRunReplicatedMatchesSequential(t *testing.T) {
 	prog := compile(t, replSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		opts := vm.Options{CollectEdges: true, CollectPaths: true, Backend: be}
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		opts := on(vm.Options{CollectEdges: true, CollectPaths: true})
 		const n = 6
 
 		single := run(t, prog, opts)
@@ -140,10 +140,10 @@ func TestRunReplicatedMatchesSequential(t *testing.T) {
 // every worker count, including cold totals and lost counts.
 func TestRunReplicatedInstrumentedTables(t *testing.T) {
 	prog := compile(t, replSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		for _, hashThreshold := range []int64{0, 2} { // default arrays, forced hash
 			plans := replPlans(t, prog, hashThreshold)
-			opts := vm.Options{Plans: plans, CollectPaths: true, Backend: be}
+			opts := on(vm.Options{Plans: plans, CollectPaths: true})
 			seq, err := vm.RunReplicated(prog, opts, 5, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -189,15 +189,15 @@ func TestRunReplicatedInstrumentedTables(t *testing.T) {
 // every completed path.
 func TestRunReplicatedPerWorkerHooks(t *testing.T) {
 	prog := compile(t, replSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		const n, par = 6, 3
 		counts := make([]int64, par)
-		opts := vm.Options{
-			CollectPaths: true, Backend: be,
+		opts := on(vm.Options{
+			CollectPaths: true,
 			PathHookFor: func(worker int) func(fn string, p cfg.Path) {
 				return func(fn string, p cfg.Path) { counts[worker]++ }
 			},
-		}
+		})
 		rr, err := vm.RunReplicated(prog, opts, n, par)
 		if err != nil {
 			t.Fatal(err)
@@ -273,18 +273,16 @@ func BenchmarkRunReplicated(b *testing.B) {
 }
 
 // TestForeignSlotSink runs against a sink whose edge profile already
-// registered the routine's edges in a foreign slot order. The dense
-// reference re-slots its successor table and collects exactly what a
-// fresh shard would; the compiled backend bakes slots into its closures,
-// so it must refuse the sink with an error naming the remedy rather
-// than panic or miscount.
+// registered the routine's edges in a foreign slot order. Edge slots
+// are compiled into the code, so the engine must refuse the sink with
+// an error naming the remedy rather than panic or miscount, whichever
+// executor runs it.
 func TestForeignSlotSink(t *testing.T) {
 	prog := compile(t, replSrc, lower.Options{})
 	fresh := profile.NewCollector(1)
 	if _, err := vm.Run(prog, vm.Options{CollectEdges: true, CollectPaths: true, Sink: fresh.Shard(0)}); err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Merge().Fingerprint()
 
 	// foreign pre-registers every edge of work in reverse canonical
 	// slot order, before any run touches the shard.
@@ -308,26 +306,14 @@ func TestForeignSlotSink(t *testing.T) {
 		return c
 	}
 
-	t.Run("dense", func(t *testing.T) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		c := foreign()
-		opts := vm.Options{CollectEdges: true, CollectPaths: true, Sink: c.Shard(0), Backend: vm.BackendDense}
-		if _, err := vm.Run(prog, opts); err != nil {
-			t.Fatalf("dense run on a foreign-slot sink: %v", err)
-		}
-		if got := c.Merge().Fingerprint(); got != want {
-			t.Errorf("re-slotted fingerprint %#x, fresh shard %#x", got, want)
-		}
-	})
-
-	t.Run("compiled", func(t *testing.T) {
-		c := foreign()
-		opts := vm.Options{CollectEdges: true, CollectPaths: true, Sink: c.Shard(0)}
-		_, err := vm.Run(prog, opts)
+		_, err := vm.Run(prog, on(vm.Options{CollectEdges: true, CollectPaths: true, Sink: c.Shard(0)}))
 		if err == nil {
-			t.Fatal("compiled backend accepted a foreign-slot sink")
+			t.Fatal("a foreign-slot sink was accepted")
 		}
-		if !strings.Contains(err.Error(), "Backend: vm.BackendDense") {
-			t.Errorf("error %q does not name the dense backend as the remedy", err)
+		if !strings.Contains(err.Error(), "fresh shards") {
+			t.Errorf("error %q does not name fresh shards as the remedy", err)
 		}
 		for fn, ep := range c.Merge().Edges {
 			for k, n := range ep.Freq() {

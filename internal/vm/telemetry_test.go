@@ -13,10 +13,10 @@ import (
 // the folded counter must equal the path profile's total flow.
 func TestVMMetricsMatchExactProfile(t *testing.T) {
 	prog := hotProgram(t)
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		reg := telemetry.NewRegistry(1)
 		m := telemetry.NewVMMetrics(reg)
-		res, err := vm.Run(prog, vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m, Backend: be})
+		res, err := vm.Run(prog, on(vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestVMMetricsMatchExactProfile(t *testing.T) {
 		}
 
 		// The same run without a sink must execute identically.
-		bare, err := vm.Run(prog, vm.Options{CollectEdges: true, CollectPaths: true, Backend: be})
+		bare, err := vm.Run(prog, on(vm.Options{CollectEdges: true, CollectPaths: true}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,10 +58,10 @@ func TestVMMetricsMatchExactProfile(t *testing.T) {
 func TestVMMetricsInstrumentedCounters(t *testing.T) {
 	prog := hotProgram(t)
 	plans := ppPlans(t, prog)
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		reg := telemetry.NewRegistry(1)
 		m := telemetry.NewVMMetrics(reg)
-		if _, err := vm.Run(prog, vm.Options{Plans: plans, CollectPaths: true, Metrics: m, Backend: be}); err != nil {
+		if _, err := vm.Run(prog, on(vm.Options{Plans: plans, CollectPaths: true, Metrics: m})); err != nil {
 			t.Fatal(err)
 		}
 		if m.Ops.Value() == 0 {
@@ -80,12 +80,12 @@ func TestVMMetricsInstrumentedCounters(t *testing.T) {
 func TestReplicatedMetricsFoldAcrossWorkers(t *testing.T) {
 	prog := hotProgram(t)
 	const replicas = 8
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		var wantPaths, wantTrans int64
 		for _, par := range []int{1, 2, 4, 8} {
 			reg := telemetry.NewRegistry(par)
 			m := telemetry.NewVMMetrics(reg)
-			opts := vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m, Backend: be}
+			opts := on(vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m})
 			if _, err := vm.RunReplicated(prog, opts, replicas, par); err != nil {
 				t.Fatal(err)
 			}
@@ -110,31 +110,21 @@ func TestReplicatedMetricsFoldAcrossWorkers(t *testing.T) {
 // per-transition metric bumps must not allocate, so a metered run stays
 // within the same per-run constant as a bare one.
 func TestRunAllocsWithMetricsInstalled(t *testing.T) {
-	prog := hotProgram(t)
-	reg := telemetry.NewRegistry(1)
-	m := telemetry.NewVMMetrics(reg)
-	opts := vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m, Backend: vm.BackendDense}
-	if _, err := vm.Run(prog, opts); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := vm.Run(prog, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
+	m := telemetry.NewVMMetrics(telemetry.NewRegistry(1))
+	allocs, _ := engineRunAllocs(t, vm.Interp(vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m}))
 	// Same budget as TestSteadyStateTransitionAllocs: run setup only,
 	// nothing proportional to the ~200k metered transitions.
 	if allocs > runAllocBudget {
-		t.Errorf("metered Run allocated %.0f times; budget %d (telemetry bumps allocate)", allocs, runAllocBudget)
+		t.Errorf("metered Engine.Run allocated %.0f times; budget %d (telemetry bumps allocate)", allocs, runAllocBudget)
 	}
 }
 
 // TestCompiledEngineRunAllocsWithMetrics is the compiled twin: with the
 // engine built once outside the measurement, a metered Engine.Run on
-// the default backend stays within the same per-run constant.
+// the compiled executor stays within the same per-run constant.
 func TestCompiledEngineRunAllocsWithMetrics(t *testing.T) {
 	m := telemetry.NewVMMetrics(telemetry.NewRegistry(1))
-	allocs, _ := compiledEngineRunAllocs(t, vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m})
+	allocs, _ := engineRunAllocs(t, vm.Options{CollectEdges: true, CollectPaths: true, Metrics: m})
 	if allocs > runAllocBudget {
 		t.Errorf("metered Engine.Run allocated %.0f times; budget %d (telemetry bumps allocate)", allocs, runAllocBudget)
 	}

@@ -15,28 +15,19 @@
 // suspend the caller's path), which the evaluation uses as the actual
 // path profile that PP would measure.
 //
-// Two executors implement these semantics bit-identically. The default
-// (BackendCompiled, the zero value) runs each routine as threaded code
-// from internal/vm/compile, translation-validated before it runs. The
-// dense interpreter (BackendDense) is the reference the compiled code
-// is differentially tested against. What a control-flow transition
-// does to the profiles is defined once, by compile.Stepper.Step: the
-// interpreter executes it, and translation validation checks every
-// compiled transition against it.
-//
-// The interpreter is built for throughput: prepare compiles every
-// block terminator into a dense successor table (per-transition state
-// is a slice index away, with no map lookups on the hot path), frames
-// and their register/path slices are pooled across calls, and edge
-// counts go to dense profile slots. A steady-state transition performs
-// zero allocations.
+// One executor runs these semantics: each routine compiles to threaded
+// code (internal/vm/compile), translation-validated before it runs.
+// What a control-flow transition does to the profiles is defined once,
+// by compile.Stepper.Step, and translation validation checks every
+// compiled transition against it. The dense interpreter the compiled
+// code is differentially tested against lives in this package's tests
+// (interp_test.go), as the reference oracle: it is not part of any
+// production path.
 package vm
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"math"
 
 	"pathprof/internal/cfg"
 	"pathprof/internal/instr"
@@ -46,8 +37,7 @@ import (
 	"pathprof/internal/vm/compile"
 )
 
-// CostModel assigns costs to executed operations; both backends charge
-// from it.
+// CostModel assigns costs to executed operations.
 type CostModel = compile.CostModel
 
 // DefaultCosts returns the cost model used throughout the evaluation.
@@ -95,7 +85,9 @@ type Options struct {
 	// profile.Shard through the ordinary BumpSlot/Add/Inc operations
 	// (no atomics anywhere on the hot path) and the collector merges
 	// shards off the hot path. Result.Edges/Paths/Tables then alias the
-	// sink's containers.
+	// sink's containers. A sink edge profile must be fresh or carry the
+	// engine's own slot order: slots are compiled into the code, so a
+	// foreign order is refused.
 	Sink ProfileSink
 	// MaxSteps aborts runaway programs (0 = default limit).
 	MaxSteps int64
@@ -117,15 +109,17 @@ type Options struct {
 	// shard quarantines); TraceUnit labels them.
 	Trace     *telemetry.Trace
 	TraceUnit string
-	// Backend selects the execution engine: BackendCompiled (the zero
-	// value, the default) runs threaded code specialized per routine
-	// (internal/vm/compile); BackendDense interprets over dense
-	// successor tables and is the reference. The two produce
-	// bit-identical results, profiles, and modeled costs.
-	// Building a compiled engine always runs translation validation:
-	// every compiled routine is driven against the spec it was lowered
-	// from and proven effect-equivalent (compile.Validate).
+	// Backend has one value, and the engine ignores it.
+	//
+	// Deprecated: compiled threaded code is the only executor. The
+	// field stays so callers that still set it (the perfbench module)
+	// build unchanged; leave it unset.
 	Backend Backend
+
+	// newExec, when set (only by tests: vm.Interp), builds each
+	// binding's executor in place of compile.NewExec. The engine still
+	// compiles and validates.
+	newExec func(e *Engine, conf compile.Config) (executor, error)
 }
 
 // Result is the outcome of a run.
@@ -142,8 +136,8 @@ type Result struct {
 	// callers can interpret the recorded paths (branch counts etc.).
 	DAGs map[string]*cfg.DAG
 	// ValidateUs reports per-routine translation-validation wall time
-	// in microseconds (compiled backend only; nil otherwise). It is engine-build work, surfaced on the Result so
-	// reporting tools can attribute it.
+	// in microseconds. It is engine-build work, surfaced on the Result
+	// so reporting tools can attribute it.
 	ValidateUs map[string]int64
 }
 
@@ -170,24 +164,6 @@ var ErrMaxSteps = errors.New("vm: step budget exhausted")
 
 const defaultMaxSteps = int64(2_000_000_000)
 
-// funcRT is one routine's binding-level state: the engine's immutable
-// successor records joined with this worker's profile containers,
-// telemetry cells and path hook through the shared transition step.
-type funcRT struct {
-	fn    *ir.Func
-	succs [][2]compile.SuccSpec // [0] Jump target or Branch taken arm, [1] Branch else arm
-	compile.Stepper
-}
-
-type frame struct {
-	rt      *funcRT
-	regs    []int64
-	block   int
-	pc      int
-	callDst int // caller register receiving the return value
-	compile.Track
-}
-
 // Run executes the program under the given options. It is
 // NewEngine + one run; callers executing the same program repeatedly
 // (replication, benchmarking) should build the Engine once instead.
@@ -197,272 +173,4 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return e.Run()
-}
-
-type machine struct {
-	prog    *ir.Program
-	opts    *Options // the engine's defaulted options, shared read-only
-	entry   int
-	res     *Result
-	globals []int64
-	arrays  [][]int64
-	rts     []*funcRT
-	pool    []*frame // recycled frames; regs/path capacity is retained
-}
-
-// run executes one replica: restore program state, run, report. The
-// machine itself — successor tables, pooled frames, containers — is
-// reused across a worker's replicas.
-func (m *machine) run(args []int64, b *binding) (*Result, error) {
-	copy(m.globals, m.prog.GlobalInit)
-	for _, a := range m.arrays {
-		for i := range a {
-			a[i] = 0
-		}
-	}
-	m.res = &Result{Edges: b.edges, Paths: b.paths, Tables: b.tables, DAGs: b.dags}
-	ret, err := m.exec(m.entry, args)
-	if err != nil {
-		return nil, err
-	}
-	m.res.Ret = ret
-	return m.res, nil
-}
-
-// newFrame pushes a pooled frame for function fi. Register and path
-// slices are recycled across calls; registers are zeroed.
-func (m *machine) newFrame(fi, callDst int) *frame {
-	f := m.prog.Funcs[fi]
-	var fr *frame
-	if n := len(m.pool); n > 0 {
-		fr = m.pool[n-1]
-		m.pool = m.pool[:n-1]
-	} else {
-		fr = &frame{}
-	}
-	fr.rt = m.rts[fi]
-	fr.block = f.Entry
-	fr.pc = 0
-	fr.callDst = callDst
-	if cap(fr.regs) < f.NRegs {
-		fr.regs = make([]int64, f.NRegs)
-	} else {
-		fr.regs = fr.regs[:f.NRegs]
-		for i := range fr.regs {
-			fr.regs[i] = 0
-		}
-	}
-	fr.Track = compile.Track{Path: fr.Path[:0]}
-	if fr.rt.Run.Edges != nil {
-		fr.rt.Run.Edges.BumpCalls()
-	}
-	return fr
-}
-
-// free returns a popped frame to the pool.
-func (m *machine) free(fr *frame) {
-	fr.rt = nil
-	m.pool = append(m.pool, fr)
-}
-
-// exec runs function fnIdx with the given arguments to completion.
-func (m *machine) exec(fnIdx int, args []int64) (int64, error) {
-	costs := &m.opts.Costs
-	cInstr, cTerm, cCall, cTaken := costs.Instr, costs.Term, costs.Call, costs.TakenPenalty
-	maxSteps := m.opts.MaxSteps
-	var steps, base int64 // flushed to m.res on successful completion
-
-	entry := m.prog.Funcs[fnIdx]
-	if len(args) != entry.NParams {
-		return 0, fmt.Errorf("vm: %s expects %d args, got %d", entry.Name, entry.NParams, len(args))
-	}
-	var stack []*frame
-	fr := m.newFrame(fnIdx, -1)
-	copy(fr.regs, args)
-	stack = append(stack, fr)
-
-	var retVal int64
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		rt := fr.rt
-		b := rt.fn.Blocks[fr.block]
-		instrs := b.Instrs
-
-		// Execute remaining instructions of the current block.
-		callMade := false
-		for fr.pc < len(instrs) {
-			in := &instrs[fr.pc]
-			fr.pc++
-			steps++
-			base += cInstr
-			if steps > maxSteps {
-				return 0, ErrMaxSteps
-			}
-			if in.Op == ir.Call {
-				m.res.DynCalls++
-				base += cCall
-				callee := m.prog.Funcs[in.Sym]
-				if len(in.Args) != callee.NParams {
-					return 0, fmt.Errorf("vm: %s expects %d args, got %d",
-						callee.Name, callee.NParams, len(in.Args))
-				}
-				nf := m.newFrame(in.Sym, in.Dst)
-				for i, a := range in.Args {
-					nf.regs[i] = fr.regs[a]
-				}
-				stack = append(stack, nf)
-				callMade = true
-				break
-			}
-			r := fr.regs
-			switch in.Op {
-			case ir.Const:
-				r[in.Dst] = in.Imm
-			case ir.Mov:
-				r[in.Dst] = r[in.A]
-			case ir.Add:
-				r[in.Dst] = r[in.A] + r[in.B]
-			case ir.Sub:
-				r[in.Dst] = r[in.A] - r[in.B]
-			case ir.Mul:
-				r[in.Dst] = r[in.A] * r[in.B]
-			case ir.Div:
-				r[in.Dst] = safeDiv(r[in.A], r[in.B])
-			case ir.Mod:
-				r[in.Dst] = safeMod(r[in.A], r[in.B])
-			case ir.Neg:
-				r[in.Dst] = -r[in.A]
-			case ir.Not:
-				r[in.Dst] = b2i(r[in.A] == 0)
-			case ir.Eq:
-				r[in.Dst] = b2i(r[in.A] == r[in.B])
-			case ir.Ne:
-				r[in.Dst] = b2i(r[in.A] != r[in.B])
-			case ir.Lt:
-				r[in.Dst] = b2i(r[in.A] < r[in.B])
-			case ir.Le:
-				r[in.Dst] = b2i(r[in.A] <= r[in.B])
-			case ir.Gt:
-				r[in.Dst] = b2i(r[in.A] > r[in.B])
-			case ir.Ge:
-				r[in.Dst] = b2i(r[in.A] >= r[in.B])
-			case ir.BAnd:
-				r[in.Dst] = r[in.A] & r[in.B]
-			case ir.BOr:
-				r[in.Dst] = r[in.A] | r[in.B]
-			case ir.BXor:
-				r[in.Dst] = r[in.A] ^ r[in.B]
-			case ir.Shl:
-				r[in.Dst] = r[in.A] << uint(r[in.B]&63)
-			case ir.Shr:
-				r[in.Dst] = r[in.A] >> uint(r[in.B]&63)
-			case ir.LoadG:
-				r[in.Dst] = m.globals[in.Sym]
-			case ir.StoreG:
-				m.globals[in.Sym] = r[in.A]
-			case ir.LoadA:
-				arr := m.arrays[in.Sym]
-				if len(arr) == 0 {
-					r[in.Dst] = 0
-				} else {
-					r[in.Dst] = arr[wrap(r[in.A], int64(len(arr)))]
-				}
-			case ir.StoreA:
-				arr := m.arrays[in.Sym]
-				if len(arr) > 0 {
-					arr[wrap(r[in.A], int64(len(arr)))] = r[in.B]
-				}
-			case ir.Print:
-				if m.opts.Output != nil {
-					fmt.Fprintf(m.opts.Output, "%d\n", r[in.A])
-				}
-			}
-		}
-		if callMade {
-			continue
-		}
-
-		// Terminator.
-		steps++
-		base += cTerm
-		t := &b.Term
-		switch t.Kind {
-		case ir.Ret:
-			rt.EndPath(&fr.Track)
-			if t.Ret >= 0 {
-				retVal = fr.regs[t.Ret]
-			} else {
-				retVal = 0
-			}
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				caller := stack[len(stack)-1]
-				if fr.callDst >= 0 {
-					caller.regs[fr.callDst] = retVal
-				}
-			}
-			m.free(fr)
-		case ir.Jump, ir.Branch:
-			arm := 0
-			if t.Kind == ir.Branch && fr.regs[t.Cond] == 0 {
-				arm = 1 // else arm
-			}
-			s := &rt.succs[fr.block][arm]
-			if s.To != fr.block+1 {
-				base += cTaken
-			}
-			m.res.InstrCost += rt.Step(s, &fr.Track)
-			fr.block, fr.pc = s.To, 0
-		}
-	}
-	m.res.Steps = steps
-	m.res.BaseCost = base
-	return retVal, nil
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// safeDiv defines x/0 = 0 and MinInt64/-1 = MinInt64 so arithmetic is
-// total (the language has no traps).
-func safeDiv(a, b int64) int64 {
-	if b == 0 {
-		return 0
-	}
-	if a == math.MinInt64 && b == -1 {
-		return math.MinInt64
-	}
-	return a / b
-}
-
-func safeMod(a, b int64) int64 {
-	if b == 0 {
-		return 0
-	}
-	if a == math.MinInt64 && b == -1 {
-		return 0
-	}
-	return a % b
-}
-
-// wrap maps an arbitrary index into [0, size): array indices wrap
-// modulo the array size by definition. In-range indices (the common
-// case) skip the division; size 0 yields 0 so empty arrays are total
-// too (callers must still skip the element access).
-func wrap(i, size int64) int64 {
-	if uint64(i) < uint64(size) {
-		return i
-	}
-	if size == 0 {
-		return 0
-	}
-	i %= size
-	if i < 0 {
-		i += size
-	}
-	return i
 }

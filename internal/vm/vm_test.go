@@ -39,16 +39,25 @@ func run(t testing.TB, prog *ir.Program, opts vm.Options) *vm.Result {
 	return res
 }
 
-// backends is the executor matrix for tests of execution semantics:
-// the compiled default first, then the dense reference interpreter, so
-// the default never silently moves coverage off the reference.
-var backends = []vm.Backend{vm.BackendCompiled, vm.BackendDense}
+// selectExec picks the executor a test's runs use: it maps the
+// options of a run to the options that run it on that executor.
+type selectExec func(vm.Options) vm.Options
 
-// forEachBackend runs body as one subtest per backend.
-func forEachBackend(t *testing.T, body func(t *testing.T, be vm.Backend)) {
+// executors is the matrix for tests of execution semantics: the
+// compiled default first, then the dense reference interpreter.
+var executors = []struct {
+	name string
+	on   selectExec
+}{
+	{"compiled", func(o vm.Options) vm.Options { return o }},
+	{"dense", vm.Interp},
+}
+
+// forEachExecutor runs body as one subtest per executor.
+func forEachExecutor(t *testing.T, body func(t *testing.T, on selectExec)) {
 	t.Helper()
-	for _, be := range backends {
-		t.Run(be.String(), func(t *testing.T) { body(t, be) })
+	for _, ex := range executors {
+		t.Run(ex.name, func(t *testing.T) { body(t, ex.on) })
 	}
 }
 
@@ -60,8 +69,8 @@ func fact(n) {
 }
 func main() { return fact(10); }`
 	prog := compile(t, src, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res := run(t, prog, vm.Options{Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res := run(t, prog, on(vm.Options{}))
 		if res.Ret != 3628800 {
 			t.Errorf("fact(10) = %d, want 3628800", res.Ret)
 		}
@@ -88,9 +97,9 @@ func main() {
 	return s;
 }`
 	prog := compile(t, src, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		var out bytes.Buffer
-		res := run(t, prog, vm.Options{Output: &out, Backend: be})
+		res := run(t, prog, on(vm.Options{Output: &out}))
 		want := int64(0)
 		for i := int64(0); i < 16; i++ {
 			want += i * i
@@ -122,8 +131,8 @@ func main() {
 	return s * 10 + hits;
 }`
 	prog := compile(t, src, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res := run(t, prog, vm.Options{Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res := run(t, prog, on(vm.Options{}))
 		// s = 0+1+2+4+5+6 = 18
 		if res.Ret != 180 {
 			t.Errorf("result = %d, want 180", res.Ret)
@@ -131,13 +140,16 @@ func main() {
 	})
 }
 
+// TestDivModByZeroDefined pins the IR's total arithmetic: x/0 and x%0
+// are 0, and division truncates toward zero, so a remainder takes the
+// dividend's sign.
 func TestDivModByZeroDefined(t *testing.T) {
-	src := `func main() { var z = 0; return 7 / z + 7 % z; }`
+	src := `func main() { var z = 0; var n = 0 - 7; return 7 / z + 7 % z + 100 * (n / 2) + 10 * (n % 3); }`
 	prog := compile(t, src, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res := run(t, prog, vm.Options{Backend: be})
-		if res.Ret != 0 {
-			t.Errorf("7/0 + 7%%0 = %d, want 0", res.Ret)
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res := run(t, prog, on(vm.Options{}))
+		if want := int64(100*(-7/2) + 10*(-7%3)); res.Ret != want {
+			t.Errorf("7/0 + 7%%0 + 100*(-7/2) + 10*(-7%%3) = %d, want %d", res.Ret, want)
 		}
 	})
 }
@@ -147,8 +159,8 @@ func TestNegativeArrayIndexWraps(t *testing.T) {
 array a[8];
 func main() { a[0-1] = 42; return a[7]; }`
 	prog := compile(t, src, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res := run(t, prog, vm.Options{Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res := run(t, prog, on(vm.Options{}))
 		if res.Ret != 42 {
 			t.Errorf("a[-1] wrap = %d, want 42", res.Ret)
 		}
@@ -206,8 +218,8 @@ func TestUnrollingPreservesSemantics(t *testing.T) {
 
 func TestPathProfileConsistency(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		res := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true, Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		res := run(t, prog, on(vm.Options{CollectEdges: true, CollectPaths: true}))
 		for name, pp := range res.Paths {
 			ep := res.Edges[name]
 			g := mustCFG(t, prog.Func(name))
@@ -250,9 +262,9 @@ func TestPathProfileConsistency(t *testing.T) {
 
 func TestPPInstrumentationMatchesGroundTruth(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		// Stage 1: collect the edge profile.
-		stage1 := run(t, prog, vm.Options{CollectEdges: true, CollectPaths: true, Backend: be})
+		stage1 := run(t, prog, on(vm.Options{CollectEdges: true, CollectPaths: true}))
 
 		// Stage 2: build PP plans from the profile and rerun instrumented.
 		plans := map[string]*instr.Plan{}
@@ -265,7 +277,7 @@ func TestPPInstrumentationMatchesGroundTruth(t *testing.T) {
 			}
 			plans[f.Name] = p
 		}
-		res := run(t, prog, vm.Options{Plans: plans, CollectPaths: true, Backend: be})
+		res := run(t, prog, on(vm.Options{Plans: plans, CollectPaths: true}))
 		if res.Ret != stage1.Ret {
 			t.Fatalf("instrumentation changed the result: %d vs %d", res.Ret, stage1.Ret)
 		}
@@ -308,8 +320,8 @@ func TestPPInstrumentationMatchesGroundTruth(t *testing.T) {
 func TestMaxStepsAborts(t *testing.T) {
 	src := `func main() { var i = 0; while (i < 1000000) { i = i + 1; } return i; }`
 	prog := compile(t, src, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		if _, err := vm.Run(prog, vm.Options{MaxSteps: 100, Backend: be}); err == nil {
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		if _, err := vm.Run(prog, on(vm.Options{MaxSteps: 100})); err == nil {
 			t.Error("expected step budget error")
 		}
 	})
@@ -324,9 +336,9 @@ func TestInfiniteLoopRejectedAtCompile(t *testing.T) {
 
 func TestEdgeInstrumentCost(t *testing.T) {
 	prog := compile(t, loopSrc, lower.Options{})
-	forEachBackend(t, func(t *testing.T, be vm.Backend) {
-		plain := run(t, prog, vm.Options{Backend: be})
-		edged := run(t, prog, vm.Options{EdgeInstrument: true, Backend: be})
+	forEachExecutor(t, func(t *testing.T, on selectExec) {
+		plain := run(t, prog, on(vm.Options{}))
+		edged := run(t, prog, on(vm.Options{EdgeInstrument: true}))
 		if edged.InstrCost <= 0 {
 			t.Error("edge instrumentation has no cost")
 		}
