@@ -279,19 +279,6 @@ func (s *Suite) Headline() (map[string]float64, error) {
 	}, nil
 }
 
-// EdgeOverhead measures software edge-counter overhead for reference.
-func (s *Suite) EdgeOverhead(name string) (float64, error) {
-	wr, err := s.Run(name)
-	if err != nil {
-		return 0, err
-	}
-	res, err := wr.Staged.EdgeOverheadRun()
-	if err != nil {
-		return 0, err
-	}
-	return res.Overhead(), nil
-}
-
 // Accuracy returns the Figure 9 numbers for one workload: edge, TPP,
 // and PPP accuracy against the actual hot set.
 func (wr *WorkloadResult) Accuracy() (edge, tpp, ppp float64) {

@@ -2,6 +2,7 @@ package bench_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"pathprof/internal/bench"
@@ -25,6 +26,24 @@ func smallSuite(t *testing.T) *bench.Suite {
 	return s
 }
 
+var (
+	stagedOnce sync.Once
+	staged     *bench.Suite
+)
+
+// stagedSuite is one small suite shared by the tests that only read
+// its results, so its workloads stage once per test binary rather than
+// once per test. Tests that check caching or concurrency, or that
+// change a suite's settings, take a fresh smallSuite.
+func stagedSuite(t *testing.T) *bench.Suite {
+	t.Helper()
+	stagedOnce.Do(func() { staged = smallSuite(t) })
+	if staged == nil {
+		t.Fatal("shared suite unavailable")
+	}
+	return staged
+}
+
 func TestSuiteRunCaches(t *testing.T) {
 	s := smallSuite(t)
 	a, err := s.Run("mcf")
@@ -44,7 +63,7 @@ func TestSuiteRunCaches(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	s := smallSuite(t)
+	s := stagedSuite(t)
 	cases := []struct {
 		name string
 		run  func(*strings.Builder) error
@@ -88,7 +107,7 @@ func TestHeadlineResults(t *testing.T) {
 	// The paper's headline claims, checked on the two-workload subset:
 	// accuracy of TPP and PPP near-perfect and far above the edge
 	// baseline's minimum guarantees; PPP overhead at most TPP's.
-	s := smallSuite(t)
+	s := stagedSuite(t)
 	for _, name := range []string{"mcf", "swim"} {
 		wr, err := s.Run(name)
 		if err != nil {
@@ -115,12 +134,16 @@ func TestHeadlineResults(t *testing.T) {
 }
 
 func TestEdgeOverheadPositive(t *testing.T) {
-	s := smallSuite(t)
-	oh, err := s.EdgeOverhead("mcf")
+	s := stagedSuite(t)
+	wr, err := s.Run("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oh <= 0 {
+	res, err := wr.Staged.EdgeOverheadRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oh := res.Overhead(); oh <= 0 {
 		t.Errorf("edge overhead = %v", oh)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // at every worker count, and mincost must place
 // strictly fewer probe sites.
 func TestPlacementTableRenders(t *testing.T) {
-	s := smallSuite(t)
+	s := stagedSuite(t)
 	var sb strings.Builder
 	rep, err := s.PlacementTable(&sb, 2)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestPlacementTableRenders(t *testing.T) {
 // spanning suite exactly: probe placement changes how edge counts are
 // acquired, never what any figure reports.
 func TestSuiteMinCostPlacementIdenticalFigures(t *testing.T) {
-	span := smallSuite(t)
+	span := stagedSuite(t)
 	minc := smallSuite(t)
 	minc.Placement = instr.PlaceMinCost
 	h1, err := span.Headline()

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"pathprof/internal/core"
+	"pathprof/internal/opt"
 )
 
 // Table1 prints dynamic path characteristics with and without
@@ -21,7 +22,7 @@ func (s *Suite) Table1(w io.Writer) error {
 		var oB, oI, nB, nI, inl, unr, spd []float64
 		var oP, nP float64
 		for _, r := range rows {
-			avgUnroll := avgUnrollOf(r)
+			avgUnroll := opt.AvgUnrollFactor(r.Staged.UnrollDecisions)
 			if showRows {
 				fmt.Fprintf(w, "%-10s %10.1f %8.2f %8.2f %10.1f %8.2f %8.2f %7.0f%% %7.2f %8.2f\n",
 					r.W.Name,
@@ -49,23 +50,6 @@ func (s *Suite) Table1(w io.Writer) error {
 	print(fps, "FP avg", true)
 	print(rs, "ALL avg", false)
 	return nil
-}
-
-func avgUnrollOf(r *WorkloadResult) float64 {
-	return avgUnroll(r)
-}
-
-func avgUnroll(r *WorkloadResult) float64 {
-	// Weighted over dynamic loop iterations, per Table 1.
-	var num, den float64
-	for _, d := range r.Staged.UnrollDecisions {
-		num += float64(d.Factor) * float64(d.Iters)
-		den += float64(d.Iters)
-	}
-	if den == 0 {
-		return 1
-	}
-	return num / den
 }
 
 // Table2 prints distinct paths and hot-path statistics at the 0.125%

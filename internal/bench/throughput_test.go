@@ -11,7 +11,7 @@ import (
 // suite and requires the merge-determinism check to pass for every
 // workload and mode.
 func TestThroughputReportRenders(t *testing.T) {
-	s := smallSuite(t)
+	s := stagedSuite(t)
 	var sb strings.Builder
 	if err := s.ThroughputReport(&sb, 4); err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestThroughputReportRenders(t *testing.T) {
 // to the sequential replicated run — the acceptance bar for the
 // sharded collector on real workload programs.
 func TestReplicatedWorkloadBitIdentical(t *testing.T) {
-	s := smallSuite(t)
+	s := stagedSuite(t)
 	wr, err := s.Run("mcf")
 	if err != nil {
 		t.Fatal(err)

@@ -267,9 +267,6 @@ type ProfilerResult struct {
 	Modes map[string]Mode
 }
 
-// ModeOf returns the routine's degradation level.
-func (pr *ProfilerResult) ModeOf(fn string) Mode { return pr.Modes[fn] }
-
 // Degraded counts routines below ModeFull.
 func (pr *ProfilerResult) Degraded() int {
 	n := 0

@@ -238,7 +238,7 @@ func TestDegradedModeLadder(t *testing.T) {
 	// arm, so the routine drops to the bottom rung and runs
 	// uninstrumented on the edge profile alone.
 	pr := explode(t, 2)
-	if got := pr.ModeOf("blow"); got != core.ModeEdgeOnly {
+	if got := pr.Modes["blow"]; got != core.ModeEdgeOnly {
 		t.Errorf("balanced blow mode = %v, want edge-only", got)
 	}
 	if pr.Degraded() != 1 {
@@ -252,13 +252,13 @@ func TestDegradedModeLadder(t *testing.T) {
 	// criterion, so the TPP retry tames the path space — one rung
 	// down, still path-profiled.
 	pr = explode(t, 32)
-	if got := pr.ModeOf("blow"); got != core.ModeTPP {
+	if got := pr.Modes["blow"]; got != core.ModeTPP {
 		t.Errorf("biased blow mode = %v, want tpp", got)
 	}
 	if got := pr.ModeSummary(); got != "tpp:1" {
 		t.Errorf("ModeSummary() = %q, want tpp:1", got)
 	}
-	if got := pr.ModeOf("main"); got != core.ModeFull {
+	if got := pr.Modes["main"]; got != core.ModeFull {
 		t.Errorf("main mode = %v, want full", got)
 	}
 }

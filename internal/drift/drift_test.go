@@ -338,7 +338,7 @@ func oracleCompare(guide, live map[string]*profile.EdgeProfile, opts Options) Re
 
 // randomEdges draws a per-routine edge-profile map: up to four
 // routines (sometimes none, sometimes a nil profile), edges counted
-// through the dense slots, the sparse backing or both, and counts from
+// through Slot/BumpSlot, Add or both, and counts from
 // a small range, so ties, zero counts and routine-only profiles are
 // common.
 func randomEdges(rng *rand.Rand) map[string]*profile.EdgeProfile {

@@ -11,7 +11,7 @@ import (
 )
 
 // cloneBase builds a snapshot with every backing Clone must copy:
-// dense edge slots beside sparse counts, trie nodes whose overflow
+// edge slots registered by Slot and by Add, trie nodes whose overflow
 // siblings have spare capacity (kid0 plus three in rest, capacity
 // four), and array and hash tables.
 func cloneBase() *profile.Snapshot {
@@ -20,7 +20,7 @@ func cloneBase() *profile.Snapshot {
 	ep.BumpSlot(ep.Slot(0, 1))
 	ep.BumpSlot(ep.Slot(1, 2))
 	ep.BumpSlot(ep.Slot(3, 4)) // three slots: spare capacity
-	ep.Add(1, 2, 4)            // same edge in both backings
+	ep.Add(1, 2, 4)            // an edge Slot registered
 	ep.Add(2, 3, 9)
 	ep.Calls = 3
 	s.Edges["f"] = ep

@@ -131,9 +131,6 @@ func (s *Snapshot) SaturatedRoutines() []string {
 	return sortedKeys(set)
 }
 
-// Overflowed reports whether any routine saturated.
-func (s *Snapshot) Overflowed() bool { return len(s.SaturatedRoutines()) > 0 }
-
 // Merge folds every shard into a fresh snapshot, deterministically:
 // shards in index order, routines in name order. The shards are not
 // modified and may be merged again after further recording.

@@ -80,7 +80,6 @@ func (ep *EdgeProfile) clone() *EdgeProfile {
 	c.slots = maps.Clone(ep.slots)
 	c.keys = slices.Clone(ep.keys)
 	c.dense = slices.Clone(ep.dense)
-	c.extra = maps.Clone(ep.extra)
 	return &c
 }
 

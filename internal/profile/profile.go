@@ -50,11 +50,11 @@ type EdgeKey struct {
 
 // EdgeProfile is the exact edge profile of one routine.
 //
-// Counts have two backings: dense slots registered up front by the VM
-// (Slot/BumpSlot, a slice increment per branch) and a sparse map fed
-// by Bump/Add/Merge for consumers that do not know the edge set in
-// advance (deserialization, tests). Freq materializes the combined
-// view on demand.
+// Counts live in dense slots, one per edge: the VM registers its edges
+// up front (Slot/BumpSlot, a slice increment per branch), and Add
+// registers an edge on its first count for consumers that do not know
+// the edge set in advance (deserialization, merges, tests). Freq
+// materializes the edge-count map on demand.
 type EdgeProfile struct {
 	Func  string
 	Calls int64
@@ -66,8 +66,6 @@ type EdgeProfile struct {
 	slots map[EdgeKey]int32
 	keys  []EdgeKey
 	dense []int64
-
-	extra map[EdgeKey]int64
 }
 
 // NewEdgeProfile returns an empty profile for a routine.
@@ -117,7 +115,7 @@ func (ep *EdgeProfile) BumpCalls() {
 	ep.Calls++
 }
 
-// Bump increments the edge count through the sparse backing.
+// Bump increments the edge count by one.
 func (ep *EdgeProfile) Bump(src, dst int) {
 	ep.Add(src, dst, 1)
 }
@@ -125,42 +123,29 @@ func (ep *EdgeProfile) Bump(src, dst int) {
 // Add adds v executions of the edge src->dst, saturating at
 // CounterMax.
 func (ep *EdgeProfile) Add(src, dst int, v int64) {
-	if ep.extra == nil {
-		ep.extra = map[EdgeKey]int64{}
-	}
-	k := EdgeKey{src, dst}
-	n, sat := satAdd(ep.extra[k], v)
-	ep.extra[k] = n
-	if sat {
+	s := ep.Slot(src, dst)
+	var sat bool
+	if ep.dense[s], sat = satAdd(ep.dense[s], v); sat {
 		ep.Saturated = true
 	}
 }
 
 // Get returns the count of edge src->dst.
 func (ep *EdgeProfile) Get(src, dst int) int64 {
-	k := EdgeKey{src, dst}
-	var n int64
-	if s, ok := ep.slots[k]; ok {
-		n = ep.dense[s]
+	if s, ok := ep.slots[EdgeKey{src, dst}]; ok {
+		return ep.dense[s]
 	}
-	n, _ = satAdd(n, ep.extra[k])
-	return n
+	return 0
 }
 
-// Freq materializes the edge-count map, merging the dense and sparse
-// backings. The returned map is a snapshot: mutations to it are not
-// reflected in the profile (use Add), and later bumps are not
-// reflected in it.
+// Freq materializes the edge-count map. The returned map is a
+// snapshot: mutations to it are not reflected in the profile (use
+// Add), and later bumps are not reflected in it.
 func (ep *EdgeProfile) Freq() map[EdgeKey]int64 {
-	out := make(map[EdgeKey]int64, len(ep.keys)+len(ep.extra))
+	out := make(map[EdgeKey]int64, len(ep.keys))
 	for i, k := range ep.keys {
 		if ep.dense[i] != 0 {
-			out[k], _ = satAdd(out[k], ep.dense[i])
-		}
-	}
-	for k, v := range ep.extra {
-		if v != 0 {
-			out[k], _ = satAdd(out[k], v)
+			out[k] = ep.dense[i]
 		}
 	}
 	return out
@@ -173,9 +158,8 @@ type EdgeCount struct {
 }
 
 // AppendCounts appends to buf, in (Src, Dst) order, every edge with a
-// nonzero count, summing an edge counted in both backings: Freq's
-// entries in sorted order, without building its map. Fingerprint and
-// the snapshot codec walk edges through it.
+// nonzero count: Freq's entries in sorted order, without building its
+// map. Fingerprint and the snapshot codec walk edges through it.
 func (ep *EdgeProfile) AppendCounts(buf []EdgeCount) []EdgeCount {
 	start := len(buf)
 	for i, k := range ep.keys {
@@ -183,34 +167,19 @@ func (ep *EdgeProfile) AppendCounts(buf []EdgeCount) []EdgeCount {
 			buf = append(buf, EdgeCount{k, ep.dense[i]})
 		}
 	}
-	for k, v := range ep.extra { //ppp:allow(mapiter) — sorted below
-		if v != 0 {
-			buf = append(buf, EdgeCount{k, v})
-		}
-	}
-	counts := buf[start:]
-	slices.SortFunc(counts, func(a, b EdgeCount) int {
+	slices.SortFunc(buf[start:], func(a, b EdgeCount) int {
 		if a.Src != b.Src {
 			return cmp.Compare(a.Src, b.Src)
 		}
 		return cmp.Compare(a.Dst, b.Dst)
 	})
-	// An edge in both backings sorts into two adjacent entries.
-	out := counts[:0]
-	for _, ec := range counts {
-		if last := len(out) - 1; last >= 0 && out[last].EdgeKey == ec.EdgeKey {
-			out[last].Count, _ = satAdd(out[last].Count, ec.Count)
-			continue
-		}
-		out = append(out, ec)
-	}
-	return buf[:start+len(out)]
+	return buf
 }
 
 // DiffSlots compares ep's dense slot counts with o's, slot by slot, and
 // returns the first slot whose counts differ together with both
 // counts (a slot one side never registered counts as zero), or slot
-// -1 when they all agree. The sparse backings are not compared.
+// -1 when they all agree.
 func (ep *EdgeProfile) DiffSlots(o *EdgeProfile) (slot int, got, want int64) {
 	a, b := ep.dense, o.dense
 	n := min(len(a), len(b))
@@ -242,19 +211,14 @@ func (ep *EdgeProfile) ApplyTo(g *cfg.Graph) {
 }
 
 // Merge adds other's counts into ep (for combining multi-run profiles,
-// as the paper does for multi-input benchmarks). The sparse side is
-// folded in sorted key order so merged profiles are built identically
-// regardless of how other's map laid out its entries.
+// as the paper does for multi-input benchmarks). other's edges are
+// folded in its slot order, so merged profiles are built identically
+// run to run.
 func (ep *EdgeProfile) Merge(other *EdgeProfile) {
 	ep.MergeCalls(other.Calls, other.Saturated)
 	for i, k := range other.keys {
 		if other.dense[i] != 0 {
 			ep.Add(k.Src, k.Dst, other.dense[i])
-		}
-	}
-	for _, k := range sortedEdgeKeys(other.extra) {
-		if v := other.extra[k]; v != 0 {
-			ep.Add(k.Src, k.Dst, v)
 		}
 	}
 }
@@ -269,22 +233,6 @@ func (ep *EdgeProfile) MergeCalls(calls int64, saturated bool) {
 	if sat || saturated {
 		ep.Saturated = true
 	}
-}
-
-// sortedEdgeKeys returns m's keys in (Src, Dst) order, for
-// deterministic iteration in merge and fingerprint code.
-func sortedEdgeKeys(m map[EdgeKey]int64) []EdgeKey {
-	keys := make([]EdgeKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	return keys
 }
 
 // PathCount is one ground-truth path with its execution count.

@@ -8,8 +8,8 @@ import (
 	"pathprof/internal/profile"
 )
 
-// TestEdgeProfileSaturates drives the sparse and dense edge counters to
-// CounterMax and checks they clamp instead of wrapping.
+// TestEdgeProfileSaturates drives edge counters through Add and
+// BumpSlot to CounterMax and checks they clamp instead of wrapping.
 func TestEdgeProfileSaturates(t *testing.T) {
 	ep := profile.NewEdgeProfile("f")
 	ep.Add(0, 1, profile.CounterMax-1)
@@ -27,8 +27,8 @@ func TestEdgeProfileSaturates(t *testing.T) {
 	dense := profile.NewEdgeProfile("g")
 	s := dense.Slot(2, 3)
 	dense.BumpSlot(s)
-	// Push the combined dense+sparse view past the ceiling: the
-	// materialized views must clamp rather than wrap negative.
+	// Push a bumped slot past the ceiling with Add: the counter and
+	// the materialized views must clamp rather than wrap negative.
 	dense.Add(2, 3, profile.CounterMax-1)
 	if got := dense.Get(2, 3); got != profile.CounterMax {
 		t.Errorf("combined Get = %d, want CounterMax", got)
@@ -155,8 +155,8 @@ func TestSnapshotSaturatedRoutines(t *testing.T) {
 	if len(got) != 1 || got[0] != "hot" {
 		t.Fatalf("SaturatedRoutines = %v, want [hot]", got)
 	}
-	if !snap.Overflowed() {
-		t.Error("Overflowed = false")
+	if len(snap.SaturatedRoutines()) == 0 {
+		t.Error("no saturated routine")
 	}
 
 	// Same observable counts, no saturation: fingerprints must differ,

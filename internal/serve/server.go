@@ -193,6 +193,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
+	loads   map[string]*tenantLoad // first touches in flight
 
 	rec []byte // the committer's log-record buffer, reused per commit
 
@@ -282,6 +283,7 @@ func New(cfg Config) (*Server, error) {
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 		tenants: map[string]*tenant{},
+		loads:   map[string]*tenantLoad{},
 		red:     map[string]*redSeries{},
 	}
 	reg := cfg.Registry
@@ -705,53 +707,100 @@ func (s *Server) tenantFor(name string) (*tenant, error) {
 	return s.resolve(name, true)
 }
 
+// tenantLoad is a tenant's first touch in flight: one Store.Load
+// whose outcome every concurrent touch of the tenant waits for and
+// shares. Once done is closed, t is the recovered tenant, or err says
+// why there is none.
+type tenantLoad struct {
+	done chan struct{}
+	t    *tenant
+	err  error
+}
+
 // resolve returns the in-memory tenant, recovering it from the store
-// on first touch (one load, one decode). A tenant the store does not
-// know is created empty when create is set and is nil otherwise. Any
-// other load failure emits a store-fault event and returns an error
-// without caching anything, so every later touch retries the load
-// and the stored files stay as they are.
+// on first touch with one Store.Load, shared by concurrent touches. A
+// tenant the store does not know is created empty when create is set
+// and is nil otherwise. Any other load failure emits a store-fault
+// event and returns an error without caching anything, so every later
+// touch retries the load and the stored files stay as they are.
 func (s *Server) resolve(name string, create bool) (*tenant, error) {
 	s.mu.Lock()
-	t := s.tenants[name]
+	t, l := s.tenants[name], s.loads[name]
+	first := t == nil && l == nil
+	if first {
+		l = &tenantLoad{done: make(chan struct{})}
+		s.loads[name] = l
+	}
 	s.mu.Unlock()
 	if t != nil {
 		return t, nil
 	}
-	t = &tenant{name: name, seqs: map[string]uint64{}}
-	data, snap, err := loadAggregate(s.cfg.Store, name)
-	if err == nil {
-		t.log, err = s.cfg.Store.Log(name)
+	if first {
+		s.load(name, l)
 	}
+	<-l.done
+	switch {
+	case l.t != nil:
+		return l.t, nil
+	case !errors.Is(l.err, os.ErrNotExist):
+		return nil, l.err
+	case !create:
+		return nil, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t = s.tenants[name]; t == nil {
+		t = &tenant{name: name, seqs: map[string]uint64{}}
+		s.install(t)
+	}
+	return t, nil
+}
+
+// load runs the Store.Load of a first touch and publishes its outcome
+// through l.
+func (s *Server) load(name string, l *tenantLoad) {
+	defer close(l.done)
+	rec, err := s.cfg.Store.Load(name)
 	switch {
 	case err == nil:
-		t.cur = &version{agg: snap, fp: snap.Fingerprint()}
-		// The store's bytes are this version's encoding already.
-		t.cur.once.Do(func() { t.cur.data = data })
+		t := &tenant{name: name, seqs: map[string]uint64{}, log: rec.Log, nextSeq: uint64(len(rec.Log))}
+		t.cur = &version{agg: rec.Agg, fp: rec.Agg.Fingerprint()}
+		if rec.Data != nil {
+			// The checkpoint's bytes are this version's encoding already.
+			t.cur.once.Do(func() { t.cur.data = rec.Data })
+		}
 		for _, e := range t.log {
 			t.seqs[e.Key] = e.Seq
 		}
-		t.nextSeq = uint64(len(t.log))
+		l.t = t
 	case errors.Is(err, os.ErrNotExist):
-		if !create {
-			return nil, nil
-		}
+		l.err = err
 	default:
 		s.trace.Emit(telemetry.Event{
 			Unit: "serve", Routine: name, Kind: telemetry.EvStoreFault,
 			Detail: "stored aggregate unreadable; tenant refused: " + err.Error(),
 		})
-		return nil, fmt.Errorf("serve: tenant %q: stored aggregate unreadable: %w", name, err)
+		l.err = fmt.Errorf("serve: tenant %q: stored aggregate unreadable: %w", name, err)
 	}
 	s.mu.Lock()
-	if cur := s.tenants[name]; cur != nil {
-		t = cur
-	} else {
-		s.tenants[name] = t
-		s.met.tenants.Set(float64(len(s.tenants)))
+	defer s.mu.Unlock()
+	delete(s.loads, name)
+	if l.t == nil {
+		return
 	}
-	s.mu.Unlock()
-	return t, nil
+	// A tenant created empty after an earlier not-found load may have
+	// committed before this load read the store; it stays live.
+	if cur := s.tenants[name]; cur != nil {
+		l.t = cur
+		return
+	}
+	s.install(l.t)
+}
+
+// install adds t to the in-memory tenants. Callers hold s.mu.
+func (s *Server) install(t *tenant) {
+	s.tenants[t.name] = t
+	s.met.tenants.Set(float64(len(s.tenants)))
 }
 
 func fpString(fp uint64) string { return fmt.Sprintf("%016x", fp) }

@@ -50,6 +50,16 @@ func testSnap(emitter, n int) *profile.Snapshot {
 
 func encodeSnap(emitter, n int) []byte { return snapshot.Encode(testSnap(emitter, n)) }
 
+// durableBytes is the canonical encoding of the aggregate st recovers
+// for tenant.
+func durableBytes(st serve.Store, tenant string) ([]byte, error) {
+	rec, err := st.Load(tenant)
+	if err != nil {
+		return nil, err
+	}
+	return snapshot.Encode(rec.Agg), nil
+}
+
 func newServer(t *testing.T, cfg serve.Config) *serve.Server {
 	t.Helper()
 	if cfg.Store == nil {
@@ -83,7 +93,7 @@ func TestIngestAckIsDurable(t *testing.T) {
 
 	// The ack promises durability: the store must already hold an
 	// aggregate equal to the folded snapshot.
-	data, err := store.Load("app")
+	data, err := durableBytes(store, "app")
 	if err != nil {
 		t.Fatalf("store has nothing despite ack: %v", err)
 	}
@@ -261,7 +271,7 @@ func TestShutdownDrainsQueue(t *testing.T) {
 		}
 		want.MergeSnapshot(testSnap(emitter, n))
 	}
-	data, err := store.Load("app")
+	data, err := durableBytes(store, "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,39 +623,118 @@ func TestUnreadableStoreRefusesTenant(t *testing.T) {
 	}
 }
 
-// countingStore counts Load calls.
+// countingStore counts Load calls, the Store's one read.
 type countingStore struct {
 	serve.Store
 	mu    sync.Mutex
 	loads int
 }
 
-func (c *countingStore) Load(tenant string) ([]byte, error) {
+func (c *countingStore) Load(tenant string) (*serve.Recovered, error) {
 	c.mu.Lock()
 	c.loads++
 	c.mu.Unlock()
 	return c.Store.Load(tenant)
 }
 
-// TestFirstTouchLoadsOnce: a restarted server's first read of a
-// recovered tenant loads its aggregate from the store once, and later
-// reads and commits are served from memory.
+// TestFirstTouchLoadsOnce: a restarted server recovers a tenant whose
+// durable state is a checkpoint plus a non-empty log with exactly one
+// Store.Load, however many reads and commits race its first touch, and
+// serves exactly the state it had before the restart: the same bytes
+// (a refold of its commit log), fingerprint, acked seq and commit log,
+// with every earlier key deduped.
 func TestFirstTouchLoadsOnce(t *testing.T) {
-	mem := serve.NewMemStore()
-	if err := mem.Save("app", encodeSnap(3, 1)); err != nil {
+	const tenant = "app"
+	dir := t.TempDir()
+	fs, err := serve.OpenFileStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	store := &countingStore{Store: mem}
+	ctx := context.Background()
+	snaps := map[string]*profile.Snapshot{}
+	ingest := func(s *serve.Server, key string, emitter, n int) {
+		t.Helper()
+		snaps[key] = testSnap(emitter, n)
+		if _, _, err := s.Ingest(ctx, tenant, key, snaps[key]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// k0 lands in a checkpoint; k1 and k2 stay in the log, since every
+	// later checkpoint fails.
+	s1 := newServer(t, serve.Config{Store: fs})
+	s1.Start()
+	ingest(s1, "k0", 1, 0)
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newServer(t, serve.Config{Store: &saveFailStore{Store: fs, fails: 1 << 30}})
+	s2.Start()
+	ingest(s2, "k1", 2, 1)
+	ingest(s2, "k2", 3, 2)
+	if err := s2.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(filepath.Join(dir, tenant+".pplog")); err != nil || st.Size() == 0 {
+		t.Fatalf("want k1 and k2 in the log (err %v)", err)
+	}
+	wantData, wantFP := s2.AggregateBytes(tenant)
+	wantInfo, _ := s2.Info(tenant)
+	wantLog := s2.CommitLog(tenant)
+
+	reopened, err := serve.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &countingStore{Store: reopened}
 	s := newServer(t, serve.Config{Store: store})
 	s.Start()
-	if data, _ := s.AggregateBytes("app"); data == nil {
-		t.Fatal("recovered aggregate not served")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := &serve.Client{BaseURL: ts.URL}
+
+	// First touch: readers race a retried commit of every earlier key.
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if data, fp := s.AggregateBytes(tenant); fp != wantFP || !bytes.Equal(data, wantData) {
+				t.Errorf("first-touch read served %s, want %s", fp, wantFP)
+			}
+		}()
 	}
-	if _, _, err := s.Ingest(context.Background(), "app", "k1", testSnap(3, 2)); err != nil {
+	for i, e := range wantLog {
+		ack, _, err := s.Ingest(ctx, tenant, e.Key, snaps[e.Key])
+		if err != nil || !ack.Deduped || ack.Seq != e.Seq || ack.Fingerprint != wantFP {
+			t.Errorf("retry %d of %s = %+v, %v; want a dedupe at seq %d", i, e.Key, ack, err, e.Seq)
+		}
+	}
+	wg.Wait()
+
+	if info, ok := s.Info(tenant); !ok || fmt.Sprint(info) != fmt.Sprint(wantInfo) {
+		t.Errorf("info after restart = %+v (ok=%v), want %+v", info, ok, wantInfo)
+	}
+	log, err := client.FetchLog(ctx, tenant)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if info, ok := s.Info("app"); !ok || info.Acked != 1 {
-		t.Fatalf("info after ingest = %+v (ok=%v)", info, ok)
+	if fmt.Sprint(log) != fmt.Sprint(wantLog) {
+		t.Errorf("commit log after restart = %+v, want %+v", log, wantLog)
+	}
+	refold := profile.NewSnapshot()
+	for _, e := range log {
+		refold.MergeSnapshot(snaps[e.Key])
+	}
+	data, fp, err := client.Fetch(ctx, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != wantFP || !bytes.Equal(data, wantData) || !bytes.Equal(data, snapshot.Encode(refold)) {
+		t.Errorf("served aggregate %s after restart, want %s, the refold of its commit log", fp, wantFP)
+	}
+	// A fresh commit continues the seqs from memory.
+	if ack, _, err := s.Ingest(ctx, tenant, "k3", testSnap(4, 3)); err != nil || ack.Seq != wantInfo.Acked+1 {
+		t.Errorf("fresh commit = %+v, %v; want seq %d", ack, err, wantInfo.Acked+1)
 	}
 	store.mu.Lock()
 	defer store.mu.Unlock()

@@ -32,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,39 +58,25 @@ type Store interface {
 	// cover every record the log holds, and then empties the log. A
 	// bare PPSNAP aggregate is a checkpoint at seq 0.
 	Save(tenant string, ckpt []byte) error
-	// Load returns the acked aggregate, the checkpoint's with the log
-	// replayed onto it, as PPSNAP bytes; or os.ErrNotExist (possibly
+	// Load recovers the tenant's acked state: the checkpoint with the
+	// log replayed onto it. It returns os.ErrNotExist (possibly
 	// wrapped) when the tenant has no durable state.
-	Load(tenant string) ([]byte, error)
-	// Log returns the tenant's commit log in seq order (empty when the
-	// tenant has none).
-	Log(tenant string) ([]LogEntry, error)
+	Load(tenant string) (*Recovered, error)
 	// Tenants lists tenants with durable state, sorted.
 	Tenants() ([]string, error)
 }
 
-// snapshotLoader is implemented by stores whose Load already decodes
-// the bytes to replay them; they hand back that decode with the
-// bytes, so a tenant's first touch decodes its aggregate once.
-type snapshotLoader interface {
-	LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error)
-}
-
-// loadAggregate loads and decodes a tenant's aggregate. Errors wrap
-// os.ErrNotExist only when the store has no aggregate for the tenant.
-func loadAggregate(st Store, tenant string) ([]byte, *profile.Snapshot, error) {
-	if l, ok := st.(snapshotLoader); ok {
-		return l.LoadSnapshot(tenant)
-	}
-	data, err := st.Load(tenant)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, snap, nil
+// Recovered is a tenant's acked state as Load rebuilds it. The caller
+// owns all of it.
+type Recovered struct {
+	// Agg is the acked aggregate: the checkpoint's, with every logged
+	// upload folded in seq order.
+	Agg *profile.Snapshot
+	// Log is the commit log in seq order.
+	Log []LogEntry
+	// Data is Agg's PPSNAP encoding when that is the checkpoint's own
+	// (no log record was replayed onto it); nil otherwise.
+	Data []byte
 }
 
 // tenantNameRE is the safe-tenant-name alphabet: nothing that can
@@ -164,27 +151,12 @@ func (ms *MemStore) durable(tenant string) (durable, error) {
 }
 
 // Load implements Store.
-func (ms *MemStore) Load(tenant string) ([]byte, error) {
-	data, _, err := ms.LoadSnapshot(tenant)
-	return data, err
-}
-
-// LoadSnapshot is Load that also returns the replayed aggregate.
-func (ms *MemStore) LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error) {
+func (ms *MemStore) Load(tenant string) (*Recovered, error) {
 	d, err := ms.durable(tenant)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return d.fold()
-}
-
-// Log implements Store.
-func (ms *MemStore) Log(tenant string) ([]LogEntry, error) {
-	d, err := ms.durable(tenant)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	return d.commitLog(), err
+	return d.replay()
 }
 
 // Tenants implements Store.
@@ -262,23 +234,12 @@ func (fs *FileStore) logPath(tenant string) string {
 // checkpoint files as snapshot.Store.Recover does, and each log cut
 // back to its last whole record.
 func (fs *FileStore) recoverAll() error {
-	entries, err := os.ReadDir(fs.dir)
-	if err != nil {
-		return fmt.Errorf("serve: store: %w", err)
-	}
 	// A torn rotation leaves only .prev/.tmp behind, and a tenant that
 	// never checkpointed has only a log, so every suffix names one.
-	seen := map[string]bool{}
-	var tenants []string
-	for _, e := range entries {
-		for _, suffix := range []string{snapExt, snapExt + ".prev", snapExt + ".tmp", logExt} {
-			if t, ok := strings.CutSuffix(e.Name(), suffix); ok && ValidTenant(t) && !seen[t] {
-				tenants = append(tenants, t)
-				seen[t] = true
-			}
-		}
+	tenants, err := fs.scan(snapExt, snapExt+".prev", snapExt+".tmp", logExt)
+	if err != nil {
+		return err
 	}
-	sort.Strings(tenants)
 	for _, t := range tenants {
 		if _, err := snapshot.NewStore(fs.pathOf(t)).Recover(); err != nil {
 			return fmt.Errorf("serve: store: recover %s: %w", t, err)
@@ -288,6 +249,25 @@ func (fs *FileStore) recoverAll() error {
 		}
 	}
 	return nil
+}
+
+// scan lists, sorted and once each, the valid tenants named by a file
+// in the store's directory that ends in one of suffixes.
+func (fs *FileStore) scan(suffixes ...string) ([]string, error) {
+	entries, err := os.ReadDir(fs.dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: store: %w", err)
+	}
+	var out []string
+	for _, e := range entries {
+		for _, suffix := range suffixes {
+			if t, ok := strings.CutSuffix(e.Name(), suffix); ok && ValidTenant(t) {
+				out = append(out, t)
+			}
+		}
+	}
+	sort.Strings(out)
+	return slices.Compact(out), nil
 }
 
 // recoverLog cuts a tenant's log back to its last whole record.
@@ -455,51 +435,20 @@ func (fs *FileStore) durable(tenant string) (durable, error) {
 	}
 }
 
-// Load implements Store.
-func (fs *FileStore) Load(tenant string) ([]byte, error) {
-	data, _, err := fs.LoadSnapshot(tenant)
-	return data, err
-}
-
-// LoadSnapshot is Load that also returns the replayed aggregate.
-func (fs *FileStore) LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error) {
+// Load implements Store: it reads the log and the checkpoint (and
+// .prev only when the checkpoint is damaged) and decodes the
+// checkpoint once.
+func (fs *FileStore) Load(tenant string) (*Recovered, error) {
 	d, err := fs.durable(tenant)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return d.fold()
+	return d.replay()
 }
 
-// Log implements Store.
-func (fs *FileStore) Log(tenant string) ([]LogEntry, error) {
-	d, err := fs.durable(tenant)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	return d.commitLog(), err
-}
-
-// Tenants implements Store.
+// Tenants implements Store: tenants with a checkpoint or a log.
 func (fs *FileStore) Tenants() ([]string, error) {
-	entries, err := os.ReadDir(fs.dir)
-	if err != nil {
-		return nil, fmt.Errorf("serve: store: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		for _, ext := range []string{snapExt, logExt} {
-			if t, ok := strings.CutSuffix(e.Name(), ext); ok && ValidTenant(t) {
-				if ext == logExt {
-					if _, err := os.Stat(fs.pathOf(t)); err == nil {
-						continue // listed by its checkpoint
-					}
-				}
-				out = append(out, t)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	return fs.scan(snapExt, logExt)
 }
 
 // tearTmp leaves a deliberately torn in-flight checkpoint behind, for
@@ -596,15 +545,7 @@ func (f *FaultStore) Save(tenant string, ckpt []byte) error {
 }
 
 // Load implements Store.
-func (f *FaultStore) Load(tenant string) ([]byte, error) { return f.Inner.Load(tenant) }
-
-// LoadSnapshot passes the inner store's decode through.
-func (f *FaultStore) LoadSnapshot(tenant string) ([]byte, *profile.Snapshot, error) {
-	return loadAggregate(f.Inner, tenant)
-}
-
-// Log implements Store.
-func (f *FaultStore) Log(tenant string) ([]LogEntry, error) { return f.Inner.Log(tenant) }
+func (f *FaultStore) Load(tenant string) (*Recovered, error) { return f.Inner.Load(tenant) }
 
 // Tenants implements Store.
 func (f *FaultStore) Tenants() ([]string, error) { return f.Inner.Tenants() }

@@ -41,13 +41,13 @@ func TestMemStoreRoundTripAndIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := ms.Load("app")
-	if err != nil || !bytes.Equal(got, data) {
+	if err != nil || !bytes.Equal(got.Data, data) {
 		t.Fatalf("round trip failed: %v", err)
 	}
 	// Mutating the returned slice must not touch the stored copy.
-	got[0] ^= 0xff
+	got.Data[0] ^= 0xff
 	again, _ := ms.Load("app")
-	if !bytes.Equal(again, data) {
+	if !bytes.Equal(again.Data, data) {
 		t.Error("Load aliases internal buffer")
 	}
 	names, err := ms.Tenants()
@@ -74,7 +74,7 @@ func TestFileStoreFallsBackPastCorruptPrimary(t *testing.T) {
 	if err := os.WriteFile(primary, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Load("app")
+	got, err := durableBytes(fs, "app")
 	if err != nil {
 		t.Fatalf("load with corrupt primary: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestOpenFileStoreRecoversTornState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs2.Load("app")
+	got, err := durableBytes(fs2, "app")
 	if err != nil {
 		t.Fatalf("load after recovery: %v", err)
 	}
@@ -259,11 +259,15 @@ func TestFailedAppendLeavesStateIntact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if data, err := reopened.Load("app"); err != nil || !bytes.Equal(data, wantData) {
-				t.Errorf("durable aggregate changed by a failed append (err %v)", err)
+			rec, err := reopened.Load("app")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if log, err := reopened.Log("app"); err != nil || len(log) != 1 {
-				t.Errorf("durable commit log %+v (err %v), want only k1", log, err)
+			if !bytes.Equal(snapshot.Encode(rec.Agg), wantData) {
+				t.Error("durable aggregate changed by a failed append")
+			}
+			if len(rec.Log) != 1 {
+				t.Errorf("durable commit log %+v, want only k1", rec.Log)
 			}
 
 			// The same store heals: the retry is a fresh seq 2 whose
@@ -281,7 +285,7 @@ func TestFailedAppendLeavesStateIntact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if data, err := again.Load("app"); err != nil || !bytes.Equal(data, snapshot.Encode(want)) {
+			if data, err := durableBytes(again, "app"); err != nil || !bytes.Equal(data, snapshot.Encode(want)) {
 				t.Errorf("recovered aggregate is not k1+k2 (err %v)", err)
 			}
 		})
@@ -323,7 +327,7 @@ func TestFailedCheckpointRetriesWithoutNack(t *testing.T) {
 			t.Fatalf("ingest %d: %+v, code %d, err %v", i, ack, code, err)
 		}
 		want.MergeSnapshot(testSnap(2, i))
-		if data, err := inner.Load("app"); err != nil || !bytes.Equal(data, snapshot.Encode(want)) {
+		if data, err := durableBytes(inner, "app"); err != nil || !bytes.Equal(data, snapshot.Encode(want)) {
 			t.Fatalf("durable aggregate after ack %d is not the fold (err %v)", i, err)
 		}
 	}
@@ -336,8 +340,12 @@ func TestFailedCheckpointRetriesWithoutNack(t *testing.T) {
 	if v := reg.Counter("ppp_serve_checkpoint_errors_total", "").Value(); v != 2 {
 		t.Errorf("checkpoint error counter = %d, want 2", v)
 	}
-	if log, err := inner.Log("app"); err != nil || len(log) != 3 {
-		t.Errorf("commit log after the checkpoint = %+v (err %v), want 3 entries", log, err)
+	rec, err := inner.Load("app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Log) != 3 {
+		t.Errorf("commit log after the checkpoint = %+v, want 3 entries", rec.Log)
 	}
 }
 
@@ -379,8 +387,8 @@ func TestDamagedCheckpointAfterLogResetRefusesTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := reopened.Load("app"); err == nil || errors.Is(err, os.ErrNotExist) {
-		t.Errorf("Load served %d bytes (err %v) from a fallback older than the log reset", len(got), err)
+	if _, err := reopened.Load("app"); err == nil || errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Load served a fallback older than the log reset (err %v)", err)
 	}
 	s2 := newServer(t, serve.Config{Store: reopened})
 	s2.Start()

@@ -208,33 +208,28 @@ func parseDurable(ckpt, log []byte) (d durable, err error) {
 	return d, nil
 }
 
-// commitLog is the commit log the durable state records.
-func (d *durable) commitLog() []LogEntry {
-	log := make([]LogEntry, len(d.keys))
+// replay rebuilds the acked state: the checkpoint's aggregate with
+// every logged upload parsed and folded in seq order, exactly as the
+// committer folded them, and the commit log. The checkpoint's bytes
+// come along only when the log adds nothing to them; otherwise the
+// aggregate's encoding is left to its first reader. replay consumes d.
+func (d *durable) replay() (*Recovered, error) {
+	rec := &Recovered{Agg: d.base, Log: make([]LogEntry, len(d.keys))}
 	for i, k := range d.keys {
-		log[i] = LogEntry{Seq: uint64(i + 1), Key: k}
+		rec.Log[i] = LogEntry{Seq: uint64(i + 1), Key: k}
 	}
-	return log
-}
-
-// fold rebuilds the acked aggregate: the checkpoint's, with every
-// logged upload parsed and folded in seq order, exactly as the
-// committer folded them. data is its canonical encoding (the
-// checkpoint's own bytes when the log adds nothing). fold consumes d.
-func (d *durable) fold() (data []byte, agg *profile.Snapshot, err error) {
-	agg = d.base
-	if agg == nil {
-		agg = profile.NewSnapshot()
+	if rec.Agg == nil {
+		rec.Agg = profile.NewSnapshot()
 	}
 	for i, data := range d.uploads {
 		up, err := snapshot.Parse(data)
 		if err != nil {
-			return nil, nil, fmt.Errorf("logged upload of seq %d: %w", d.ckptSeq+i+1, err)
+			return nil, fmt.Errorf("logged upload of seq %d: %w", d.ckptSeq+i+1, err)
 		}
-		up.FoldInto(agg)
+		up.FoldInto(rec.Agg)
 	}
-	if len(d.uploads) == 0 && d.ckpt != nil {
-		return d.ckpt, agg, nil
+	if len(d.uploads) == 0 {
+		rec.Data = d.ckpt
 	}
-	return snapshot.Encode(agg), agg, nil
+	return rec, nil
 }

@@ -69,16 +69,32 @@ func TestParseDurable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := d.commitLog(); len(got) != 4 || got[3] != (LogEntry{4, "k4"}) {
-				t.Errorf("commit log %+v, want k1..k4 at seqs 1..4", got)
-			}
-			data, snap, err := d.fold()
+			rec, err := d.replay()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if snap.Fingerprint() != want.Fingerprint() || !bytes.Equal(data, snapshot.Encode(want)) {
-				t.Error("fold is not the in-order merge of seqs 1..4")
+			if got := rec.Log; len(got) != 4 || got[3] != (LogEntry{4, "k4"}) {
+				t.Errorf("commit log %+v, want k1..k4 at seqs 1..4", got)
+			}
+			if rec.Agg.Fingerprint() != want.Fingerprint() || !bytes.Equal(snapshot.Encode(rec.Agg), snapshot.Encode(want)) {
+				t.Error("replay is not the in-order merge of seqs 1..4")
+			}
+			if rec.Data != nil {
+				t.Error("replay handed back checkpoint bytes the log has moved past")
 			}
 		})
+	}
+
+	// Records the checkpoint covers add nothing: its own bytes come back.
+	d, err := parseDurable(ckpt, walRecord(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := d.replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Log) != 2 || !bytes.Equal(rec.Data, snapshot.Encode(agg)) || rec.Agg.Fingerprint() != agg.Fingerprint() {
+		t.Errorf("checkpoint-only replay = log %+v, %d bytes; want k1, k2 and the checkpoint's aggregate", rec.Log, len(rec.Data))
 	}
 }

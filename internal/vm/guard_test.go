@@ -152,17 +152,23 @@ func TestGuardPanicInRunTaintsShard(t *testing.T) {
 
 // TestGuardStallDeadline stalls one worker's hook past the replica
 // deadline; the worker quarantines after its bounded retries instead
-// of hanging the run.
+// of hanging the run. The deadline is one an unstalled replica does
+// not reach even race-instrumented on a loaded host, and the stalled
+// hook measures its own sleep, so the outcome does not depend on how
+// the host schedules either worker.
 func TestGuardStallDeadline(t *testing.T) {
+	const deadline = 200 * time.Millisecond
 	forEachExecutor(t, func(t *testing.T, on selectExec) {
 		opts := on(vm.Options{
 			CollectEdges: true,
 			Guard: &vm.GuardConfig{
 				ReplicaRetries:  1,
-				ReplicaDeadline: 5 * time.Millisecond,
+				ReplicaDeadline: deadline,
 				FaultHook: func(ctx vm.FaultContext) error {
 					if ctx.Worker == 0 {
-						time.Sleep(12 * time.Millisecond)
+						for start := time.Now(); time.Since(start) <= deadline; {
+							time.Sleep(deadline / 4)
+						}
 					}
 					return nil
 				},

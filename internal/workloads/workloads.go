@@ -67,17 +67,3 @@ func Names() []string {
 	}
 	return out
 }
-
-// Ints and FPs split the suite by class.
-func Ints() []Workload { return byClass("INT") }
-func FPs() []Workload  { return byClass("FP") }
-
-func byClass(c string) []Workload {
-	var out []Workload
-	for _, w := range All() {
-		if w.Class == c {
-			out = append(out, w)
-		}
-	}
-	return out
-}

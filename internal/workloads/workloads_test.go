@@ -15,11 +15,15 @@ func TestSuiteShape(t *testing.T) {
 	if len(all) != 18 {
 		t.Fatalf("suite has %d workloads, want 18 (one per SPEC2000 row)", len(all))
 	}
-	if len(workloads.Ints()) != 8 {
-		t.Errorf("INT workloads = %d, want 8", len(workloads.Ints()))
+	classes := map[string]int{}
+	for _, w := range all {
+		classes[w.Class]++
 	}
-	if len(workloads.FPs()) != 10 {
-		t.Errorf("FP workloads = %d, want 10", len(workloads.FPs()))
+	if classes["INT"] != 8 {
+		t.Errorf("INT workloads = %d, want 8", classes["INT"])
+	}
+	if classes["FP"] != 10 {
+		t.Errorf("FP workloads = %d, want 10", classes["FP"])
 	}
 	seen := map[string]bool{}
 	for _, w := range all {
