@@ -131,6 +131,25 @@ func (s *Snapshot) SaturatedRoutines() []string {
 	return sortedKeys(set)
 }
 
+// Routines returns how many routines s holds any profile of: the
+// union of the routine names of its edge profiles, path profiles and
+// counter tables. (A PP-instrumented run's snapshot carries tables
+// only.)
+func (s *Snapshot) Routines() int {
+	n := len(s.Edges)
+	for fn := range s.Paths { //ppp:allow(mapiter) — counting, order-free
+		if s.Edges[fn] == nil {
+			n++
+		}
+	}
+	for fn := range s.Tables { //ppp:allow(mapiter) — counting, order-free
+		if s.Edges[fn] == nil && s.Paths[fn] == nil {
+			n++
+		}
+	}
+	return n
+}
+
 // Merge folds every shard into a fresh snapshot, deterministically:
 // shards in index order, routines in name order. The shards are not
 // modified and may be merged again after further recording.

@@ -201,3 +201,24 @@ func BenchmarkCollectorMerge(b *testing.B) {
 		col.Merge()
 	}
 }
+
+// TestSnapshotRoutines counts the union of the routine names a
+// snapshot holds profiles of, whichever kinds of profile it holds.
+func TestSnapshotRoutines(t *testing.T) {
+	s := profile.NewSnapshot()
+	if n := s.Routines(); n != 0 {
+		t.Fatalf("empty snapshot: %d routines", n)
+	}
+	s.Tables["a"] = profile.NewTable(profile.ArrayTable, 4, 4)
+	s.Tables["b"] = profile.NewTable(profile.ArrayTable, 4, 4)
+	if n := s.Routines(); n != 2 {
+		t.Errorf("tables only: %d routines, want 2", n)
+	}
+	s.Edges["b"] = profile.NewEdgeProfile("b")
+	s.Paths["b"] = profile.NewPathProfile("b")
+	s.Paths["c"] = profile.NewPathProfile("c")
+	s.Edges["d"] = profile.NewEdgeProfile("d")
+	if n := s.Routines(); n != 4 {
+		t.Errorf("mixed: %d routines, want 4 (a, b, c, d)", n)
+	}
+}

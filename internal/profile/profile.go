@@ -467,12 +467,13 @@ func (pp *PathProfile) stepScan(cur, edgeID int32) int32 {
 
 // AddAt records count executions of the path ending at trie cursor n,
 // which must have been produced by Step calls over exactly the edge
-// IDs ids. Interns ids (copied into the arena) on first sight, so
-// interned path IDs stay in first-seen completion order no matter how
-// the trie nodes were grown; ids is only read then.
+// IDs ids, and returns the path's new count. Interns ids (copied into
+// the arena) on first sight, so interned path IDs stay in first-seen
+// completion order no matter how the trie nodes were grown; ids is
+// only read then.
 //
 //ppp:hotpath
-func (pp *PathProfile) AddAt(n int32, ids []int32, count int64) {
+func (pp *PathProfile) AddAt(n int32, ids []int32, count int64) int64 {
 	if pp.nodes[n].id == 0 {
 		pp.intern(n, ids)
 	}
@@ -483,7 +484,12 @@ func (pp *PathProfile) AddAt(n int32, ids []int32, count int64) {
 		pp.Saturated = true
 	}
 	pp.total, _ = satAdd(pp.total, count)
+	return r.count
 }
+
+// Child returns cur's child along edge ID edgeID, or -1 when no path
+// walked that edge from cur. Unlike Step it never grows the trie.
+func (pp *PathProfile) Child(cur, edgeID int32) int32 { return pp.kid(cur, edgeID) }
 
 // intern assigns the next path ID to node n and appends ids to the
 // arena.

@@ -893,7 +893,7 @@ func (s *Server) info(t *tenant) (TenantInfo, bool) {
 	if v != nil {
 		info.Fingerprint = fpString(v.fp)
 		info.Bytes = len(s.encoded(v))
-		info.Routines = len(v.agg.Edges)
+		info.Routines = v.agg.Routines()
 		info.Saturated = v.agg.SaturatedRoutines()
 	}
 	return info, true

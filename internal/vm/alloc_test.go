@@ -5,6 +5,7 @@ import (
 
 	"pathprof/internal/instr"
 	"pathprof/internal/lower"
+	"pathprof/internal/vm/compile"
 )
 
 const allocSrc = `
@@ -22,11 +23,14 @@ func main() {
 }`
 
 // TestCompiledSteadyStateAllocs pins the compiled executor's zero-alloc
-// contract: after the first replica has grown the path trie, interned
-// its paths, and sized the frame and path pools, every further replica
-// must allocate nothing. This is what makes replicated runs scale —
-// the hot loop neither allocates nor shares, so workers never touch
-// the allocator or each other.
+// contract: once replicas have grown the path trie, interned its
+// paths, sized the frame and path pools, and formed their hot-path
+// traces, every further replica must allocate nothing. This is what
+// makes replicated runs scale — the hot loop neither allocates nor
+// shares, so workers never touch the allocator or each other. Traces
+// form when a path's count reaches compile.TraceAt, and every path of
+// a replica runs at least once per replica, so TraceAt warm replicas
+// leave nothing to form.
 func TestCompiledSteadyStateAllocs(t *testing.T) {
 	prog, err := lower.Compile(allocSrc, lower.Options{})
 	if err != nil {
@@ -49,11 +53,18 @@ func TestCompiledSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 3; i++ {
-			replica() // warm: trie nodes, interned paths, pools
+		for i := 0; i < compile.TraceAt; i++ {
+			replica() // warm: trie nodes, interned paths, pools, traces
+		}
+		warm := b.x.(*compile.Exec).TraceStats()
+		if warm.Formed == 0 || warm.Rejected != 0 {
+			t.Fatalf("warm replicas formed traces %+v, want some and none rejected", warm)
 		}
 		if avg := testing.AllocsPerRun(20, replica); avg != 0 {
 			t.Errorf("steady-state replica allocates %.1f times, want 0", avg)
+		}
+		if got := b.x.(*compile.Exec).TraceStats(); got != warm {
+			t.Errorf("steady-state replicas formed traces: %+v after warm-up, %+v after", warm, got)
 		}
 	}
 

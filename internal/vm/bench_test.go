@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"syscall"
 	"testing"
 
 	"pathprof/internal/core"
@@ -233,5 +234,59 @@ func BenchmarkInstrumentedRun(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// cpuNanos returns the process's user plus system CPU time: on a
+// shared host it leaves out the time other tenants hold the CPU, which
+// wall time does not.
+func cpuNanos() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}
+
+// BenchmarkSuiteRun times the three profiled runs of each workload the
+// way the perfbench suite makes them: a one-shot vm.Run per profiler
+// (PP, TPP, PPP) with the staged program's plans and exact path
+// collection, engine build included. It reports wall time per executed
+// step (ns/step), the suite's vm.ns_per_step per workload. Select
+// workloads with -bench 'SuiteRun/(mcf|swim)'.
+func BenchmarkSuiteRun(b *testing.B) {
+	for _, w := range workloads.All() {
+		b.Run(w.Name, func(b *testing.B) {
+			pl := core.NewPipeline(w.Name, w.Source)
+			st, err := pl.Stage()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var runs []vm.Options
+			for _, p := range core.Profilers() {
+				plans, err := st.PlansFor(p.Name, p.Tech, pl.Instr.Placement)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runs = append(runs, vm.Options{
+					Costs: pl.Costs, Entry: pl.Entry, MaxSteps: pl.MaxSteps,
+					Plans: plans, CollectPaths: true,
+				})
+			}
+			var steps int64
+			cpu0 := cpuNanos()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, opts := range runs {
+					res, err := vm.Run(st.Prog, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					steps += res.Steps
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			b.ReportMetric(float64(cpuNanos()-cpu0)/float64(steps), "cpu-ns/step")
+		})
 	}
 }

@@ -85,9 +85,26 @@ type Exec struct {
 	stack []*frame
 	pool  []*frame
 	// rootMemo caches, per function and back edge, the trie node the
-	// entry-dummy Step from the root resolves to. Trie nodes are only
-	// appended for a binding's lifetime, so the memo never goes stale.
-	rootMemo [][]int32
+	// entry-dummy Step from the root resolves to, and the trace head
+	// installed for that loop header. Trie nodes are only appended for
+	// a binding's lifetime, so the memo never goes stale.
+	rootMemo [][]memoEntry
+	// The Exec's hot-path traces (trace.go): tracing enables forming
+	// them, entryHead holds each function's trace head for paths from
+	// the frame entry, tv validates each trace before it is installed,
+	// and traceStats counts the outcomes.
+	tracing    bool
+	entryHead  []*blockCode
+	tv         *Validator
+	traceStats TraceStats
+}
+
+// memoEntry is one back edge's restart memo: the trie node after the
+// entry dummy (0 until first resolved) and the trace head for the
+// header from that node (nil until a trace is installed).
+type memoEntry struct {
+	node int32
+	head *blockCode
 }
 
 // NewExec binds a compiled program to one worker's containers.
@@ -95,6 +112,29 @@ func NewExec(p *Program, cfg Config) (*Exec, error) {
 	if len(cfg.Fts) != len(p.fns) {
 		return nil, fmt.Errorf("compile: %d run containers for %d functions", len(cfg.Fts), len(p.fns))
 	}
+	x := newExec(p, cfg)
+	x.globals = append([]int64(nil), p.globalInit...)
+	x.arrays = make([][]int64, len(p.arraySizes))
+	for i, sz := range p.arraySizes {
+		x.arrays[i] = make([]int64, sz)
+	}
+	if p.opts.CollectPaths && !p.opts.Telemetry {
+		x.tracing = true
+		x.entryHead = make([]*blockCode, len(p.fns))
+	}
+	return x, nil
+}
+
+// newProbeExec returns the Exec translation validation drives
+// transition closures and traces on: its containers are the
+// validator's twins, swapped in per routine, and it has no globals or
+// arrays (validation never runs block code) and forms no traces.
+func newProbeExec(p *Program, hook func(string, cfg.Path)) *Exec {
+	return newExec(p, Config{Fts: make([]FuncRun, len(p.fns)), PathHook: hook})
+}
+
+// newExec builds the state every Exec has.
+func newExec(p *Program, cfg Config) *Exec {
 	x := &Exec{
 		p:         p,
 		fts:       cfg.Fts,
@@ -107,18 +147,13 @@ func NewExec(p *Program, cfg Config) (*Exec, error) {
 	if x.maxSteps <= 0 {
 		x.maxSteps = math.MaxInt64
 	}
-	x.globals = append([]int64(nil), p.globalInit...)
-	x.rootMemo = make([][]int32, len(p.fns))
+	x.rootMemo = make([][]memoEntry, len(p.fns))
 	for i := range p.fns {
-		if n := p.fns[i].memoN; n > 0 {
-			x.rootMemo[i] = make([]int32, n)
+		if n := len(p.fns[i].memoTo); n > 0 {
+			x.rootMemo[i] = make([]memoEntry, n)
 		}
 	}
-	x.arrays = make([][]int64, len(p.arraySizes))
-	for i, sz := range p.arraySizes {
-		x.arrays[i] = make([]int64, sz)
-	}
-	return x, nil
+	return x
 }
 
 // Reset restores program state (globals, arrays) and zeroes the run
@@ -155,6 +190,9 @@ func (x *Exec) newFrame(fi, callDst int32) *frame {
 	fr.fc = fc
 	fr.ft = &x.fts[fi]
 	fr.bc = &fc.blocks[fc.entry]
+	if x.entryHead != nil && x.entryHead[fi] != nil {
+		fr.bc = x.entryHead[fi]
+	}
 	fr.seg = 0
 	fr.r = 0
 	fr.trie = 0
@@ -181,17 +219,22 @@ func (x *Exec) hook(name string, edges []*cfg.DAGEdge, ids []int32) {
 	x.pathHook(name, x.hookPath)
 }
 
-// rootStep resolves the back-edge restart Step from the trie root,
-// memoized per (function, back edge): node 0 is the root itself, never
-// a Step result, so it doubles as the empty sentinel.
-func (x *Exec) rootStep(fr *frame, memoID int, edID int32) int32 {
-	mm := x.rootMemo[fr.fc.fi]
-	if n := mm[memoID]; n != 0 {
-		return n
+// restart moves the trie cursor to the back-edge restart node, the
+// Step from the trie root along entry dummy edID, memoized per
+// (function, back edge): node 0 is the root itself, never a Step
+// result, so it doubles as the empty sentinel. It returns the code to
+// run next: the Exec's trace head for the header when a trace from
+// that node is installed, the header's own code to otherwise.
+func (x *Exec) restart(fr *frame, memoID int, edID int32, to *blockCode) *blockCode {
+	m := &x.rootMemo[fr.fc.fi][memoID]
+	if m.node == 0 {
+		m.node = fr.ft.Paths.Step(0, edID)
 	}
-	n := fr.ft.Paths.Step(0, edID)
-	mm[memoID] = n
-	return n
+	fr.trie = m.node
+	if m.head != nil {
+		return m.head
+	}
+	return to
 }
 
 func (x *Exec) freeFrame(fr *frame) {
@@ -239,6 +282,7 @@ outer:
 		fr := x.stack[len(x.stack)-1]
 		for {
 			bc := fr.bc
+			var nbc *blockCode
 			if bc.solo {
 				// Call-free single-segment block, already charged by the
 				// transition (or frame push) that entered it: compare the
@@ -249,8 +293,16 @@ outer:
 				if x.steps > x.maxSteps && bc.check {
 					return 0, ErrMaxSteps
 				}
-				if bc.code != nil {
-					bc.code(x, fr)
+				// A trace head runs its trace when the whole trace's
+				// charge fits the budget: then no block inside it could
+				// have exhausted the budget either.
+				if t := bc.trace; t != nil && t.budget <= x.maxSteps-x.steps {
+					nbc = t.run(x, fr)
+				} else {
+					if bc.code != nil {
+						bc.code(x, fr)
+					}
+					nbc = bc.term(x, fr)
 				}
 			} else {
 				for int(fr.seg) < len(bc.segs) {
@@ -273,8 +325,8 @@ outer:
 						continue outer
 					}
 				}
+				nbc = bc.term(x, fr)
 			}
-			nbc := bc.term(x, fr)
 			if nbc != nil {
 				fr.bc = nbc
 				fr.seg = 0

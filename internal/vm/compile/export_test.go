@@ -72,3 +72,46 @@ func ClearMutateSucc() { testMutateSucc = nil }
 // RedriveArms drives every arm of the routine v last validated through
 // every probe again, on the same twin containers.
 func (v *Validator) RedriveArms() error { return v.driveArms() }
+
+// mutateFirstTrace arms the trace-mutation hook: the first trace
+// formed after the call that apply corrupts is recorded (its routine
+// and head block) in the returned struct. Disarm with
+// ClearMutateTrace.
+func mutateFirstTrace(apply func(c *traceConsts)) *MutatedSite {
+	site := &MutatedSite{From: -1, To: -1}
+	testMutateTrace = func(fn string, head int, c *traceConsts) {
+		if site.From >= 0 {
+			return
+		}
+		apply(c)
+		*site = MutatedSite{Fn: fn, From: head, To: -1}
+	}
+	return site
+}
+
+// MutateFirstTraceBase arms the hook to add delta to the first trace's
+// summed base-cost constant.
+func MutateFirstTraceBase(delta int64) *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) { c.Base += delta })
+}
+
+// MutateFirstTraceSteps arms the hook to add delta to the first
+// trace's summed step charge, which is also its entry budget.
+func MutateFirstTraceSteps(delta int64) *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) { c.Steps += delta })
+}
+
+// MutateFirstTraceICost arms the hook to add delta to the first
+// trace's summed instrumentation-cost constant.
+func MutateFirstTraceICost(delta int64) *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) { c.ICost += delta })
+}
+
+// MutateFirstTraceEnd arms the hook to move the first trace's end
+// node delta trie nodes along, so it would count the wrong path.
+func MutateFirstTraceEnd(delta int32) *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) { c.End += delta })
+}
+
+// ClearMutateTrace disarms the trace-mutation hook.
+func ClearMutateTrace() { testMutateTrace = nil }

@@ -71,6 +71,8 @@ const (
 	mGSub
 	mGMul
 	mGSetK
+	mDivK
+	mModK
 )
 
 // microMin is the run length at which the micro-op array takes over
@@ -84,6 +86,7 @@ type micro struct {
 	a   int32
 	b   int32 // register, array/global symbol, or shift count
 	imm int64
+	m   uint64 // mDivK, mModK: recip(imm)
 }
 
 // microExec wraps a decoded run in the executing closure.
@@ -203,6 +206,10 @@ func microExec(ms []micro) instrFn {
 				g[m.b] *= r[m.a]
 			case mGSetK:
 				g[m.b] = m.imm
+			case mDivK:
+				r[m.d] = divK(r[m.a], m.imm, m.m)
+			case mModK:
+				r[m.d] = modK(r[m.a], m.imm, m.m)
 			}
 		}
 	}
@@ -379,6 +386,13 @@ func (c *comp) microConstPair(a, b *ir.Instr) (m micro, skip, ok bool) {
 		}
 		if b.Op == ir.StoreA {
 			return micro{op: mStoreAK, a: int32(b.A), b: int32(b.Sym), imm: k}, skip, true
+		}
+		if k > 1 && (b.Op == ir.Div || b.Op == ir.Mod) {
+			op := mDivK
+			if b.Op == ir.Mod {
+				op = mModK
+			}
+			return micro{op: op, d: int32(b.Dst), a: int32(b.A), imm: k, m: recip(k)}, skip, true
 		}
 	}
 	if b.A == t && b.B != t {

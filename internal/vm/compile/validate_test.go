@@ -11,6 +11,7 @@ import (
 	"pathprof/internal/instr"
 	"pathprof/internal/ir"
 	"pathprof/internal/lower"
+	"pathprof/internal/profile"
 	"pathprof/internal/vm"
 	"pathprof/internal/vm/compile"
 	"pathprof/internal/workloads"
@@ -305,6 +306,77 @@ func BenchmarkValidate(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			}
+		})
+	}
+}
+
+// runExec runs prog's main on a bare compiled Exec with exact path
+// collection under plans (nil for none) and returns the return value,
+// the path profiles' fingerprint, and the Exec's trace formations.
+func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int64, uint64, compile.TraceStats) {
+	t.Helper()
+	eng, err := vm.NewEngine(prog, vm.Options{Plans: plans, CollectPaths: true})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	fts := make([]compile.FuncRun, len(prog.Funcs))
+	snap := &profile.Snapshot{Paths: map[string]*profile.PathProfile{}, Tables: map[string]*profile.Table{}}
+	for i, f := range prog.Funcs {
+		fts[i].Paths = profile.NewPathProfile(f.Name)
+		snap.Paths[f.Name] = fts[i].Paths
+		if p := plans[f.Name]; p != nil && p.Instrumented {
+			kind := profile.ArrayTable
+			if p.Hash {
+				kind = profile.HashTable
+			}
+			fts[i].Table = profile.NewTable(kind, p.N, p.TableSize)
+			snap.Tables[f.Name] = fts[i].Table
+		}
+	}
+	x, err := compile.NewExec(eng.Compiled(), compile.Config{Fts: fts})
+	if err != nil {
+		t.Fatalf("exec: %v", err)
+	}
+	ret, err := x.Run(prog.FuncIndex["main"], nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return ret, snap.Fingerprint(), x.TraceStats()
+}
+
+// TestValidateRejectsMutatedTrace proves trace validation is not
+// vacuous: a trace whose summed charges or end node are corrupted after
+// formation must fail validation and never be installed, so the run's
+// results stay exactly those of an uncorrupted run, which forms and
+// installs every trace.
+func TestValidateRejectsMutatedTrace(t *testing.T) {
+	_, prog, plans := buildPlanned(t, vm.Options{CollectPaths: true}, instr.PPP(), instr.DefaultParams())
+	wantRet, wantFP, clean := runExec(t, prog, plans)
+	if clean.Formed == 0 || clean.Rejected != 0 {
+		t.Fatalf("unmutated run formed traces %+v, want some and none rejected", clean)
+	}
+	for _, tc := range []struct {
+		name string
+		arm  func() *compile.MutatedSite
+	}{
+		{"base", func() *compile.MutatedSite { return compile.MutateFirstTraceBase(1) }},
+		{"steps", func() *compile.MutatedSite { return compile.MutateFirstTraceSteps(1) }},
+		{"icost", func() *compile.MutatedSite { return compile.MutateFirstTraceICost(2) }},
+		{"end", func() *compile.MutatedSite { return compile.MutateFirstTraceEnd(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			site := tc.arm()
+			defer compile.ClearMutateTrace()
+			ret, fp, got := runExec(t, prog, plans)
+			if site.From < 0 {
+				t.Fatal("mutation hook never fired")
+			}
+			if got.Rejected != 1 {
+				t.Errorf("mutated trace at %s block %d: %d traces rejected, want 1", site.Fn, site.From, got.Rejected)
+			}
+			if ret != wantRet || fp != wantFP {
+				t.Errorf("mutated run: ret %d fingerprint %#x, want %d %#x", ret, fp, wantRet, wantFP)
 			}
 		})
 	}
