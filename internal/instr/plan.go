@@ -20,6 +20,13 @@ func Build(g *cfg.Graph, tech Techniques, par Params, totalUnitFlow int64) (*Pla
 	if err != nil {
 		return nil, err
 	}
+	return BuildOn(d, tech, par, totalUnitFlow)
+}
+
+// BuildOn is Build on the routine's DAG d, built by the caller from the
+// CFG with the edge profile applied. The plan takes d over.
+func BuildOn(d *cfg.DAG, tech Techniques, par Params, totalUnitFlow int64) (*Plan, error) {
+	g := d.G
 	d.RefreshFreqs()
 	p := &Plan{
 		G: g, D: d, Tech: tech, Par: par,
