@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"bytes"
 	"testing"
 
 	"pathprof/internal/cfg"
@@ -71,7 +72,7 @@ func (d *streamDigest) hook(fn string, p cfg.Path) {
 // optimized base run with its path stream, the PP/TPP/PPP instrumented
 // runs, their min-cost edge-probed twins, and the edge-overhead run —
 // on the compiled executor and on the reference interpreter. The two must be
-// bit-identical, and the compiled replay must reproduce the pipeline's
+// bit-identical, print the same bytes, and the compiled replay must reproduce the pipeline's
 // own results, which shows the replayed options are the ones the
 // pipeline ran. Plans, modes and every table are functions of the
 // staging profile, so equal profiles here carry the suite's output.
@@ -95,18 +96,27 @@ func TestInterpAgreesOnWorkloads(t *testing.T) {
 				return o
 			}
 			// both runs opts on each executor, requires them identical,
-			// and returns the compiled result.
+			// printed output included, and returns the compiled result.
 			both := func(label string, prog *ir.Program, opts vm.Options) *vm.Result {
 				t.Helper()
+				var cout, dout bytes.Buffer
+				opts.Output = &cout
 				c, err := vm.Run(prog, opts)
 				if err != nil {
 					t.Fatalf("%s compiled: %v", label, err)
 				}
+				opts.Output = &dout
 				d, err := vm.Run(prog, vm.Interp(opts))
 				if err != nil {
 					t.Fatalf("%s dense: %v", label, err)
 				}
 				requireSameRun(t, label+" dense vs compiled", c, d)
+				if !bytes.Equal(cout.Bytes(), dout.Bytes()) {
+					t.Errorf("%s: output %q compiled vs %q dense", label, cout.String(), dout.String())
+				}
+				if cout.Len() == 0 {
+					t.Errorf("%s: printed nothing", label)
+				}
 				return c
 			}
 

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -14,13 +15,14 @@ import (
 // The differential fuzzer: random structured (hence reducible) IR
 // programs run on the compiled executor and the reference interpreter
 // under fuzzed option mixes, and every observable — return value, step
-// count, modeled costs, dynamic call count, profile fingerprint,
-// budget-exhaustion behavior — must be bit-identical. This is the
+// count, modeled costs, dynamic call count, profile fingerprint, printed
+// output, budget-exhaustion behavior — must be bit-identical. This is the
 // contract the compiled executor lives by; TestInterpAgreesOnWorkloads
 // checks it on realistic programs, the fuzzer on adversarial ones.
 
 const (
-	fuzzRegs = 8 // r0-r4 scratch, r5 unused, r6 cond/one, r7 loop counter
+	fuzzRegs = 8 // r0-r4 scratch, r5 peephole constant, r6 cond/one, r7 loop counter
+	konstReg = 5
 	condReg  = 6
 	ctrReg   = 7
 )
@@ -98,6 +100,12 @@ func (g *irGen) cmp(b *ir.Block) {
 // ifThen appends cond/then/join blocks after cur and returns the join.
 func (g *irGen) ifThen(f *ir.Func, cur *ir.Block) *ir.Block {
 	g.cmp(cur)
+	return g.thenJoin(f, cur)
+}
+
+// thenJoin ends cur in a branch on condReg around a then block and
+// returns the join.
+func (g *irGen) thenJoin(f *ir.Func, cur *ir.Block) *ir.Block {
 	then := f.NewBlock("")
 	join := f.NewBlock("")
 	cur.Term = ir.Term{Kind: ir.Branch, Cond: condReg, To: then.Index, Else: join.Index}
@@ -192,11 +200,54 @@ func (g *irGen) doWhile(f *ir.Func, cur *ir.Block) *ir.Block {
 	return exit
 }
 
-// Region selector bytes in [hotLo, hotHi) pick a hot loop; the others
-// pick shapes 0-5 as they did before hot loops existed. No seed or
-// corpus entry older than hot loops holds a byte in that range, so each
-// still generates the program it was added for.
-const hotLo, hotHi = 240, 254
+// peepholeOps are what instr never draws: the opcodes it leaves out and
+// compares whose result is not a branch condition.
+var peepholeOps = []ir.Opcode{
+	ir.Print, ir.Div, ir.Neg, ir.Mov, ir.BAnd, ir.BOr, ir.Shr, ir.Not,
+	ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge,
+}
+
+// peephole appends a run of the lowering's peephole shapes: 1-4
+// instructions from peepholeOps, each on registers or with a Const
+// feeding its last operand or all of them, then a Const feeding the
+// compare a branch around a then block tests. Returns the join.
+func (g *irGen) peephole(f *ir.Func, cur *ir.Block) *ir.Block {
+	n := 1 + int(g.next()%4)
+	for i := 0; i < n; i++ {
+		op := peepholeOps[int(g.next())%len(peepholeOps)]
+		x := int(g.next())
+		d, a, b := x%5, (x/5)%5, (x/25)%5
+		if x >= 125 {
+			cur.Instrs = append(cur.Instrs, ir.Instr{Op: ir.Const, Dst: konstReg, Imm: int64(g.next()) - 128})
+			a, b = konstReg, konstReg
+			if x%2 == 0 {
+				a = (x / 5) % 5
+			}
+		}
+		switch op {
+		case ir.Print:
+			cur.Instrs = append(cur.Instrs, ir.Instr{Op: op, A: b})
+		case ir.Neg, ir.Mov, ir.Not:
+			cur.Instrs = append(cur.Instrs, ir.Instr{Op: op, Dst: d, A: b})
+		default:
+			cur.Instrs = append(cur.Instrs, ir.Instr{Op: op, Dst: d, A: a, B: b})
+		}
+	}
+	ops := []ir.Opcode{ir.Lt, ir.Le, ir.Gt, ir.Ge, ir.Eq, ir.Ne}
+	x := int(g.next())
+	cur.Instrs = append(cur.Instrs,
+		ir.Instr{Op: ir.Const, Dst: konstReg, Imm: int64(g.next()%16) - 8},
+		ir.Instr{Op: ops[x%len(ops)], Dst: condReg, A: (x / 6) % 5, B: konstReg})
+	return g.thenJoin(f, cur)
+}
+
+// Region selector bytes in [hotLo, peepLo) pick a hot loop and those
+// in [peepLo, peepHi) a peephole run; the others pick shapes 0-5 as
+// they did before hot loops existed. No seed or corpus entry older than
+// a range holds a byte in it, so each still generates the program it
+// was added for. (254 and 255 are not free: the seed {255, 254, ...}
+// wraps around and reads both as selectors.)
+const hotLo, peepLo, peepHi = 240, 252, 254
 
 // fn generates one routine as a linear chain of structured regions.
 func (g *irGen) fn(name string, nparams, regions int, callee int) *ir.Func {
@@ -207,9 +258,12 @@ func (g *irGen) fn(name string, nparams, regions int, callee int) *ir.Func {
 	}
 	for i := 0; i < regions; i++ {
 		shape := g.next()
-		if hotLo <= shape && shape < hotHi {
+		switch {
+		case peepLo <= shape && shape < peepHi:
+			shape = 7
+		case hotLo <= shape && shape < peepLo:
 			shape = 6
-		} else {
+		default:
 			shape %= 6
 		}
 		if shape == 5 && callee < 0 {
@@ -234,6 +288,8 @@ func (g *irGen) fn(name string, nparams, regions int, callee int) *ir.Func {
 			})
 		case 6:
 			cur = g.hotLoop(f, cur, callee)
+		case 7:
+			cur = g.peephole(f, cur)
 		}
 	}
 	cur.Term = ir.Term{Kind: ir.Ret, Ret: 0}
@@ -262,16 +318,19 @@ func genProg(data []byte) *ir.Program {
 
 // runBoth executes prog under opts on the reference interpreter, then
 // on the compiled executor, each with its own telemetry registry (when
-// tel), and requires identical success or identical budget exhaustion;
+// tel) and output buffer, and requires identical success or identical
+// budget exhaustion, and identical printed output after a success;
 // results are nil on error.
 func runBoth(t *testing.T, prog *ir.Program, opts vm.Options, tel bool) (*vm.Result, *vm.Result) {
 	t.Helper()
 	var res [2]*vm.Result
 	var errs [2]error
+	var out [2]bytes.Buffer
 	for i, o := range []vm.Options{vm.Interp(opts), opts} {
 		if tel {
 			o.Metrics = telemetry.NewVMMetrics(telemetry.NewRegistry(1))
 		}
+		o.Output = &out[i]
 		res[i], errs[i] = vm.Run(prog, o)
 	}
 	for i, err := range errs {
@@ -281,6 +340,11 @@ func runBoth(t *testing.T, prog *ir.Program, opts vm.Options, tel bool) (*vm.Res
 	}
 	if (errs[0] == nil) != (errs[1] == nil) {
 		t.Fatalf("budget divergence: dense err=%v, compiled err=%v\n%s", errs[0], errs[1], prog.Dump())
+	}
+	// A budget error stops the interpreter inside a segment the compiled
+	// executor declines to enter, so output is compared on success only.
+	if errs[0] == nil && !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Fatalf("output divergence: dense %q, compiled %q\n%s", out[0].String(), out[1].String(), prog.Dump())
 	}
 	return res[0], res[1]
 }
@@ -339,6 +403,34 @@ var hotSeeds = [][]byte{
 	{138, 169, 249, 211, 237, 241, 18, 248, 3, 231, 63, 237, 89},
 }
 
+// peepholeSeeds generate programs with peephole runs (region shape 7);
+// between them they hold every opcode (TestFuzzSeedsCoverOpcodes).
+var peepholeSeeds = [][]byte{
+	{137, 71, 36, 154, 253, 225, 88, 253, 207, 102, 43, 128, 140, 108},
+	{253, 115, 125, 253, 159, 216, 253, 252, 252, 234, 253, 253},
+}
+
+// TestFuzzSeedsCoverOpcodes keeps the fuzzer's seeds reaching every
+// opcode, so each lowering the compiled executor has meets the
+// interpreter on the first fuzz run.
+func TestFuzzSeedsCoverOpcodes(t *testing.T) {
+	seen := map[ir.Opcode]bool{}
+	for _, seed := range peepholeSeeds {
+		for _, fn := range genProg(seed).Funcs {
+			for _, b := range fn.Blocks {
+				for _, in := range b.Instrs {
+					seen[in.Op] = true
+				}
+			}
+		}
+	}
+	for op := ir.Const; op <= ir.Print; op++ {
+		if !seen[op] {
+			t.Errorf("no peephole seed generates %v", op)
+		}
+	}
+}
+
 func FuzzCompiledVsInterp(f *testing.F) {
 	f.Add([]byte{3})
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
@@ -348,6 +440,9 @@ func FuzzCompiledVsInterp(f *testing.F) {
 	f.Add([]byte{9, 7, 7, 50, 31, 200, 4, 4, 90, 13, 66})
 	f.Add([]byte{28, 141, 59, 26, 53, 58, 97, 93, 23, 84, 62, 64})
 	for _, seed := range hotSeeds {
+		f.Add(seed)
+	}
+	for _, seed := range peepholeSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
