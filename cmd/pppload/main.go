@@ -173,13 +173,16 @@ func run() int {
 		if err != nil {
 			return fail("fetch aggregate: %v", err)
 		}
+		// Every commit is one of this run's identical publishes: parse
+		// the bytes once and fold them once per log entry, as the
+		// service folds uploads.
+		up, err := snapshot.Parse(data)
+		if err != nil {
+			return fail("parse own snapshot: %v", err)
+		}
 		want := profile.NewSnapshot()
 		for range log {
-			one, err := snapshot.Decode(data)
-			if err != nil {
-				return fail("decode own snapshot: %v", err)
-			}
-			want.MergeSnapshot(one)
+			up.FoldInto(want)
 		}
 		localFP := fmt.Sprintf("%016x", want.Fingerprint())
 		if localFP != serverFP {

@@ -38,12 +38,14 @@ package compile
 // (including deep poison) that exercise the check-based cold path.
 //
 // Deliberately NOT validated, because the reference would have to
-// mirror the implementation rather than the spec: segment register
-// semantics (micro-op lowering, dead-store elimination), fused branch
-// condition closures, and global/array effects of block bodies. Those
-// stay covered by the dense-vs-compiled differential tests and fuzzing
-// (vm package); validation owns the terminator lowering, where every
-// instrumentation effect of the Bond–McKinley plans lives.
+// mirror the implementation rather than the spec: the micro-op
+// lowering of block bodies (micro.go) — its fusions, dead-store
+// elisions, branch conditions, and global, array and output effects.
+// That stays covered by the dense-vs-compiled differential tests (vm
+// package: the peephole pattern table, the workload agreement test and
+// the fuzzer, which compare printed output too); validation owns the
+// terminator lowering, where every instrumentation effect of the
+// Bond–McKinley plans lives.
 //
 // Hot-path traces (trace.go) are formed during runs, not compiled here;
 // Validator.Trace checks each one against the same step when it is
@@ -183,6 +185,17 @@ func staticCheck(p *Program, fi int) error {
 		return serr(f.Entry, "entry-cost", fc.entryCost, wantEC)
 	}
 	return nil
+}
+
+// hasCall reports whether a block's instructions hold a call: a
+// call-free block is one segment, run solo.
+func hasCall(instrs []ir.Instr) bool {
+	for i := range instrs {
+		if instrs[i].Op == ir.Call {
+			return true
+		}
+	}
+	return false
 }
 
 // hookLog records path-hook invocations without building strings:
