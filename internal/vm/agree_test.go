@@ -9,6 +9,7 @@ import (
 	"pathprof/internal/instr"
 	"pathprof/internal/ir"
 	"pathprof/internal/lower"
+	"pathprof/internal/telemetry"
 	"pathprof/internal/vm"
 	"pathprof/internal/workloads"
 )
@@ -97,15 +98,27 @@ func TestInterpAgreesOnWorkloads(t *testing.T) {
 			}
 			// both runs opts on each executor, requires them identical,
 			// printed output included, and returns the compiled result.
-			both := func(label string, prog *ir.Program, opts vm.Options) *vm.Result {
+			// A metered run (tel) must also count the same VM counters.
+			both := func(label string, prog *ir.Program, opts vm.Options, tel bool) *vm.Result {
 				t.Helper()
 				var cout, dout bytes.Buffer
+				var regs [2]*telemetry.Registry
+				var ms [2]*telemetry.VMMetrics
+				meter := func(i int) {
+					if tel {
+						regs[i] = telemetry.NewRegistry(1)
+						ms[i] = telemetry.NewVMMetrics(regs[i])
+						opts.Metrics = ms[i]
+					}
+				}
 				opts.Output = &cout
+				meter(0)
 				c, err := vm.Run(prog, opts)
 				if err != nil {
 					t.Fatalf("%s compiled: %v", label, err)
 				}
 				opts.Output = &dout
+				meter(1)
 				d, err := vm.Run(prog, vm.Interp(opts))
 				if err != nil {
 					t.Fatalf("%s dense: %v", label, err)
@@ -117,17 +130,26 @@ func TestInterpAgreesOnWorkloads(t *testing.T) {
 				if cout.Len() == 0 {
 					t.Errorf("%s: printed nothing", label)
 				}
+				if tel {
+					cc, dc := readVMCounters(regs[0], ms[0]), readVMCounters(regs[1], ms[1])
+					if cc != dc {
+						t.Errorf("%s: VM counters\ncompiled %+v\ndense    %+v", label, cc, dc)
+					}
+					if cc.Transitions == 0 || cc.Paths == 0 {
+						t.Errorf("%s: metered counters stayed zero: %+v", label, cc)
+					}
+				}
 				return c
 			}
 
-			r := both("original", staged.Original, costed(vm.Options{CollectEdges: true, CollectPaths: true}))
+			r := both("original", staged.Original, costed(vm.Options{CollectEdges: true, CollectPaths: true}), false)
 			requireSameRun(t, "original replay", staged.OriginalRun, r)
 
 			unrolled, err := lower.Compile(w.Source, lower.Options{Unroll: staged.UnrollPlan})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r = both("unrolled", unrolled, costed(vm.Options{CollectEdges: true}))
+			r = both("unrolled", unrolled, costed(vm.Options{CollectEdges: true}), false)
 			if r.Ret != staged.OriginalRun.Ret || r.DynCalls != staged.DynCallsBeforeInline {
 				t.Errorf("unrolled replay: ret %d, %d calls; pipeline ran ret %d, %d calls",
 					r.Ret, r.DynCalls, staged.OriginalRun.Ret, staged.DynCallsBeforeInline)
@@ -158,25 +180,26 @@ func TestInterpAgreesOnWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := both(p.Name, staged.Prog, costed(vm.Options{Plans: pr.Plans, CollectPaths: true}))
+				r := both(p.Name, staged.Prog, costed(vm.Options{Plans: pr.Plans, CollectPaths: true}), false)
 				requireSameRun(t, p.Name+" replay", pr.Run, r)
 				// Placement decides only which transitions carry an edge
 				// counter, so min-cost probes show in edge-instrumented
-				// runs, as the placement experiment makes them.
+				// runs, as the placement experiment makes them. These runs
+				// are metered, so the VM counters are compared too.
 				plans, err := staged.PlansFor(p.Name, p.Tech, instr.PlaceMinCost)
 				if err != nil {
 					t.Fatal(err)
 				}
 				both(p.Name+" mincost edge-instrumented", staged.Prog, costed(vm.Options{
 					Plans: plans, CollectEdges: true, CollectPaths: true, EdgeInstrument: true,
-				}))
+				}), true)
 			}
 
 			want, err := staged.EdgeOverheadRun()
 			if err != nil {
 				t.Fatal(err)
 			}
-			r = both("edge-overhead", staged.Prog, costed(vm.Options{EdgeInstrument: true}))
+			r = both("edge-overhead", staged.Prog, costed(vm.Options{EdgeInstrument: true}), false)
 			requireSameRun(t, "edge-overhead replay", want, r)
 		})
 	}

@@ -319,16 +319,20 @@ func genProg(data []byte) *ir.Program {
 // runBoth executes prog under opts on the reference interpreter, then
 // on the compiled executor, each with its own telemetry registry (when
 // tel) and output buffer, and requires identical success or identical
-// budget exhaustion, and identical printed output after a success;
-// results are nil on error.
+// budget exhaustion, and after a success identical printed output and,
+// when tel, identical VM counters; results are nil on error.
 func runBoth(t *testing.T, prog *ir.Program, opts vm.Options, tel bool) (*vm.Result, *vm.Result) {
 	t.Helper()
 	var res [2]*vm.Result
 	var errs [2]error
 	var out [2]bytes.Buffer
+	var regs [2]*telemetry.Registry
+	var ms [2]*telemetry.VMMetrics
 	for i, o := range []vm.Options{vm.Interp(opts), opts} {
 		if tel {
-			o.Metrics = telemetry.NewVMMetrics(telemetry.NewRegistry(1))
+			regs[i] = telemetry.NewRegistry(1)
+			ms[i] = telemetry.NewVMMetrics(regs[i])
+			o.Metrics = ms[i]
 		}
 		o.Output = &out[i]
 		res[i], errs[i] = vm.Run(prog, o)
@@ -346,7 +350,37 @@ func runBoth(t *testing.T, prog *ir.Program, opts vm.Options, tel bool) (*vm.Res
 	if errs[0] == nil && !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
 		t.Fatalf("output divergence: dense %q, compiled %q\n%s", out[0].String(), out[1].String(), prog.Dump())
 	}
+	if tel && errs[0] == nil {
+		if d, c := readVMCounters(regs[0], ms[0]), readVMCounters(regs[1], ms[1]); d != c {
+			t.Fatalf("VM counter divergence:\ndense    %+v\ncompiled %+v\n%s", d, c, prog.Dump())
+		}
+	}
 	return res[0], res[1]
+}
+
+// vmCounters are the VM counters of a metered run that every executor
+// must reproduce: they count what the program did, not how the
+// executor ran it.
+type vmCounters struct {
+	Transitions, Ops, TableIncs, ColdBumps, Paths int64
+	PathLenCount, PathLenSum                      int64
+}
+
+// readVMCounters folds m's counters, registered in reg, across cells.
+func readVMCounters(reg *telemetry.Registry, m *telemetry.VMMetrics) vmCounters {
+	c := vmCounters{
+		Transitions: m.Transitions.Value(),
+		Ops:         m.Ops.Value(),
+		TableIncs:   m.TableIncs.Value(),
+		ColdBumps:   m.ColdBumps.Value(),
+		Paths:       m.Paths.Value(),
+	}
+	for _, h := range reg.HistStats() {
+		if h.Name == "ppp_vm_path_len" {
+			c.PathLenCount, c.PathLenSum = h.Count, h.Sum
+		}
+	}
+	return c
 }
 
 func requireIdentical(t *testing.T, label string, d, c *vm.Result, prog *ir.Program) {
