@@ -26,8 +26,9 @@ const DefaultThroughputReplicas = 16
 // against the per-shard counter tables, including hash tables where PP
 // needs them). When the suite has a telemetry registry, a third
 // "PP+tel" mode repeats PP with VM metrics installed, and a closing
-// line compares the two at w=1 — the live measurement of the nil-sink
-// contract (installed-sink overhead must stay within a few percent).
+// line compares the two at w=1: the cost of metering alone, since a
+// metered run executes the same closures and forms the same hot-path
+// traces as an unmetered one, wrapped in counting closures.
 //
 // Unlike the paper's tables, the throughput numbers are wall-clock
 // measurements and vary run to run; the determinism column is the part

@@ -12,6 +12,10 @@ type VMMetrics struct {
 	ColdBumps   *Counter
 	Paths       *Counter
 	PathLen     *Histogram
+	// TracesFormed and TracesRejected count the executor's hot-path
+	// trace formations: validated and installed, or failed validation.
+	TracesFormed   *Counter
+	TracesRejected *Counter
 }
 
 // NewVMMetrics registers the VM hot-loop metrics in r. A nil registry
@@ -21,19 +25,25 @@ func NewVMMetrics(r *Registry) *VMMetrics {
 		return nil
 	}
 	return &VMMetrics{
-		Transitions: r.Counter("ppp_vm_transitions_total", "control-flow transitions executed"),
-		Ops:         r.Counter("ppp_vm_instr_ops_total", "instrumentation operations executed"),
-		TableIncs:   r.Counter("ppp_vm_table_incs_total", "path-counter table increments"),
-		ColdBumps:   r.Counter("ppp_vm_cold_bumps_total", "poison-check diversions to the cold counter"),
-		Paths:       r.Counter("ppp_vm_paths_total", "Ball-Larus paths completed"),
-		PathLen:     r.Histogram("ppp_vm_path_len", "completed path length in DAG edges", []int64{1, 2, 4, 8, 16, 32, 64}),
+		Transitions:    r.Counter("ppp_vm_transitions_total", "control-flow transitions executed"),
+		Ops:            r.Counter("ppp_vm_instr_ops_total", "instrumentation operations executed"),
+		TableIncs:      r.Counter("ppp_vm_table_incs_total", "path-counter table increments"),
+		ColdBumps:      r.Counter("ppp_vm_cold_bumps_total", "poison-check diversions to the cold counter"),
+		Paths:          r.Counter("ppp_vm_paths_total", "Ball-Larus paths completed"),
+		PathLen:        r.Histogram("ppp_vm_path_len", "completed path length in DAG edges", []int64{1, 2, 4, 8, 16, 32, 64}),
+		TracesFormed:   r.Counter("ppp_vm_traces_formed_total", "hot-path traces validated and installed"),
+		TracesRejected: r.Counter("ppp_vm_traces_rejected_total", "hot-path traces that failed validation"),
 	}
 }
 
 // VMCells is one worker's view of VMMetrics: plain padded cells the
-// executor bumps with single-threaded stores. The zero VMCells
-// (every field nil) is the no-op sink a run without telemetry uses —
-// each bump then costs one predictable branch.
+// executor bumps with single-threaded stores. The compiled executor
+// adds most counts as compile-time constants, per transition or summed
+// per trace, and only where it was compiled with telemetry; the zero
+// VMCells (every field nil) is the no-op sink of an unmetered run,
+// where the few data-dependent bumps left (table increments and cold
+// bumps of the generic op stream, trace formations) each cost one
+// predictable branch.
 type VMCells struct {
 	Transitions *Cell
 	Ops         *Cell
@@ -41,6 +51,9 @@ type VMCells struct {
 	ColdBumps   *Cell
 	Paths       *Cell
 	PathLen     *HistCell
+	// Trace formations are counted off the hot path, when a trace forms.
+	TracesFormed   *Cell
+	TracesRejected *Cell
 }
 
 // Cells returns worker w's cells; a nil *VMMetrics returns the no-op
@@ -50,11 +63,13 @@ func (m *VMMetrics) Cells(w int) VMCells {
 		return VMCells{}
 	}
 	return VMCells{
-		Transitions: m.Transitions.Cell(w),
-		Ops:         m.Ops.Cell(w),
-		TableIncs:   m.TableIncs.Cell(w),
-		ColdBumps:   m.ColdBumps.Cell(w),
-		Paths:       m.Paths.Cell(w),
-		PathLen:     m.PathLen.Cell(w),
+		Transitions:    m.Transitions.Cell(w),
+		Ops:            m.Ops.Cell(w),
+		TableIncs:      m.TableIncs.Cell(w),
+		ColdBumps:      m.ColdBumps.Cell(w),
+		Paths:          m.Paths.Cell(w),
+		PathLen:        m.PathLen.Cell(w),
+		TracesFormed:   m.TracesFormed.Cell(w),
+		TracesRejected: m.TracesRejected.Cell(w),
 	}
 }

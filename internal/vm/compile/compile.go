@@ -24,14 +24,15 @@
 //     branchless mask/add constants, counter updates specialized per
 //     table kind), and path tracking (incremental trie stepping) into
 //     one straight-line call per transition. Constant costs fold into
-//     one addition at compile time; the telemetry nil-sink branch is
-//     resolved at compile time by emitting telemetry-free variants of
-//     every fused closure.
+//     one addition at compile time. Each transition is built once,
+//     with no counter code; a metered build wraps each one in a
+//     counting closure that adds its constant VM counters.
 //
-//   - While a path-collecting run executes, its Exec compiles the
-//     run's hot Ball-Larus paths into traces (trace.go): the paths'
-//     blocks run back to back behind guards, with their transitions'
-//     constant work folded, validated before they are installed.
+//   - While a path-collecting run executes, metered or not, its Exec
+//     compiles the run's hot Ball-Larus paths into traces (trace.go):
+//     the paths' blocks run back to back behind guards, with their
+//     transitions' constant work (VM counters included) folded,
+//     validated before they are installed.
 //
 // The compiled Program is immutable and shared: closures reach all
 // per-run state through the Exec (globals, arrays, cost accumulators)
@@ -74,10 +75,13 @@ type CostModel struct {
 }
 
 // Options fixes the run shape the program is compiled for. Telemetry
-// and path hooks are compile-time decisions: with Telemetry false the
-// fused closures carry no counter-bump code (the RunOps fallback for
-// check-poisoned streams bumps the Exec's zero, no-op cells), and with
-// PathHooks false no hook-dispatch code is emitted.
+// and path hooks are compile-time decisions: with Telemetry true every
+// transition closure is wrapped in one that counts it, and traces add
+// their summed counts; with Telemetry false no counting code runs (the
+// RunOps fallback for check-poisoned streams bumps the Exec's zero,
+// no-op cells). Either way the same transition closures run and the
+// same traces form. With PathHooks false no hook-dispatch code is
+// emitted.
 type Options struct {
 	Costs          CostModel
 	CollectEdges   bool

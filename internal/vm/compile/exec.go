@@ -89,14 +89,14 @@ type Exec struct {
 	// installed for that loop header. Trie nodes are only appended for
 	// a binding's lifetime, so the memo never goes stale.
 	rootMemo [][]memoEntry
-	// The Exec's hot-path traces (trace.go): tracing enables forming
-	// them, entryHead holds each function's trace head for paths from
-	// the frame entry, tv validates each trace before it is installed,
-	// and traceStats counts the outcomes.
-	tracing    bool
-	entryHead  []*blockCode
-	tv         *Validator
-	traceStats TraceStats
+	// The Exec's hot-path traces (trace.go): entryHead holds each
+	// function's trace head for paths from the frame entry (nil when
+	// the Exec forms no traces), tv validates each trace before it is
+	// installed, and metered has trace exits and ends add their VM
+	// counters.
+	entryHead []*blockCode
+	tv        *Validator
+	metered   bool
 }
 
 // memoEntry is one back edge's restart memo: the trie node after the
@@ -118,8 +118,7 @@ func NewExec(p *Program, cfg Config) (*Exec, error) {
 	for i, sz := range p.arraySizes {
 		x.arrays[i] = make([]int64, sz)
 	}
-	if p.opts.CollectPaths && !p.opts.Telemetry {
-		x.tracing = true
+	if p.opts.CollectPaths {
 		x.entryHead = make([]*blockCode, len(p.fns))
 	}
 	return x, nil
@@ -143,6 +142,7 @@ func newExec(p *Program, cfg Config) *Exec {
 		pathHook:  cfg.PathHook,
 		maxSteps:  cfg.MaxSteps,
 		bumpCalls: p.opts.CollectEdges,
+		metered:   p.opts.Telemetry,
 	}
 	if x.maxSteps <= 0 {
 		x.maxSteps = math.MaxInt64

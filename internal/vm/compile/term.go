@@ -24,12 +24,14 @@ import (
 // poisoning ablations) fall back to RunOps, the op stream
 // Stepper.Step runs.
 //
-// The telemetry decision for the folds and the transition closures is
-// made here, at compile time: the Telemetry=false build emits them
-// with no counter code at all, rather than nil-checking a sink per
-// transition. The RunOps fallback is the exception: it always takes
-// the Exec's cells, which are the zero (no-op) VMCells when telemetry
-// is off.
+// Every transition is built once, with no counter code. A Telemetry
+// build meters a run by wrapping each arm at compile time in one
+// counting closure (meter) that adds the arm's constant VM counters;
+// traces sum the same constants (trace.go). So a metered run executes
+// the same closures, and forms the same traces, as an unmetered one.
+// The RunOps fallback counts its data-dependent table increments and
+// cold bumps itself, in the Exec's cells, which are the zero (no-op)
+// VMCells when telemetry is off.
 
 // succConsts exposes one transition closure's folded compile-time
 // constants to the mutation hook below. Fold reports whether the
@@ -49,19 +51,39 @@ type succConsts struct {
 var testMutateSucc func(fn string, from, to int, c *succConsts)
 
 // armConsts is one compiled transition's folded constants, retained
-// beside its closure for the trace former: the successor code, the
-// step, base and instrumentation charges (the solo-successor fold
-// included), the register fold or op closure, and the edge slot. A Ret
-// arm has no successor and charges only its step and Term.
+// beside its closure for the trace former and the meter: the successor
+// code, the step, base and instrumentation charges (the solo-successor
+// fold included), the register fold or op closure, the edge slot, and
+// the VM counters the transition adds. A Ret arm has no successor,
+// charges only its step and Term, and counts nothing.
 type armConsts struct {
 	to                 *blockCode
 	steps, base, icost int64
 	mask, add          int64
 	ops                instrFn
 	slot               int32
-	// memo is a back edge's slot in the Exec's root-step memo; -1 on
-	// any other transition.
+	// memo is a back edge's slot in the Exec's root-step memo, under
+	// CollectPaths; -1 on any other transition.
 	memo int32
+	n    tally
+}
+
+// tally is the constant part of the VM counters a run of transitions
+// adds: transitions, instrumentation ops, and the table increments of
+// fused single-count streams (RunOps counts its own).
+type tally struct{ trans, ops, incs int64 }
+
+func (t *tally) add(o *tally) {
+	t.trans += o.trans
+	t.ops += o.ops
+	t.incs += o.incs
+}
+
+// count adds n to the Exec's VM counters.
+func (x *Exec) count(n *tally) {
+	x.tel.Transitions.Add(n.trans)
+	x.tel.Ops.Add(n.ops)
+	x.tel.TableIncs.Add(n.incs)
 }
 
 // lowered is the compiled form of one op stream.
@@ -69,7 +91,7 @@ type lowered struct {
 	fn        instrFn // non-nil only for count-carrying streams
 	mask, add int64   // register fold, applied iff fn == nil
 	cost      int64   // compile-time-constant modeled cost
-	n         int64   // op count, for the telemetry Ops counter
+	n, incs   int64   // op count and constant table increments
 }
 
 // foldRegs reduces a pure register-op stream to (mask, add).
@@ -149,26 +171,14 @@ func (c *comp) lowerSingleCount(ops []planir.Op, ci int) lowered {
 	lo := lowered{
 		cost: int64(len(ops)-1)*costs.RegOp + countCost,
 		n:    int64(len(ops)),
+		incs: 1,
 	}
-	switch {
-	case c.spec.Hash && c.opts.Telemetry:
-		lo.fn = func(x *Exec, fr *frame) {
-			fr.ft.Table.Inc((fr.r & im) + ia)
-			x.tel.TableIncs.Inc()
-			fr.r = (fr.r & fm) + fa
-		}
-	case c.spec.Hash:
+	if c.spec.Hash {
 		lo.fn = func(x *Exec, fr *frame) {
 			fr.ft.Table.Inc((fr.r & im) + ia)
 			fr.r = (fr.r & fm) + fa
 		}
-	case c.opts.Telemetry:
-		lo.fn = func(x *Exec, fr *frame) {
-			fr.ft.Table.IncArray((fr.r & im) + ia)
-			x.tel.TableIncs.Inc()
-			fr.r = (fr.r & fm) + fa
-		}
-	default:
+	} else {
 		lo.fn = func(x *Exec, fr *frame) {
 			fr.ft.Table.IncArray((fr.r & im) + ia)
 			fr.r = (fr.r & fm) + fa
@@ -196,22 +206,20 @@ func (c *comp) lowerGeneric(ops []planir.Op) lowered {
 // successor closures that return the next block's code; Ret returns
 // nil after stashing the value in x.ret. A non-nil cond (the block's
 // extracted trailing comparison) dispatches the branch on the native
-// bool.
+// bool. Every arm is metered in a Telemetry build.
 func (c *comp) compileTerm(fc *fnCode, bi int, t *ir.Term, cond condFn) termFn {
 	bc, ac := &fc.blocks[bi], &fc.traceSrc[bi].consts
 	switch t.Kind {
 	case ir.Ret:
-		f := c.mkRet(t)
-		bc.arms[0] = f
 		ac[0] = armConsts{steps: 1, base: c.opts.Costs.Term, mask: -1, slot: -1, memo: -1}
-		return f
+		bc.arms[0] = c.meter(c.mkRet(t), &ac[0])
+		return bc.arms[0]
 	case ir.Jump:
-		f := c.mkSucc(fc, bi, &c.spec.Succs[bi][0], &ac[0])
-		bc.arms[0] = f
-		return f
+		bc.arms[0] = c.meter(c.mkSucc(fc, bi, &c.spec.Succs[bi][0], &ac[0]), &ac[0])
+		return bc.arms[0]
 	case ir.Branch:
-		f0 := c.mkSucc(fc, bi, &c.spec.Succs[bi][0], &ac[0])
-		f1 := c.mkSucc(fc, bi, &c.spec.Succs[bi][1], &ac[1])
+		f0 := c.meter(c.mkSucc(fc, bi, &c.spec.Succs[bi][0], &ac[0]), &ac[0])
+		f1 := c.meter(c.mkSucc(fc, bi, &c.spec.Succs[bi][1], &ac[1]), &ac[1])
 		bc.arms[0], bc.arms[1] = f0, f1
 		if cond != nil {
 			//ppp:hotpath
@@ -234,6 +242,32 @@ func (c *comp) compileTerm(fc *fnCode, bi int, t *ir.Term, cond condFn) termFn {
 	return nil
 }
 
+// meter returns arm f, whose constants are ac, wrapped in a Telemetry
+// build in the closure that counts it: ac's VM counters and, when the
+// arm completes a path, the path and its length. A back edge under
+// CollectPaths (the one arm with a memo slot) completes the pending
+// path plus the exit dummy it appends; a Ret the pending path. Without
+// Telemetry it returns f itself.
+func (c *comp) meter(f termFn, ac *armConsts) termFn {
+	if !c.opts.Telemetry {
+		return f
+	}
+	n := ac.n
+	ends, extra := ac.memo >= 0, 1
+	if ac.to == nil {
+		ends, extra = c.opts.CollectPaths, 0
+	}
+	//ppp:hotpath
+	return func(x *Exec, fr *frame) *blockCode {
+		x.count(&n)
+		if ends {
+			x.tel.Paths.Inc()
+			x.tel.PathLen.Observe(int64(len(fr.path) + extra))
+		}
+		return f(x, fr)
+	}
+}
+
 // mkRet compiles the routine-exit terminator: complete the current
 // path (already positioned in the trie by the transitions that built
 // it), record the return value, signal the pop with nil.
@@ -241,7 +275,7 @@ func (c *comp) mkRet(t *ir.Term) termFn {
 	baseC := c.opts.Costs.Term
 	retReg := t.Ret
 	name, edges := c.fname, c.spec.Edges
-	tel, hooks := c.opts.Telemetry, c.opts.PathHooks
+	hooks := c.opts.PathHooks
 	if !c.opts.CollectPaths {
 		return func(x *Exec, fr *frame) *blockCode {
 			x.steps++
@@ -260,10 +294,6 @@ func (c *comp) mkRet(t *ir.Term) termFn {
 		if fr.ft.Paths.AddAt(fr.trie, fr.path, 1) == TraceAt {
 			x.formTrace(fr)
 		}
-		if tel {
-			x.tel.Paths.Inc()
-			x.tel.PathLen.Observe(int64(len(fr.path)))
-		}
 		if hooks && x.pathHook != nil {
 			x.hook(name, edges, fr.path)
 		}
@@ -279,9 +309,8 @@ func (c *comp) mkRet(t *ir.Term) termFn {
 // mkSucc compiles one control-flow transition into a single closure.
 // Constant charges (terminator, taken penalty, edge-instrument
 // counter, folded op costs) collapse into two adds; the remaining work
-// is the edge-slot bump, the op fold or call, and path tracking. Six
-// build-time variants cover paths off / real edge / back edge, each
-// with and without telemetry.
+// is the edge-slot bump, the op fold or call, and path tracking. Three
+// build-time variants cover paths off / real edge / back edge.
 //
 // The closure returns the successor's blockCode pointer, and when the
 // successor is solo its whole segment charge folds into this
@@ -295,7 +324,7 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
 	}
 	lo := c.lowerOps(s.Ops)
 	icostC := lo.cost + s.InstrCost
-	opsFn, rm, ra, opsN := lo.fn, lo.mask, lo.add, lo.n
+	opsFn, rm, ra := lo.fn, lo.mask, lo.add
 	// hasFold skips the identity fold: an uninstrumented transition
 	// leaves the path register alone instead of rewriting it.
 	hasFold := rm != -1 || ra != 0
@@ -315,31 +344,12 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
 		stepsC, baseC, icostC, rm, ra, slot = sc.Steps, sc.Base, sc.ICost, sc.Mask, sc.Add, sc.EdgeSlot
 		hasFold = rm != -1 || ra != 0
 	}
-	*ac = armConsts{to: to, steps: stepsC, base: baseC, icost: icostC, mask: rm, add: ra, ops: opsFn, slot: slot, memo: -1}
+	*ac = armConsts{to: to, steps: stepsC, base: baseC, icost: icostC, mask: rm, add: ra, ops: opsFn, slot: slot, memo: -1,
+		n: tally{trans: 1, ops: lo.n, incs: lo.incs}}
 
 	if !c.opts.CollectPaths {
-		if !c.opts.Telemetry {
-			//ppp:hotpath
-			return func(x *Exec, fr *frame) *blockCode {
-				x.steps += stepsC
-				x.base += baseC
-				if icostC != 0 {
-					x.icost += icostC
-				}
-				if slot >= 0 {
-					fr.ft.Edges.BumpSlot(int(slot))
-				}
-				if opsFn != nil {
-					opsFn(x, fr)
-				} else {
-					fr.r = (fr.r & rm) + ra
-				}
-				return to
-			}
-		}
 		//ppp:hotpath
 		return func(x *Exec, fr *frame) *blockCode {
-			x.tel.Transitions.Inc()
 			x.steps += stepsC
 			x.base += baseC
 			if icostC != 0 {
@@ -348,12 +358,9 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
 			if slot >= 0 {
 				fr.ft.Edges.BumpSlot(int(slot))
 			}
-			if opsN > 0 {
-				x.tel.Ops.Add(opsN)
-			}
 			if opsFn != nil {
 				opsFn(x, fr)
-			} else if hasFold {
+			} else {
 				fr.r = (fr.r & rm) + ra
 			}
 			return to
@@ -362,30 +369,8 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
 
 	if !s.Back {
 		peID := int32(s.PathEdge.ID)
-		if !c.opts.Telemetry {
-			//ppp:hotpath
-			return func(x *Exec, fr *frame) *blockCode {
-				x.steps += stepsC
-				x.base += baseC
-				if icostC != 0 {
-					x.icost += icostC
-				}
-				if slot >= 0 {
-					fr.ft.Edges.BumpSlot(int(slot))
-				}
-				if opsFn != nil {
-					opsFn(x, fr)
-				} else {
-					fr.r = (fr.r & rm) + ra
-				}
-				fr.path = append(fr.path, peID) //ppp:allow(alloc)
-				fr.trie = fr.ft.Paths.Step(fr.trie, peID)
-				return to
-			}
-		}
 		//ppp:hotpath
 		return func(x *Exec, fr *frame) *blockCode {
-			x.tel.Transitions.Inc()
 			x.steps += stepsC
 			x.base += baseC
 			if icostC != 0 {
@@ -394,12 +379,9 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
 			if slot >= 0 {
 				fr.ft.Edges.BumpSlot(int(slot))
 			}
-			if opsN > 0 {
-				x.tel.Ops.Add(opsN)
-			}
 			if opsFn != nil {
 				opsFn(x, fr)
-			} else if hasFold {
+			} else {
 				fr.r = (fr.r & rm) + ra
 			}
 			fr.path = append(fr.path, peID) //ppp:allow(alloc)
@@ -422,38 +404,8 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
 	memoID := len(c.memoTo)
 	c.memoTo = append(c.memoTo, int32(s.To))
 	ac.memo = int32(memoID)
-	if !c.opts.Telemetry {
-		//ppp:hotpath
-		return func(x *Exec, fr *frame) *blockCode {
-			x.steps += stepsC
-			x.base += baseC
-			if icostC != 0 {
-				x.icost += icostC
-			}
-			if slot >= 0 {
-				fr.ft.Edges.BumpSlot(int(slot))
-			}
-			if opsFn != nil {
-				opsFn(x, fr)
-			} else if hasFold {
-				fr.r = (fr.r & rm) + ra
-			}
-			pp := fr.ft.Paths
-			fr.path = append(fr.path, xdID) //ppp:allow(alloc)
-			fr.trie = pp.Step(fr.trie, xdID)
-			if pp.AddAt(fr.trie, fr.path, 1) == TraceAt {
-				x.formTrace(fr)
-			}
-			if hooks && x.pathHook != nil {
-				x.hook(name, edges, fr.path)
-			}
-			fr.path = append(fr.path[:0], edID) //ppp:allow(alloc)
-			return x.restart(fr, memoID, edID, to)
-		}
-	}
 	//ppp:hotpath
 	return func(x *Exec, fr *frame) *blockCode {
-		x.tel.Transitions.Inc()
 		x.steps += stepsC
 		x.base += baseC
 		if icostC != 0 {
@@ -461,9 +413,6 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
 		}
 		if slot >= 0 {
 			fr.ft.Edges.BumpSlot(int(slot))
-		}
-		if opsN > 0 {
-			x.tel.Ops.Add(opsN)
 		}
 		if opsFn != nil {
 			opsFn(x, fr)
@@ -473,9 +422,9 @@ func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
 		pp := fr.ft.Paths
 		fr.path = append(fr.path, xdID) //ppp:allow(alloc)
 		fr.trie = pp.Step(fr.trie, xdID)
-		pp.AddAt(fr.trie, fr.path, 1)
-		x.tel.Paths.Inc()
-		x.tel.PathLen.Observe(int64(len(fr.path)))
+		if pp.AddAt(fr.trie, fr.path, 1) == TraceAt {
+			x.formTrace(fr)
+		}
 		if hooks && x.pathHook != nil {
 			x.hook(name, edges, fr.path)
 		}

@@ -40,25 +40,21 @@ import (
 // with a call, leaving the path open there. The executor enters a trace
 // only when the trace's whole step charge fits the budget, so no block
 // inside it could have exhausted the budget, and ErrMaxSteps fires
-// where it always did. Traces are formed only when telemetry is off
-// (there are no trace variants that count), never at compile time, and
-// each is validated against Stepper (validate.go) before it is
-// installed; a trace that fails is dropped and counted.
+// where it always did. Traces are formed in every path-collecting run,
+// metered or not, never at compile time, and each is validated against
+// Stepper (validate.go) before it is installed; a trace that fails is
+// dropped and counted (ppp_vm_traces_rejected_total).
+//
+// A metered run counts a trace the way the transitions' meter would
+// (term.go): every exit and the trace's end carry the summed VM
+// counters of the transitions before them, which one branch adds, and
+// a trace that completes a path counts it.
 
 // TraceAt is the path count at which a path becomes a trace: after
 // TraceAt identical replicas on one Exec, every path a replica takes
 // has been offered to the trace former, and no later replica forms
 // (or allocates for) a trace.
 const TraceAt = 64
-
-// TraceStats counts an Exec's trace formations.
-type TraceStats struct {
-	Formed   int // validated and installed
-	Rejected int // failed validation, not installed
-}
-
-// TraceStats returns the traces this Exec has formed so far.
-func (x *Exec) TraceStats() TraceStats { return x.traceStats }
 
 // tailKind says how a trace ends.
 type tailKind uint8
@@ -95,12 +91,14 @@ type tstep struct {
 // guarded reports whether the step's block has a guard of its own.
 func (s *tstep) guarded() bool { return s.cond != nil || s.creg >= 0 }
 
-// texit is a step's side-exit state: the off-trace arm, the charges of
-// the transitions before the step, the trie node at its block, and
-// how many edges the trace appended to the pending path before it.
+// texit is a step's side-exit state: the off-trace arm, the charges
+// and VM counters of the transitions before the step, the trie node at
+// its block, and how many edges the trace appended to the pending path
+// before it.
 type texit struct {
 	arm                termFn
 	steps, base, icost int64
+	n                  tally
 	node, plen         int32
 }
 
@@ -112,10 +110,11 @@ type trace struct {
 	steps  []tstep
 	exits  []texit // steps' side-exit state
 	tail   tailKind
-	// need, base and icost are the trace's charges at its end, from its
-	// root's entry. budget, on a root trace, is the largest need in its
-	// tree: what a trace entry must fit.
+	// need, base, icost and n are the trace's charges and VM counters
+	// at its end, from its root's entry. budget, on a root trace, is
+	// the largest need in its tree: what a trace entry must fit.
 	need, base, icost, budget int64
+	n                         tally
 	// parent is a side trace's parent in its tree, and fork the index
 	// of the parent's step whose failing guard continues here. A side
 	// trace's path runs its ancestors' steps before their forks, then
@@ -184,6 +183,9 @@ func (t *trace) exit(x *Exec, fr *frame, i int) *blockCode {
 	x.steps += e.steps
 	x.base += e.base
 	x.icost += e.icost
+	if x.metered {
+		x.count(&e.n)
+	}
 	fr.path = append(fr.path, t.ids[t.prefix:t.prefix+e.plen]...) //ppp:allow(alloc)
 	fr.trie = e.node
 	return e.arm(x, fr)
@@ -194,6 +196,13 @@ func (t *trace) complete(x *Exec, fr *frame) *blockCode {
 	x.steps += t.need
 	x.base += t.base
 	x.icost += t.icost
+	if x.metered {
+		x.count(&t.n)
+		if t.tail != tailOpen {
+			x.tel.Paths.Inc()
+			x.tel.PathLen.Observe(int64(len(t.ids)))
+		}
+	}
 	if t.tail == tailOpen {
 		fr.path = append(fr.path, t.ids[t.prefix:]...) //ppp:allow(alloc)
 		fr.trie = t.end
@@ -239,7 +248,7 @@ var testMutateTrace func(fn string, head int, c *traceConsts)
 // the rest of the path into a side trace of that guard. The new trace
 // is validated and installed only if it passes.
 func (x *Exec) formTrace(fr *frame) {
-	if !x.tracing {
+	if x.entryHead == nil {
 		return
 	}
 	fc := fr.fc
@@ -256,10 +265,10 @@ func (x *Exec) formTrace(fr *frame) {
 		x.tv = NewValidator(x.p)
 	}
 	if err := x.tv.Trace(t, fr.ft.Paths); err != nil {
-		x.traceStats.Rejected++
+		x.tel.TracesRejected.Inc()
 		return
 	}
-	x.traceStats.Formed++
+	x.tel.TracesFormed.Inc()
 	if root != nil {
 		t.parent.steps[t.fork].side = t
 		root.budget = max(root.budget, t.need)
@@ -338,7 +347,7 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 			b, k, i = int32(sp.To), k+1, i+1
 		}
 	}
-	t.need, t.base, t.icost = from.steps, from.base, from.icost
+	t.need, t.base, t.icost, t.n = from.steps, from.base, from.icost, from.n
 	node := from.node
 	// A step per remaining edge, and one for a return.
 	t.steps = make([]tstep, 0, len(ids)-k+1)
@@ -353,7 +362,7 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 			break
 		}
 		s := tstep{code: bc.code, cond: src.cond, creg: src.creg, mask: -1, slot: -1}
-		e := texit{steps: t.need, base: t.base, icost: t.icost, node: node, plen: from.plen + int32(len(t.steps))}
+		e := texit{steps: t.need, base: t.base, icost: t.icost, n: t.n, node: node, plen: from.plen + int32(len(t.steps))}
 		if t.parent != nil && len(t.steps) == 0 {
 			// A side trace starts in its fork's block, whose code and
 			// guard its parent has run.
@@ -386,6 +395,7 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 		t.need += ac.steps
 		t.base += ac.base
 		t.icost += ac.icost
+		t.n.add(&ac.n)
 		if node = pp.Child(node, ids[k]); node < 0 {
 			return nil, nil
 		}

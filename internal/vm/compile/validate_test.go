@@ -12,6 +12,7 @@ import (
 	"pathprof/internal/ir"
 	"pathprof/internal/lower"
 	"pathprof/internal/profile"
+	"pathprof/internal/telemetry"
 	"pathprof/internal/vm"
 	"pathprof/internal/vm/compile"
 	"pathprof/internal/workloads"
@@ -311,12 +312,18 @@ func BenchmarkValidate(b *testing.B) {
 	}
 }
 
-// runExec runs prog's main on a bare compiled Exec with exact path
-// collection under plans (nil for none) and returns the return value,
-// the path profiles' fingerprint, and the Exec's trace formations.
-func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int64, uint64, compile.TraceStats) {
+// traceCount is a metered run's trace formations, read from its VM
+// counters.
+type traceCount struct{ Formed, Rejected int64 }
+
+// runExec runs prog's main on a bare, metered compiled Exec with exact
+// path collection under plans (nil for none) and returns the return
+// value, the path profiles' fingerprint, and the Exec's trace
+// formations.
+func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int64, uint64, traceCount) {
 	t.Helper()
-	eng, err := vm.NewEngine(prog, vm.Options{Plans: plans, CollectPaths: true})
+	m := telemetry.NewVMMetrics(telemetry.NewRegistry(1))
+	eng, err := vm.NewEngine(prog, vm.Options{Plans: plans, CollectPaths: true, Metrics: m})
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -334,7 +341,7 @@ func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int6
 			snap.Tables[f.Name] = fts[i].Table
 		}
 	}
-	x, err := compile.NewExec(eng.Compiled(), compile.Config{Fts: fts})
+	x, err := compile.NewExec(eng.Compiled(), compile.Config{Fts: fts, Tel: m.Cells(0)})
 	if err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -342,7 +349,7 @@ func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int6
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return ret, snap.Fingerprint(), x.TraceStats()
+	return ret, snap.Fingerprint(), traceCount{m.TracesFormed.Value(), m.TracesRejected.Value()}
 }
 
 // TestValidateRejectsMutatedTrace proves trace validation is not

@@ -215,8 +215,9 @@ func patternProg(t *testing.T, p pattern, fillers int) *ir.Program {
 // MicroMin+1 filler instructions, so its run is MicroMin-1, MicroMin
 // and MicroMin+1 long, counted in instructions and in micro-ops after
 // fusion, wherever the shape is short enough: both executors the
-// lowering chooses between by run length see every shape. Each run
-// forms traces, and every one must pass translation validation.
+// lowering chooses between by run length see every shape. The runs
+// are metered and must count the same VM counters. Each run forms
+// traces, and every one must pass translation validation.
 func TestPeepholePatterns(t *testing.T) {
 	for _, p := range peepholePatterns() {
 		t.Run(p.name, func(t *testing.T) {
@@ -226,16 +227,12 @@ func TestPeepholePatterns(t *testing.T) {
 				// The budget stops a lowering that breaks the loop counter
 				// long before its path profile grows large.
 				opts := vm.Options{CollectEdges: true, CollectPaths: true, MaxSteps: 1 << 14}
-				d, c := runBoth(t, prog, opts, false)
+				d, c := runBoth(t, prog, opts, true)
 				if d == nil {
 					t.Fatalf("%s: budget exhausted", label)
 				}
 				requireIdentical(t, label, d, c, prog)
-				e, err := vm.NewEngine(prog, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, ts := runTraced(t, e); ts.Formed == 0 || ts.Rejected != 0 {
+				if _, ts := runMetered(t, prog, opts); ts.Formed == 0 || ts.Rejected != 0 {
 					t.Fatalf("%s: %d traces formed, %d rejected", label, ts.Formed, ts.Rejected)
 				}
 			}

@@ -7,27 +7,35 @@ import (
 	"pathprof/internal/core"
 	"pathprof/internal/ir"
 	"pathprof/internal/lower"
+	"pathprof/internal/telemetry"
 	"pathprof/internal/vm"
 	vmcompile "pathprof/internal/vm/compile"
 	"pathprof/internal/workloads"
 )
 
-// runTraced runs engine e once and returns the result and the run's
-// hot-path trace formations.
-func runTraced(t *testing.T, e *vm.Engine) (*vm.Result, vmcompile.TraceStats) {
+// traceCount is a metered run's trace formations, read from its VM
+// counters.
+type traceCount struct{ Formed, Rejected int64 }
+
+// runMetered runs prog once under opts, metered, and returns the
+// result and the run's trace formations.
+func runMetered(t *testing.T, prog *ir.Program, opts vm.Options) (*vm.Result, traceCount) {
 	t.Helper()
-	res, st, err := e.RunTraced()
+	m := telemetry.NewVMMetrics(telemetry.NewRegistry(1))
+	opts.Metrics = m
+	res, err := vm.Run(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, st
+	return res, traceCount{m.TracesFormed.Value(), m.TracesRejected.Value()}
 }
 
 // TestTracesValidateOnWorkloads runs every workload's PP, TPP and PPP
-// profiling runs as the suite makes them and requires that the
-// executor forms hot-path traces and that every trace it forms passes
-// translation validation: a rejected trace is not wrong (it is never
-// installed) but it is a trace former bug.
+// profiling runs as the suite makes them, metered and unmetered. The
+// two must be identical: a metered run is the production executor. The
+// metered run must form hot-path traces, and every trace it forms must
+// pass translation validation: a rejected trace is not wrong (it is
+// never installed) but it is a trace former bug.
 func TestTracesValidateOnWorkloads(t *testing.T) {
 	ws := workloads.All()
 	if testing.Short() {
@@ -41,30 +49,27 @@ func TestTracesValidateOnWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var formed int
 			for _, p := range core.Profilers() {
 				plans, err := st.PlansFor(p.Name, p.Tech, pl.Instr.Placement)
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := vm.NewEngine(st.Prog, vm.Options{
+				opts := vm.Options{
 					Costs: pl.Costs, Entry: pl.Entry, MaxSteps: pl.MaxSteps,
 					Plans: plans, CollectPaths: true,
-				})
-				if err != nil {
-					t.Fatal(err)
 				}
-				res, ts := runTraced(t, e)
-				if ts.Rejected != 0 {
-					t.Errorf("%s: %d of %d traces failed validation", p.Name, ts.Rejected, ts.Formed+ts.Rejected)
+				res, tc := runMetered(t, st.Prog, opts)
+				if tc.Formed == 0 || tc.Rejected != 0 {
+					t.Errorf("%s: metered run formed %d traces and rejected %d, want some and none", p.Name, tc.Formed, tc.Rejected)
 				}
 				if res.Ret != st.Base.Ret {
 					t.Errorf("%s: ret %d, staged %d", p.Name, res.Ret, st.Base.Ret)
 				}
-				formed += ts.Formed
-			}
-			if formed == 0 {
-				t.Errorf("no traces formed")
+				bare, err := vm.Run(st.Prog, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameRun(t, p.Name+" metered vs unmetered", bare, res)
 			}
 		})
 	}
@@ -91,7 +96,7 @@ func main() {
 // budgets as the reference interpreter, with the same results.
 func TestTraceBudgetSweep(t *testing.T) {
 	prog := compile(t, traceLoopSrc, lower.Options{})
-	full, ts := runTraced(t, mustEngine(t, prog, vm.Options{CollectEdges: true, CollectPaths: true}))
+	full, ts := runMetered(t, prog, vm.Options{CollectEdges: true, CollectPaths: true})
 	if ts.Formed < 2 || ts.Rejected != 0 {
 		t.Fatalf("trace formations %+v, want a trace and a side trace", ts)
 	}
@@ -117,18 +122,9 @@ func TestTraceBudgetSweep(t *testing.T) {
 // traces, or the fuzzer no longer exercises them.
 func TestFuzzSeedsFormTraces(t *testing.T) {
 	for _, seed := range hotSeeds {
-		_, ts := runTraced(t, mustEngine(t, genProg(seed), vm.Options{CollectEdges: true, CollectPaths: true}))
+		_, ts := runMetered(t, genProg(seed), vm.Options{CollectEdges: true, CollectPaths: true})
 		if ts.Formed == 0 || ts.Rejected != 0 {
 			t.Errorf("seed %v: trace formations %+v, want some and none rejected", seed, ts)
 		}
 	}
-}
-
-func mustEngine(t *testing.T, prog *ir.Program, opts vm.Options) *vm.Engine {
-	t.Helper()
-	e, err := vm.NewEngine(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
 }
