@@ -10,12 +10,20 @@
 //	pppc -src prog.mc -profiler PPP -dump-plans
 //	pppc -workload mcf -profiler PPP -placement mincost
 //	pppc -workload mcf -snapshot mcf.ppsnap
+//	pppc -workload mcf -save-profile mcf.guide.ppsnap
+//	pppc -workload mcf -load-profile mcf.guide.ppsnap
 //	pppc -workload mcf -faults seed=7,kind=panic+overflow
 //	pppc -workload mcf -trace trace.jsonl -serve :8080
 //
 // Every run executes compiled threaded code, translation-validated
 // per routine before it runs; a traced -faults drill carries one
 // validate event per routine.
+//
+// A guide is a PPSNAP snapshot that carries edge profiles:
+// -save-profile writes the staged run's edge profiles as one, and
+// -load-profile plans from one instead of the run's own, such as a
+// profile service aggregate (GET /v1/profiles/{tenant}). A snapshot
+// without edge profiles, like -snapshot output, is refused.
 //
 // Every instrumentation plan the run builds is proven against the
 // paper's invariants over all acyclic paths (package verify): a
@@ -71,8 +79,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noOpt := fs.Bool("no-opt", false, "skip profile-guided inlining and unrolling")
 	placementName := fs.String("placement", "spanning", "edge-probe placement (spanning, mincost)")
 	dumpPlans := fs.Bool("dump-plans", false, "dump per-routine instrumentation plans")
-	saveProfile := fs.String("save-profile", "", "write the optimized run's edge profile to a file")
-	loadProfile := fs.String("load-profile", "", "guide instrumentation with this edge profile instead of the run's own")
+	saveProfile := fs.String("save-profile", "", "write the optimized run's edge profile to a file as a PPSNAP guide")
+	loadProfile := fs.String("load-profile", "", "guide instrumentation with the edge profiles of this PPSNAP snapshot instead of the run's own")
 	snapPath := fs.String("snapshot", "", "durable profile snapshot path: load (with .prev fallback) before the run, save after")
 	faults := fs.String("faults", "", "deterministic fault injection spec: seed=N,kind=panic+stall+overflow+snapcorrupt+badcfg[,rate=r]")
 	dumpIR := fs.Bool("dump-ir", false, "dump the optimized IR")
@@ -115,6 +123,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tech, ok := techFor(*profiler)
 	if !ok {
 		return fail("unknown profiler %q", *profiler)
+	}
+
+	// A guide is read before anything runs, so one that is not a guide
+	// is refused without staging the program.
+	var loaded map[string]*profile.EdgeProfile
+	if *loadProfile != "" {
+		data, err := os.ReadFile(*loadProfile)
+		if err != nil {
+			return fail("%v", err)
+		}
+		if loaded, err = decodeGuide(data); err != nil {
+			return fail("load profile %s: %v", *loadProfile, err)
+		}
 	}
 
 	// A pre-existing snapshot is consulted before the run: corruption
@@ -183,29 +204,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *saveProfile != "" {
-		f, err := os.Create(*saveProfile)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if err := profile.WriteEdgeProfiles(f, staged.Base.Edges); err != nil {
-			return fail("save profile: %v", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*saveProfile, encodeGuide(staged), 0o644); err != nil {
 			return fail("save profile: %v", err)
 		}
 		fmt.Fprintf(stdout, "edge profile saved to %s\n", *saveProfile)
 	}
 	guide := staged.Base.Edges
-	if *loadProfile != "" {
-		f, err := os.Open(*loadProfile)
-		if err != nil {
-			return fail("%v", err)
-		}
-		guide, err = profile.ReadEdgeProfiles(f)
-		f.Close()
-		if err != nil {
-			return fail("load profile: %v", err)
-		}
+	if loaded != nil {
+		guide = loaded
 		fmt.Fprintf(stdout, "guiding instrumentation with %s\n", *loadProfile)
 	}
 
@@ -286,6 +292,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// encodeGuide is what -save-profile writes: the staged base run's edge
+// profiles as a PPSNAP snapshot.
+func encodeGuide(staged *core.Staged) []byte {
+	return snapshot.Encode(&profile.Snapshot{Edges: staged.Base.Edges})
+}
+
+// decodeGuide is how -load-profile reads a guide: a PPSNAP snapshot,
+// CRC-checked, whose edge profiles guide planning. It may be pppc's own
+// -save-profile output or a profile service aggregate (the body of
+// GET /v1/profiles/{tenant}). A snapshot with no edge profile is no
+// guide (core.Guide) and is refused.
+func decodeGuide(data []byte) (map[string]*profile.EdgeProfile, error) {
+	snap, err := snapshot.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	guide := core.Guide(snap)
+	if guide == nil {
+		return nil, errors.New("snapshot carries no edge profile, so it cannot guide planning (a path-instrumented run's snapshot, such as -snapshot output, has none)")
+	}
+	return guide, nil
 }
 
 // writeTrace exports the decision trace: JSON lines for .jsonl paths,

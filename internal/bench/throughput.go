@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 
-	"pathprof/internal/telemetry"
 	"pathprof/internal/vm"
 	"pathprof/internal/workloads"
 )
@@ -24,11 +23,8 @@ const DefaultThroughputReplicas = 16
 // run per workload: "exact" (cost-free edge+path profiles, the ground
 // truth collector) and "PP" (Ball-Larus instrumentation executing
 // against the per-shard counter tables, including hash tables where PP
-// needs them). When the suite has a telemetry registry, a third
-// "PP+tel" mode repeats PP with VM metrics installed, and a closing
-// line compares the two at w=1: the cost of metering alone, since a
-// metered run executes the same closures and forms the same hot-path
-// traces as an unmetered one, wrapped in counting closures.
+// needs them). No mode is metered: on a shared host the replica
+// throughput of one run swings more than metering could cost.
 //
 // Unlike the paper's tables, the throughput numbers are wall-clock
 // measurements and vary run to run; the determinism column is the part
@@ -57,16 +53,6 @@ func (s *Suite) ThroughputReport(w io.Writer, replicas int) error {
 			{"exact", vm.Options{CollectEdges: true, CollectPaths: true}},
 			{"PP", vm.Options{Plans: wr.Profilers["PP"].Plans, CollectPaths: true}},
 		}
-		if s.Telemetry != nil {
-			modes = append(modes, struct {
-				name string
-				opts vm.Options
-			}{"PP+tel", vm.Options{
-				Plans: wr.Profilers["PP"].Plans, CollectPaths: true,
-				Metrics: telemetry.NewVMMetrics(s.Telemetry),
-			}})
-		}
-		baseRPS := map[string]float64{} // mode -> w=1 replicas/sec
 		for _, mode := range modes {
 			fmt.Fprintf(w, "%-10s %-6s", wl.Name, mode.name)
 			var rps []float64
@@ -80,7 +66,6 @@ func (s *Suite) ThroughputReport(w io.Writer, replicas int) error {
 				fps = append(fps, rr.Merged.Fingerprint())
 				fmt.Fprintf(w, " %9.1f/s", rr.RunsPerSec())
 			}
-			baseRPS[mode.name] = rps[0]
 			best := 0
 			for i := range rps {
 				if rps[i] > rps[best] {
@@ -99,10 +84,6 @@ func (s *Suite) ThroughputReport(w io.Writer, replicas int) error {
 				}
 			}
 			fmt.Fprintf(w, " %7.2fx %5.0f%%  %s\n", speedup, 100*eff, merge)
-		}
-		if pp, tel := baseRPS["PP"], baseRPS["PP+tel"]; pp > 0 && tel > 0 {
-			fmt.Fprintf(w, "%-10s telemetry overhead at w=1: %+.1f%%\n",
-				"", 100*(pp-tel)/pp)
 		}
 	}
 	return nil

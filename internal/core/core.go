@@ -321,9 +321,11 @@ func (s *Staged) Profile(name string, tech instr.Techniques) (*ProfilerResult, e
 }
 
 // ProfileWith is Profile with an explicit guiding edge profile, e.g.
-// one loaded from disk (profile.ReadEdgeProfiles) or from a different
-// input — the classic two-run profile-guided workflow, and the way to
-// study stale-profile behaviour.
+// the edge profiles of a PPSNAP snapshot collected in another run
+// (pppc -load-profile) or on a different input — the classic two-run
+// profile-guided workflow, and the way to study stale-profile
+// behaviour. A nil or empty guide is no guide (see Guide): planning
+// falls back to the staged base profile, as Profile plans.
 func (s *Staged) ProfileWith(name string, tech instr.Techniques, guide map[string]*profile.EdgeProfile) (*ProfilerResult, error) {
 	pr := &ProfilerResult{Name: name, Tech: tech, Plans: map[string]*instr.Plan{}, Modes: map[string]Mode{}}
 	par := s.Pipeline.Instr
@@ -404,18 +406,30 @@ func (s *Staged) PlansFor(name string, tech instr.Techniques, pl instr.Placement
 	return s.PlansGuided(name, tech, pl, s.Base.Edges)
 }
 
+// Guide returns the edge profiles of snap that guide planning, or nil
+// when snap is nil or carries none: a snapshot with no edge profile is
+// not a guide. A path-instrumented run's snapshot is such a snapshot:
+// it holds counter tables and paths but no edge counts. Planning
+// (ProfileWith, PlansGuided) falls back to the staged base profile for
+// a nil guide, the profile service scores drift only against a real
+// guide, and pppc refuses to load a snapshot that is not one.
+func Guide(snap *profile.Snapshot) map[string]*profile.EdgeProfile {
+	if snap == nil || len(snap.Edges) == 0 {
+		return nil
+	}
+	return snap.Edges
+}
+
 // PlansGuided is PlansFor with an explicit guiding edge profile — the
 // profile service's plan endpoint builds plans against the live
-// merged aggregate this way, without executing anything. A nil guide
-// falls back to the staged base profile.
+// merged aggregate this way, without executing anything. A nil or
+// empty guide is no guide (see Guide), so planning falls back to the
+// staged base profile.
 func (s *Staged) PlansGuided(name string, tech instr.Techniques, pl instr.Placement, guide map[string]*profile.EdgeProfile) (map[string]*instr.Plan, error) {
 	pr := &ProfilerResult{Name: name, Tech: tech, Plans: map[string]*instr.Plan{}, Modes: map[string]Mode{}}
 	par := s.Pipeline.Instr
 	par.Placement = pl
 	par.Unit = s.Pipeline.Name + "/" + name
-	if guide == nil {
-		guide = s.Base.Edges
-	}
 	if err := s.buildPlans(pr, tech, guide, par); err != nil {
 		return nil, err
 	}
@@ -423,12 +437,16 @@ func (s *Staged) PlansGuided(name string, tech instr.Techniques, pl instr.Placem
 }
 
 // buildPlans fills pr.Plans (and the plan-time ladder state) for every
-// routine of the staged program, guided by the given edge profile. The
-// program's total flow, PPP's global cold-edge denominator, comes from
-// the guide too, so plans depend on the guide's shape and not on its
-// scale: k merged copies of one profile plan exactly as the profile
-// does.
+// routine of the staged program, guided by the given edge profile, or
+// by the staged base profile when the guide is nil or empty (Guide).
+// The program's total flow, PPP's global cold-edge denominator, comes
+// from the guide too, so plans depend on the guide's shape and not on
+// its scale: k merged copies of one profile plan exactly as the
+// profile does.
 func (s *Staged) buildPlans(pr *ProfilerResult, tech instr.Techniques, guide map[string]*profile.EdgeProfile, par instr.Params) error {
+	if len(guide) == 0 {
+		guide = s.Base.Edges
+	}
 	name := pr.Name
 	plans := pr.Plans
 	dags := make([]*cfg.DAG, len(s.Prog.Funcs))

@@ -8,10 +8,12 @@
 // The planner (internal/instr) builds plans against live cfg.DAG
 // structures; planir.FromPlan lowers one into a Routine, a closed value
 // of slices and scalars with a canonical binary encoding. The VM
-// engine, the threaded-code compiler (internal/vm/compile), and the
-// static verifier all consume this one artifact instead of
-// re-deriving the lowering from planner internals, so a plan that
-// round-trips through the codec executes identically to the original.
+// engine and the threaded-code compiler (internal/vm/compile) consume
+// this one artifact instead of re-deriving the lowering from planner
+// internals, so a plan that round-trips through the codec executes
+// identically to the original, and the profile service serves it
+// (/v1/plans). The static verifier (internal/verify) proves the
+// planner's instr.Plan, not this IR.
 package planir
 
 import (

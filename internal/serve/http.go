@@ -343,24 +343,20 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "stage tenant program: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// Guide planning with the live merged aggregate when one exists;
-	// without one, fall back to the staging run's own profile.
-	agg := s.aggregate(t)
-	var plans map[string]*instr.Plan
-	if agg != nil {
-		plans, err = staged.PlansGuided(tenantName, tech, pl, agg.Edges)
-	} else {
-		plans, err = staged.PlansFor(tenantName, tech, pl)
-	}
+	// Guide planning with the live merged aggregate's edge profiles.
+	// An aggregate without any (none yet, or edge-less uploads only) is
+	// no guide, and planning falls back to the staging run's profile.
+	guide := core.Guide(s.aggregate(t))
+	plans, err := staged.PlansGuided(tenantName, tech, pl, guide)
 	if err != nil {
 		http.Error(w, "build plans: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if agg != nil {
+	if guide != nil {
 		// The plans just served were built from this aggregate: freeze
 		// it as the tenant's guide so drift is measured against what
 		// the optimizer is actually acting on.
-		s.drift.SetGuide(tenantName, agg.Edges, s.ackedSeq(tenantName))
+		s.drift.SetGuide(tenantName, guide, s.ackedSeq(tenantName))
 	}
 	prog := planir.FromPlans(plans)
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -61,6 +61,15 @@ func (c *Cell) Add(v int64) {
 	c.n += v
 }
 
+// Value reads the cell; a nil cell reads 0. Like a fold, it is exact
+// once the cell's writer has quiesced.
+func (c *Cell) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.n
+}
+
 // Counter is a monotonically increasing metric, sharded into
 // per-worker cells. Hand Cell(w) to worker w; Value folds the cells
 // in index order.

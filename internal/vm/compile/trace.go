@@ -48,7 +48,8 @@ import (
 // A metered run counts a trace the way the transitions' meter would
 // (term.go): every exit and the trace's end carry the summed VM
 // counters of the transitions before them, which one branch adds, and
-// a trace that completes a path counts it.
+// a trace that completes a path counts it. Validation compares those
+// counters with the step's at every exit and end.
 
 // TraceAt is the path count at which a path becomes a trace: after
 // TraceAt identical replicas on one Exec, every path a replica takes

@@ -23,6 +23,10 @@ package compile
 //   - edge-profile counts over every canonical slot
 //   - path-tracking effects: trie cursor, pending path, recorded
 //     totals, and path-hook invocations
+//   - in a Telemetry build, the VM counters: transitions, ops, table
+//     increments, cold bumps and completed paths, counted by the
+//     compiled side's meter and trace tallies into the probe Exec's
+//     cells and by the step into the reference's
 //
 // Each fused lowering — register folds, the single-count
 // specialization, the solo-successor charge fold, edge-slot bumps, and
@@ -67,6 +71,7 @@ import (
 	"pathprof/internal/cfg"
 	"pathprof/internal/ir"
 	"pathprof/internal/profile"
+	"pathprof/internal/telemetry"
 )
 
 // ValidationError reports one divergence between a compiled transition
@@ -256,6 +261,9 @@ type Validator struct {
 	ref      Stepper
 	refHooks hookLog
 	refTrack Track
+	// gotTel and refTel are the probe Exec's and the reference's VM
+	// counter cells in a Telemetry build, zeroed before every probe.
+	gotTel, refTel vmCells
 	// soloLen holds each block's instruction count when it is
 	// call-free, -1 when it has a call: the IR side of the solo charge
 	// fold.
@@ -284,12 +292,24 @@ type Validator struct {
 	fsteps []tstep
 }
 
+// vmCells holds the VM counters validation compares. The path-length
+// histogram is left out; its cells only come from a registry.
+type vmCells struct{ trans, ops, incs, cold, paths telemetry.Cell }
+
+// view returns the cells as one run's VMCells.
+func (c *vmCells) view() telemetry.VMCells {
+	return telemetry.VMCells{Transitions: &c.trans, Ops: &c.ops, TableIncs: &c.incs, ColdBumps: &c.cold, Paths: &c.paths}
+}
+
 // NewValidator returns a validator for the routines of p.
 func NewValidator(p *Program) *Validator {
 	v := &Validator{p: p}
 	v.ref.Costs = &p.opts.Costs
 	if p.opts.PathHooks {
 		v.ref.Hook = v.refHooks.add
+	}
+	if p.opts.Telemetry {
+		v.ref.Tel = v.refTel.view()
 	}
 	return v
 }
@@ -397,7 +417,11 @@ func (v *Validator) bind(fi int) error {
 	v.hooksSeen = 0
 
 	if v.x == nil {
-		v.x = newProbeExec(p, v.gotHooks.add)
+		var tel telemetry.VMCells
+		if p.opts.Telemetry {
+			tel = v.gotTel.view()
+		}
+		v.x = newProbeExec(p, v.gotHooks.add, tel)
 	}
 	v.x.fts[fi] = got
 	// The root-step memo points into the routine's path twin, which is
@@ -470,10 +494,13 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 
 // resetProbe resets the compiled side to a fresh activation with path
 // register probe, pending path path and trie cursor trie, and zeroes
-// its charge accumulators.
+// its charge accumulators and both sides' VM counter cells.
 func (v *Validator) resetProbe(probe int64, path []int32, trie int32) {
 	x, fr := v.x, &v.fr
 	x.steps, x.base, x.icost, x.ret = 0, 0, 0, -1
+	if v.p.opts.Telemetry {
+		v.gotTel, v.refTel = vmCells{}, vmCells{}
+	}
 	regs := fr.regs[:v.fc.nregs]
 	copy(regs, v.regTmpl)
 	*fr = frame{fc: v.fc, ft: &x.fts[v.fi], r: probe, regs: regs, path: append(fr.path[:0], path...), trie: trie}
@@ -511,8 +538,8 @@ func (v *Validator) checkRet(term *ir.Term) error {
 
 // compare checks the compiled side's state after a probe against the
 // reference's: the returned code (block index wantSucc, -1 for a
-// return), the path register, the charges, and every twin container.
-// The frame's trie cursor and pending path are compared too, unless
+// return), the path register, the charges, every twin container and,
+// in a Telemetry build, the VM counters. The frame's trie cursor and pending path are compared too, unless
 // popped is set: a trace that ends in its routine's return leaves them
 // behind in the popped frame, where nothing reads them again.
 func (v *Validator) compare(ret *blockCode, wantSucc int, wantSteps, wantBase, wantICost int64, popped bool) error {
@@ -578,6 +605,23 @@ func (v *Validator) compare(ret *blockCode, wantSucc int, wantSteps, wantBase, w
 			}
 		}
 		v.hooksSeen = len(rh.fns)
+	}
+	if p.opts.Telemetry {
+		g, r := &v.gotTel, &v.refTel
+		for _, c := range [...]struct {
+			field     string
+			got, want *telemetry.Cell
+		}{
+			{"vm-transitions", &g.trans, &r.trans},
+			{"vm-ops", &g.ops, &r.ops},
+			{"vm-table-incs", &g.incs, &r.incs},
+			{"vm-cold-bumps", &g.cold, &r.cold},
+			{"vm-paths", &g.paths, &r.paths},
+		} {
+			if c.got.Value() != c.want.Value() {
+				return v.fail(c.field, c.got.Value(), c.want.Value())
+			}
+		}
 	}
 	return nil
 }

@@ -317,9 +317,9 @@ type binding struct {
 	dags   map[string]*cfg.DAG
 }
 
-// bind attaches the engine to one worker's sink (nil for fresh
-// containers), telemetry cell, and path hook.
-func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.Path)) (*binding, error) {
+// bind attaches the engine to one worker's collector shard (nil for
+// fresh containers), telemetry cell, and path hook.
+func (e *Engine) bind(sink *profile.Shard, worker int, hook func(fn string, p cfg.Path)) (*binding, error) {
 	b := &binding{
 		eng:    e,
 		edges:  map[string]*profile.EdgeProfile{},
@@ -346,14 +346,10 @@ func (e *Engine) bind(sink ProfileSink, worker int, hook func(fn string, p cfg.P
 				run.Edges = profile.NewEdgeProfile(name)
 			}
 			b.edges[name] = run.Edges
-			// Register the canonical slot order on this shard. A fresh
-			// container yields exactly the template numbering; a sink with
-			// foreign pre-registered slots can't serve the slots compiled
-			// into the code.
-			for si, p := range rt.slotPairs {
-				if run.Edges.Slot(int(p[0]), int(p[1])) != si {
-					return nil, fmt.Errorf("vm: %s: sink edge profile has foreign slot order; runs need fresh shards", name)
-				}
+			// Register the canonical slot order, which the compiled code
+			// bumps by index, on the fresh profile or shard.
+			for _, p := range rt.slotPairs {
+				run.Edges.Slot(int(p[0]), int(p[1]))
 			}
 		}
 		if e.opts.CollectPaths {
@@ -408,10 +404,11 @@ func (b *binding) run(args []int64) (*Result, error) {
 	}, nil
 }
 
-// Run executes one run under the engine's options (opts.Args, Sink,
-// MetricsWorker, PathHook), exactly as package-level Run would.
+// Run executes one run under the engine's options (opts.Args,
+// PathHook) on fresh containers and worker 0's metric cells, exactly
+// as package-level Run would.
 func (e *Engine) Run() (*Result, error) {
-	b, err := e.bind(e.opts.Sink, e.opts.MetricsWorker, e.opts.PathHook)
+	b, err := e.bind(nil, 0, e.opts.PathHook)
 	if err != nil {
 		return nil, err
 	}

@@ -17,15 +17,6 @@ import (
 	"pathprof/internal/telemetry"
 )
 
-// ProfileSink supplies a run's profile containers so repeated runs
-// accumulate into shared state instead of fresh per-run profiles.
-// *profile.Shard implements it; see Options.Sink.
-type ProfileSink interface {
-	EdgeProfile(fn string) *profile.EdgeProfile
-	PathProfile(fn string) *profile.PathProfile
-	Table(fn string, kind profile.TableKind, n, size int64) *profile.Table
-}
-
 // FaultContext describes one replica attempt to a GuardConfig
 // FaultHook.
 type FaultContext struct {
@@ -35,7 +26,7 @@ type FaultContext struct {
 	// Sink is the worker's shard. Overflow injection preloads its
 	// counters here; any mutation must be deterministic in Replica so
 	// merged snapshots stay reproducible across worker counts.
-	Sink ProfileSink
+	Sink *profile.Shard
 }
 
 // GuardConfig configures guarded replication: how hard RunReplicated
@@ -133,9 +124,8 @@ func (r *ReplicatedResult) RunsPerSec() float64 {
 // reuses that binding (executor, pooled frames) across all of its
 // replicas.
 //
-// opts.Sink and opts.PathHook are overridden per worker (use
-// opts.PathHookFor for per-worker hooks); opts.Output, if set, must be
-// safe for concurrent writes.
+// opts.PathHook is overridden per worker by opts.PathHookFor when that
+// is set; opts.Output, if set, must be safe for concurrent writes.
 func RunReplicated(prog *ir.Program, opts Options, n, par int) (*ReplicatedResult, error) {
 	e, err := NewEngine(prog, opts)
 	if err != nil {
@@ -283,7 +273,7 @@ func (e *Engine) RunReplicated(n, par int) (*ReplicatedResult, error) {
 // the budget, and any failure or deadline overrun from the run itself
 // returns a tainted ShardFault (the shard may hold partial counts, so
 // the caller must quarantine it).
-func (b *binding) runGuarded(guard *GuardConfig, sink ProfileSink, w, i int) (*Result, *ShardFault) {
+func (b *binding) runGuarded(guard *GuardConfig, sink *profile.Shard, w, i int) (*Result, *ShardFault) {
 	replicaStart := time.Now()
 	overDeadline := func() bool {
 		return guard.ReplicaDeadline > 0 && time.Since(replicaStart) > guard.ReplicaDeadline

@@ -3,8 +3,6 @@ package vm_test
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -270,57 +268,4 @@ func BenchmarkRunReplicated(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestForeignSlotSink runs against a sink whose edge profile already
-// registered the routine's edges in a foreign slot order. Edge slots
-// are compiled into the code, so the engine must refuse the sink with
-// an error naming the remedy rather than panic or miscount, whichever
-// executor runs it.
-func TestForeignSlotSink(t *testing.T) {
-	prog := compile(t, replSrc, lower.Options{})
-	fresh := profile.NewCollector(1)
-	if _, err := vm.Run(prog, vm.Options{CollectEdges: true, CollectPaths: true, Sink: fresh.Shard(0)}); err != nil {
-		t.Fatal(err)
-	}
-
-	// foreign pre-registers every edge of work in reverse canonical
-	// slot order, before any run touches the shard.
-	canon := fresh.Shard(0).EdgeProfile("work")
-	var pairs []profile.EdgeKey
-	for k := range canon.Freq() {
-		pairs = append(pairs, k)
-	}
-	if len(pairs) < 2 {
-		t.Fatalf("work has %d edges; a foreign order needs two", len(pairs))
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		return canon.Slot(pairs[i].Src, pairs[i].Dst) > canon.Slot(pairs[j].Src, pairs[j].Dst)
-	})
-	foreign := func() *profile.Collector {
-		c := profile.NewCollector(1)
-		ep := c.Shard(0).EdgeProfile("work")
-		for _, k := range pairs {
-			ep.Slot(k.Src, k.Dst)
-		}
-		return c
-	}
-
-	forEachExecutor(t, func(t *testing.T, on selectExec) {
-		c := foreign()
-		_, err := vm.Run(prog, on(vm.Options{CollectEdges: true, CollectPaths: true, Sink: c.Shard(0)}))
-		if err == nil {
-			t.Fatal("a foreign-slot sink was accepted")
-		}
-		if !strings.Contains(err.Error(), "fresh shards") {
-			t.Errorf("error %q does not name fresh shards as the remedy", err)
-		}
-		for fn, ep := range c.Merge().Edges {
-			for k, n := range ep.Freq() {
-				if n != 0 {
-					t.Errorf("%s edge %v counted %d on a refused run", fn, k, n)
-				}
-			}
-		}
-	})
 }

@@ -78,17 +78,6 @@ type Options struct {
 	// fan in after the run (netprof.Predictor.Merge). It takes
 	// precedence over PathHook in RunReplicated; Run ignores it.
 	PathHookFor func(worker int) func(fn string, p cfg.Path)
-	// Sink, if set, supplies the run's profile containers — edge/path
-	// profiles and counter tables — in place of freshly allocated ones,
-	// so successive runs accumulate into shared state. This is the
-	// sharded-collection fast path: each worker feeds its own
-	// profile.Shard through the ordinary BumpSlot/Add/Inc operations
-	// (no atomics anywhere on the hot path) and the collector merges
-	// shards off the hot path. Result.Edges/Paths/Tables then alias the
-	// sink's containers. A sink edge profile must be fresh or carry the
-	// engine's own slot order: slots are compiled into the code, so a
-	// foreign order is refused.
-	Sink ProfileSink
 	// MaxSteps aborts runaway programs (0 = default limit).
 	MaxSteps int64
 	// Output receives print() values; nil discards them.
@@ -105,11 +94,9 @@ type Options struct {
 	// each transition in a counting closure and traces add summed
 	// constants. Nil is the no-op sink: transitions and traces run no
 	// counting code, and the few bumps left (the generic op stream's
-	// and trace formations') cost one nil-check branch each.
-	// MetricsWorker selects the metric cell the run writes;
-	// RunReplicated assigns each worker its own.
-	Metrics       *telemetry.VMMetrics
-	MetricsWorker int
+	// and trace formations') cost one nil-check branch each. A run
+	// writes worker 0's cells; RunReplicated gives each worker its own.
+	Metrics *telemetry.VMMetrics
 	// Trace, if set, receives runtime decision events (RunReplicated
 	// shard quarantines); TraceUnit labels them.
 	Trace     *telemetry.Trace
