@@ -16,6 +16,10 @@ type VMMetrics struct {
 	// trace formations: validated and installed, or failed validation.
 	TracesFormed   *Counter
 	TracesRejected *Counter
+	// TraceEntries and TraceExits count trace runs and the side exits
+	// they end in, on metered runs.
+	TraceEntries *Counter
+	TraceExits   *Counter
 }
 
 // NewVMMetrics registers the VM hot-loop metrics in r. A nil registry
@@ -33,6 +37,8 @@ func NewVMMetrics(r *Registry) *VMMetrics {
 		PathLen:        r.Histogram("ppp_vm_path_len", "completed path length in DAG edges", []int64{1, 2, 4, 8, 16, 32, 64}),
 		TracesFormed:   r.Counter("ppp_vm_traces_formed_total", "hot-path traces validated and installed"),
 		TracesRejected: r.Counter("ppp_vm_traces_rejected_total", "hot-path traces that failed validation"),
+		TraceEntries:   r.Counter("ppp_vm_trace_entries_total", "hot-path trace runs entered"),
+		TraceExits:     r.Counter("ppp_vm_trace_side_exits_total", "hot-path trace runs that left through a side exit"),
 	}
 }
 
@@ -54,6 +60,9 @@ type VMCells struct {
 	// Trace formations are counted off the hot path, when a trace forms.
 	TracesFormed   *Cell
 	TracesRejected *Cell
+	// Trace entries and side exits are counted at a trace's end or exit.
+	TraceEntries *Cell
+	TraceExits   *Cell
 }
 
 // Cells returns worker w's cells; a nil *VMMetrics returns the no-op
@@ -71,5 +80,7 @@ func (m *VMMetrics) Cells(w int) VMCells {
 		PathLen:        m.PathLen.Cell(w),
 		TracesFormed:   m.TracesFormed.Cell(w),
 		TracesRejected: m.TracesRejected.Cell(w),
+		TraceEntries:   m.TraceEntries.Cell(w),
+		TraceExits:     m.TraceExits.Cell(w),
 	}
 }

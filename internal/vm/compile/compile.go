@@ -9,14 +9,15 @@
 //   - A block's instructions are split into segments at call sites
 //     (maximal call-free runs). A segment is ONE closure — built from
 //     the run's peephole-fused micro-ops (micro.go), the only lowering
-//     of instructions — plus a precomputed step count and base cost. A
-//     block's trailing compare moves into its branch terminator. The
-//     executor charges the whole segment with two additions and one
-//     budget compare where the interpreter paid a step increment, a
-//     cost addition, a budget compare, and a switch dispatch per
-//     instruction. (The budget check errors at the segment boundary
-//     exactly when the interpreter would error inside it: steps +
-//     len(segment) > MaxSteps.)
+//     of instructions, run by the one micro-op loop or, for a short
+//     run, by chained closures — plus a precomputed step count and
+//     base cost. A block's trailing compare moves into its branch
+//     terminator. The executor charges the whole segment with two
+//     additions and one budget compare where the interpreter paid a
+//     step increment, a cost addition, a budget compare, and a switch
+//     dispatch per instruction. (The budget check errors at the
+//     segment boundary exactly when the interpreter would error inside
+//     it: steps + len(segment) > MaxSteps.)
 //
 //   - A block's terminator compiles to a closure that fuses successor
 //     choice, the taken-branch penalty, edge-profile slot bump,
@@ -30,9 +31,11 @@
 //
 //   - While a path-collecting run executes, metered or not, its Exec
 //     compiles the run's hot Ball-Larus paths into traces (trace.go):
-//     the paths' blocks run back to back behind guards, with their
-//     transitions' constant work (VM counters included) folded,
-//     validated before they are installed.
+//     each path becomes one micro-op stream, its blocks' runs back to
+//     back with exit-if guards and the transitions' effects between
+//     them, run by the same loop as block runs, with the transitions'
+//     constant work (VM counters included) folded, validated before it
+//     is installed.
 //
 // The compiled Program is immutable and shared: closures reach all
 // per-run state through the Exec (globals, arrays, cost accumulators)
@@ -148,9 +151,9 @@ type instrFn func(x *Exec, fr *frame)
 // threaded, with no block-index lookup between them.
 type termFn func(x *Exec, fr *frame) *blockCode
 
-// condFn computes a branch condition, still writing the condition
-// register (later code may read it), and hands the comparison to the
-// terminator as a bool — no 0/1 materialization and re-test.
+// condFn computes a branch condition whose register nothing else
+// reads and hands the comparison to the terminator as a bool — no 0/1
+// materialization and re-test.
 type condFn func(x *Exec, fr *frame) bool
 
 type callSite struct {
@@ -196,11 +199,16 @@ type blockCode struct {
 // blockTraceSrc is what the trace former (trace.go) needs of a block
 // beyond its code.
 type blockTraceSrc struct {
-	// cond and creg are a Branch terminator's guard: the fused
-	// comparison, or (cond nil) the condition register; creg is -1 for
-	// any other terminator.
+	// body is a call-free block's lowered run in a path-collecting
+	// build: the micro-ops its code runs, which a trace's stream
+	// repeats.
+	body []micro
+	// A Branch terminator's condition: the fused comparison cond, else
+	// the condition register creg (-1 for any other terminator), and
+	// test, the exit-if guard that exits when the branch is taken.
 	cond condFn
 	creg int32
+	test micro
 	// consts retains each arm's folded transition constants, in arms
 	// order.
 	consts [2]armConsts
@@ -341,17 +349,16 @@ func (c *comp) compileFunc(fi int) (fnCode, error) {
 	// Pass 1 compiles every block's instruction segments, so that pass 2
 	// can thread terminators directly to successor blockCode pointers
 	// and fold solo successors' charges into terminator constants.
-	conds := make([]condFn, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		cond := -1
 		if b.Term.Kind == ir.Branch {
 			cond = b.Term.Cond
 		}
-		segs, cf, err := c.compileSegments(b.Instrs, cond)
+		ts := &fc.traceSrc[bi]
+		segs, err := c.compileSegments(b.Instrs, cond, ts)
 		if err != nil {
 			return fnCode{}, fmt.Errorf("compile: %s block %d: %w", f.Name, bi, err)
 		}
-		conds[bi] = cf
 		bc := &fc.blocks[bi]
 		bc.segs = segs
 		if len(segs) == 1 && segs[0].call == nil {
@@ -366,35 +373,47 @@ func (c *comp) compileFunc(fi int) (fnCode, error) {
 	}
 	for bi, b := range f.Blocks {
 		ts := &fc.traceSrc[bi]
-		ts.cond, ts.creg = conds[bi], -1
-		if b.Term.Kind == ir.Branch && conds[bi] == nil {
+		ts.creg = -1
+		if b.Term.Kind == ir.Branch && ts.cond == nil {
 			ts.creg = int32(b.Term.Cond)
+			ts.test = micro{op: mXNZ, a: ts.creg}
 		}
-		fc.blocks[bi].term = c.compileTerm(&fc, bi, &b.Term, conds[bi])
+		fc.blocks[bi].term = c.compileTerm(&fc, bi, &b.Term, ts.cond)
 	}
 	fc.memoTo = c.memoTo
 	return fc, nil
 }
 
 // compileSegments splits a block's instructions at call sites and
-// lowers each call-free run to one closure. In a call-free block whose
-// branch tests register cond (-1: not a branch), a trailing compare
-// into cond leaves the run and is returned as the branch's condFn;
-// the segment still charges it, so budget errors fall where the
+// lowers each call-free run to one closure. A call-free block of a
+// path-collecting build, where traces form, keeps its lowered run in
+// ts.body. In one whose branch tests register cond (-1:
+// not a branch), a trailing compare into cond that nothing else reads
+// leaves the run and becomes the branch's ts.cond and ts.test; the
+// segment still charges it, so budget errors fall where the
 // interpreter's do.
-func (c *comp) compileSegments(instrs []ir.Instr, cond int) ([]segment, condFn, error) {
+func (c *comp) compileSegments(instrs []ir.Instr, cond int, ts *blockTraceSrc) ([]segment, error) {
 	cInstr, cCall := c.opts.Costs.Instr, c.opts.Costs.Call
 	var segs []segment
-	var cf condFn
 	runStart := 0
 	flush := func(end int, call *callSite) {
 		n := int64(end - runStart)
 		seg := segment{steps: n, cost: n * cInstr, call: call}
 		ms := c.lowerMicros(instrs[runStart:end])
-		if k := len(ms) - 1; call == nil && len(segs) == 0 && k >= 0 && int(ms[k].d) == cond {
-			if cf = c.microCond(ms[k]); cf != nil {
-				ms = ms[:k]
+		solo := call == nil && len(segs) == 0
+		if k := len(ms) - 1; solo && k >= 0 && int(ms[k].d) == cond {
+			if cf, test, ok := c.microCond(ms[k]); ok {
+				ts.cond, ts.test, ms = cf, test, ms[:k]
 			}
+		}
+		// A long run's closure and, in a build that forms traces, a
+		// call-free block's trace steps keep one exact-size copy.
+		traced := solo && c.opts.CollectPaths && len(ms) > 0
+		if len(ms) >= MicroMin || traced {
+			ms = append(make([]micro, 0, len(ms)), ms...)
+		}
+		if traced {
+			ts.body = ms
 		}
 		seg.code = runCode(ms)
 		if call != nil {
@@ -410,7 +429,7 @@ func (c *comp) compileSegments(instrs []ir.Instr, cond int) ([]segment, condFn, 
 		}
 		callee := c.prog.Funcs[in.Sym]
 		if len(in.Args) != callee.NParams {
-			return nil, nil, fmt.Errorf("call %s expects %d args, got %d",
+			return nil, fmt.Errorf("call %s expects %d args, got %d",
 				callee.Name, callee.NParams, len(in.Args))
 		}
 		args := make([]int32, len(in.Args))
@@ -423,15 +442,16 @@ func (c *comp) compileSegments(instrs []ir.Instr, cond int) ([]segment, condFn, 
 	if runStart < len(instrs) || len(segs) == 0 {
 		flush(len(instrs), nil)
 	}
-	return segs, cf, nil
+	return segs, nil
 }
 
-// runCode builds a lowered run's closure: microExec over an exact-size
-// copy for a run of at least MicroMin micro-ops, seqN over per-micro
-// closures for a shorter one, nil for none.
+// runCode builds a lowered run's closure: microExec over ms itself,
+// which must outlive the lowering's scratch, for a run of at least
+// MicroMin micro-ops, seqN over per-micro closures for a shorter one,
+// nil for none.
 func runCode(ms []micro) instrFn {
 	if len(ms) >= MicroMin {
-		return microExec(append(make([]micro, 0, len(ms)), ms...))
+		return microExec(ms)
 	}
 	var fns [MicroMin - 1]instrFn
 	for i := range ms {
@@ -526,6 +546,20 @@ func divModK(a, k int64, m uint64) (int64, int64) {
 		r -= uint64(k)
 	}
 	return (int64(q) ^ sign) - sign, (int64(r) ^ sign) - sign
+}
+
+// divP2 is safeDiv(a, k) for k = 2^n, 1 <= n <= 62, and mask = k-1:
+// a negative dividend is biased up by mask, so the arithmetic shift
+// truncates toward zero as Go's division does.
+func divP2(a int64, n int32, mask int64) int64 {
+	return (a + (a>>63)&mask) >> uint(n)
+}
+
+// modP2 is safeMod(a, k) for k = 2^n, n >= 1, and mask = k-1: the
+// low bits of the biased dividend, less the bias, keep a's sign.
+func modP2(a, mask int64) int64 {
+	bias := (a >> 63) & mask
+	return (a+bias)&mask - bias
 }
 
 func wrap(i, size int64) int64 {

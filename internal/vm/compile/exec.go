@@ -97,6 +97,7 @@ type Exec struct {
 	entryHead []*blockCode
 	tv        *Validator
 	metered   bool
+	tcode     []micro // the trace former's scratch stream
 }
 
 // memoEntry is one back edge's restart memo: the trie node after the

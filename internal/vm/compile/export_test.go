@@ -74,16 +74,15 @@ func ClearMutateSucc() { testMutateSucc = nil }
 func (v *Validator) RedriveArms() error { return v.driveArms() }
 
 // mutateFirstTrace arms the trace-mutation hook: the first trace
-// formed after the call that apply corrupts is recorded (its routine
-// and head block) in the returned struct. Disarm with
-// ClearMutateTrace.
-func mutateFirstTrace(apply func(c *traceConsts)) *MutatedSite {
+// formed after the call that apply corrupts (apply reports whether it
+// did) is recorded (its routine and head block) in the returned
+// struct. Disarm with ClearMutateTrace.
+func mutateFirstTrace(apply func(c *traceConsts) bool) *MutatedSite {
 	site := &MutatedSite{From: -1, To: -1}
 	testMutateTrace = func(fn string, head int, c *traceConsts) {
-		if site.From >= 0 {
+		if site.From >= 0 || !apply(c) {
 			return
 		}
-		apply(c)
 		*site = MutatedSite{Fn: fn, From: head, To: -1}
 	}
 	return site
@@ -92,25 +91,36 @@ func mutateFirstTrace(apply func(c *traceConsts)) *MutatedSite {
 // MutateFirstTraceBase arms the hook to add delta to the first trace's
 // summed base-cost constant.
 func MutateFirstTraceBase(delta int64) *MutatedSite {
-	return mutateFirstTrace(func(c *traceConsts) { c.Base += delta })
+	return mutateFirstTrace(func(c *traceConsts) bool { c.Base += delta; return true })
 }
 
 // MutateFirstTraceSteps arms the hook to add delta to the first
 // trace's summed step charge, which is also its entry budget.
 func MutateFirstTraceSteps(delta int64) *MutatedSite {
-	return mutateFirstTrace(func(c *traceConsts) { c.Steps += delta })
+	return mutateFirstTrace(func(c *traceConsts) bool { c.Steps += delta; return true })
 }
 
 // MutateFirstTraceICost arms the hook to add delta to the first
 // trace's summed instrumentation-cost constant.
 func MutateFirstTraceICost(delta int64) *MutatedSite {
-	return mutateFirstTrace(func(c *traceConsts) { c.ICost += delta })
+	return mutateFirstTrace(func(c *traceConsts) bool { c.ICost += delta; return true })
 }
 
 // MutateFirstTraceEnd arms the hook to move the first trace's end
 // node delta trie nodes along, so it would count the wrong path.
 func MutateFirstTraceEnd(delta int32) *MutatedSite {
-	return mutateFirstTrace(func(c *traceConsts) { c.End += delta })
+	return mutateFirstTrace(func(c *traceConsts) bool { c.End += delta; return true })
+}
+
+// MutateFirstTraceGuard arms the hook to reverse the direction of the
+// first guard in the stream of the first trace that has one, so the
+// trace would leave its path where it should stay on it and stay where
+// it should leave.
+func MutateFirstTraceGuard() *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) bool {
+		c.FlipGuard = c.Guarded
+		return c.Guarded
+	})
 }
 
 // ClearMutateTrace disarms the trace-mutation hook.

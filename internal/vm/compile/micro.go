@@ -2,28 +2,34 @@ package compile
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pathprof/internal/ir"
 )
 
-// This file is the compiler's one instruction lowering. lowerMicros
-// decodes a call-free run into micro-ops and makes every peephole
-// decision there: a Const feeding the next instruction fuses into it,
-// a global read-modify-write collapses into one in-place update, and a
-// register store that nothing reads is dropped (per regReads). The
-// executors are built from its output:
+// This file is the compiler's one instruction lowering and its one
+// micro-op loop. lowerMicros decodes a call-free run into micro-ops and
+// makes every peephole decision there: a Const feeding the next
+// instruction fuses into it, a global read-modify-write collapses into
+// one in-place update, and a register store that nothing reads is
+// dropped (per regReads). The executors are built from its output:
 //
 //   - a run of at least MicroMin micro-ops runs in microExec, ONE
-//     closure looping over a pre-decoded array: the register slice is
-//     bounds-hoisted once per run, operands stream from one contiguous
-//     array, and there is no call per instruction;
+//     closure around runMicros, the loop over a pre-decoded array: the
+//     register slice is bounds-hoisted once per run, operands stream
+//     from one contiguous array, and there is no call per instruction;
 //   - a shorter run composes one closure per micro-op (microClosure)
 //     through seqN: a handful of direct, predicted closure calls in
 //     place of entering the loop;
 //   - in a call-free block ending in a branch, a trailing compare into
 //     the condition register leaves the run and becomes the branch's
 //     condition (microCond), so the terminator dispatches on the
-//     native bool.
+//     native bool; a compare whose register is read elsewhere stays in
+//     the run, and the branch tests the register;
+//   - a hot-path trace (trace.go) is one stream of the same micro-ops:
+//     each block's run, its branch as an exit-if guard, and the
+//     transition's edge bump, register fold or counter-op call, all
+//     run by runMicros, which block runs and traces share.
 
 // micro opcodes. mXxxK forms take the second operand from imm (the
 // fused constant); mGXxxK/mGXxx mutate a global in place.
@@ -79,7 +85,37 @@ const (
 	mGSetK
 	mDivK
 	mModK
+	mDivP2 // a divisor k = 2^n: b = n, imm = k-1
+	mModP2 // a divisor k = 2^n: imm = k-1
 	mPrint
+
+	// Trace-only micro-ops. An exit-if guard leaves the stream at step d
+	// when its condition holds: r[a] op r[b], r[a] op imm (the K forms,
+	// both in the compares' order, on which exitIf relies), r[a] == 0
+	// (mXZ) or r[a] != 0 (mXNZ).
+	mXEq
+	mXNe
+	mXLt
+	mXLe
+	mXGt
+	mXGe
+	mXEqK
+	mXNeK
+	mXLtK
+	mXLeK
+	mXGtK
+	mXGeK
+	mXZ
+	mXNZ
+	// A transition's effects: bump edge slot b, apply the register fold
+	// r = (r & m) + imm, or call the trace's counter-op closure fns[b].
+	mBump
+	mFold
+	mOps
+	// Validation's forced streams (validate.go): a guard that passes
+	// and one that always exits at step d.
+	mNop
+	mExit
 )
 
 // MicroMin is the run length, in micro-ops after fusion, at which
@@ -92,136 +128,257 @@ type micro struct {
 	a   int32
 	b   int32 // register, array/global symbol, or shift count
 	imm int64
-	m   uint64 // mDivK, mModK: recip(imm)
+	m   uint64 // mDivK, mModK: recip(imm); mFold: the mask
 }
 
 // microExec wraps a decoded run in the executing closure.
 func microExec(ms []micro) instrFn {
-	return func(x *Exec, fr *frame) {
-		r := fr.regs
-		g := x.globals
-		for i := range ms {
-			m := &ms[i]
-			switch m.op {
-			case mConst:
-				r[m.d] = m.imm
-			case mMov:
-				r[m.d] = r[m.a]
-			case mAdd:
-				r[m.d] = r[m.a] + r[m.b]
-			case mSub:
-				r[m.d] = r[m.a] - r[m.b]
-			case mMul:
-				r[m.d] = r[m.a] * r[m.b]
-			case mDiv:
-				r[m.d] = safeDiv(r[m.a], r[m.b])
-			case mMod:
-				r[m.d] = safeMod(r[m.a], r[m.b])
-			case mNeg:
-				r[m.d] = -r[m.a]
-			case mNot:
-				r[m.d] = b2i(r[m.a] == 0)
-			case mEq:
-				r[m.d] = b2i(r[m.a] == r[m.b])
-			case mNe:
-				r[m.d] = b2i(r[m.a] != r[m.b])
-			case mLt:
-				r[m.d] = b2i(r[m.a] < r[m.b])
-			case mLe:
-				r[m.d] = b2i(r[m.a] <= r[m.b])
-			case mGt:
-				r[m.d] = b2i(r[m.a] > r[m.b])
-			case mGe:
-				r[m.d] = b2i(r[m.a] >= r[m.b])
-			case mBAnd:
-				r[m.d] = r[m.a] & r[m.b]
-			case mBOr:
-				r[m.d] = r[m.a] | r[m.b]
-			case mBXor:
-				r[m.d] = r[m.a] ^ r[m.b]
-			case mShl:
-				r[m.d] = r[m.a] << uint(r[m.b]&63)
-			case mShr:
-				r[m.d] = r[m.a] >> uint(r[m.b]&63)
-			case mAddK:
-				r[m.d] = r[m.a] + m.imm
-			case mSubK:
-				r[m.d] = r[m.a] - m.imm
-			case mMulK:
-				r[m.d] = r[m.a] * m.imm
-			case mEqK:
-				r[m.d] = b2i(r[m.a] == m.imm)
-			case mNeK:
-				r[m.d] = b2i(r[m.a] != m.imm)
-			case mLtK:
-				r[m.d] = b2i(r[m.a] < m.imm)
-			case mLeK:
-				r[m.d] = b2i(r[m.a] <= m.imm)
-			case mGtK:
-				r[m.d] = b2i(r[m.a] > m.imm)
-			case mGeK:
-				r[m.d] = b2i(r[m.a] >= m.imm)
-			case mBAndK:
-				r[m.d] = r[m.a] & m.imm
-			case mBOrK:
-				r[m.d] = r[m.a] | m.imm
-			case mBXorK:
-				r[m.d] = r[m.a] ^ m.imm
-			case mShlK:
-				r[m.d] = r[m.a] << uint(m.imm&63)
-			case mShrK:
-				r[m.d] = r[m.a] >> uint(m.imm&63)
-			case mLoadG:
-				r[m.d] = g[m.b]
-			case mStoreG:
-				g[m.b] = r[m.a]
-			case mLoadA:
-				arr := x.arrays[m.b]
-				if len(arr) == 0 {
-					r[m.d] = 0
-				} else {
-					r[m.d] = arr[wrap(r[m.a], int64(len(arr)))]
-				}
-			case mStoreA:
-				arr := x.arrays[m.b]
-				if len(arr) > 0 {
-					arr[wrap(r[m.a], int64(len(arr)))] = r[m.d]
-				}
-			case mStoreAK:
-				arr := x.arrays[m.b]
-				if len(arr) > 0 {
-					arr[wrap(r[m.a], int64(len(arr)))] = m.imm
-				}
-			case mGAddK:
-				g[m.b] += m.imm
-			case mGSubK:
-				g[m.b] -= m.imm
-			case mGMulK:
-				g[m.b] *= m.imm
-			case mGBAndK:
-				g[m.b] &= m.imm
-			case mGBOrK:
-				g[m.b] |= m.imm
-			case mGBXorK:
-				g[m.b] ^= m.imm
-			case mGAdd:
-				g[m.b] += r[m.a]
-			case mGSub:
-				g[m.b] -= r[m.a]
-			case mGMul:
-				g[m.b] *= r[m.a]
-			case mGSetK:
-				g[m.b] = m.imm
-			case mDivK:
-				r[m.d] = divK(r[m.a], m.imm, m.m)
-			case mModK:
-				r[m.d] = modK(r[m.a], m.imm, m.m)
-			case mPrint:
-				x.print(r[m.a])
+	return func(x *Exec, fr *frame) { runMicros(x, fr, ms, nil) }
+}
+
+// runMicros is the micro-op loop: it runs ms on fr, calling fns for a
+// trace's counter ops, and returns the step named by the first guard
+// that exits, or -1 once the whole stream has run. A block's run has
+// no guards.
+//
+//ppp:hotpath
+func runMicros(x *Exec, fr *frame, ms []micro, fns []instrFn) int32 {
+	r := fr.regs
+	g := x.globals
+	for i := range ms {
+		m := &ms[i]
+		switch m.op {
+		case mConst:
+			r[m.d] = m.imm
+		case mMov:
+			r[m.d] = r[m.a]
+		case mAdd:
+			r[m.d] = r[m.a] + r[m.b]
+		case mSub:
+			r[m.d] = r[m.a] - r[m.b]
+		case mMul:
+			r[m.d] = r[m.a] * r[m.b]
+		case mDiv:
+			r[m.d] = safeDiv(r[m.a], r[m.b])
+		case mMod:
+			r[m.d] = safeMod(r[m.a], r[m.b])
+		case mNeg:
+			r[m.d] = -r[m.a]
+		case mNot:
+			r[m.d] = b2i(r[m.a] == 0)
+		case mEq:
+			r[m.d] = b2i(r[m.a] == r[m.b])
+		case mNe:
+			r[m.d] = b2i(r[m.a] != r[m.b])
+		case mLt:
+			r[m.d] = b2i(r[m.a] < r[m.b])
+		case mLe:
+			r[m.d] = b2i(r[m.a] <= r[m.b])
+		case mGt:
+			r[m.d] = b2i(r[m.a] > r[m.b])
+		case mGe:
+			r[m.d] = b2i(r[m.a] >= r[m.b])
+		case mBAnd:
+			r[m.d] = r[m.a] & r[m.b]
+		case mBOr:
+			r[m.d] = r[m.a] | r[m.b]
+		case mBXor:
+			r[m.d] = r[m.a] ^ r[m.b]
+		case mShl:
+			r[m.d] = r[m.a] << uint(r[m.b]&63)
+		case mShr:
+			r[m.d] = r[m.a] >> uint(r[m.b]&63)
+		case mAddK:
+			r[m.d] = r[m.a] + m.imm
+		case mSubK:
+			r[m.d] = r[m.a] - m.imm
+		case mMulK:
+			r[m.d] = r[m.a] * m.imm
+		case mEqK:
+			r[m.d] = b2i(r[m.a] == m.imm)
+		case mNeK:
+			r[m.d] = b2i(r[m.a] != m.imm)
+		case mLtK:
+			r[m.d] = b2i(r[m.a] < m.imm)
+		case mLeK:
+			r[m.d] = b2i(r[m.a] <= m.imm)
+		case mGtK:
+			r[m.d] = b2i(r[m.a] > m.imm)
+		case mGeK:
+			r[m.d] = b2i(r[m.a] >= m.imm)
+		case mBAndK:
+			r[m.d] = r[m.a] & m.imm
+		case mBOrK:
+			r[m.d] = r[m.a] | m.imm
+		case mBXorK:
+			r[m.d] = r[m.a] ^ m.imm
+		case mShlK:
+			r[m.d] = r[m.a] << uint(m.imm&63)
+		case mShrK:
+			r[m.d] = r[m.a] >> uint(m.imm&63)
+		case mLoadG:
+			r[m.d] = g[m.b]
+		case mStoreG:
+			g[m.b] = r[m.a]
+		case mLoadA:
+			arr := x.arrays[m.b]
+			if len(arr) == 0 {
+				r[m.d] = 0
+			} else {
+				r[m.d] = arr[wrap(r[m.a], int64(len(arr)))]
 			}
+		case mStoreA:
+			arr := x.arrays[m.b]
+			if len(arr) > 0 {
+				arr[wrap(r[m.a], int64(len(arr)))] = r[m.d]
+			}
+		case mStoreAK:
+			arr := x.arrays[m.b]
+			if len(arr) > 0 {
+				arr[wrap(r[m.a], int64(len(arr)))] = m.imm
+			}
+		case mGAddK:
+			g[m.b] += m.imm
+		case mGSubK:
+			g[m.b] -= m.imm
+		case mGMulK:
+			g[m.b] *= m.imm
+		case mGBAndK:
+			g[m.b] &= m.imm
+		case mGBOrK:
+			g[m.b] |= m.imm
+		case mGBXorK:
+			g[m.b] ^= m.imm
+		case mGAdd:
+			g[m.b] += r[m.a]
+		case mGSub:
+			g[m.b] -= r[m.a]
+		case mGMul:
+			g[m.b] *= r[m.a]
+		case mGSetK:
+			g[m.b] = m.imm
+		case mDivK:
+			r[m.d] = divK(r[m.a], m.imm, m.m)
+		case mModK:
+			r[m.d] = modK(r[m.a], m.imm, m.m)
+		case mDivP2:
+			r[m.d] = divP2(r[m.a], m.b, m.imm)
+		case mModP2:
+			r[m.d] = modP2(r[m.a], m.imm)
+		case mPrint:
+			x.print(r[m.a])
+		case mXEq:
+			if r[m.a] == r[m.b] {
+				return m.d
+			}
+		case mXNe:
+			if r[m.a] != r[m.b] {
+				return m.d
+			}
+		case mXLt:
+			if r[m.a] < r[m.b] {
+				return m.d
+			}
+		case mXLe:
+			if r[m.a] <= r[m.b] {
+				return m.d
+			}
+		case mXGt:
+			if r[m.a] > r[m.b] {
+				return m.d
+			}
+		case mXGe:
+			if r[m.a] >= r[m.b] {
+				return m.d
+			}
+		case mXEqK:
+			if r[m.a] == m.imm {
+				return m.d
+			}
+		case mXNeK:
+			if r[m.a] != m.imm {
+				return m.d
+			}
+		case mXLtK:
+			if r[m.a] < m.imm {
+				return m.d
+			}
+		case mXLeK:
+			if r[m.a] <= m.imm {
+				return m.d
+			}
+		case mXGtK:
+			if r[m.a] > m.imm {
+				return m.d
+			}
+		case mXGeK:
+			if r[m.a] >= m.imm {
+				return m.d
+			}
+		case mXZ:
+			if r[m.a] == 0 {
+				return m.d
+			}
+		case mXNZ:
+			if r[m.a] != 0 {
+				return m.d
+			}
+		case mBump:
+			fr.ft.Edges.BumpSlot(int(m.b))
+		case mFold:
+			fr.r = (fr.r & int64(m.m)) + m.imm
+		case mOps:
+			fns[m.b](x, fr)
+		case mExit:
+			return m.d
 		}
 	}
+	return -1
 }
+
+// exitIf maps a compare micro-op, or mNot, to the exit-if guard that
+// leaves the stream when the compare holds; ok is false for any other
+// micro-op.
+func exitIf(m micro) (micro, bool) {
+	x := micro{a: m.a, b: m.b, imm: m.imm}
+	switch m.op {
+	case mEq, mNe, mLt, mLe, mGt, mGe:
+		x.op = mXEq + (m.op - mEq)
+	case mEqK, mNeK, mLtK, mLeK, mGtK, mGeK:
+		x.op = mXEqK + (m.op - mEqK)
+	case mNot:
+		x.op, x.b = mXZ, 0
+	default:
+		return micro{}, false
+	}
+	return x, true
+}
+
+// negExit is the exit-if opcode that exits exactly when op does not.
+var negExit = [...]uint8{
+	mXEq - mXEq: mXNe, mXNe - mXEq: mXEq,
+	mXLt - mXEq: mXGe, mXLe - mXEq: mXGt, mXGt - mXEq: mXLe, mXGe - mXEq: mXLt,
+	mXEqK - mXEq: mXNeK, mXNeK - mXEq: mXEqK,
+	mXLtK - mXEq: mXGeK, mXLeK - mXEq: mXGtK, mXGtK - mXEq: mXLeK, mXGeK - mXEq: mXLtK,
+	mXZ - mXEq: mXNZ, mXNZ - mXEq: mXZ,
+}
+
+// guardAt returns the guard of step i on a branch whose condition is
+// test (the exit-if that exits when the branch is taken): it exits when
+// the branch leaves the trace's direction want.
+func guardAt(test micro, want bool, i int) micro {
+	if want {
+		test.op = negExit[test.op-mXEq]
+	}
+	test.d = int32(i)
+	return test
+}
+
+// isExitIf reports whether op is an exit-if guard.
+func isExitIf(op uint8) bool { return op >= mXEq && op <= mXNZ }
+
+// exitNames names the exit-if opcodes, indexed from mXEq.
+var exitNames = [...]string{"eq", "ne", "lt", "le", "gt", "ge", "eqk", "nek", "ltk", "lek", "gtk", "gek", "z", "nz"}
 
 // print writes one print() value to the run's output, if any.
 func (x *Exec) print(v int64) {
@@ -356,6 +513,10 @@ func microClosure(m micro) instrFn {
 	case mModK:
 		mk := m.m
 		return func(x *Exec, fr *frame) { r := fr.regs; r[d] = modK(r[a], k, mk) }
+	case mDivP2:
+		return func(x *Exec, fr *frame) { r := fr.regs; r[d] = divP2(r[a], b, k) }
+	case mModP2:
+		return func(x *Exec, fr *frame) { r := fr.regs; r[d] = modP2(r[a], k) }
 	case mPrint:
 		return func(x *Exec, fr *frame) { x.print(fr.regs[a]) }
 	}
@@ -363,11 +524,14 @@ func microClosure(m micro) instrFn {
 }
 
 // microCond lowers a compare micro-op that writes a branch's condition
-// register into the branch's condFn, and returns nil for any other
-// micro-op. The condition register is stored only when something
-// besides the branch reads it; the common fresh compare temp never
-// touches memory.
-func (c *comp) microCond(m micro) condFn {
+// register, read by nothing but the branch, into the branch's condFn
+// and the exit-if guard that exits when the branch is taken, and
+// reports false for any other micro-op, which stays in the run.
+func (c *comp) microCond(m micro) (condFn, micro, bool) {
+	test, ok := exitIf(m)
+	if !ok || c.reads[m.d] > 1 {
+		return nil, micro{}, false
+	}
 	a, b, k := m.a, m.b, m.imm
 	var f condFn
 	switch m.op {
@@ -397,14 +561,8 @@ func (c *comp) microCond(m micro) condFn {
 		f = func(x *Exec, fr *frame) bool { return fr.regs[a] > k }
 	case mGeK:
 		f = func(x *Exec, fr *frame) bool { return fr.regs[a] >= k }
-	default:
-		return nil
 	}
-	if c.reads[m.d] > 1 {
-		st, d := microClosure(m), m.d
-		return func(x *Exec, fr *frame) bool { st(x, fr); return fr.regs[d] != 0 }
-	}
-	return f
+	return f, test, true
 }
 
 // binMicro maps a plain binary/unary opcode to its micro form.
@@ -582,6 +740,13 @@ func (c *comp) microConstPair(a, b *ir.Instr) (m micro, skip, ok bool) {
 			return micro{op: mStoreAK, a: int32(b.A), b: int32(b.Sym), imm: k}, skip, true
 		}
 		if k > 1 && (b.Op == ir.Div || b.Op == ir.Mod) {
+			if k&(k-1) == 0 {
+				op := mDivP2
+				if b.Op == ir.Mod {
+					op = mModP2
+				}
+				return micro{op: op, d: int32(b.Dst), a: int32(b.A), b: int32(bits.TrailingZeros64(uint64(k))), imm: k - 1}, skip, true
+			}
 			op := mDivK
 			if b.Op == ir.Mod {
 				op = mModK

@@ -24,17 +24,21 @@ import (
 // restart. So a trace runs exactly when the frame's trie cursor equals
 // its key, with no lookup on any other transition.
 //
-// A trace runs, for each block of the path, the block's own code and
-// one guard per conditional (the block's own condition, expecting the
-// path's direction), then the on-trace transition's edge bump and
-// register fold or counter op. Everything else a transition does is
-// constant along a path and happens once: the step, base and
-// instrumentation charges are summed, the trie cursor and pending path
-// are known, and a complete path ends in one AddAt (and path hook) on
-// its known node. A guard that fails side-exits: it restores the
-// charges, pending path and trie cursor of the prefix from per-exit
-// constants, then runs the off-trace arm's ordinary closure, and
-// dispatch continues normally.
+// A trace is one micro-op stream (micro.go), run by the loop block
+// runs use. For each block of the path it holds the block's own
+// lowered run, one exit-if guard per conditional (the block's fused
+// compare, or a test of its condition register, exiting when the
+// branch leaves the path's direction), then the on-trace transition's
+// edge bump and register fold or counter-op call. Everything else a
+// transition does is constant along a path and happens once: the
+// step, base and instrumentation charges are summed, the trie cursor
+// and pending path are known, and a complete path ends in one AddAt
+// (and path hook) on its known node. A guard that exits names its
+// step: the trace continues in that guard's side trace, if one has
+// formed, or side-exits, restoring the charges, pending path and trie
+// cursor of the prefix from per-exit constants and running the
+// off-trace arm's ordinary closure, after which dispatch continues
+// normally.
 //
 // Traces cover solo blocks only: a trace stops before the first block
 // with a call, leaving the path open there. The executor enters a trace
@@ -48,8 +52,9 @@ import (
 // A metered run counts a trace the way the transitions' meter would
 // (term.go): every exit and the trace's end carry the summed VM
 // counters of the transitions before them, which one branch adds, and
-// a trace that completes a path counts it. Validation compares those
-// counters with the step's at every exit and end.
+// a trace that completes a path counts it. The same branch counts the
+// trace entry and, at an exit, the side exit. Validation compares the
+// transitions' counters with the step's at every exit and end.
 
 // TraceAt is the path count at which a path becomes a trace: after
 // TraceAt identical replicas on one Exec, every path a replica takes
@@ -70,37 +75,31 @@ const (
 	tailOpen
 )
 
-// tstep is one block of a trace and the on-trace transition out of it:
-// what the trace runs there, packed into one cache line. The state a
-// side exit restores there is in the parallel texit.
+// tstep is one block of a trace and the on-trace transition out of it.
+// Its micro-ops are a range of the trace's stream: the block's run from
+// at, its guard at guard (-1: none), and the transition's effects from
+// fx up to the next step's at. The state a side exit restores there is
+// in the parallel texit.
 type tstep struct {
-	code instrFn // the block's body; nil for none
-	// The guard: cond, else the condition register creg (-1: no
-	// guard). want is the on-trace direction.
-	cond condFn
-	// The on-trace transition's effects: the counter op, else the
-	// register fold, and the edge slot (-1: none).
-	ops       instrFn
-	mask, add int64
-	// side is the side trace a failed guard continues in, once one is
-	// formed: the tree's trace of the hot path that leaves here.
-	side       *trace
-	creg, slot int32
-	want       bool
+	// side is the side trace the guard continues in when it exits, once
+	// one is formed: the tree's trace of the hot path that leaves here.
+	side          *trace
+	at, guard, fx int32
+	want          bool // the on-trace direction of the guard
 }
 
 // guarded reports whether the step's block has a guard of its own.
-func (s *tstep) guarded() bool { return s.cond != nil || s.creg >= 0 }
+func (s *tstep) guarded() bool { return s.guard >= 0 }
 
 // texit is a step's side-exit state: the off-trace arm, the charges
 // and VM counters of the transitions before the step, the trie node at
 // its block, and how many edges the trace appended to the pending path
-// before it.
+// before it. hits counts the side exits a metered run took there.
 type texit struct {
-	arm                termFn
-	steps, base, icost int64
-	n                  tally
-	node, plen         int32
+	arm                      termFn
+	steps, base, icost, hits int64
+	n                        tally
+	node, plen               int32
 }
 
 // trace is one hot path compiled for one Exec.
@@ -108,9 +107,13 @@ type trace struct {
 	fi     int32
 	head   int32 // head block
 	prefix int32 // pending-path edges at entry: 0 at the frame entry, 1 (the entry dummy) at a loop header
-	steps  []tstep
-	exits  []texit // steps' side-exit state
-	tail   tailKind
+	// code is the trace's stream and fns the counter-op closures its
+	// mOps micro-ops call.
+	code  []micro
+	fns   []instrFn
+	steps []tstep
+	exits []texit // steps' side-exit state
+	tail  tailKind
 	// need, base, icost and n are the trace's charges and VM counters
 	// at its end, from its root's entry. budget, on a root trace, is
 	// the largest need in its tree: what a trace entry must fit.
@@ -137,44 +140,30 @@ type trace struct {
 
 // run executes the trace tree from its root's head, already charged
 // and budget-checked by the executor. It returns the next block to
-// run, nil for a return. Validation drives run itself, on copies whose
-// guards are forced (validate.go).
+// run, nil for a return. Validation drives run itself, on copies with
+// forced streams (validate.go).
 //
 //ppp:hotpath
 func (t *trace) run(x *Exec, fr *frame) *blockCode {
-tree:
 	for {
-		for i := range t.steps {
-			s := &t.steps[i]
-			if s.code != nil {
-				s.code(x, fr)
-			}
-			if s.cond != nil {
-				if s.cond(x, fr) != s.want {
-					if s.side != nil {
-						t = s.side
-						continue tree
-					}
-					return t.exit(x, fr, i)
-				}
-			} else if s.creg >= 0 && (fr.regs[s.creg] != 0) != s.want {
-				if s.side != nil {
-					t = s.side
-					continue tree
-				}
-				return t.exit(x, fr, i)
-			}
-			if s.slot >= 0 {
-				fr.ft.Edges.BumpSlot(int(s.slot))
-			}
-			if s.ops != nil {
-				s.ops(x, fr)
-			} else {
-				fr.r = (fr.r & s.mask) + s.add
-			}
+		i := runMicros(x, fr, t.code, t.fns)
+		if i < 0 {
+			return t.complete(x, fr)
 		}
-		return t.complete(x, fr)
+		if side := t.steps[i].side; side != nil {
+			t = side
+			continue
+		}
+		return t.exit(x, fr, int(i))
 	}
+}
+
+// fxEnd is where step i's effects end in t's stream.
+func (t *trace) fxEnd(i int) int32 {
+	if i+1 < len(t.steps) {
+		return t.steps[i+1].at
+	}
+	return int32(len(t.code))
 }
 
 // exit side-exits at step i: the prefix's charges, pending path and
@@ -186,6 +175,9 @@ func (t *trace) exit(x *Exec, fr *frame, i int) *blockCode {
 	x.icost += e.icost
 	if x.metered {
 		x.count(&e.n)
+		x.tel.TraceEntries.Inc()
+		x.tel.TraceExits.Inc()
+		e.hits++
 	}
 	fr.path = append(fr.path, t.ids[t.prefix:t.prefix+e.plen]...) //ppp:allow(alloc)
 	fr.trie = e.node
@@ -199,6 +191,7 @@ func (t *trace) complete(x *Exec, fr *frame) *blockCode {
 	x.icost += t.icost
 	if x.metered {
 		x.count(&t.n)
+		x.tel.TraceEntries.Inc()
 		if t.tail != tailOpen {
 			x.tel.Paths.Inc()
 			x.tel.PathLen.Observe(int64(len(t.ids)))
@@ -230,10 +223,13 @@ func (t *trace) complete(x *Exec, fr *frame) *blockCode {
 }
 
 // traceConsts exposes a formed trace's whole-trace constants to the
-// mutation hook below.
+// mutation hook below. Guarded reports that the trace has a guard of
+// its own; a hook that sets FlipGuard reverses the first one's
+// direction.
 type traceConsts struct {
 	Steps, Base, ICost int64
 	End                int32
+	Guarded, FlipGuard bool
 }
 
 // testMutateTrace, when non-nil, may corrupt a trace's constants after
@@ -258,9 +254,14 @@ func (x *Exec) formTrace(fr *frame) {
 		return
 	}
 	if testMutateTrace != nil {
-		c := traceConsts{Steps: t.need, Base: t.base, ICost: t.icost, End: t.end}
+		g := slices.IndexFunc(t.steps, func(s tstep) bool { return s.guarded() })
+		c := traceConsts{Steps: t.need, Base: t.base, ICost: t.icost, End: t.end, Guarded: g >= 0}
 		testMutateTrace(fc.name, int(t.head), &c)
 		t.need, t.base, t.icost, t.end = c.Steps, c.Base, c.ICost, c.End
+		if c.FlipGuard && g >= 0 {
+			m := &t.code[t.steps[g].guard]
+			m.op = negExit[m.op-mXEq]
+		}
 	}
 	if x.tv == nil {
 		x.tv = NewValidator(x.p)
@@ -349,6 +350,9 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 		}
 	}
 	t.need, t.base, t.icost, t.n = from.steps, from.base, from.icost, from.n
+	// The stream is built in the Exec's scratch and copied out once its
+	// length is known.
+	t.code = x.tcode[:0]
 	node := from.node
 	// A step per remaining edge, and one for a return.
 	t.steps = make([]tstep, 0, len(ids)-k+1)
@@ -362,12 +366,13 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 			t.tail, t.next = tailOpen, bc
 			break
 		}
-		s := tstep{code: bc.code, cond: src.cond, creg: src.creg, mask: -1, slot: -1}
+		s := tstep{at: int32(len(t.code)), guard: -1}
 		e := texit{steps: t.need, base: t.base, icost: t.icost, n: t.n, node: node, plen: from.plen + int32(len(t.steps))}
-		if t.parent != nil && len(t.steps) == 0 {
-			// A side trace starts in its fork's block, whose code and
-			// guard its parent has run.
-			s.code, s.cond, s.creg = nil, nil, -1
+		// A side trace starts in its fork's block, whose run and guard
+		// its parent has run.
+		fork := t.parent != nil && len(t.steps) == 0
+		if !fork {
+			t.code = append(t.code, src.body...)
 		}
 		if k == len(ids) {
 			// The path ended in this block: its return. The block runs
@@ -376,6 +381,7 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 			if bc.arms[1] != nil || src.consts[0].to != nil {
 				return nil, nil
 			}
+			s.fx = int32(len(t.code))
 			t.steps, t.exits = append(t.steps, s), append(t.exits, e)
 			t.need += src.consts[0].steps
 			t.base += src.consts[0].base
@@ -388,10 +394,13 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 		}
 		ac := &src.consts[arm]
 		s.want = arm == 0
-		if s.guarded() {
+		if bc.arms[1] != nil && !fork {
+			s.guard = int32(len(t.code))
+			t.code = append(t.code, guardAt(src.test, s.want, len(t.steps)))
 			e.arm = bc.arms[1-arm]
 		}
-		s.slot, s.ops, s.mask, s.add = ac.slot, ac.ops, ac.mask, ac.add
+		s.fx = int32(len(t.code))
+		t.appendEffects(ac)
 		t.steps, t.exits = append(t.steps, s), append(t.exits, e)
 		t.need += ac.steps
 		t.base += ac.base
@@ -411,12 +420,60 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 		b = int32(spec.Succs[b][arm].To)
 	}
 	t.end = node
+	x.tcode, t.code = t.code, slices.Clone(t.code)
 	n := len(ids)
 	if t.tail == tailOpen {
 		n = int(t.prefix+from.plen) + len(t.steps)
 	}
 	t.ids = slices.Clone(ids[:n])
 	return t, root
+}
+
+// appendEffects appends the micro-ops of a transition with constants
+// ac to t's stream: its edge bump, then its counter-op call or its
+// register fold (none for the identity fold).
+func (t *trace) appendEffects(ac *armConsts) {
+	if ac.slot >= 0 {
+		t.code = append(t.code, micro{op: mBump, b: ac.slot})
+	}
+	switch {
+	case ac.ops != nil:
+		t.code = append(t.code, micro{op: mOps, b: int32(len(t.fns))})
+		t.fns = append(t.fns, ac.ops)
+	case ac.mask != -1 || ac.add != 0:
+		t.code = append(t.code, micro{op: mFold, imm: ac.add, m: uint64(ac.mask)})
+	}
+}
+
+// GuardExits calls visit for every guard of every trace installed on
+// x, with the name of its exit-if opcode and the side exits it has
+// taken on metered runs.
+func (x *Exec) GuardExits(visit func(op string, exits int64)) {
+	var walk func(t *trace)
+	walk = func(t *trace) {
+		for i := range t.steps {
+			s := &t.steps[i]
+			if s.guarded() {
+				visit(exitNames[t.code[s.guard].op-mXEq], t.exits[i].hits)
+			}
+			if s.side != nil {
+				walk(s.side)
+			}
+		}
+	}
+	seen := map[*trace]bool{}
+	root := func(h *blockCode) {
+		if h != nil && !seen[h.trace] {
+			seen[h.trace] = true
+			walk(h.trace)
+		}
+	}
+	for fi := range x.entryHead {
+		root(x.entryHead[fi])
+		for _, m := range x.rootMemo[fi] {
+			root(m.head)
+		}
+	}
 }
 
 // pathArm returns the arm of block bc (successor specs succs) whose

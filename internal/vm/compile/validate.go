@@ -53,7 +53,9 @@ package compile
 //
 // Hot-path traces (trace.go) are formed during runs, not compiled here;
 // Validator.Trace checks each one against the same step when it is
-// formed, before the Exec installs it.
+// formed, before the Exec installs it, and checks each of its guards,
+// which the trace former derives from a block's branch, against that
+// branch.
 //
 // What IS proven statically per function, before any probes: segment
 // charges resum to the interpreter's per-instruction accounting
@@ -284,12 +286,14 @@ type Validator struct {
 	stale bool
 	// The reused buffers of Trace: the trace's path, the reference
 	// walk, the renumbered exits, and the forced copies of the trace
-	// and its ancestors that probes run, with their steps.
+	// and its ancestors that probes run, with their steps and their
+	// streams.
 	path   []pathStep
 	walk   []traceArm
 	exits  []texit
 	forced []trace
 	fsteps []tstep
+	fcode  []micro
 }
 
 // vmCells holds the VM counters validation compares. The path-length
@@ -671,17 +675,20 @@ func tableField(d profile.TableDiff) string {
 // Trace validates trace t, formed by an Exec whose path profile for
 // t's routine is live. The reference walks t's path through the
 // routine's successor specs, independently of the trace's constants,
-// and checks the trace's shape against the walk (tracePath). The
-// trie nodes the trace names are checked against a read-only walk of
-// live along the path, then renumbered into the twin containers
-// (renumber), where Stepper steps the walk's arms as the reference.
-// Every side exit of t and its end are then driven from every probe
-// register value, by trace.run itself from its root's entry, and the
-// full observable state is compared each time (compare), as for a
-// single arm. run drives copies of t and its ancestors (forceTree)
-// without block bodies and with forced guards: the bodies and
-// conditions are the blocks' own code, which Func does not validate
-// either.
+// and checks the trace's shape against the walk (tracePath). Each of
+// t's steps must run its block's own lowered run, and each of its
+// guards must exit exactly when the block's own branch leaves the
+// path, on every probe register value (checkGuards). The trie nodes
+// the trace names are checked against a read-only walk of live along
+// the path, then renumbered into the twin containers (renumber), where
+// Stepper steps the walk's arms as the reference. Every side exit of t
+// and its end are then driven from every probe register value, by
+// trace.run itself from its root's entry, and the full observable
+// state is compared each time (compare), as for a single arm. run
+// drives copies of t and its ancestors with forced streams
+// (forceTree): the bodies dropped, a passing guard a no-op and a
+// failing one an exit-always. The bodies are the blocks' own code,
+// which Func does not validate either.
 func (v *Validator) Trace(t *trace, live *profile.PathProfile) (err error) {
 	// Twins are bound fresh for a routine's first trace and after a
 	// divergence. A trace that passes leaves both twins in the same
@@ -705,6 +712,9 @@ func (v *Validator) Trace(t *trace, live *profile.PathProfile) (err error) {
 			err = v.fail(fmt.Sprintf("trace: panic: %v", r), 0, 0)
 		}
 	}()
+	if err := v.checkGuards(t); err != nil {
+		return err
+	}
 	c, err := v.renumber(t, live)
 	if err != nil {
 		return err
@@ -723,6 +733,81 @@ func (v *Validator) Trace(t *trace, live *profile.PathProfile) (err error) {
 		}
 	}
 	v.stale = false
+	return nil
+}
+
+// checkGuards checks t's stream outside the transitions' effects: each
+// step runs its block's lowered run (none at a side trace's first
+// step, whose fork ran it) and then, on a branch, one exit-if guard
+// naming the step. Each guard is run alone by runMicros, with its
+// operands, and those of the block's own branch (its condFn or
+// condition register), set to every probe register value, the
+// constants either compares with, and the values one off those; it
+// must exit exactly when the branch leaves the path's direction.
+func (v *Validator) checkGuards(t *trace) error {
+	pre := len(v.path) - len(t.steps)
+	x, fr := v.x, &v.fr
+	for i := range t.steps {
+		s, w := &t.steps[i], v.walk[pre+i]
+		src := &v.fc.traceSrc[w.b]
+		end := s.fx
+		if s.guarded() {
+			end = s.guard
+		}
+		body := src.body
+		if i == 0 && t.parent != nil {
+			body = nil
+		}
+		if !slices.Equal(t.code[s.at:end], body) {
+			return v.fail(fmt.Sprintf("trace: step %d body", i), int64(end-s.at), int64(len(body)))
+		}
+		if !s.guarded() {
+			continue
+		}
+		if s.fx != s.guard+1 {
+			return v.fail(fmt.Sprintf("trace: step %d guard", i), int64(s.fx-s.guard), 1)
+		}
+		g := t.code[s.guard]
+		if !isExitIf(g.op) || g.d != int32(i) {
+			return v.fail(fmt.Sprintf("trace: step %d guard", i), int64(g.d), int64(i))
+		}
+		// The probe values, and each constant compared with and its
+		// neighbours.
+		var buf [12]int64
+		vals := append(buf[:0], vProbes...)
+		for _, m := range [...]micro{g, src.test} {
+			if m.op >= mXEqK && m.op <= mXGeK {
+				vals = append(vals, m.imm-1, m.imm, m.imm+1)
+			}
+		}
+		// b, the second register operand, matters only to a register
+		// compare.
+		nb := int64(1)
+		if g.op < mXEqK || src.test.op < mXEqK {
+			nb = 3
+		}
+		v.resetProbe(0, nil, 0)
+		for _, a := range vals {
+			for j := range nb {
+				b := a - 1 + j
+				for _, m := range [...]micro{g, src.test} {
+					fr.regs[m.a] = a
+					if m.op < mXEqK {
+						fr.regs[m.b] = b
+					}
+				}
+				taken := fr.regs[src.test.a] != 0
+				if src.cond != nil {
+					taken = src.cond(x, fr)
+				}
+				want := taken != (w.arm == 0)
+				if got := runMicros(x, fr, []micro{g}, nil); got != -1 && got != int32(i) || (got >= 0) != want {
+					v.probe = a
+					return v.fail(fmt.Sprintf("trace: step %d guard exit", i), int64(got), b2i(want))
+				}
+			}
+		}
+	}
 	return nil
 }
 
@@ -800,24 +885,22 @@ func (v *Validator) pathTo(t *trace, n int) {
 	}
 }
 
-// forcedGuards stand in for a trace's conditions when validation
-// drives trace.run: [0] always false, [1] always true.
-var forcedGuards = [2]condFn{
-	func(*Exec, *frame) bool { return false },
-	func(*Exec, *frame) bool { return true },
-}
-
 // forceTree copies c and its ancestors into the validator's buffers
-// for probes to run: block bodies dropped and every guard forced to
-// pass, except each ancestor's fork guard, which fails into the copy
-// of its child. It returns the root's copy; c's copy is v.forced[0].
+// for probes to run, with forced streams: each step's transition
+// effects, the block bodies dropped, and every guard a no-op (mNop),
+// except each ancestor's fork guard, an exit-always (mExit) into the
+// copy of its child. A probe turns one of c's no-ops into an exit. It
+// returns the root's copy; c's copy is v.forced[0].
 func (v *Validator) forceTree(c *trace) *trace {
-	n, depth := len(c.steps), 1
+	n, depth, size := len(c.steps), 1, len(c.code)
 	for a := c; a.parent != nil; a = a.parent {
-		n, depth = n+int(a.fork)+1, depth+1
+		n, depth, size = n+int(a.fork)+1, depth+1, size+len(a.parent.code)
 	}
 	v.fsteps = slices.Grow(v.fsteps[:0], n)
 	v.forced = slices.Grow(v.forced[:0], depth)[:depth]
+	// No forced stream is longer than its trace's, so v.fcode does not
+	// grow past size and the copies can slice it as they go.
+	v.fcode = slices.Grow(v.fcode[:0], size)
 	for d, a := 0, c; ; d++ {
 		ft := &v.forced[d]
 		*ft = *a
@@ -825,19 +908,26 @@ func (v *Validator) forceTree(c *trace) *trace {
 		if d > 0 {
 			m = int(v.forced[d-1].fork) + 1
 		}
-		i0 := len(v.fsteps)
-		for _, s := range a.steps[:m] {
-			s.code, s.side = nil, nil
+		i0, c0 := len(v.fsteps), len(v.fcode)
+		for j, s := range a.steps[:m] {
+			s.at, s.side = int32(len(v.fcode)-c0), nil
 			if s.guarded() {
-				s.cond = forcedGuards[b2i(s.want)]
+				g := micro{op: mNop, d: int32(j)}
+				if d > 0 && j == m-1 {
+					g.op, s.side = mExit, &v.forced[d-1]
+				}
+				s.guard = int32(len(v.fcode) - c0)
+				v.fcode = append(v.fcode, g)
+			}
+			fx, end := s.fx, a.fxEnd(j)
+			s.fx = int32(len(v.fcode) - c0)
+			if s.side == nil {
+				v.fcode = append(v.fcode, a.code[fx:end]...)
 			}
 			v.fsteps = append(v.fsteps, s)
 		}
 		ft.steps = v.fsteps[i0:len(v.fsteps):len(v.fsteps)]
-		if d > 0 {
-			f := &ft.steps[m-1]
-			f.cond, f.side = forcedGuards[b2i(!f.want)], &v.forced[d-1]
-		}
+		ft.code = v.fcode[c0:len(v.fcode):len(v.fcode)]
 		if a.parent == nil {
 			return ft
 		}
@@ -937,9 +1027,9 @@ func (v *Validator) probeTrace(root *trace, exit, next int, probe int64) error {
 	n := len(t.steps)
 	if exit >= 0 {
 		n = exit
-		g := &t.steps[exit]
-		g.cond = forcedGuards[b2i(!g.want)]
-		defer func() { g.cond = forcedGuards[b2i(g.want)] }()
+		g := &t.code[t.steps[exit].guard]
+		g.op = mExit
+		defer func() { g.op = mNop }()
 	}
 	ret := root.run(x, fr)
 	pre := len(v.path) - len(t.steps) // the ancestors' steps

@@ -388,3 +388,29 @@ func TestValidateRejectsMutatedTrace(t *testing.T) {
 		})
 	}
 }
+
+// TestValidateRejectsMutatedGuard proves the guard check is not
+// vacuous: the validator's forced streams replace every guard, so a
+// trace whose guard exits in the wrong direction passes every exit and
+// end probe, and only the check of each guard against its block's own
+// branch can reject it. The trace must be rejected, and the run's
+// results must stay exactly those of an unmutated run.
+func TestValidateRejectsMutatedGuard(t *testing.T) {
+	_, prog, plans := buildPlanned(t, vm.Options{CollectPaths: true}, instr.PPP(), instr.DefaultParams())
+	wantRet, wantFP, clean := runExec(t, prog, plans)
+	if clean.Formed == 0 || clean.Rejected != 0 {
+		t.Fatalf("unmutated run formed traces %+v, want some and none rejected", clean)
+	}
+	site := compile.MutateFirstTraceGuard()
+	defer compile.ClearMutateTrace()
+	ret, fp, got := runExec(t, prog, plans)
+	if site.From < 0 {
+		t.Fatal("no formed trace had a guard to mutate")
+	}
+	if got.Rejected != 1 {
+		t.Errorf("trace with a reversed guard at %s block %d: %d traces rejected, want 1", site.Fn, site.From, got.Rejected)
+	}
+	if ret != wantRet || fp != wantFP {
+		t.Errorf("mutated run: ret %d fingerprint %#x, want %d %#x", ret, fp, wantRet, wantFP)
+	}
+}

@@ -78,6 +78,14 @@ func peepholePatterns() []pattern {
 		add(fmt.Sprintf("const feeds both of %v", op), false, nil, konst(pT, 6), bin(op, pA, pT, pT))
 		add(fmt.Sprintf("const feeds B of %v, read later", op), false, []int{pT}, konst(pT, 5), bin(op, pA, pB, pT))
 	}
+	// Power-of-two divisors lower to a shift and a mask: a negative and
+	// a positive dividend.
+	for _, op := range []ir.Opcode{ir.Div, ir.Mod} {
+		for _, k := range []int64{2, 4, 64, 1 << 62} {
+			add(fmt.Sprintf("const %d feeds B of %v", k, op), false, nil, konst(pT, k), bin(op, pA, pB, pT))
+			add(fmt.Sprintf("const %d feeds B of %v, positive dividend", k, op), false, nil, konst(pT, k), bin(op, pA, pC, pT))
+		}
+	}
 	for _, k := range []int64{9, 0} {
 		add(fmt.Sprintf("const %d feeds mov", k), false, nil, konst(pT, k), ir.Instr{Op: ir.Mov, Dst: pA, A: pT})
 		add(fmt.Sprintf("const %d feeds storeg", k), false, nil, konst(pT, k), ir.Instr{Op: ir.StoreG, A: pT, Sym: 2})
