@@ -123,5 +123,81 @@ func MutateFirstTraceGuard() *MutatedSite {
 	})
 }
 
+// mutateFirstExit arms the hook to corrupt, with apply, the side-exit
+// state of the first guard of the first trace that has one.
+func mutateFirstExit(apply func(c *traceConsts)) *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) bool {
+		if c.Guarded {
+			apply(c)
+		}
+		return c.Guarded
+	})
+}
+
+// MutateFirstExitSteps arms the hook to add delta to the step charge
+// that the first guard's side exit restores.
+func MutateFirstExitSteps(delta int64) *MutatedSite {
+	return mutateFirstExit(func(c *traceConsts) { c.ExitSteps += delta })
+}
+
+// MutateFirstExitBase arms the hook to add delta to the first guard's
+// side-exit base cost.
+func MutateFirstExitBase(delta int64) *MutatedSite {
+	return mutateFirstExit(func(c *traceConsts) { c.ExitBase += delta })
+}
+
+// MutateFirstExitICost arms the hook to add delta to the first guard's
+// side-exit instrumentation cost.
+func MutateFirstExitICost(delta int64) *MutatedSite {
+	return mutateFirstExit(func(c *traceConsts) { c.ExitICost += delta })
+}
+
+// MutateFirstExitTally arms the hook to add delta to the transitions
+// the first guard's side exit counts in a metered run.
+func MutateFirstExitTally(delta int64) *MutatedSite {
+	return mutateFirstExit(func(c *traceConsts) { c.ExitTrans += delta })
+}
+
+// MutateFirstExitNode arms the hook to move the trie node the first
+// guard's side exit restores delta nodes along.
+func MutateFirstExitNode(delta int32) *MutatedSite {
+	return mutateFirstExit(func(c *traceConsts) { c.ExitNode += delta })
+}
+
+// MutateFirstExitPlen arms the hook to add delta to the pending-path
+// edges the first guard's side exit appends.
+func MutateFirstExitPlen(delta int32) *MutatedSite {
+	return mutateFirstExit(func(c *traceConsts) { c.ExitPlen += delta })
+}
+
+// MutateFirstExitArm arms the hook to have the first guard's side exit
+// call its block's on-trace arm instead of the off-trace one.
+func MutateFirstExitArm() *MutatedSite {
+	return mutateFirstExit(func(c *traceConsts) { c.SwapArm = true })
+}
+
+// MutateFirstTraceFold arms the hook to add delta to the add constant
+// of the last register fold in the stream of the first trace that has
+// one.
+func MutateFirstTraceFold(delta int64) *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) bool {
+		if c.Folded {
+			c.FoldAdd += delta
+		}
+		return c.Folded
+	})
+}
+
+// MutateFirstTraceRestart arms the hook to move the restart node of
+// the first trace that ends at a back edge delta trie nodes along.
+func MutateFirstTraceRestart(delta int32) *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) bool {
+		if c.Back {
+			c.Restart += delta
+		}
+		return c.Back
+	})
+}
+
 // ClearMutateTrace disarms the trace-mutation hook.
 func ClearMutateTrace() { testMutateTrace = nil }

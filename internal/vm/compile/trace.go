@@ -222,14 +222,27 @@ func (t *trace) complete(x *Exec, fr *frame) *blockCode {
 	return t.next
 }
 
-// traceConsts exposes a formed trace's whole-trace constants to the
-// mutation hook below. Guarded reports that the trace has a guard of
-// its own; a hook that sets FlipGuard reverses the first one's
-// direction.
+// traceConsts exposes a formed trace's constants to the mutation hook
+// below. Guarded reports that the trace has a guard of its own; a hook
+// that sets FlipGuard reverses the first one's direction, and the Exit
+// fields are that guard's side-exit state, where SwapArm has the exit
+// call the step's on-trace arm. Back reports a tailBack trace, with its
+// restart node. Folded reports a register fold in the stream, FoldAdd
+// being the last one's add.
 type traceConsts struct {
 	Steps, Base, ICost int64
 	End                int32
 	Guarded, FlipGuard bool
+
+	ExitSteps, ExitBase, ExitICost, ExitTrans int64
+	ExitNode, ExitPlen                        int32
+	SwapArm                                   bool
+
+	Back    bool
+	Restart int32
+
+	Folded  bool
+	FoldAdd int64
 }
 
 // testMutateTrace, when non-nil, may corrupt a trace's constants after
@@ -237,6 +250,56 @@ type traceConsts struct {
 // trace. Tests use it to prove trace validation rejects broken traces;
 // it must stay nil outside tests.
 var testMutateTrace func(fn string, head int, c *traceConsts)
+
+// mutate hands t's constants to testMutateTrace and writes back what
+// it changed.
+func (t *trace) mutate(x *Exec, fc *fnCode) {
+	g := slices.IndexFunc(t.steps, func(s tstep) bool { return s.guarded() })
+	fold := -1
+	for i := range t.code {
+		if t.code[i].op == mFold {
+			fold = i
+		}
+	}
+	c := traceConsts{Steps: t.need, Base: t.base, ICost: t.icost, End: t.end, Guarded: g >= 0,
+		Back: t.tail == tailBack, Restart: t.restart, Folded: fold >= 0}
+	if g >= 0 {
+		e := &t.exits[g]
+		c.ExitSteps, c.ExitBase, c.ExitICost, c.ExitTrans = e.steps, e.base, e.icost, e.n.trans
+		c.ExitNode, c.ExitPlen = e.node, e.plen
+	}
+	if fold >= 0 {
+		c.FoldAdd = t.code[fold].imm
+	}
+	testMutateTrace(fc.name, int(t.head), &c)
+	t.need, t.base, t.icost, t.end, t.restart = c.Steps, c.Base, c.ICost, c.End, c.Restart
+	if fold >= 0 {
+		t.code[fold].imm = c.FoldAdd
+	}
+	if g < 0 {
+		return
+	}
+	if c.FlipGuard {
+		m := &t.code[t.steps[g].guard]
+		m.op = negExit[m.op-mXEq]
+	}
+	e := &t.exits[g]
+	e.steps, e.base, e.icost, e.n.trans = c.ExitSteps, c.ExitBase, c.ExitICost, c.ExitTrans
+	e.node, e.plen = c.ExitNode, c.ExitPlen
+	if c.SwapArm {
+		// The guard's block: the head, or where the path edge before it
+		// leads.
+		b := int(fc.entry)
+		if k := int(t.prefix + e.plen); k > 0 {
+			b = x.p.specs[t.fi].Edges[t.ids[k-1]].Dst.ID
+		}
+		arm := 1
+		if t.steps[g].want {
+			arm = 0
+		}
+		e.arm = fc.blocks[b].arms[arm]
+	}
+}
 
 // formTrace is called when fr's pending path, ending at fr.trie, has
 // just reached TraceAt. With no trace from the path's key yet, it
@@ -254,14 +317,7 @@ func (x *Exec) formTrace(fr *frame) {
 		return
 	}
 	if testMutateTrace != nil {
-		g := slices.IndexFunc(t.steps, func(s tstep) bool { return s.guarded() })
-		c := traceConsts{Steps: t.need, Base: t.base, ICost: t.icost, End: t.end, Guarded: g >= 0}
-		testMutateTrace(fc.name, int(t.head), &c)
-		t.need, t.base, t.icost, t.end = c.Steps, c.Base, c.ICost, c.End
-		if c.FlipGuard && g >= 0 {
-			m := &t.code[t.steps[g].guard]
-			m.op = negExit[m.op-mXEq]
-		}
+		t.mutate(x, fc)
 	}
 	if x.tv == nil {
 		x.tv = NewValidator(x.p)

@@ -353,10 +353,12 @@ func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int6
 }
 
 // TestValidateRejectsMutatedTrace proves trace validation is not
-// vacuous: a trace whose summed charges or end node are corrupted after
-// formation must fail validation and never be installed, so the run's
-// results stay exactly those of an uncorrupted run, which forms and
-// installs every trace.
+// vacuous: a trace whose summed charges or end node, one side exit's
+// restored state or off-trace arm, a register fold in its stream, or
+// its restart node are corrupted after formation must fail validation
+// and never be installed, so the run's results stay exactly those of
+// an uncorrupted run, which forms and installs every trace. runExec is
+// metered, so an exit's VM tally is observable.
 func TestValidateRejectsMutatedTrace(t *testing.T) {
 	_, prog, plans := buildPlanned(t, vm.Options{CollectPaths: true}, instr.PPP(), instr.DefaultParams())
 	wantRet, wantFP, clean := runExec(t, prog, plans)
@@ -371,6 +373,15 @@ func TestValidateRejectsMutatedTrace(t *testing.T) {
 		{"steps", func() *compile.MutatedSite { return compile.MutateFirstTraceSteps(1) }},
 		{"icost", func() *compile.MutatedSite { return compile.MutateFirstTraceICost(2) }},
 		{"end", func() *compile.MutatedSite { return compile.MutateFirstTraceEnd(1) }},
+		{"exit-steps", func() *compile.MutatedSite { return compile.MutateFirstExitSteps(1) }},
+		{"exit-base", func() *compile.MutatedSite { return compile.MutateFirstExitBase(1) }},
+		{"exit-icost", func() *compile.MutatedSite { return compile.MutateFirstExitICost(2) }},
+		{"exit-tally", func() *compile.MutatedSite { return compile.MutateFirstExitTally(1) }},
+		{"exit-node", func() *compile.MutatedSite { return compile.MutateFirstExitNode(1) }},
+		{"exit-plen", func() *compile.MutatedSite { return compile.MutateFirstExitPlen(1) }},
+		{"exit-arm", compile.MutateFirstExitArm},
+		{"fold", func() *compile.MutatedSite { return compile.MutateFirstTraceFold(1) }},
+		{"restart", func() *compile.MutatedSite { return compile.MutateFirstTraceRestart(1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			site := tc.arm()
