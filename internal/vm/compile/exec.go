@@ -126,9 +126,9 @@ func NewExec(p *Program, cfg Config) (*Exec, error) {
 }
 
 // newProbeExec returns the Exec translation validation drives
-// transition closures and traces on: its containers and VM counter
-// cells are the validator's twins, the containers swapped in per
-// routine, and it has no globals or arrays (validation never runs
+// transition closures and trace guards on: its containers and VM
+// counter cells are the validator's twins, the containers swapped in
+// per routine, and it has no globals or arrays (validation never runs
 // block code) and forms no traces.
 func newProbeExec(p *Program, hook func(string, cfg.Path), tel telemetry.VMCells) *Exec {
 	return newExec(p, Config{Fts: make([]FuncRun, len(p.fns)), PathHook: hook, Tel: tel})

@@ -112,10 +112,6 @@ const (
 	mBump
 	mFold
 	mOps
-	// Validation's forced streams (validate.go): a guard that passes
-	// and one that always exits at step d.
-	mNop
-	mExit
 )
 
 // MicroMin is the run length, in micro-ops after fusion, at which
@@ -329,8 +325,6 @@ func runMicros(x *Exec, fr *frame, ms []micro, fns []instrFn) int32 {
 			fr.r = (fr.r & int64(m.m)) + m.imm
 		case mOps:
 			fns[m.b](x, fr)
-		case mExit:
-			return m.d
 		}
 	}
 	return -1

@@ -45,16 +45,22 @@ import (
 // only when the trace's whole step charge fits the budget, so no block
 // inside it could have exhausted the budget, and ErrMaxSteps fires
 // where it always did. Traces are formed in every path-collecting run,
-// metered or not, never at compile time, and each is validated against
-// Stepper (validate.go) before it is installed; a trace that fails is
-// dropped and counted (ppp_vm_traces_rejected_total).
+// metered or not, never at compile time, and each is validated
+// (validate.go) before it is installed; a trace that fails is dropped
+// and counted (ppp_vm_traces_rejected_total). Validation composes: a
+// trace is built only from block runs, guards derived from the blocks'
+// branches, and arm constants that engine validation tied to the arm
+// closures it proved, so the validator checks each piece against its
+// source and every exit's and the end's constants against sums over
+// the path, without running the trace.
 //
 // A metered run counts a trace the way the transitions' meter would
 // (term.go): every exit and the trace's end carry the summed VM
 // counters of the transitions before them, which one branch adds, and
 // a trace that completes a path counts it. The same branch counts the
-// trace entry and, at an exit, the side exit. Validation compares the
-// transitions' counters with the step's at every exit and end.
+// trace entry and, at an exit, the side exit. Validation checks each
+// exit's and the end's counters against the sums of the arms'
+// counters, which engine validation checks against the step's.
 
 // TraceAt is the path count at which a path becomes a trace: after
 // TraceAt identical replicas on one Exec, every path a replica takes
@@ -91,15 +97,24 @@ type tstep struct {
 // guarded reports whether the step's block has a guard of its own.
 func (s *tstep) guarded() bool { return s.guard >= 0 }
 
-// texit is a step's side-exit state: the off-trace arm, the charges
-// and VM counters of the transitions before the step, the trie node at
-// its block, and how many edges the trace appended to the pending path
-// before it. hits counts the side exits a metered run took there.
+// tsums is a trace's state before one of its steps, from its root's
+// entry: the charges and VM counters of the transitions before it, the
+// trie node at its block, and how many edges the trace appended to the
+// pending path before it.
+type tsums struct {
+	steps, base, icost int64
+	n                  tally
+	node, plen         int32
+}
+
+// texit is a step's side-exit state: the state it restores, and the
+// off-trace arm, arms[arm] of the step's block off. hits counts the
+// side exits a metered run took there.
 type texit struct {
-	arm                      termFn
-	steps, base, icost, hits int64
-	n                        tally
-	node, plen               int32
+	tsums
+	off  *blockCode
+	arm  int32
+	hits int64
 }
 
 // trace is one hot path compiled for one Exec.
@@ -140,8 +155,7 @@ type trace struct {
 
 // run executes the trace tree from its root's head, already charged
 // and budget-checked by the executor. It returns the next block to
-// run, nil for a return. Validation drives run itself, on copies with
-// forced streams (validate.go).
+// run, nil for a return.
 //
 //ppp:hotpath
 func (t *trace) run(x *Exec, fr *frame) *blockCode {
@@ -181,7 +195,7 @@ func (t *trace) exit(x *Exec, fr *frame, i int) *blockCode {
 	}
 	fr.path = append(fr.path, t.ids[t.prefix:t.prefix+e.plen]...) //ppp:allow(alloc)
 	fr.trie = e.node
-	return e.arm(x, fr)
+	return e.off.arms[e.arm](x, fr)
 }
 
 // complete finishes a trace that ran to its end.
@@ -253,7 +267,7 @@ var testMutateTrace func(fn string, head int, c *traceConsts)
 
 // mutate hands t's constants to testMutateTrace and writes back what
 // it changed.
-func (t *trace) mutate(x *Exec, fc *fnCode) {
+func (t *trace) mutate(fc *fnCode) {
 	g := slices.IndexFunc(t.steps, func(s tstep) bool { return s.guarded() })
 	fold := -1
 	for i := range t.code {
@@ -287,17 +301,7 @@ func (t *trace) mutate(x *Exec, fc *fnCode) {
 	e.steps, e.base, e.icost, e.n.trans = c.ExitSteps, c.ExitBase, c.ExitICost, c.ExitTrans
 	e.node, e.plen = c.ExitNode, c.ExitPlen
 	if c.SwapArm {
-		// The guard's block: the head, or where the path edge before it
-		// leads.
-		b := int(fc.entry)
-		if k := int(t.prefix + e.plen); k > 0 {
-			b = x.p.specs[t.fi].Edges[t.ids[k-1]].Dst.ID
-		}
-		arm := 1
-		if t.steps[g].want {
-			arm = 0
-		}
-		e.arm = fc.blocks[b].arms[arm]
+		e.arm = 1 - e.arm
 	}
 }
 
@@ -317,7 +321,7 @@ func (x *Exec) formTrace(fr *frame) {
 		return
 	}
 	if testMutateTrace != nil {
-		t.mutate(x, fc)
+		t.mutate(fc)
 	}
 	if x.tv == nil {
 		x.tv = NewValidator(x.p)
@@ -423,7 +427,7 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 			break
 		}
 		s := tstep{at: int32(len(t.code)), guard: -1}
-		e := texit{steps: t.need, base: t.base, icost: t.icost, n: t.n, node: node, plen: from.plen + int32(len(t.steps))}
+		e := texit{tsums: tsums{steps: t.need, base: t.base, icost: t.icost, n: t.n, node: node, plen: from.plen + int32(len(t.steps))}}
 		// A side trace starts in its fork's block, whose run and guard
 		// its parent has run.
 		fork := t.parent != nil && len(t.steps) == 0
@@ -453,7 +457,7 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 		if bc.arms[1] != nil && !fork {
 			s.guard = int32(len(t.code))
 			t.code = append(t.code, guardAt(src.test, s.want, len(t.steps)))
-			e.arm = bc.arms[1-arm]
+			e.off, e.arm = bc, int32(1-arm)
 		}
 		s.fx = int32(len(t.code))
 		t.appendEffects(ac)

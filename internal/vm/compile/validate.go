@@ -25,8 +25,8 @@ package compile
 //     totals, and path-hook invocations
 //   - in a Telemetry build, the VM counters: transitions, ops, table
 //     increments, cold bumps and completed paths, counted by the
-//     compiled side's meter and trace tallies into the probe Exec's
-//     cells and by the step into the reference's
+//     compiled side's meter into the probe Exec's cells and by the
+//     step into the reference's
 //
 // Each fused lowering — register folds, the single-count
 // specialization, the solo-successor charge fold, edge-slot bumps, and
@@ -52,10 +52,8 @@ package compile
 // Bond–McKinley plans lives.
 //
 // Hot-path traces (trace.go) are formed during runs, not compiled here;
-// Validator.Trace checks each one against the same step when it is
-// formed, before the Exec installs it, and checks each of its guards,
-// which the trace former derives from a block's branch, against that
-// branch.
+// Validator.Trace checks each one by composition when it is formed,
+// from the arm constants checkConsts ties to the arms proven here.
 //
 // What IS proven statically per function, before any probes: segment
 // charges resum to the interpreter's per-instruction accounting
@@ -65,7 +63,6 @@ package compile
 // and every live terminator arm was compiled.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -240,14 +237,14 @@ func (l *hookLog) same(o *hookLog, i int) bool {
 
 // Validator drives compiled arms (got side, through a real Exec)
 // against the shared transition step (ref side, Stepper.Step over twin
-// containers), one routine at a time. The probe machinery is built
-// once and shared by every routine and probe: one Exec, one probe
-// frame reset per probe, and a register template copied into it, so
-// driving an arm allocates nothing.
+// containers), one routine at a time, and checks traces (Trace). The
+// probe machinery is built once and shared by every routine and probe:
+// one Exec, one probe frame reset per probe, and a register template
+// copied into it, so driving an arm allocates nothing.
 type Validator struct {
 	p *Program
-	// x is built on the first Func call, which keeps its cost inside
-	// that routine's validation time.
+	// x is built for the first routine validated, which keeps its cost
+	// inside that routine's validation time.
 	x       *Exec
 	fr      frame
 	regTmpl []int64 // regTmpl[i] = 1000 + i
@@ -281,19 +278,13 @@ type Validator struct {
 	bi, to, arm int
 	probe       int64
 
-	// stale marks twins a Func or failed Trace left that Trace must
-	// not reuse.
-	stale bool
-	// The reused buffers of Trace: the trace's path, the reference
-	// walk, the renumbered exits, and the forced copies of the trace
-	// and its ancestors that probes run, with their steps and their
-	// streams.
-	path   []pathStep
-	walk   []traceArm
-	exits  []texit
-	forced []trace
-	fsteps []tstep
-	fcode  []micro
+	// The reused buffers of Trace: the reference walk, and a scratch
+	// trace the walk's arms append their effects to.
+	walk []traceArm
+	fx   trace
+	// guards holds the guard micro-op, its step zeroed, last proven to
+	// exit exactly when its block's branch does not take the key's arm.
+	guards map[guardKey]micro
 }
 
 // vmCells holds the VM counters validation compares. The path-length
@@ -320,7 +311,6 @@ func NewValidator(p *Program) *Validator {
 
 // Func validates one routine by function index.
 func (v *Validator) Func(fi int) error {
-	v.stale = true
 	if err := staticCheck(v.p, fi); err != nil {
 		return err
 	}
@@ -361,10 +351,39 @@ func (v *Validator) liveSuccs(visit func(bi, arm int, s *SuccSpec)) {
 	}
 }
 
+// use points the validator at routine fi: its IR, specs and code, the
+// IR's solo lengths, and a probe Exec and frame sized for it.
+func (v *Validator) use(fi int) {
+	p := v.p
+	v.f, v.spec, v.fc, v.fi = p.prog.Funcs[fi], &p.specs[fi], &p.fns[fi], fi
+	v.soloLen = v.soloLen[:0]
+	for _, b := range v.f.Blocks {
+		n := int64(len(b.Instrs))
+		if hasCall(b.Instrs) {
+			n = -1
+		}
+		v.soloLen = append(v.soloLen, n)
+	}
+	if v.x == nil {
+		var tel telemetry.VMCells
+		if p.opts.Telemetry {
+			tel = v.gotTel.view()
+		}
+		v.x = newProbeExec(p, v.gotHooks.add, tel)
+		v.guards = map[guardKey]micro{}
+	}
+	for i := len(v.regTmpl); i < v.fc.nregs; i++ {
+		v.regTmpl = append(v.regTmpl, int64(1000+i))
+	}
+	if cap(v.fr.regs) < v.fc.nregs {
+		v.fr.regs = make([]int64, v.fc.nregs)
+	}
+}
+
 // bind points the validator at routine fi with fresh twin containers.
 func (v *Validator) bind(fi int) error {
 	p := v.p
-	v.f, v.spec, v.fc, v.fi = p.prog.Funcs[fi], &p.specs[fi], &p.fns[fi], fi
+	v.use(fi)
 	kind := profile.ArrayTable
 	if v.spec.Hash {
 		kind = profile.HashTable
@@ -408,35 +427,13 @@ func (v *Validator) bind(fi int) error {
 	}
 	v.got = got
 	v.ref.Name, v.ref.Spec, v.ref.Run = v.f.Name, v.spec, ref
-	v.soloLen = v.soloLen[:0]
-	for _, b := range v.f.Blocks {
-		n := int64(len(b.Instrs))
-		if hasCall(b.Instrs) {
-			n = -1
-		}
-		v.soloLen = append(v.soloLen, n)
-	}
 	v.gotHooks.reset()
 	v.refHooks.reset()
 	v.hooksSeen = 0
-
-	if v.x == nil {
-		var tel telemetry.VMCells
-		if p.opts.Telemetry {
-			tel = v.gotTel.view()
-		}
-		v.x = newProbeExec(p, v.gotHooks.add, tel)
-	}
 	v.x.fts[fi] = got
 	// The root-step memo points into the routine's path twin, which is
 	// fresh.
 	clear(v.x.rootMemo[fi])
-	for i := len(v.regTmpl); i < v.fc.nregs; i++ {
-		v.regTmpl = append(v.regTmpl, int64(1000+i))
-	}
-	if cap(v.fr.regs) < v.fc.nregs {
-		v.fr.regs = make([]int64, v.fc.nregs)
-	}
 	return nil
 }
 
@@ -477,29 +474,69 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 	// Compiled side: the probe frame reset to a fresh activation, zeroed
 	// charge accumulators, then one direct call of the retained arm
 	// closure.
-	v.resetProbe(probe, nil, 0)
+	v.resetProbe(probe)
 	ret := fc.blocks[v.bi].arms[v.arm](x, fr)
 
 	// Reference side: the shared step from the same fresh activation,
 	// plus the terminator charges derived from the IR.
 	rt := &v.refTrack
 	rt.R, rt.Path, rt.Trie = probe, rt.Path[:0], 0
+	succ, steps, base, icost := -1, int64(1), v.p.opts.Costs.Term, int64(0)
 	if term.Kind == ir.Ret {
 		v.ref.EndPath(rt)
-		if err := v.checkRet(term); err != nil {
-			return err
+		want := int64(0)
+		if term.Ret >= 0 {
+			want = int64(1000 + term.Ret)
 		}
-		return v.compare(ret, -1, 1, v.p.opts.Costs.Term, 0, false)
+		if x.ret != want {
+			return v.fail("ret", x.ret, want)
+		}
+	} else {
+		succ, icost = s.To, v.ref.Step(s, rt)
+		steps, base = v.irCharge(v.bi, s)
 	}
-	wantSteps, wantBase := v.irCharge(v.bi, s)
-	wantICost := v.ref.Step(s, rt)
-	return v.compare(ret, s.To, wantSteps, wantBase, wantICost, false)
+	if err := v.compare(ret, succ, steps, base, icost); err != nil {
+		return err
+	}
+	return v.checkConsts(s)
+}
+
+// checkConsts checks the arm's retained constants, which traces sum
+// and copy (trace.go), against what its closure just did from path
+// register v.probe: its charges, edge slot, register fold and VM tally,
+// the instrumentation charge, fold and table increments only for a
+// fold arm, whose closure has no op closure adding its own.
+func (v *Validator) checkConsts(s *SuccSpec) error {
+	ac, x := &v.fc.traceSrc[v.bi].consts[v.arm], v.x
+	slot, fold, tel := int32(-1), ac.ops == nil, v.p.opts.Telemetry
+	if s != nil && v.p.opts.CollectEdges {
+		slot = s.EdgeSlot
+	}
+	for _, c := range [...]struct {
+		field     string
+		check     bool
+		got, want int64
+	}{
+		{"consts-steps", true, ac.steps, x.steps},
+		{"consts-base", true, ac.base, x.base},
+		{"consts-slot", true, int64(ac.slot), int64(slot)},
+		{"consts-icost", fold, ac.icost, x.icost},
+		{"consts-fold", fold, (v.probe & ac.mask) + ac.add, v.fr.r},
+		{"consts-transitions", tel, ac.n.trans, v.gotTel.trans.Value()},
+		{"consts-ops", tel, ac.n.ops, v.gotTel.ops.Value()},
+		{"consts-table-incs", tel && fold, ac.n.incs, v.gotTel.incs.Value()},
+	} {
+		if c.check && c.got != c.want {
+			return v.fail(c.field, c.got, c.want)
+		}
+	}
+	return nil
 }
 
 // resetProbe resets the compiled side to a fresh activation with path
-// register probe, pending path path and trie cursor trie, and zeroes
-// its charge accumulators and both sides' VM counter cells.
-func (v *Validator) resetProbe(probe int64, path []int32, trie int32) {
+// register probe, and zeroes its charge accumulators and both sides'
+// VM counter cells.
+func (v *Validator) resetProbe(probe int64) {
 	x, fr := v.x, &v.fr
 	x.steps, x.base, x.icost, x.ret = 0, 0, 0, -1
 	if v.p.opts.Telemetry {
@@ -507,7 +544,7 @@ func (v *Validator) resetProbe(probe int64, path []int32, trie int32) {
 	}
 	regs := fr.regs[:v.fc.nregs]
 	copy(regs, v.regTmpl)
-	*fr = frame{fc: v.fc, ft: &x.fts[v.fi], r: probe, regs: regs, path: append(fr.path[:0], path...), trie: trie}
+	*fr = frame{fc: v.fc, ft: &x.fts[v.fi], r: probe, regs: regs, path: fr.path[:0]}
 }
 
 // irCharge derives a transition's step and base charge from the IR:
@@ -527,26 +564,12 @@ func (v *Validator) irCharge(from int, s *SuccSpec) (steps, base int64) {
 	return steps, base
 }
 
-// checkRet checks the value a Ret terminator left in x.ret against the
-// probe register template.
-func (v *Validator) checkRet(term *ir.Term) error {
-	want := int64(0)
-	if term.Ret >= 0 {
-		want = int64(1000 + term.Ret)
-	}
-	if v.x.ret != want {
-		return v.fail("ret", v.x.ret, want)
-	}
-	return nil
-}
-
 // compare checks the compiled side's state after a probe against the
 // reference's: the returned code (block index wantSucc, -1 for a
-// return), the path register, the charges, every twin container and,
-// in a Telemetry build, the VM counters. The frame's trie cursor and pending path are compared too, unless
-// popped is set: a trace that ends in its routine's return leaves them
-// behind in the popped frame, where nothing reads them again.
-func (v *Validator) compare(ret *blockCode, wantSucc int, wantSteps, wantBase, wantICost int64, popped bool) error {
+// return), the path register, the charges, every twin container, the
+// frame's trie cursor and pending path and, in a Telemetry build, the
+// VM counters.
+func (v *Validator) compare(ret *blockCode, wantSucc int, wantSteps, wantBase, wantICost int64) error {
 	p, fc, x, fr, rt := v.p, v.fc, v.x, &v.fr, &v.refTrack
 	// Successor identity: the returned pointer must be the compiled
 	// code of exactly the spec'd block.
@@ -579,7 +602,7 @@ func (v *Validator) compare(ret *blockCode, wantSucc int, wantSteps, wantBase, w
 			return v.fail(fmt.Sprintf("edge[%d->%d]", v.slotPairs[slot][0], v.slotPairs[slot][1]), g, w)
 		}
 	}
-	if p.opts.CollectPaths && !popped {
+	if p.opts.CollectPaths {
 		if fr.trie != rt.Trie {
 			return v.fail("trie", int64(fr.trie), int64(rt.Trie))
 		}
@@ -591,8 +614,6 @@ func (v *Validator) compare(ret *blockCode, wantSucc int, wantSteps, wantBase, w
 				return v.fail(fmt.Sprintf("path[%d]", i), int64(fr.path[i]), int64(rt.Path[i]))
 			}
 		}
-	}
-	if p.opts.CollectPaths {
 		if g, w := got.Paths.Total(), ref.Paths.Total(); g != w {
 			return v.fail("path-total", g, w)
 		}
@@ -673,266 +694,33 @@ func tableField(d profile.TableDiff) string {
 }
 
 // Trace validates trace t, formed by an Exec whose path profile for
-// t's routine is live. The reference walks t's path through the
-// routine's successor specs, independently of the trace's constants,
-// and checks the trace's shape against the walk (tracePath). Each of
-// t's steps must run its block's own lowered run, and each of its
-// guards must exit exactly when the block's own branch leaves the
-// path, on every probe register value (checkGuards). The trie nodes
-// the trace names are checked against a read-only walk of live along
-// the path, then renumbered into the twin containers (renumber), where
-// Stepper steps the walk's arms as the reference. Every side exit of t
-// and its end are then driven from every probe register value, by
-// trace.run itself from its root's entry, and the full observable
-// state is compared each time (compare), as for a single arm. run
-// drives copies of t and its ancestors with forced streams
-// (forceTree): the bodies dropped, a passing guard a no-op and a
-// failing one an exit-always. The bodies are the blocks' own code,
-// which Func does not validate either.
+// t's routine is live, by composition, without running it: a
+// reference walk of t's path through the successor specs and the IR
+// fixes its shape (tracePath); each step's run, guard and effects must
+// be its block's run, a guard proven against the block's branch, and
+// the on-path arm's effects, and each exit's restored state and t's
+// end sums over the walk, with the trie nodes of a read-only walk of
+// live (checkSteps); its tail's constants come from the walk's end
+// (checkTail). A side trace's walk starts at its fork, from the state
+// its parent's validation proved there.
 func (v *Validator) Trace(t *trace, live *profile.PathProfile) (err error) {
-	// Twins are bound fresh for a routine's first trace and after a
-	// divergence. A trace that passes leaves both twins in the same
-	// state, which is all every later probe's comparison needs, so the
-	// routine's next trace validates on them as they are.
-	if v.f == nil || v.fi != int(t.fi) || v.stale {
-		if err := v.bind(int(t.fi)); err != nil {
-			return err
-		}
+	if v.f == nil || v.fi != int(t.fi) {
+		v.use(int(t.fi))
 	}
-	v.stale = true
-	v.bi, v.to, v.arm = int(t.head), -1, -1
-	v.path = v.path[:0]
-	v.pathTo(t, len(t.steps))
-	next, err := v.tracePath(t)
-	if err != nil {
-		return err
-	}
+	v.bi, v.to, v.arm, v.probe = int(t.head), -1, -1, 0
 	defer func() {
 		if r := recover(); r != nil {
 			err = v.fail(fmt.Sprintf("trace: panic: %v", r), 0, 0)
 		}
 	}()
-	if err := v.checkGuards(t); err != nil {
-		return err
-	}
-	c, err := v.renumber(t, live)
+	from, next, err := v.tracePath(t, live)
 	if err != nil {
 		return err
 	}
-	root := v.forceTree(c)
-	for _, probe := range vProbes {
-		for i := range t.steps {
-			if t.steps[i].guarded() {
-				if err := v.probeTrace(root, i, next, probe); err != nil {
-					return err
-				}
-			}
-		}
-		if err := v.probeTrace(root, -1, next, probe); err != nil {
-			return err
-		}
+	if err := v.checkSteps(t, live, from); err != nil {
+		return err
 	}
-	v.stale = false
-	return nil
-}
-
-// checkGuards checks t's stream outside the transitions' effects: each
-// step runs its block's lowered run (none at a side trace's first
-// step, whose fork ran it) and then, on a branch, one exit-if guard
-// naming the step. Each guard is run alone by runMicros, with its
-// operands, and those of the block's own branch (its condFn or
-// condition register), set to every probe register value, the
-// constants either compares with, and the values one off those; it
-// must exit exactly when the branch leaves the path's direction.
-func (v *Validator) checkGuards(t *trace) error {
-	pre := len(v.path) - len(t.steps)
-	x, fr := v.x, &v.fr
-	for i := range t.steps {
-		s, w := &t.steps[i], v.walk[pre+i]
-		src := &v.fc.traceSrc[w.b]
-		end := s.fx
-		if s.guarded() {
-			end = s.guard
-		}
-		body := src.body
-		if i == 0 && t.parent != nil {
-			body = nil
-		}
-		if !slices.Equal(t.code[s.at:end], body) {
-			return v.fail(fmt.Sprintf("trace: step %d body", i), int64(end-s.at), int64(len(body)))
-		}
-		if !s.guarded() {
-			continue
-		}
-		if s.fx != s.guard+1 {
-			return v.fail(fmt.Sprintf("trace: step %d guard", i), int64(s.fx-s.guard), 1)
-		}
-		g := t.code[s.guard]
-		if !isExitIf(g.op) || g.d != int32(i) {
-			return v.fail(fmt.Sprintf("trace: step %d guard", i), int64(g.d), int64(i))
-		}
-		// The probe values, and each constant compared with and its
-		// neighbours.
-		var buf [12]int64
-		vals := append(buf[:0], vProbes...)
-		for _, m := range [...]micro{g, src.test} {
-			if m.op >= mXEqK && m.op <= mXGeK {
-				vals = append(vals, m.imm-1, m.imm, m.imm+1)
-			}
-		}
-		// b, the second register operand, matters only to a register
-		// compare.
-		nb := int64(1)
-		if g.op < mXEqK || src.test.op < mXEqK {
-			nb = 3
-		}
-		v.resetProbe(0, nil, 0)
-		for _, a := range vals {
-			for j := range nb {
-				b := a - 1 + j
-				for _, m := range [...]micro{g, src.test} {
-					fr.regs[m.a] = a
-					if m.op < mXEqK {
-						fr.regs[m.b] = b
-					}
-				}
-				taken := fr.regs[src.test.a] != 0
-				if src.cond != nil {
-					taken = src.cond(x, fr)
-				}
-				want := taken != (w.arm == 0)
-				if got := runMicros(x, fr, []micro{g}, nil); got != -1 && got != int32(i) || (got >= 0) != want {
-					v.probe = a
-					return v.fail(fmt.Sprintf("trace: step %d guard exit", i), int64(got), b2i(want))
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// renumber checks the trie nodes t's path names — each step's node,
-// its ancestors' included, the end node and the restart node — against
-// a read-only walk of live along the path, and returns a copy of t
-// whose nodes are the same path's nodes in the bound twins, grown
-// along the path (identically on both twins) for it. The copy shares
-// its steps with t; its exits live in the validator's buffers until
-// the next Trace.
-func (v *Validator) renumber(t *trace, live *profile.PathProfile) (*trace, error) {
-	got, ref := v.got.Paths, v.ref.Run.Paths
-	step := func(twin, id int32) int32 {
-		n := got.Step(twin, id)
-		if m := ref.Step(twin, id); m != n {
-			return -1
-		}
-		return n
-	}
-	lnode, tnode := int32(0), int32(0)
-	if t.prefix == 1 {
-		lnode, tnode = live.Child(0, t.ids[0]), step(0, t.ids[0])
-	}
-	v.exits = append(v.exits[:0], t.exits...)
-	pre := len(v.path) - len(t.steps)
-	for i, ps := range v.path {
-		if ps.e.node != lnode || lnode < 0 {
-			return nil, v.fail(fmt.Sprintf("trace: node at step %d", i), int64(ps.e.node), int64(lnode))
-		}
-		if i >= pre {
-			v.exits[i-pre].node = tnode
-		}
-		if k := int(t.prefix) + i; k < len(t.ids) {
-			lnode, tnode = live.Child(lnode, t.ids[k]), step(tnode, t.ids[k])
-		}
-	}
-	if t.end != lnode || lnode < 0 {
-		return nil, v.fail("trace: end node", int64(t.end), int64(lnode))
-	}
-	c := *t
-	c.exits, c.end = v.exits, tnode
-	if t.tail == tailBack {
-		if want := live.Child(0, t.restartID); t.restart != want {
-			return nil, v.fail("trace: restart node", int64(t.restart), int64(want))
-		}
-		c.restart = step(0, t.restartID)
-	}
-	return &c, nil
-}
-
-// pathStep is one step on a trace's path from its root's entry: the
-// step whose effects run there and its exit state, and the step whose
-// guard decides the direction there. That is the step itself, except
-// at a side trace's first step, where the guard is its fork's and
-// fails into the side trace.
-type pathStep struct {
-	s, guard *tstep
-	e        *texit
-	fork     bool
-}
-
-// pathTo appends to v.path the steps t's path runs from its root's
-// entry up to t's step n: its ancestors' steps before their forks,
-// then t's own.
-func (v *Validator) pathTo(t *trace, n int) {
-	if t.parent != nil {
-		v.pathTo(t.parent, int(t.fork))
-	}
-	for i := range t.steps[:n] {
-		ps := pathStep{s: &t.steps[i], guard: &t.steps[i], e: &t.exits[i]}
-		if i == 0 && t.parent != nil {
-			ps.guard, ps.fork = &t.parent.steps[t.fork], true
-		}
-		v.path = append(v.path, ps)
-	}
-}
-
-// forceTree copies c and its ancestors into the validator's buffers
-// for probes to run, with forced streams: each step's transition
-// effects, the block bodies dropped, and every guard a no-op (mNop),
-// except each ancestor's fork guard, an exit-always (mExit) into the
-// copy of its child. A probe turns one of c's no-ops into an exit. It
-// returns the root's copy; c's copy is v.forced[0].
-func (v *Validator) forceTree(c *trace) *trace {
-	n, depth, size := len(c.steps), 1, len(c.code)
-	for a := c; a.parent != nil; a = a.parent {
-		n, depth, size = n+int(a.fork)+1, depth+1, size+len(a.parent.code)
-	}
-	v.fsteps = slices.Grow(v.fsteps[:0], n)
-	v.forced = slices.Grow(v.forced[:0], depth)[:depth]
-	// No forced stream is longer than its trace's, so v.fcode does not
-	// grow past size and the copies can slice it as they go.
-	v.fcode = slices.Grow(v.fcode[:0], size)
-	for d, a := 0, c; ; d++ {
-		ft := &v.forced[d]
-		*ft = *a
-		m := len(a.steps)
-		if d > 0 {
-			m = int(v.forced[d-1].fork) + 1
-		}
-		i0, c0 := len(v.fsteps), len(v.fcode)
-		for j, s := range a.steps[:m] {
-			s.at, s.side = int32(len(v.fcode)-c0), nil
-			if s.guarded() {
-				g := micro{op: mNop, d: int32(j)}
-				if d > 0 && j == m-1 {
-					g.op, s.side = mExit, &v.forced[d-1]
-				}
-				s.guard = int32(len(v.fcode) - c0)
-				v.fcode = append(v.fcode, g)
-			}
-			fx, end := s.fx, a.fxEnd(j)
-			s.fx = int32(len(v.fcode) - c0)
-			if s.side == nil {
-				v.fcode = append(v.fcode, a.code[fx:end]...)
-			}
-			v.fsteps = append(v.fsteps, s)
-		}
-		ft.steps = v.fsteps[i0:len(v.fsteps):len(v.fsteps)]
-		ft.code = v.fcode[c0:len(v.fcode):len(v.fcode)]
-		if a.parent == nil {
-			return ft
-		}
-		a = a.parent
-	}
+	return v.checkTail(t, live, next)
 }
 
 // traceArm is one step of a trace's reference walk: a block and the
@@ -940,23 +728,31 @@ func (v *Validator) forceTree(c *trace) *trace {
 type traceArm struct{ b, arm int }
 
 // tracePath derives t's reference walk from its path and the IR: the
-// blocks and arms from the head, and the block after the trace
-// (tailOpen, tailBack). It checks the trace's shape against the walk:
-// the head, the step count, the tail, and every guard's presence and
-// direction on the path, ancestors' included. A side trace's first
-// step has no guard of its own: its fork's guard must send the path
-// into it.
-func (v *Validator) tracePath(t *trace) (next int, err error) {
-	head := v.fc.entry
+// blocks and arms from where t starts, and the block after it
+// (tailOpen, tailBack). It checks t's shape against the walk: the
+// head, the path's edges, the step count and the tail. A root trace
+// starts at its head; a side trace at its fork's block, on the path
+// its parent took there. It returns the state t starts from.
+func (v *Validator) tracePath(t *trace, live *profile.PathProfile) (from tsums, next int, err error) {
+	b := int(v.fc.entry)
 	if t.prefix == 1 {
-		head = int32(v.spec.Edges[t.ids[0]].Dst.ID)
+		b = v.spec.Edges[t.ids[0]].Dst.ID
+		from.node = live.Child(0, t.ids[0])
 	}
-	if t.head != head {
-		return 0, v.fail("trace: head", int64(t.head), int64(head))
+	if t.head != int32(b) {
+		return from, 0, v.fail("trace: head", int64(t.head), int64(b))
+	}
+	if p := t.parent; p != nil {
+		e := &p.exits[t.fork]
+		k := t.prefix + e.plen
+		if !p.steps[t.fork].guarded() || p.prefix != t.prefix || !slices.Equal(p.ids[:k], t.ids[:k]) {
+			return from, 0, v.fail("trace: fork", int64(t.fork), -1)
+		}
+		from, b = e.tsums, succIndex(v.fc, e.off)
 	}
 	v.walk = v.walk[:0]
-	b, tail := int(head), tailKind(0)
-	for k := int(t.prefix); ; k++ {
+	tail, k := tailKind(0), int(t.prefix+from.plen)
+	for ; ; k++ {
 		blk := v.f.Blocks[b]
 		if v.soloLen[b] < 0 {
 			tail, next = tailOpen, b
@@ -964,116 +760,199 @@ func (v *Validator) tracePath(t *trace) (next int, err error) {
 		}
 		if k == len(t.ids) {
 			if blk.Term.Kind != ir.Ret {
-				return 0, v.fail("trace: path ends off a return", int64(b), -1)
+				return from, 0, v.fail("trace: path ends off a return", int64(b), -1)
 			}
 			v.walk = append(v.walk, traceArm{b, -1})
 			tail = tailRet
 			break
 		}
 		arm := -1
-		for a := 0; a < 2; a++ {
-			if a == 1 && blk.Term.Kind != ir.Branch {
-				break
-			}
+		for a := range 1 + b2i(blk.Term.Kind == ir.Branch) {
 			s := &v.spec.Succs[b][a]
 			if s.Back && int32(s.ExitDummy.ID) == t.ids[k] || !s.Back && int32(s.PathEdge.ID) == t.ids[k] {
-				arm = a
-				break
+				arm = int(a)
 			}
 		}
 		if arm < 0 {
-			return 0, v.fail(fmt.Sprintf("trace: no arm of block %d takes path edge %d", b, t.ids[k]), -1, int64(t.ids[k]))
+			return from, 0, v.fail(fmt.Sprintf("trace: no arm of block %d takes path edge %d", b, t.ids[k]), -1, int64(t.ids[k]))
 		}
 		v.walk = append(v.walk, traceArm{b, arm})
 		s := &v.spec.Succs[b][arm]
 		if s.Back {
 			tail, next = tailBack, s.To
+			k++
 			break
 		}
 		b = s.To
 	}
-	if len(v.path) != len(v.walk) {
-		return 0, v.fail("trace: steps", int64(len(v.path)), int64(len(v.walk)))
+	if k != len(t.ids) {
+		return from, 0, v.fail("trace: path edges", int64(len(t.ids)), int64(k))
+	}
+	if len(t.steps) != len(v.walk) {
+		return from, 0, v.fail("trace: steps", int64(len(t.steps)), int64(len(v.walk)))
 	}
 	if t.tail != tail {
-		return 0, v.fail("trace: tail", int64(t.tail), int64(tail))
+		return from, 0, v.fail("trace: tail", int64(t.tail), int64(tail))
 	}
+	return from, next, nil
+}
+
+// guardKey names a guard by its routine, its block, and the arm the
+// path leaves the block by.
+type guardKey struct{ fi, b, arm int }
+
+// checkSteps checks each of t's steps. It has a guard exactly on a
+// branch, in the walk's direction, except at a side trace's first
+// step, which leaves its fork's block by the fork's off-trace arm. Its
+// micro-ops, end to end in t's stream, are its block's lowered run
+// (none at a side trace's first step, whose fork ran it), then its
+// guard, an exit-if naming the step, then the effects appendEffects
+// makes of the on-path arm's constants (none at a return). A guard is
+// run against its block's branch (checkGuard) once per routine, block
+// and direction; a later guard with the same micro-op, but for the
+// step it names, has the same verdict. The state its side exit
+// restores, and then t's end, must be want, the state t starts from,
+// plus the sums over the walk before it: the step and base charges
+// derived from the IR (irCharge), the instrumentation charge and VM
+// counters of the walk's arm constants, the pending-path length, and
+// the trie node of a read-only walk of live along the path. An exit at
+// a guard must run its block's other arm.
+func (v *Validator) checkSteps(t *trace, live *profile.PathProfile, want tsums) error {
+	v.fx.fns = v.fx.fns[:0]
 	for i, w := range v.walk {
+		s, e, src := &t.steps[i], &t.exits[i], &v.fc.traceSrc[w.b]
+		fork := i == 0 && t.parent != nil
 		branch := v.f.Blocks[w.b].Term.Kind == ir.Branch
-		ps := v.path[i]
-		if guarded := ps.guard.guarded(); guarded != branch || ps.fork && ps.s.guarded() {
-			return 0, v.fail(fmt.Sprintf("trace: step %d guard", i), b2i(guarded), b2i(branch))
+		if s.guarded() != (branch && !fork) || s.guarded() && s.want != (w.arm == 0) ||
+			fork && int32(w.arm) != t.parent.exits[t.fork].arm {
+			return v.fail(fmt.Sprintf("trace: step %d direction", i), b2i(s.guarded()), int64(w.arm))
 		}
-		if want := ps.guard.want != ps.fork; branch && want != (w.arm == 0) {
-			return 0, v.fail(fmt.Sprintf("trace: step %d direction", i), b2i(want), b2i(w.arm == 0))
+		end, body := s.fx, src.body
+		if s.guarded() {
+			end = s.guard
 		}
-	}
-	return next, nil
-}
-
-// probeTrace runs the forced tree from root with probe register value
-// probe to the validated trace's side exit at step exit (-1: to its
-// end) on the compiled side, steps the walk's arms (the off-trace arm
-// at the exit) on the reference side, and compares the two.
-func (v *Validator) probeTrace(root *trace, exit, next int, probe int64) error {
-	x, fr, rt, walk, t := v.x, &v.fr, &v.refTrack, v.walk, &v.forced[0]
-	v.probe, v.arm = probe, exit
-	rt.R, rt.Path, rt.Trie = probe, append(rt.Path[:0], t.ids[:t.prefix]...), 0
-	if t.prefix == 1 {
-		rt.Trie = v.ref.Run.Paths.Step(0, t.ids[0])
-	}
-	v.resetProbe(probe, t.ids[:t.prefix], rt.Trie)
-
-	n := len(t.steps)
-	if exit >= 0 {
-		n = exit
-		g := &t.code[t.steps[exit].guard]
-		g.op = mExit
-		defer func() { g.op = mNop }()
-	}
-	ret := root.run(x, fr)
-	pre := len(v.path) - len(t.steps) // the ancestors' steps
-
-	var steps, base, icost int64
-	step := func(b int, s *SuccSpec) {
-		ds, db := v.irCharge(b, s)
-		steps, base = steps+ds, base+db
-		icost += v.ref.Step(s, rt)
-	}
-	for _, w := range walk[:pre+n] {
-		if w.arm >= 0 {
-			step(w.b, &v.spec.Succs[w.b][w.arm])
+		if fork {
+			body = nil
 		}
-	}
-	wantSucc := next
-	switch {
-	case exit >= 0:
-		w := walk[pre+exit]
-		s := &v.spec.Succs[w.b][1-w.arm]
-		step(w.b, s)
-		wantSucc = s.To
-	case t.tail == tailRet:
-		v.ref.EndPath(rt)
-		steps, base = steps+1, base+v.p.opts.Costs.Term
-		wantSucc = -1
-		if err := v.checkRet(&v.f.Blocks[walk[len(walk)-1].b].Term); err != nil {
-			return v.traceFail(exit, err)
+		if !slices.Equal(t.code[s.at:end], body) || i == 0 && s.at != 0 {
+			return v.fail(fmt.Sprintf("trace: step %d body", i), int64(end-s.at), int64(len(body)))
 		}
-	}
-	popped := exit < 0 && t.tail == tailRet
-	return v.traceFail(exit, v.compare(ret, wantSucc, steps, base, icost, popped))
-}
-
-// traceFail labels a trace probe's divergence with the exit it was
-// driven to.
-func (v *Validator) traceFail(exit int, err error) error {
-	var ve *ValidationError
-	if errors.As(err, &ve) {
-		if exit >= 0 {
-			ve.Field = fmt.Sprintf("trace exit %d: %s", exit, ve.Field)
+		if s.guarded() {
+			g := t.code[s.guard]
+			if s.fx != s.guard+1 || !isExitIf(g.op) || g.d != int32(i) {
+				return v.fail(fmt.Sprintf("trace: step %d guard", i), int64(g.d), int64(i))
+			}
+			key := guardKey{v.fi, w.b, w.arm}
+			if g.d = 0; v.guards[key] != g {
+				if err := v.checkGuard(t.code[s.guard], src, w.arm); err != nil {
+					return err
+				}
+				v.guards[key] = g
+			}
+			if e.off != &v.fc.blocks[w.b] || e.arm != int32(1-w.arm) {
+				return v.fail(fmt.Sprintf("trace exit %d: off-trace arm", i), int64(e.arm), int64(1-w.arm))
+			}
+		}
+		if e.tsums != want || want.node < 0 {
+			return v.fail(fmt.Sprintf("trace exit %d: %+v, want %+v", i, e.tsums, want), 0, 0)
+		}
+		v.fx.code = v.fx.code[:0]
+		if w.arm < 0 {
+			want.steps++
+			want.base += v.p.opts.Costs.Term
 		} else {
-			ve.Field = "trace end: " + ve.Field
+			ds, db := v.irCharge(w.b, &v.spec.Succs[w.b][w.arm])
+			ac := &src.consts[w.arm]
+			want.steps, want.base, want.icost = want.steps+ds, want.base+db, want.icost+ac.icost
+			want.n.add(&ac.n)
+			want.node = live.Child(want.node, t.ids[t.prefix+want.plen])
+			v.fx.appendEffects(ac)
+		}
+		want.plen++
+		if fx := t.code[s.fx:t.fxEnd(i)]; !slices.Equal(fx, v.fx.code) {
+			return v.fail(fmt.Sprintf("trace: step %d effects", i), int64(len(fx)), int64(len(v.fx.code)))
 		}
 	}
-	return err
+	if len(t.fns) != len(v.fx.fns) {
+		return v.fail("trace: counter ops", int64(len(t.fns)), int64(len(v.fx.fns)))
+	}
+	if end := (tsums{t.need, t.base, t.icost, t.n, t.end, want.plen}); end != want || want.node < 0 {
+		return v.fail(fmt.Sprintf("trace end: %+v, want %+v", end, want), 0, 0)
+	}
+	return nil
+}
+
+// checkGuard runs guard g alone through runMicros, with its operands,
+// and those of its block's own branch (src's condFn or condition
+// register), set to every probe register value, the constants either
+// compares with, and the values one off those. On a path that leaves
+// the block by arm, g must exit, at the step it names, exactly when
+// the branch does not take arm.
+func (v *Validator) checkGuard(g micro, src *blockTraceSrc, arm int) error {
+	x, fr := v.x, &v.fr
+	fr.regs = fr.regs[:v.fc.nregs]
+	var buf [12]int64
+	vals := append(buf[:0], vProbes...)
+	for _, m := range [...]micro{g, src.test} {
+		if m.op >= mXEqK && m.op <= mXGeK {
+			vals = append(vals, m.imm-1, m.imm, m.imm+1)
+		}
+	}
+	// b, the second register operand, matters only to a register
+	// compare.
+	nb := int64(1)
+	if g.op < mXEqK || src.test.op < mXEqK {
+		nb = 3
+	}
+	for _, a := range vals {
+		for j := range nb {
+			b := a - 1 + j
+			for _, m := range [...]micro{g, src.test} {
+				fr.regs[m.a] = a
+				if m.op < mXEqK {
+					fr.regs[m.b] = b
+				}
+			}
+			taken := fr.regs[src.test.a] != 0
+			if src.cond != nil {
+				taken = src.cond(x, fr)
+			}
+			want := taken != (arm == 0)
+			if got := runMicros(x, fr, []micro{g}, nil); got != -1 && got != g.d || (got >= 0) != want {
+				v.probe = a
+				return v.fail(fmt.Sprintf("trace: step %d guard exit", g.d), int64(got), b2i(want))
+			}
+		}
+	}
+	return nil
+}
+
+// checkTail checks the constants t's tail takes from the walk's last
+// arm and block: at a back edge the restart's entry dummy, node and
+// memo slot, at a return the returned register, and the block after
+// the trace.
+func (v *Validator) checkTail(t *trace, live *profile.PathProfile, next int) error {
+	last := v.walk[len(v.walk)-1]
+	switch t.tail {
+	case tailRet:
+		if ret := int32(v.f.Blocks[last.b].Term.Ret); t.retReg != ret {
+			return v.fail("trace end: returned register", int64(t.retReg), int64(ret))
+		}
+		return nil
+	case tailBack:
+		s := &v.spec.Succs[last.b][last.arm]
+		if ed := int32(s.EntryDummy.ID); t.restartID != ed {
+			return v.fail("trace end: restart edge", int64(t.restartID), int64(ed))
+		}
+		if node := live.Child(0, t.restartID); node < 0 || t.restart != node {
+			return v.fail("trace end: restart node", int64(t.restart), int64(node))
+		}
+		if m := v.fc.traceSrc[last.b].consts[last.arm].memo; t.memo != m || v.fc.memoTo[m] != int32(s.To) {
+			return v.fail("trace end: memo slot", int64(t.memo), int64(m))
+		}
+	}
+	if t.next != &v.fc.blocks[next] {
+		return v.fail("trace end: next block", int64(succIndex(v.fc, t.next)), int64(next))
+	}
+	return nil
 }

@@ -401,11 +401,10 @@ func TestValidateRejectsMutatedTrace(t *testing.T) {
 }
 
 // TestValidateRejectsMutatedGuard proves the guard check is not
-// vacuous: the validator's forced streams replace every guard, so a
-// trace whose guard exits in the wrong direction passes every exit and
-// end probe, and only the check of each guard against its block's own
-// branch can reject it. The trace must be rejected, and the run's
-// results must stay exactly those of an unmutated run.
+// vacuous: a trace whose guard exits in the wrong direction has every
+// constant and effect right, so only the check of each guard against
+// its block's own branch can reject it. The trace must be rejected,
+// and the run's results must stay exactly those of an unmutated run.
 func TestValidateRejectsMutatedGuard(t *testing.T) {
 	_, prog, plans := buildPlanned(t, vm.Options{CollectPaths: true}, instr.PPP(), instr.DefaultParams())
 	wantRet, wantFP, clean := runExec(t, prog, plans)

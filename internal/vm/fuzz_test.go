@@ -320,7 +320,8 @@ func genProg(data []byte) *ir.Program {
 // on the compiled executor, each with its own telemetry registry (when
 // tel) and output buffer, and requires identical success or identical
 // budget exhaustion, and after a success identical printed output and,
-// when tel, identical VM counters; results are nil on error.
+// when tel, identical VM counters. When tel, the compiled run must also
+// have rejected no trace. Results are nil on error.
 func runBoth(t *testing.T, prog *ir.Program, opts vm.Options, tel bool) (*vm.Result, *vm.Result) {
 	t.Helper()
 	var res [2]*vm.Result
@@ -353,6 +354,13 @@ func runBoth(t *testing.T, prog *ir.Program, opts vm.Options, tel bool) (*vm.Res
 	if tel && errs[0] == nil {
 		if d, c := readVMCounters(regs[0], ms[0]), readVMCounters(regs[1], ms[1]); d != c {
 			t.Fatalf("VM counter divergence:\ndense    %+v\ncompiled %+v\n%s", d, c, prog.Dump())
+		}
+	}
+	// The trace former builds only sound traces, so a rejection is a
+	// validator that refuses one.
+	if tel {
+		if n := ms[1].TracesRejected.Value(); n != 0 {
+			t.Fatalf("compiled run rejected %d traces\n%s", n, prog.Dump())
 		}
 	}
 	return res[0], res[1]
