@@ -55,12 +55,11 @@ func runHotPath(p *Pass) {
 			p.inspectHot(imports, fd.Name.Name, fd.Body)
 			return
 		}
-		// A compile-time code generator builds its hot code as function
-		// literals inside cold builders (internal/vm/compile lowers every
-		// transition this way). A //ppp:hotpath comment on the literal —
-		// or the line above it, the conventional spot before a return —
-		// puts the literal's body in hot-path scope even though the
-		// enclosing builder is not.
+		// A compile-time code generator may build its hot code as
+		// function literals inside cold builders. A //ppp:hotpath comment
+		// on the literal — or the line above it, the conventional spot
+		// before a return — puts the literal's body in hot-path scope
+		// even though the enclosing builder is not.
 		marks := hotMarkLines(p, f)
 		if len(marks) == 0 {
 			return

@@ -633,7 +633,7 @@ func (t *Table) Inc(idx int64) { t.add(idx, 1) }
 // IncArray increments array counter idx without the table-kind branch
 // and weight generalization of add: an in-range increment is a bounds
 // check, a saturation compare, and a slice increment, small enough to
-// inline into a compiled transition closure. Out-of-range indices fall
+// inline into the compiled executor's transition code. Out-of-range indices fall
 // back to add (the Drops path). Must only be called on ArrayTable.
 //
 //ppp:hotpath

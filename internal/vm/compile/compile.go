@@ -19,15 +19,15 @@
 //     segment boundary exactly when the interpreter would error inside
 //     it: steps + len(segment) > MaxSteps.)
 //
-//   - A block's terminator compiles to a closure that fuses successor
-//     choice, the taken-branch penalty, edge-profile slot bump,
-//     instrumentation ops (path-register arithmetic folded into
-//     branchless mask/add constants, counter updates specialized per
-//     table kind), and path tracking (incremental trie stepping) into
-//     one straight-line call per transition. Constant costs fold into
-//     one addition at compile time. Each transition is built once,
-//     with no counter code; a metered build wraps each one in a
-//     counting closure that adds its constant VM counters.
+//   - A block's terminator compiles to its arms, one armConsts per
+//     transition: the successor, the charges (the taken-branch penalty
+//     and a solo successor's charge folded in), the edge-profile slot,
+//     the instrumentation ops (path-register arithmetic folded into
+//     branchless mask/add constants, a single counter update into an
+//     index fold) and the path-tracking edges. One method, Exec.take,
+//     carries out every transition from those constants, metered or
+//     not; the executor picks the arm from the block's fused compare or
+//     condition register.
 //
 //   - While a path-collecting run executes, metered or not, its Exec
 //     compiles the run's hot Ball-Larus paths into traces (trace.go):
@@ -37,12 +37,12 @@
 //     constant work (VM counters included) folded, validated before it
 //     is installed.
 //
-// The compiled Program is immutable and shared: closures reach all
-// per-run state through the Exec (globals, arrays, cost accumulators)
-// and the frame (registers, path register, trie cursor), so one
-// compilation serves every worker and replica. No code generation, no
-// unsafe: everything is ordinary Go closures over small captured
-// integers, which the runtime can inline into and which stay fully
+// The compiled Program is immutable and shared: its closures and take
+// reach all per-run state through the Exec (globals, arrays, cost
+// accumulators) and the frame (registers, path register, trie cursor),
+// so one compilation serves every worker and replica. No code
+// generation, no unsafe: everything is ordinary Go closures over small
+// captured integers and plain constant records, which stay fully
 // portable and race-detector friendly.
 package compile
 
@@ -77,14 +77,13 @@ type CostModel struct {
 	TakenPenalty int64
 }
 
-// Options fixes the run shape the program is compiled for. Telemetry
-// and path hooks are compile-time decisions: with Telemetry true every
-// transition closure is wrapped in one that counts it, and traces add
-// their summed counts; with Telemetry false no counting code runs (the
-// RunOps fallback for check-poisoned streams bumps the Exec's zero,
-// no-op cells). Either way the same transition closures run and the
-// same traces form. With PathHooks false no hook-dispatch code is
-// emitted.
+// Options fixes the run shape the program is compiled for. With
+// Telemetry true every transition adds its constant VM counters, and
+// traces add their summed counts, behind one branch; with Telemetry
+// false that branch counts nothing (the RunOps fallback for
+// check-poisoned streams bumps the Exec's zero, no-op cells). Either
+// way the same transitions run and the same traces form. With
+// PathHooks false no completed path is handed to a hook.
 type Options struct {
 	Costs          CostModel
 	CollectEdges   bool
@@ -146,13 +145,8 @@ type Program struct {
 
 type instrFn func(x *Exec, fr *frame)
 
-// termFn executes a block's terminator and returns the next block's
-// code directly (nil for a routine return): transitions are pointer
-// threaded, with no block-index lookup between them.
-type termFn func(x *Exec, fr *frame) *blockCode
-
 // condFn computes a branch condition whose register nothing else
-// reads and hands the comparison to the terminator as a bool — no 0/1
+// reads and hands the comparison to the executor as a bool — no 0/1
 // materialization and re-test.
 type condFn func(x *Exec, fr *frame) bool
 
@@ -173,12 +167,17 @@ type segment struct {
 
 type blockCode struct {
 	segs []segment
-	term termFn
-	// arms retains the per-successor transition closures the terminator
-	// dispatches between, so translation validation (validate.go) can
-	// drive each arm directly: [0] the Jump/Ret closure or Branch taken
-	// arm, [1] the Branch else arm.
-	arms [2]termFn
+	// arms are the terminator's transitions, which the executor, trace
+	// side exits and translation validation (validate.go) all carry out
+	// through take: [0] the Jump or Ret, or the Branch's taken arm, [1]
+	// the Branch's else arm. The successor code an arm holds is the
+	// next block's own: transitions are pointer threaded, with no
+	// block-index lookup between them.
+	arms [2]armConsts
+	// A Branch picks its arm by the fused comparison cond, else by the
+	// condition register creg (-1 for any other terminator).
+	cond condFn
+	creg int32
 	// code is the hoisted single segment of a solo block; the executor
 	// runs it without the segment loop (or fr.seg bookkeeping). A solo
 	// block's step/cost charge is folded into the constant charge of
@@ -203,15 +202,9 @@ type blockTraceSrc struct {
 	// build: the micro-ops its code runs, which a trace's stream
 	// repeats.
 	body []micro
-	// A Branch terminator's condition: the fused comparison cond, else
-	// the condition register creg (-1 for any other terminator), and
-	// test, the exit-if guard that exits when the branch is taken.
-	cond condFn
-	creg int32
+	// test is a Branch's exit-if guard that exits when the branch is
+	// taken.
 	test micro
-	// consts retains each arm's folded transition constants, in arms
-	// order.
-	consts [2]armConsts
 }
 
 type fnCode struct {
@@ -347,19 +340,18 @@ func (c *comp) compileFunc(fi int) (fnCode, error) {
 		traceSrc: make([]blockTraceSrc, len(f.Blocks)),
 	}
 	// Pass 1 compiles every block's instruction segments, so that pass 2
-	// can thread terminators directly to successor blockCode pointers
-	// and fold solo successors' charges into terminator constants.
+	// can thread arms directly to successor blockCode pointers and fold
+	// solo successors' charges into arm constants.
 	for bi, b := range f.Blocks {
 		cond := -1
 		if b.Term.Kind == ir.Branch {
 			cond = b.Term.Cond
 		}
-		ts := &fc.traceSrc[bi]
-		segs, err := c.compileSegments(b.Instrs, cond, ts)
+		bc := &fc.blocks[bi]
+		segs, err := c.compileSegments(b.Instrs, cond, bc, &fc.traceSrc[bi])
 		if err != nil {
 			return fnCode{}, fmt.Errorf("compile: %s block %d: %w", f.Name, bi, err)
 		}
-		bc := &fc.blocks[bi]
 		bc.segs = segs
 		if len(segs) == 1 && segs[0].call == nil {
 			bc.solo = true
@@ -372,13 +364,13 @@ func (c *comp) compileFunc(fi int) (fnCode, error) {
 		fc.entryCost = eb.segs[0].cost
 	}
 	for bi, b := range f.Blocks {
-		ts := &fc.traceSrc[bi]
-		ts.creg = -1
-		if b.Term.Kind == ir.Branch && ts.cond == nil {
-			ts.creg = int32(b.Term.Cond)
-			ts.test = micro{op: mXNZ, a: ts.creg}
+		bc := &fc.blocks[bi]
+		bc.creg = -1
+		if b.Term.Kind == ir.Branch && bc.cond == nil {
+			bc.creg = int32(b.Term.Cond)
+			fc.traceSrc[bi].test = micro{op: mXNZ, a: bc.creg}
 		}
-		fc.blocks[bi].term = c.compileTerm(&fc, bi, &b.Term, ts.cond)
+		c.compileArms(&fc, bi, &b.Term)
 	}
 	fc.memoTo = c.memoTo
 	return fc, nil
@@ -389,10 +381,10 @@ func (c *comp) compileFunc(fi int) (fnCode, error) {
 // path-collecting build, where traces form, keeps its lowered run in
 // ts.body. In one whose branch tests register cond (-1:
 // not a branch), a trailing compare into cond that nothing else reads
-// leaves the run and becomes the branch's ts.cond and ts.test; the
+// leaves the run and becomes the branch's bc.cond and ts.test; the
 // segment still charges it, so budget errors fall where the
 // interpreter's do.
-func (c *comp) compileSegments(instrs []ir.Instr, cond int, ts *blockTraceSrc) ([]segment, error) {
+func (c *comp) compileSegments(instrs []ir.Instr, cond int, bc *blockCode, ts *blockTraceSrc) ([]segment, error) {
 	cInstr, cCall := c.opts.Costs.Instr, c.opts.Costs.Call
 	var segs []segment
 	runStart := 0
@@ -403,7 +395,7 @@ func (c *comp) compileSegments(instrs []ir.Instr, cond int, ts *blockTraceSrc) (
 		solo := call == nil && len(segs) == 0
 		if k := len(ms) - 1; solo && k >= 0 && int(ms[k].d) == cond {
 			if cf, test, ok := c.microCond(ms[k]); ok {
-				ts.cond, ts.test, ms = cf, test, ms[:k]
+				bc.cond, ts.test, ms = cf, test, ms[:k]
 			}
 		}
 		// A long run's closure and, in a build that forms traces, a

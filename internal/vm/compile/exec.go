@@ -125,11 +125,11 @@ func NewExec(p *Program, cfg Config) (*Exec, error) {
 	return x, nil
 }
 
-// newProbeExec returns the Exec translation validation drives
-// transition closures and trace guards on: its containers and VM
-// counter cells are the validator's twins, the containers swapped in
-// per routine, and it has no globals or arrays (validation never runs
-// block code) and forms no traces.
+// newProbeExec returns the Exec translation validation takes arms and
+// runs trace guards on: its containers and VM counter cells are the
+// validator's twins, the containers swapped in per routine, and it has
+// no globals or arrays (validation never runs block code) and forms no
+// traces.
 func newProbeExec(p *Program, hook func(string, cfg.Path), tel telemetry.VMCells) *Exec {
 	return newExec(p, Config{Fts: make([]FuncRun, len(p.fns)), PathHook: hook, Tel: tel})
 }
@@ -260,8 +260,8 @@ func (x *Exec) pushFrame(fi, callDst int32) *frame {
 
 // Run executes function entry (a program function index) to
 // completion. The outer loop only walks segments and frames; all
-// per-instruction and per-transition work happens inside the compiled
-// closures.
+// per-instruction work happens inside the compiled closures, and all
+// per-transition work in take.
 //
 // The step budget is enforced per segment: the run errors at a segment
 // boundary exactly when the interpreter would error inside it (the
@@ -285,6 +285,7 @@ outer:
 		for {
 			bc := fr.bc
 			var nbc *blockCode
+			var a *armConsts
 			if bc.solo {
 				// Call-free single-segment block, already charged by the
 				// transition (or frame push) that entered it: compare the
@@ -300,11 +301,10 @@ outer:
 				// have exhausted the budget either.
 				if t := bc.trace; t != nil && t.budget <= x.maxSteps-x.steps {
 					nbc = t.run(x, fr)
-				} else {
-					if bc.code != nil {
-						bc.code(x, fr)
-					}
-					nbc = bc.term(x, fr)
+					goto next
+				}
+				if bc.code != nil {
+					bc.code(x, fr)
 				}
 			} else {
 				for int(fr.seg) < len(bc.segs) {
@@ -327,8 +327,20 @@ outer:
 						continue outer
 					}
 				}
-				nbc = bc.term(x, fr)
 			}
+			// The terminator takes its arm: a Branch's else arm when its
+			// fused compare fails or its condition register is zero, else
+			// arms[0].
+			a = &bc.arms[0]
+			if bc.cond != nil {
+				if !bc.cond(x, fr) {
+					a = &bc.arms[1]
+				}
+			} else if bc.creg >= 0 && fr.regs[bc.creg] == 0 {
+				a = &bc.arms[1]
+			}
+			nbc = x.take(fr, a)
+		next:
 			if nbc != nil {
 				fr.bc = nbc
 				fr.seg = 0

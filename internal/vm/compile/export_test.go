@@ -10,10 +10,10 @@ type MutatedSite struct {
 // compiled after the call that apply corrupts (apply reports whether
 // it did) is recorded in the returned struct. Disarm with
 // ClearMutateSucc.
-func mutateFirst(apply func(c *succConsts) bool) *MutatedSite {
+func mutateFirst(apply func(a *armConsts) bool) *MutatedSite {
 	site := &MutatedSite{From: -1, To: -1}
-	testMutateSucc = func(fn string, from, to int, c *succConsts) {
-		if site.From >= 0 || !apply(c) {
+	testMutateArm = func(fn string, from, to int, a *armConsts) {
+		if site.From >= 0 || !apply(a) {
 			return
 		}
 		*site = MutatedSite{Fn: fn, From: from, To: to}
@@ -25,37 +25,38 @@ func mutateFirst(apply func(c *succConsts) bool) *MutatedSite {
 // transition's folded base-cost constant — a deliberate
 // miscompilation.
 func MutateFirstSuccBase(delta int64) *MutatedSite {
-	return mutateFirst(func(c *succConsts) bool { c.Base += delta; return true })
+	return mutateFirst(func(a *armConsts) bool { a.base += delta; return true })
 }
 
 // MutateFirstSuccSteps arms the hook to corrupt the folded step-count
 // constant instead, covering the solo-successor charge fold.
 func MutateFirstSuccSteps(delta int64) *MutatedSite {
-	return mutateFirst(func(c *succConsts) bool { c.Steps += delta; return true })
+	return mutateFirst(func(a *armConsts) bool { a.steps += delta; return true })
 }
 
 // MutateFirstSuccEdgeSlot arms the hook to move the edge-counter bump
 // of the first transition that has one delta slots along, so the
 // compiled code counts the wrong edge.
 func MutateFirstSuccEdgeSlot(delta int32) *MutatedSite {
-	return mutateFirst(func(c *succConsts) bool {
-		if c.EdgeSlot < 0 {
+	return mutateFirst(func(a *armConsts) bool {
+		if a.slot < 0 {
 			return false
 		}
-		c.EdgeSlot += delta
+		a.slot += delta
 		return true
 	})
 }
 
 // MutateFirstSuccAdd arms the hook to add delta to the register-fold
-// add constant of the first transition that applies the fold, so the
-// compiled code leaves the wrong path register.
+// add constant of the first transition whose instrumentation is a
+// register fold alone, so the compiled code leaves the wrong path
+// register.
 func MutateFirstSuccAdd(delta int64) *MutatedSite {
-	return mutateFirst(func(c *succConsts) bool {
-		if !c.Fold {
+	return mutateFirst(func(a *armConsts) bool {
+		if a.instr != 0 {
 			return false
 		}
-		c.Add += delta
+		a.add += delta
 		return true
 	})
 }
@@ -63,11 +64,24 @@ func MutateFirstSuccAdd(delta int64) *MutatedSite {
 // MutateFirstSuccICost arms the hook to add delta to the first
 // transition's folded instrumentation-cost constant.
 func MutateFirstSuccICost(delta int64) *MutatedSite {
-	return mutateFirst(func(c *succConsts) bool { c.ICost += delta; return true })
+	return mutateFirst(func(a *armConsts) bool { a.icost += delta; return true })
+}
+
+// MutateFirstSuccCount arms the hook to add delta to the count-index
+// constant of the first single-count transition, so the compiled code
+// counts the wrong path.
+func MutateFirstSuccCount(delta int64) *MutatedSite {
+	return mutateFirst(func(a *armConsts) bool {
+		if a.instr != mCount && a.instr != mCountH {
+			return false
+		}
+		a.ia += delta
+		return true
+	})
 }
 
 // ClearMutateSucc disarms the lowering-mutation hook.
-func ClearMutateSucc() { testMutateSucc = nil }
+func ClearMutateSucc() { testMutateArm = nil }
 
 // RedriveArms drives every arm of the routine v last validated through
 // every probe again, on the same twin containers.
@@ -196,6 +210,18 @@ func MutateFirstTraceRestart(delta int32) *MutatedSite {
 			c.Restart += delta
 		}
 		return c.Back
+	})
+}
+
+// MutateFirstTraceCount arms the hook to add delta to the index add of
+// the first count micro-op in the stream of the first trace that has
+// one, so the trace would count the wrong path.
+func MutateFirstTraceCount(delta int64) *MutatedSite {
+	return mutateFirstTrace(func(c *traceConsts) bool {
+		if c.Counted {
+			c.CountAdd += delta
+		}
+		return c.Counted
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"pathprof/internal/ir"
+	"pathprof/internal/planir"
 )
 
 // This file is the compiler's one instruction lowering and its one
@@ -28,8 +29,8 @@ import (
 //     the run, and the branch tests the register;
 //   - a hot-path trace (trace.go) is one stream of the same micro-ops:
 //     each block's run, its branch as an exit-if guard, and the
-//     transition's edge bump, register fold or counter-op call, all
-//     run by runMicros, which block runs and traces share.
+//     transition's edge bump, count and register fold, or RunOps
+//     stream, all run by runMicros, which block runs and traces share.
 
 // micro opcodes. mXxxK forms take the second operand from imm (the
 // fused constant); mGXxxK/mGXxx mutate a global in place.
@@ -107,9 +108,13 @@ const (
 	mXGeK
 	mXZ
 	mXNZ
-	// A transition's effects: bump edge slot b, apply the register fold
-	// r = (r & m) + imm, or call the trace's counter-op closure fns[b].
+	// A transition's effects: bump edge slot b, count index
+	// (r & m) + imm in the array (mCount) or hash (mCountH) table, apply
+	// the register fold r = (r & m) + imm, or run the trace's RunOps
+	// stream ops[b].
 	mBump
+	mCount
+	mCountH
 	mFold
 	mOps
 )
@@ -124,7 +129,7 @@ type micro struct {
 	a   int32
 	b   int32 // register, array/global symbol, or shift count
 	imm int64
-	m   uint64 // mDivK, mModK: recip(imm); mFold: the mask
+	m   uint64 // mDivK, mModK: recip(imm); mCount, mCountH, mFold: the mask
 }
 
 // microExec wraps a decoded run in the executing closure.
@@ -132,13 +137,13 @@ func microExec(ms []micro) instrFn {
 	return func(x *Exec, fr *frame) { runMicros(x, fr, ms, nil) }
 }
 
-// runMicros is the micro-op loop: it runs ms on fr, calling fns for a
-// trace's counter ops, and returns the step named by the first guard
-// that exits, or -1 once the whole stream has run. A block's run has
-// no guards.
+// runMicros is the micro-op loop: it runs ms on fr, with ops a trace's
+// RunOps streams, and returns the step named by the first guard that
+// exits, or -1 once the whole stream has run. A block's run has no
+// guards.
 //
 //ppp:hotpath
-func runMicros(x *Exec, fr *frame, ms []micro, fns []instrFn) int32 {
+func runMicros(x *Exec, fr *frame, ms []micro, ops [][]planir.Op) int32 {
 	r := fr.regs
 	g := x.globals
 	for i := range ms {
@@ -321,10 +326,14 @@ func runMicros(x *Exec, fr *frame, ms []micro, fns []instrFn) int32 {
 			}
 		case mBump:
 			fr.ft.Edges.BumpSlot(int(m.b))
+		case mCount:
+			fr.ft.Table.IncArray((fr.r & int64(m.m)) + m.imm)
+		case mCountH:
+			fr.ft.Table.Inc((fr.r & int64(m.m)) + m.imm)
 		case mFold:
 			fr.r = (fr.r & int64(m.m)) + m.imm
 		case mOps:
-			fns[m.b](x, fr)
+			x.runOps(fr, ops[m.b])
 		}
 	}
 	return -1

@@ -10,8 +10,8 @@ import (
 // This file is the one definition of what a control-flow transition
 // does to a run's profiling state. Translation validation (validate.go)
 // replays Stepper.Step over twin containers as the reference every
-// compiled transition closure is checked against; the compiled generic
-// op lowering (term.go) calls RunOps; and the reference interpreter in
+// compiled transition is checked against; the compiled executor runs
+// the op streams its folds do not cover (term.go) through RunOps; and the reference interpreter in
 // internal/vm's tests executes Stepper.Step on every transition.
 //
 // Charges that depend only on the block layout — the terminator's step

@@ -6,9 +6,9 @@ import (
 )
 
 // This file lowers terminators: every control-flow transition becomes
-// ONE closure fusing successor cost, edge-profile bump,
-// instrumentation ops, and path tracking. Two folds carry most of the
-// weight:
+// one armConsts, the constants of everything it does, and one method,
+// Exec.take, carries out every transition from them. Two folds carry
+// most of the weight:
 //
 //   - Register-op streams (OpInc/OpSet runs) reduce to a single
 //     branchless masked update fr.r = (fr.r & mask) + add, because a
@@ -21,47 +21,54 @@ import (
 //     constant that joins the terminator's base charge.
 //
 // Streams with a poison check or several counts (rare: check-based
-// poisoning ablations) fall back to RunOps, the op stream
-// Stepper.Step runs.
+// poisoning ablations) are kept as the op stream itself, which take
+// hands to RunOps, the op stream Stepper.Step runs.
 //
-// Every transition is built once, with no counter code. A Telemetry
-// build meters a run by wrapping each arm at compile time in one
-// counting closure (meter) that adds the arm's constant VM counters;
-// traces sum the same constants (trace.go). So a metered run executes
-// the same closures, and forms the same traces, as an unmetered one.
-// The RunOps fallback counts its data-dependent table increments and
-// cold bumps itself, in the Exec's cells, which are the zero (no-op)
-// VMCells when telemetry is off.
+// A metered (Telemetry) run adds each transition's constant VM
+// counters in take, behind the branch traces use, so a metered run
+// takes the same arms, and forms the same traces, as an unmetered one.
+// RunOps counts its data-dependent table increments and cold bumps
+// itself, in the Exec's cells, which are the zero (no-op) VMCells when
+// telemetry is off.
 
-// succConsts exposes one transition closure's folded compile-time
-// constants to the mutation hook below. Fold reports whether the
-// closure applies the register fold (Mask, Add); a transition lowered
-// to an op closure ignores it.
-type succConsts struct {
-	Steps, Base, ICost, Mask, Add int64
-	EdgeSlot                      int32
-	Fold                          bool
-}
+// testMutateArm, when non-nil, may corrupt a transition's constants
+// after they are finalized (including the solo-successor charge fold),
+// simulating a miscompiled lowering. Tests use it to prove translation
+// validation actually detects broken terminators; it must stay nil
+// outside tests.
+var testMutateArm func(fn string, from, to int, a *armConsts)
 
-// testMutateSucc, when non-nil, may corrupt a transition's folded
-// constants after they are finalized (including the solo-successor
-// charge fold), simulating a miscompiled lowering. Tests use it to
-// prove translation validation actually detects broken terminators;
-// it must stay nil outside tests.
-var testMutateSucc func(fn string, from, to int, c *succConsts)
-
-// armConsts is one compiled transition's folded constants, retained
-// beside its closure for the trace former and the meter: the successor
-// code, the step, base and instrumentation charges (the solo-successor
-// fold included), the register fold or op closure, the edge slot, and
-// the VM counters the transition adds. A Ret arm has no successor,
-// charges only its step and Term, and counts nothing.
+// armConsts is one compiled transition, the arm of a terminator: the
+// successor code (nil for a Ret), the step, base and instrumentation
+// charges (the solo-successor fold included), the edge slot, the
+// instrumentation as a register fold, a single count plus that fold,
+// or a RunOps stream, the path tracking, and the VM counters the
+// transition adds. take carries it out, traces copy and sum it, and
+// translation validation drives take on it.
 type armConsts struct {
 	to                 *blockCode
 	steps, base, icost int64
-	mask, add          int64
-	ops                instrFn
-	slot               int32
+	// mask and add are the register fold r = (r & mask) + add, the
+	// identity (-1, 0) for a RunOps stream.
+	mask, add int64
+	slot      int32
+	// edge is the DAG edge the transition appends to the pending path:
+	// the real edge, or a back edge's exit dummy; entry is a back edge's
+	// entry dummy, the path it restarts. Both are -1 when paths are off,
+	// and on a Ret.
+	edge, entry int32
+	// ends reports that the transition completes the pending path: a
+	// back edge or a Ret, when paths are collected.
+	ends bool
+	// instr is the micro-op of the instrumentation beyond the register
+	// fold, 0 for none: mCount (array) or mCountH (hash table) for a
+	// single count of index (r & im) + ia, before the fold; mOps for
+	// ops, a stream the folds do not cover, run by RunOps.
+	instr  uint8
+	im, ia int64
+	ops    []planir.Op
+	// ret is a Ret's returned register, -1 for none.
+	ret int32
 	// memo is a back edge's slot in the Exec's root-step memo, under
 	// CollectPaths; -1 on any other transition.
 	memo int32
@@ -70,7 +77,7 @@ type armConsts struct {
 
 // tally is the constant part of the VM counters a run of transitions
 // adds: transitions, instrumentation ops, and the table increments of
-// fused single-count streams (RunOps counts its own).
+// single-count streams (RunOps counts its own).
 type tally struct{ trans, ops, incs int64 }
 
 func (t *tally) add(o *tally) {
@@ -86,12 +93,74 @@ func (x *Exec) count(n *tally) {
 	x.tel.TableIncs.Add(n.incs)
 }
 
-// lowered is the compiled form of one op stream.
-type lowered struct {
-	fn        instrFn // non-nil only for count-carrying streams
-	mask, add int64   // register fold, applied iff fn == nil
-	cost      int64   // compile-time-constant modeled cost
-	n, incs   int64   // op count and constant table increments
+// take carries out transition a from fr: the charges, the edge-slot
+// bump, the instrumentation, and path tracking, completing the pending
+// path at a back edge or a Ret. It returns the successor's code, nil
+// for a Ret, after stashing the returned value in x.ret.
+//
+//ppp:hotpath
+func (x *Exec) take(fr *frame, a *armConsts) *blockCode {
+	x.steps += a.steps
+	x.base += a.base
+	x.icost += a.icost
+	if x.metered {
+		x.count(&a.n)
+	}
+	if a.slot >= 0 {
+		fr.ft.Edges.BumpSlot(int(a.slot))
+	}
+	switch a.instr {
+	case mCount:
+		fr.ft.Table.IncArray((fr.r & a.im) + a.ia)
+	case mCountH:
+		fr.ft.Table.Inc((fr.r & a.im) + a.ia)
+	case mOps:
+		x.runOps(fr, a.ops)
+	}
+	fr.r = (fr.r & a.mask) + a.add
+	if a.edge >= 0 {
+		fr.path = append(fr.path, a.edge) //ppp:allow(alloc)
+		fr.trie = fr.ft.Paths.Step(fr.trie, a.edge)
+	}
+	if a.ends {
+		x.endPath(fr)
+	}
+	if a.to == nil {
+		x.ret = 0
+		if a.ret >= 0 {
+			x.ret = fr.regs[a.ret]
+		}
+		return nil
+	}
+	if a.entry >= 0 {
+		fr.path = append(fr.path[:0], a.entry) //ppp:allow(alloc)
+		return x.restart(fr, int(a.memo), a.entry, a.to)
+	}
+	return a.to
+}
+
+// endPath records fr's pending path, whose trie node fr.trie already
+// is, as one completed execution: it forms a trace when the path
+// reaches TraceAt, and calls the path hook.
+func (x *Exec) endPath(fr *frame) {
+	if x.metered {
+		x.tel.Paths.Inc()
+		x.tel.PathLen.Observe(int64(len(fr.path)))
+	}
+	if fr.ft.Paths.AddAt(fr.trie, fr.path, 1) == TraceAt {
+		x.formTrace(fr)
+	}
+	if x.p.opts.PathHooks && x.pathHook != nil {
+		x.hook(fr.fc.name, x.p.specs[fr.fc.fi].Edges, fr.path)
+	}
+}
+
+// runOps runs op stream ops through RunOps on fr's path register and
+// counter table, charging its data-dependent cost.
+func (x *Exec) runOps(fr *frame, ops []planir.Op) {
+	var ic int64
+	fr.r, ic = RunOps(ops, fr.r, &x.p.specs[fr.fc.fi], fr.ft.Table, &x.p.opts.Costs, &x.tel)
+	x.icost += ic
 }
 
 // foldRegs reduces a pure register-op stream to (mask, add).
@@ -117,318 +186,112 @@ func composeFold(m1, a1, m2, a2 int64) (int64, int64) {
 	return m1, a1 + a2
 }
 
-// lowerOps compiles an instrumentation op stream.
-func (c *comp) lowerOps(ops []planir.Op) lowered {
+// lowerOps folds an instrumentation op stream into a: its register
+// fold, its single count, or, for the shapes the folds don't cover
+// (poison checks, several counts), the stream itself, whose costs are
+// data-dependent and accrue at run time.
+func (c *comp) lowerOps(ops []planir.Op, a *armConsts) {
 	costs := &c.opts.Costs
-	if len(ops) == 0 {
-		return lowered{mask: -1}
-	}
-	counts := 0
-	ci := -1
+	a.n.ops = int64(len(ops))
+	counts, ci := 0, -1
 	for i, op := range ops {
 		if op.Kind.IsCount() {
 			counts++
 			ci = i
 		}
 	}
-	if counts == 0 {
-		m, a := foldRegs(ops)
-		return lowered{mask: m, add: a, cost: int64(len(ops)) * costs.RegOp, n: int64(len(ops))}
+	switch {
+	case counts == 0:
+		a.mask, a.add = foldRegs(ops)
+		a.icost += int64(len(ops)) * costs.RegOp
+	case counts == 1 && !c.spec.PoisonCheck:
+		c.lowerSingleCount(ops, ci, a)
+	default:
+		a.mask, a.instr, a.ops = -1, mOps, ops
 	}
-	if counts == 1 && !c.spec.PoisonCheck {
-		return c.lowerSingleCount(ops, ci)
-	}
-	return c.lowerGeneric(ops)
 }
 
 // lowerSingleCount specializes the dominant instrumented-transition
 // shape: reg ops, one counter bump, reg ops. Everything folds to two
 // masked adds and one table increment, with a constant cost.
-func (c *comp) lowerSingleCount(ops []planir.Op, ci int) lowered {
+func (c *comp) lowerSingleCount(ops []planir.Op, ci int, a *armConsts) {
 	costs := &c.opts.Costs
 	op := ops[ci]
 	m1, a1 := foldRegs(ops[:ci])
 	m2, a2 := foldRegs(ops[ci+1:])
-	var im, ia int64
 	switch op.Kind {
 	case planir.OpCountR:
-		im, ia = m1, a1
+		a.im, a.ia = m1, a1
 	case planir.OpCountRV:
-		im, ia = m1, a1+op.V
+		a.im, a.ia = m1, a1+op.V
 	case planir.OpCountC:
-		im, ia = 0, op.V
+		a.im, a.ia = 0, op.V
 	}
-	fm, fa := composeFold(m1, a1, m2, a2)
-	var countCost int64
+	a.mask, a.add = composeFold(m1, a1, m2, a2)
+	a.instr = mCount
+	countCost := costs.CountArray
 	switch {
 	case c.spec.Hash:
-		countCost = costs.CountHash
+		a.instr, countCost = mCountH, costs.CountHash
 	case op.Kind == planir.OpCountC:
 		countCost = costs.CountConst
-	default:
-		countCost = costs.CountArray
 	}
-	lo := lowered{
-		cost: int64(len(ops)-1)*costs.RegOp + countCost,
-		n:    int64(len(ops)),
-		incs: 1,
-	}
-	if c.spec.Hash {
-		lo.fn = func(x *Exec, fr *frame) {
-			fr.ft.Table.Inc((fr.r & im) + ia)
-			fr.r = (fr.r & fm) + fa
-		}
-	} else {
-		lo.fn = func(x *Exec, fr *frame) {
-			fr.ft.Table.IncArray((fr.r & im) + ia)
-			fr.r = (fr.r & fm) + fa
-		}
-	}
-	return lo
+	a.icost += int64(len(ops)-1)*costs.RegOp + countCost
+	a.n.incs = 1
 }
 
-// lowerGeneric runs the shapes the folds don't cover (poison checks,
-// multiple counts) through RunOps, Stepper.Step's own op stream.
-// Costs are data-dependent here, so they accrue at run time.
-func (c *comp) lowerGeneric(ops []planir.Op) lowered {
-	stream := append([]planir.Op(nil), ops...)
-	spec, costs := c.spec, &c.opts.Costs
-	lo := lowered{mask: -1, n: int64(len(ops))}
-	lo.fn = func(x *Exec, fr *frame) {
-		var ic int64
-		fr.r, ic = RunOps(stream, fr.r, spec, fr.ft.Table, costs, &x.tel)
-		x.icost += ic
+// compileArms lowers block bi's terminator t into the block's arms:
+// [0] the Jump's or Ret's transition or the Branch's taken one, [1] the
+// Branch's else transition.
+func (c *comp) compileArms(fc *fnCode, bi int, t *ir.Term) {
+	bc := &fc.blocks[bi]
+	if t.Kind == ir.Ret {
+		bc.arms[0] = armConsts{steps: 1, base: c.opts.Costs.Term, mask: -1, slot: -1, edge: -1, entry: -1,
+			ends: c.opts.CollectPaths, ret: int32(t.Ret), memo: -1}
+		return
 	}
-	return lo
-}
-
-// compileTerm lowers a block terminator. Jump and Branch compile to
-// successor closures that return the next block's code; Ret returns
-// nil after stashing the value in x.ret. A non-nil cond (the block's
-// extracted trailing comparison) dispatches the branch on the native
-// bool. Every arm is metered in a Telemetry build.
-func (c *comp) compileTerm(fc *fnCode, bi int, t *ir.Term, cond condFn) termFn {
-	bc, ac := &fc.blocks[bi], &fc.traceSrc[bi].consts
-	switch t.Kind {
-	case ir.Ret:
-		ac[0] = armConsts{steps: 1, base: c.opts.Costs.Term, mask: -1, slot: -1, memo: -1}
-		bc.arms[0] = c.meter(c.mkRet(t), &ac[0])
-		return bc.arms[0]
-	case ir.Jump:
-		bc.arms[0] = c.meter(c.mkSucc(fc, bi, &c.spec.Succs[bi][0], &ac[0]), &ac[0])
-		return bc.arms[0]
-	case ir.Branch:
-		f0 := c.meter(c.mkSucc(fc, bi, &c.spec.Succs[bi][0], &ac[0]), &ac[0])
-		f1 := c.meter(c.mkSucc(fc, bi, &c.spec.Succs[bi][1], &ac[1]), &ac[1])
-		bc.arms[0], bc.arms[1] = f0, f1
-		if cond != nil {
-			//ppp:hotpath
-			return func(x *Exec, fr *frame) *blockCode {
-				if cond(x, fr) {
-					return f0(x, fr)
-				}
-				return f1(x, fr)
-			}
-		}
-		condReg := t.Cond
-		//ppp:hotpath
-		return func(x *Exec, fr *frame) *blockCode {
-			if fr.regs[condReg] != 0 {
-				return f0(x, fr)
-			}
-			return f1(x, fr)
-		}
-	}
-	return nil
-}
-
-// meter returns arm f, whose constants are ac, wrapped in a Telemetry
-// build in the closure that counts it: ac's VM counters and, when the
-// arm completes a path, the path and its length. A back edge under
-// CollectPaths (the one arm with a memo slot) completes the pending
-// path plus the exit dummy it appends; a Ret the pending path. Without
-// Telemetry it returns f itself.
-func (c *comp) meter(f termFn, ac *armConsts) termFn {
-	if !c.opts.Telemetry {
-		return f
-	}
-	n := ac.n
-	ends, extra := ac.memo >= 0, 1
-	if ac.to == nil {
-		ends, extra = c.opts.CollectPaths, 0
-	}
-	//ppp:hotpath
-	return func(x *Exec, fr *frame) *blockCode {
-		x.count(&n)
-		if ends {
-			x.tel.Paths.Inc()
-			x.tel.PathLen.Observe(int64(len(fr.path) + extra))
-		}
-		return f(x, fr)
+	c.succArm(fc, bi, &c.spec.Succs[bi][0], &bc.arms[0])
+	if t.Kind == ir.Branch {
+		c.succArm(fc, bi, &c.spec.Succs[bi][1], &bc.arms[1])
 	}
 }
 
-// mkRet compiles the routine-exit terminator: complete the current
-// path (already positioned in the trie by the transitions that built
-// it), record the return value, signal the pop with nil.
-func (c *comp) mkRet(t *ir.Term) termFn {
-	baseC := c.opts.Costs.Term
-	retReg := t.Ret
-	name, edges := c.fname, c.spec.Edges
-	hooks := c.opts.PathHooks
-	if !c.opts.CollectPaths {
-		return func(x *Exec, fr *frame) *blockCode {
-			x.steps++
-			x.base += baseC
-			if retReg >= 0 {
-				x.ret = fr.regs[retReg]
-			} else {
-				x.ret = 0
-			}
-			return nil
-		}
-	}
-	return func(x *Exec, fr *frame) *blockCode {
-		x.steps++
-		x.base += baseC
-		if fr.ft.Paths.AddAt(fr.trie, fr.path, 1) == TraceAt {
-			x.formTrace(fr)
-		}
-		if hooks && x.pathHook != nil {
-			x.hook(name, edges, fr.path)
-		}
-		if retReg >= 0 {
-			x.ret = fr.regs[retReg]
-		} else {
-			x.ret = 0
-		}
-		return nil
-	}
-}
-
-// mkSucc compiles one control-flow transition into a single closure.
-// Constant charges (terminator, taken penalty, edge-instrument
-// counter, folded op costs) collapse into two adds; the remaining work
-// is the edge-slot bump, the op fold or call, and path tracking. Three
-// build-time variants cover paths off / real edge / back edge.
-//
-// The closure returns the successor's blockCode pointer, and when the
-// successor is solo its whole segment charge folds into this
-// transition's constants — the executor then only compares the budget
-// before running the successor's code.
-func (c *comp) mkSucc(fc *fnCode, from int, s *SuccSpec, ac *armConsts) termFn {
+// succArm lowers transition s out of block from into a. Constant
+// charges (terminator, taken penalty, edge-instrument counter, folded
+// op costs) collapse into three constants, and when the successor is
+// solo its whole segment charge folds into them too: the executor then
+// only compares the budget before running the successor's code.
+func (c *comp) succArm(fc *fnCode, from int, s *SuccSpec, a *armConsts) {
 	costs := &c.opts.Costs
-	baseC := costs.Term
-	if s.To != from+1 {
-		baseC += costs.TakenPenalty
-	}
-	lo := c.lowerOps(s.Ops)
-	icostC := lo.cost + s.InstrCost
-	opsFn, rm, ra := lo.fn, lo.mask, lo.add
-	// hasFold skips the identity fold: an uninstrumented transition
-	// leaves the path register alone instead of rewriting it.
-	hasFold := rm != -1 || ra != 0
-	slot := int32(-1)
-	if c.opts.CollectEdges {
-		slot = s.EdgeSlot
-	}
 	to := &fc.blocks[s.To]
-	stepsC := int64(1)
+	*a = armConsts{to: to, steps: 1, base: costs.Term, icost: s.InstrCost, slot: -1, edge: -1, entry: -1,
+		memo: -1, n: tally{trans: 1}}
+	if s.To != from+1 {
+		a.base += costs.TakenPenalty
+	}
 	if to.solo {
-		stepsC += to.segs[0].steps
-		baseC += to.segs[0].cost
+		a.steps += to.segs[0].steps
+		a.base += to.segs[0].cost
 	}
-	if testMutateSucc != nil {
-		sc := succConsts{Steps: stepsC, Base: baseC, ICost: icostC, Mask: rm, Add: ra, EdgeSlot: slot, Fold: opsFn == nil}
-		testMutateSucc(c.fname, from, s.To, &sc)
-		stepsC, baseC, icostC, rm, ra, slot = sc.Steps, sc.Base, sc.ICost, sc.Mask, sc.Add, sc.EdgeSlot
-		hasFold = rm != -1 || ra != 0
+	c.lowerOps(s.Ops, a)
+	if c.opts.CollectEdges {
+		a.slot = s.EdgeSlot
 	}
-	*ac = armConsts{to: to, steps: stepsC, base: baseC, icost: icostC, mask: rm, add: ra, ops: opsFn, slot: slot, memo: -1,
-		n: tally{trans: 1, ops: lo.n, incs: lo.incs}}
-
-	if !c.opts.CollectPaths {
-		//ppp:hotpath
-		return func(x *Exec, fr *frame) *blockCode {
-			x.steps += stepsC
-			x.base += baseC
-			if icostC != 0 {
-				x.icost += icostC
-			}
-			if slot >= 0 {
-				fr.ft.Edges.BumpSlot(int(slot))
-			}
-			if opsFn != nil {
-				opsFn(x, fr)
-			} else {
-				fr.r = (fr.r & rm) + ra
-			}
-			return to
-		}
+	switch {
+	case !c.opts.CollectPaths:
+	case !s.Back:
+		a.edge = int32(s.PathEdge.ID)
+	default:
+		// A back edge finishes the path at the exit dummy and restarts it
+		// at the entry dummy. The restart's trie node is memoized per Exec
+		// (trie nodes are stable for a binding's lifetime); the memo slot
+		// also holds the Exec's trace head for the header, once a trace
+		// from it is installed.
+		a.edge, a.entry, a.ends = int32(s.ExitDummy.ID), int32(s.EntryDummy.ID), true
+		a.memo = int32(len(c.memoTo))
+		c.memoTo = append(c.memoTo, int32(s.To))
 	}
-
-	if !s.Back {
-		peID := int32(s.PathEdge.ID)
-		//ppp:hotpath
-		return func(x *Exec, fr *frame) *blockCode {
-			x.steps += stepsC
-			x.base += baseC
-			if icostC != 0 {
-				x.icost += icostC
-			}
-			if slot >= 0 {
-				fr.ft.Edges.BumpSlot(int(slot))
-			}
-			if opsFn != nil {
-				opsFn(x, fr)
-			} else {
-				fr.r = (fr.r & rm) + ra
-			}
-			fr.path = append(fr.path, peID) //ppp:allow(alloc)
-			fr.trie = fr.ft.Paths.Step(fr.trie, peID)
-			return to
-		}
-	}
-
-	// Back edge: finish the path at the exit dummy, restart it at the
-	// entry dummy. The trie cursor was advanced edge by edge, so the
-	// completed path is one AddAt away.
-	xdID, edID := int32(s.ExitDummy.ID), int32(s.EntryDummy.ID)
-	name, edges := c.fname, c.spec.Edges
-	hooks := c.opts.PathHooks
-	// The restart Step always descends from the trie root along the
-	// same entry dummy, so its node is memoized per Exec after the
-	// first iteration (trie nodes are stable for a binding's lifetime).
-	// The memo slot also holds the Exec's trace head for the header,
-	// once a trace from it is installed.
-	memoID := len(c.memoTo)
-	c.memoTo = append(c.memoTo, int32(s.To))
-	ac.memo = int32(memoID)
-	//ppp:hotpath
-	return func(x *Exec, fr *frame) *blockCode {
-		x.steps += stepsC
-		x.base += baseC
-		if icostC != 0 {
-			x.icost += icostC
-		}
-		if slot >= 0 {
-			fr.ft.Edges.BumpSlot(int(slot))
-		}
-		if opsFn != nil {
-			opsFn(x, fr)
-		} else if hasFold {
-			fr.r = (fr.r & rm) + ra
-		}
-		pp := fr.ft.Paths
-		fr.path = append(fr.path, xdID) //ppp:allow(alloc)
-		fr.trie = pp.Step(fr.trie, xdID)
-		if pp.AddAt(fr.trie, fr.path, 1) == TraceAt {
-			x.formTrace(fr)
-		}
-		if hooks && x.pathHook != nil {
-			x.hook(name, edges, fr.path)
-		}
-		fr.path = append(fr.path[:0], edID) //ppp:allow(alloc)
-		return x.restart(fr, memoID, edID, to)
+	if testMutateArm != nil {
+		testMutateArm(c.fname, from, s.To, a)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"pathprof/internal/cfg"
+	"pathprof/internal/planir"
 )
 
 // This file turns the run's hot Ball-Larus paths into traces, online,
@@ -29,16 +30,15 @@ import (
 // lowered run, one exit-if guard per conditional (the block's fused
 // compare, or a test of its condition register, exiting when the
 // branch leaves the path's direction), then the on-trace transition's
-// edge bump and register fold or counter-op call. Everything else a
-// transition does is constant along a path and happens once: the
-// step, base and instrumentation charges are summed, the trie cursor
-// and pending path are known, and a complete path ends in one AddAt
-// (and path hook) on its known node. A guard that exits names its
+// edge bump, count and register fold, or RunOps stream. Everything
+// else a transition does is constant along a path and happens once:
+// the step, base and instrumentation charges are summed, the trie
+// cursor and pending path are known, and a complete path ends in one
+// AddAt (and path hook) on its known node. A guard that exits names its
 // step: the trace continues in that guard's side trace, if one has
 // formed, or side-exits, restoring the charges, pending path and trie
-// cursor of the prefix from per-exit constants and running the
-// off-trace arm's ordinary closure, after which dispatch continues
-// normally.
+// cursor of the prefix from per-exit constants and taking the
+// off-trace arm, after which dispatch continues normally.
 //
 // Traces cover solo blocks only: a trace stops before the first block
 // with a call, leaving the path open there. The executor enters a trace
@@ -49,12 +49,12 @@ import (
 // (validate.go) before it is installed; a trace that fails is dropped
 // and counted (ppp_vm_traces_rejected_total). Validation composes: a
 // trace is built only from block runs, guards derived from the blocks'
-// branches, and arm constants that engine validation tied to the arm
-// closures it proved, so the validator checks each piece against its
-// source and every exit's and the end's constants against sums over
-// the path, without running the trace.
+// branches, and the arm constants that engine validation drove take
+// on, so the validator checks each piece against its source and every
+// exit's and the end's constants against sums over the path, without
+// running the trace.
 //
-// A metered run counts a trace the way the transitions' meter would
+// A metered run counts a trace the way take counts its transitions
 // (term.go): every exit and the trace's end carry the summed VM
 // counters of the transitions before them, which one branch adds, and
 // a trace that completes a path counts it. The same branch counts the
@@ -122,10 +122,10 @@ type trace struct {
 	fi     int32
 	head   int32 // head block
 	prefix int32 // pending-path edges at entry: 0 at the frame entry, 1 (the entry dummy) at a loop header
-	// code is the trace's stream and fns the counter-op closures its
-	// mOps micro-ops call.
+	// code is the trace's stream and ops the RunOps streams its mOps
+	// micro-ops run.
 	code  []micro
-	fns   []instrFn
+	ops   [][]planir.Op
 	steps []tstep
 	exits []texit // steps' side-exit state
 	tail  tailKind
@@ -160,7 +160,7 @@ type trace struct {
 //ppp:hotpath
 func (t *trace) run(x *Exec, fr *frame) *blockCode {
 	for {
-		i := runMicros(x, fr, t.code, t.fns)
+		i := runMicros(x, fr, t.code, t.ops)
 		if i < 0 {
 			return t.complete(x, fr)
 		}
@@ -195,7 +195,7 @@ func (t *trace) exit(x *Exec, fr *frame, i int) *blockCode {
 	}
 	fr.path = append(fr.path, t.ids[t.prefix:t.prefix+e.plen]...) //ppp:allow(alloc)
 	fr.trie = e.node
-	return e.off.arms[e.arm](x, fr)
+	return x.take(fr, &e.off.arms[e.arm])
 }
 
 // complete finishes a trace that ran to its end.
@@ -242,7 +242,8 @@ func (t *trace) complete(x *Exec, fr *frame) *blockCode {
 // fields are that guard's side-exit state, where SwapArm has the exit
 // call the step's on-trace arm. Back reports a tailBack trace, with its
 // restart node. Folded reports a register fold in the stream, FoldAdd
-// being the last one's add.
+// being the last one's add; Counted a count micro-op, CountAdd being
+// the first one's index add.
 type traceConsts struct {
 	Steps, Base, ICost int64
 	End                int32
@@ -257,6 +258,9 @@ type traceConsts struct {
 
 	Folded  bool
 	FoldAdd int64
+
+	Counted  bool
+	CountAdd int64
 }
 
 // testMutateTrace, when non-nil, may corrupt a trace's constants after
@@ -269,14 +273,17 @@ var testMutateTrace func(fn string, head int, c *traceConsts)
 // it changed.
 func (t *trace) mutate(fc *fnCode) {
 	g := slices.IndexFunc(t.steps, func(s tstep) bool { return s.guarded() })
-	fold := -1
+	fold, cnt := -1, -1
 	for i := range t.code {
-		if t.code[i].op == mFold {
+		switch op := t.code[i].op; {
+		case op == mFold:
 			fold = i
+		case (op == mCount || op == mCountH) && cnt < 0:
+			cnt = i
 		}
 	}
 	c := traceConsts{Steps: t.need, Base: t.base, ICost: t.icost, End: t.end, Guarded: g >= 0,
-		Back: t.tail == tailBack, Restart: t.restart, Folded: fold >= 0}
+		Back: t.tail == tailBack, Restart: t.restart, Folded: fold >= 0, Counted: cnt >= 0}
 	if g >= 0 {
 		e := &t.exits[g]
 		c.ExitSteps, c.ExitBase, c.ExitICost, c.ExitTrans = e.steps, e.base, e.icost, e.n.trans
@@ -285,10 +292,16 @@ func (t *trace) mutate(fc *fnCode) {
 	if fold >= 0 {
 		c.FoldAdd = t.code[fold].imm
 	}
+	if cnt >= 0 {
+		c.CountAdd = t.code[cnt].imm
+	}
 	testMutateTrace(fc.name, int(t.head), &c)
 	t.need, t.base, t.icost, t.end, t.restart = c.Steps, c.Base, c.ICost, c.End, c.Restart
 	if fold >= 0 {
 		t.code[fold].imm = c.FoldAdd
+	}
+	if cnt >= 0 {
+		t.code[cnt].imm = c.CountAdd
 	}
 	if g < 0 {
 		return
@@ -390,8 +403,7 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 				return nil, nil
 			}
 			s := &cur.steps[i]
-			bc := &fc.blocks[b]
-			arm := pathArm(&spec.Succs[b], bc, ids[k])
+			arm := pathArm(&spec.Succs[b], ids[k])
 			if arm < 0 {
 				return nil, nil
 			}
@@ -438,23 +450,23 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 			// The path ended in this block: its return. The block runs
 			// as a last step whose transition changes nothing, and the
 			// return's charge joins the trace's.
-			if bc.arms[1] != nil || src.consts[0].to != nil {
+			if bc.arms[0].to != nil {
 				return nil, nil
 			}
 			s.fx = int32(len(t.code))
 			t.steps, t.exits = append(t.steps, s), append(t.exits, e)
-			t.need += src.consts[0].steps
-			t.base += src.consts[0].base
+			t.need += bc.arms[0].steps
+			t.base += bc.arms[0].base
 			t.tail, t.retReg = tailRet, int32(x.p.prog.Funcs[fi].Blocks[b].Term.Ret)
 			break
 		}
-		arm := pathArm(&spec.Succs[b], bc, ids[k])
+		arm := pathArm(&spec.Succs[b], ids[k])
 		if arm < 0 {
 			return nil, nil
 		}
-		ac := &src.consts[arm]
+		ac := &bc.arms[arm]
 		s.want = arm == 0
-		if bc.arms[1] != nil && !fork {
+		if bc.arms[1].to != nil && !fork {
 			s.guard = int32(len(t.code))
 			t.code = append(t.code, guardAt(src.test, s.want, len(t.steps)))
 			e.off, e.arm = bc, int32(1-arm)
@@ -489,18 +501,21 @@ func (x *Exec) buildTrace(fr *frame) (t, root *trace) {
 	return t, root
 }
 
-// appendEffects appends the micro-ops of a transition with constants
-// ac to t's stream: its edge bump, then its counter-op call or its
-// register fold (none for the identity fold).
+// appendEffects appends the micro-ops of transition ac to t's stream:
+// its edge bump, its RunOps stream or count, and its register fold
+// (none for the identity fold).
 func (t *trace) appendEffects(ac *armConsts) {
 	if ac.slot >= 0 {
 		t.code = append(t.code, micro{op: mBump, b: ac.slot})
 	}
-	switch {
-	case ac.ops != nil:
-		t.code = append(t.code, micro{op: mOps, b: int32(len(t.fns))})
-		t.fns = append(t.fns, ac.ops)
-	case ac.mask != -1 || ac.add != 0:
+	switch ac.instr {
+	case mOps:
+		t.code = append(t.code, micro{op: mOps, b: int32(len(t.ops))})
+		t.ops = append(t.ops, ac.ops)
+	case mCount, mCountH:
+		t.code = append(t.code, micro{op: ac.instr, imm: ac.ia, m: uint64(ac.im)})
+	}
+	if ac.mask != -1 || ac.add != 0 {
 		t.code = append(t.code, micro{op: mFold, imm: ac.add, m: uint64(ac.mask)})
 	}
 }
@@ -536,14 +551,12 @@ func (x *Exec) GuardExits(visit func(op string, exits int64)) {
 	}
 }
 
-// pathArm returns the arm of block bc (successor specs succs) whose
+// pathArm returns the arm of a block with successor specs succs whose
 // transition appends path edge id: a real edge, or a back edge's exit
-// dummy. -1 when neither arm does.
-func pathArm(succs *[2]SuccSpec, bc *blockCode, id int32) int {
+// dummy. -1 when neither arm does. (The unused arm of a Jump, and both
+// of a Ret, are zero SuccSpecs, which append no edge.)
+func pathArm(succs *[2]SuccSpec, id int32) int {
 	for a := 0; a < 2; a++ {
-		if bc.arms[a] == nil {
-			continue
-		}
 		s := &succs[a]
 		if !s.Back && s.PathEdge != nil && int32(s.PathEdge.ID) == id ||
 			s.Back && s.ExitDummy != nil && int32(s.ExitDummy.ID) == id {

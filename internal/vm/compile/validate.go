@@ -5,12 +5,14 @@ package compile
 // transition semantics. The compiled form is aggressively fused — op
 // streams fold to masked adds, constant costs collapse into one
 // addition, solo successors' charges migrate into their predecessors'
-// terminators — so instead of trusting the folds, Validate replays
-// every retained transition closure (blockCode.arms) against the one
-// per-transition step definition (Stepper.Step and EndPath, step.go),
-// driven from the same activation over twin profile containers. The step's charges stop at the instrumentation cost; the
-// terminator's step and base charges are derived independently from
-// the IR. The complete observable state is compared after every probe:
+// arms — so instead of trusting the folds, Validate takes every arm
+// (blockCode.arms) through Exec.take, the one method every run and
+// trace side exit takes it with, against the one per-transition step
+// definition (Stepper.Step and EndPath, step.go), driven from the same
+// activation over twin profile containers. The step's charges stop at
+// the instrumentation cost; the terminator's step and base charges are
+// derived independently from the IR. The complete observable state is
+// compared after every probe:
 //
 //   - path register (the fold target)
 //   - step, base-cost, and instrumentation-cost deltas, with the
@@ -24,9 +26,8 @@ package compile
 //   - path-tracking effects: trie cursor, pending path, recorded
 //     totals, and path-hook invocations
 //   - in a Telemetry build, the VM counters: transitions, ops, table
-//     increments, cold bumps and completed paths, counted by the
-//     compiled side's meter into the probe Exec's cells and by the
-//     step into the reference's
+//     increments, cold bumps and completed paths, counted by take into
+//     the probe Exec's cells and by the step into the reference's
 //
 // Each fused lowering — register folds, the single-count
 // specialization, the solo-successor charge fold, edge-slot bumps, and
@@ -53,14 +54,14 @@ package compile
 //
 // Hot-path traces (trace.go) are formed during runs, not compiled here;
 // Validator.Trace checks each one by composition when it is formed,
-// from the arm constants checkConsts ties to the arms proven here.
+// from the arm constants proven here: the ones take runs.
 //
 // What IS proven statically per function, before any probes: segment
 // charges resum to the interpreter's per-instruction accounting
 // (sum of seg.steps == len(instrs), sum of seg.cost == len(instrs) *
 // Instr + calls*Call), the solo flag and budget-check gate match the
 // call-free criterion, the entry precharge matches the entry block,
-// and every live terminator arm was compiled.
+// and every live terminator arm has a successor.
 
 import (
 	"fmt"
@@ -166,14 +167,10 @@ func staticCheck(p *Program, fi int) error {
 		if solo && bc.check != (n > 0) {
 			return serr(bi, "solo-check", b2i(bc.check), b2i(n > 0))
 		}
-		wantArms := 1
-		if b.Term.Kind == ir.Branch {
-			wantArms = 2
-		}
-		for k := 0; k < 2; k++ {
-			has := bc.arms[k] != nil
-			if has != (k < wantArms) {
-				return serr(bi, fmt.Sprintf("arm[%d]", k), b2i(has), b2i(k < wantArms))
+		wantSuccs := [2]bool{b.Term.Kind != ir.Ret, b.Term.Kind == ir.Branch}
+		for k, want := range wantSuccs {
+			if has := bc.arms[k].to != nil; has != want {
+				return serr(bi, fmt.Sprintf("arm[%d]", k), b2i(has), b2i(want))
 			}
 		}
 	}
@@ -235,7 +232,7 @@ func (l *hookLog) same(o *hookLog, i int) bool {
 	return l.fns[i] == o.fns[i] && slices.Equal(l.entry(i), o.entry(i))
 }
 
-// Validator drives compiled arms (got side, through a real Exec)
+// Validator drives compiled arms (got side, through a real Exec's take)
 // against the shared transition step (ref side, Stepper.Step over twin
 // containers), one routine at a time, and checks traces (Trace). The
 // probe machinery is built once and shared by every routine and probe:
@@ -437,9 +434,9 @@ func (v *Validator) bind(fi int) error {
 	return nil
 }
 
-// checkArm drives one compiled transition closure through every probe
-// and compares it against the reference. Closure panics surface as
-// structured errors rather than killing the engine build.
+// checkArm takes one compiled arm through every probe and compares it
+// against the reference. Panics surface as structured errors rather
+// than killing the engine build.
 func (v *Validator) checkArm(bi, arm int) (err error) {
 	term := &v.f.Blocks[bi].Term
 	var s *SuccSpec
@@ -472,10 +469,9 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 	v.probe = probe
 
 	// Compiled side: the probe frame reset to a fresh activation, zeroed
-	// charge accumulators, then one direct call of the retained arm
-	// closure.
+	// charge accumulators, then the arm taken.
 	v.resetProbe(probe)
-	ret := fc.blocks[v.bi].arms[v.arm](x, fr)
+	ret := x.take(fr, &fc.blocks[v.bi].arms[v.arm])
 
 	// Reference side: the shared step from the same fresh activation,
 	// plus the terminator charges derived from the IR.
@@ -495,42 +491,7 @@ func (v *Validator) probeArm(s *SuccSpec, term *ir.Term, probe int64) error {
 		succ, icost = s.To, v.ref.Step(s, rt)
 		steps, base = v.irCharge(v.bi, s)
 	}
-	if err := v.compare(ret, succ, steps, base, icost); err != nil {
-		return err
-	}
-	return v.checkConsts(s)
-}
-
-// checkConsts checks the arm's retained constants, which traces sum
-// and copy (trace.go), against what its closure just did from path
-// register v.probe: its charges, edge slot, register fold and VM tally,
-// the instrumentation charge, fold and table increments only for a
-// fold arm, whose closure has no op closure adding its own.
-func (v *Validator) checkConsts(s *SuccSpec) error {
-	ac, x := &v.fc.traceSrc[v.bi].consts[v.arm], v.x
-	slot, fold, tel := int32(-1), ac.ops == nil, v.p.opts.Telemetry
-	if s != nil && v.p.opts.CollectEdges {
-		slot = s.EdgeSlot
-	}
-	for _, c := range [...]struct {
-		field     string
-		check     bool
-		got, want int64
-	}{
-		{"consts-steps", true, ac.steps, x.steps},
-		{"consts-base", true, ac.base, x.base},
-		{"consts-slot", true, int64(ac.slot), int64(slot)},
-		{"consts-icost", fold, ac.icost, x.icost},
-		{"consts-fold", fold, (v.probe & ac.mask) + ac.add, v.fr.r},
-		{"consts-transitions", tel, ac.n.trans, v.gotTel.trans.Value()},
-		{"consts-ops", tel, ac.n.ops, v.gotTel.ops.Value()},
-		{"consts-table-incs", tel && fold, ac.n.incs, v.gotTel.incs.Value()},
-	} {
-		if c.check && c.got != c.want {
-			return v.fail(c.field, c.got, c.want)
-		}
-	}
-	return nil
+	return v.compare(ret, succ, steps, base, icost)
 }
 
 // resetProbe resets the compiled side to a fresh activation with path
@@ -818,9 +779,10 @@ type guardKey struct{ fi, b, arm int }
 // the trie node of a read-only walk of live along the path. An exit at
 // a guard must run its block's other arm.
 func (v *Validator) checkSteps(t *trace, live *profile.PathProfile, want tsums) error {
-	v.fx.fns = v.fx.fns[:0]
+	v.fx.ops = v.fx.ops[:0]
 	for i, w := range v.walk {
 		s, e, src := &t.steps[i], &t.exits[i], &v.fc.traceSrc[w.b]
+		bc := &v.fc.blocks[w.b]
 		fork := i == 0 && t.parent != nil
 		branch := v.f.Blocks[w.b].Term.Kind == ir.Branch
 		if s.guarded() != (branch && !fork) || s.guarded() && s.want != (w.arm == 0) ||
@@ -844,12 +806,12 @@ func (v *Validator) checkSteps(t *trace, live *profile.PathProfile, want tsums) 
 			}
 			key := guardKey{v.fi, w.b, w.arm}
 			if g.d = 0; v.guards[key] != g {
-				if err := v.checkGuard(t.code[s.guard], src, w.arm); err != nil {
+				if err := v.checkGuard(t.code[s.guard], bc, src, w.arm); err != nil {
 					return err
 				}
 				v.guards[key] = g
 			}
-			if e.off != &v.fc.blocks[w.b] || e.arm != int32(1-w.arm) {
+			if e.off != bc || e.arm != int32(1-w.arm) {
 				return v.fail(fmt.Sprintf("trace exit %d: off-trace arm", i), int64(e.arm), int64(1-w.arm))
 			}
 		}
@@ -862,7 +824,7 @@ func (v *Validator) checkSteps(t *trace, live *profile.PathProfile, want tsums) 
 			want.base += v.p.opts.Costs.Term
 		} else {
 			ds, db := v.irCharge(w.b, &v.spec.Succs[w.b][w.arm])
-			ac := &src.consts[w.arm]
+			ac := &bc.arms[w.arm]
 			want.steps, want.base, want.icost = want.steps+ds, want.base+db, want.icost+ac.icost
 			want.n.add(&ac.n)
 			want.node = live.Child(want.node, t.ids[t.prefix+want.plen])
@@ -873,8 +835,8 @@ func (v *Validator) checkSteps(t *trace, live *profile.PathProfile, want tsums) 
 			return v.fail(fmt.Sprintf("trace: step %d effects", i), int64(len(fx)), int64(len(v.fx.code)))
 		}
 	}
-	if len(t.fns) != len(v.fx.fns) {
-		return v.fail("trace: counter ops", int64(len(t.fns)), int64(len(v.fx.fns)))
+	if !slices.EqualFunc(t.ops, v.fx.ops, slices.Equal) {
+		return v.fail("trace: RunOps streams", int64(len(t.ops)), int64(len(v.fx.ops)))
 	}
 	if end := (tsums{t.need, t.base, t.icost, t.n, t.end, want.plen}); end != want || want.node < 0 {
 		return v.fail(fmt.Sprintf("trace end: %+v, want %+v", end, want), 0, 0)
@@ -883,12 +845,12 @@ func (v *Validator) checkSteps(t *trace, live *profile.PathProfile, want tsums) 
 }
 
 // checkGuard runs guard g alone through runMicros, with its operands,
-// and those of its block's own branch (src's condFn or condition
-// register), set to every probe register value, the constants either
+// and those of its block's own branch (bc's condFn or condition
+// register, whose exit-if is src.test), set to every probe register value, the constants either
 // compares with, and the values one off those. On a path that leaves
 // the block by arm, g must exit, at the step it names, exactly when
 // the branch does not take arm.
-func (v *Validator) checkGuard(g micro, src *blockTraceSrc, arm int) error {
+func (v *Validator) checkGuard(g micro, bc *blockCode, src *blockTraceSrc, arm int) error {
 	x, fr := v.x, &v.fr
 	fr.regs = fr.regs[:v.fc.nregs]
 	var buf [12]int64
@@ -914,8 +876,8 @@ func (v *Validator) checkGuard(g micro, src *blockTraceSrc, arm int) error {
 				}
 			}
 			taken := fr.regs[src.test.a] != 0
-			if src.cond != nil {
-				taken = src.cond(x, fr)
+			if bc.cond != nil {
+				taken = bc.cond(x, fr)
 			}
 			want := taken != (arm == 0)
 			if got := runMicros(x, fr, []micro{g}, nil); got != -1 && got != g.d || (got >= 0) != want {
@@ -947,7 +909,7 @@ func (v *Validator) checkTail(t *trace, live *profile.PathProfile, next int) err
 		if node := live.Child(0, t.restartID); node < 0 || t.restart != node {
 			return v.fail("trace end: restart node", int64(t.restart), int64(node))
 		}
-		if m := v.fc.traceSrc[last.b].consts[last.arm].memo; t.memo != m || v.fc.memoTo[m] != int32(s.To) {
+		if m := v.fc.blocks[last.b].arms[last.arm].memo; t.memo != m || v.fc.memoTo[m] != int32(s.To) {
 			return v.fail("trace end: memo slot", int64(t.memo), int64(m))
 		}
 	}

@@ -56,6 +56,19 @@ func main() {
 // its own edge profile, and builds a validated compiled engine.
 func buildPlanned(t *testing.T, opts vm.Options, tech instr.Techniques, par instr.Params) (*vm.Engine, *ir.Program, map[string]*instr.Plan) {
 	t.Helper()
+	prog, plans := planned(t, tech, par)
+	opts.Plans = plans
+	eng, err := vm.NewEngine(prog, opts)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	return eng, prog, plans
+}
+
+// planned compiles validateSrc and plans it with tech and par against
+// its own edge profile.
+func planned(t *testing.T, tech instr.Techniques, par instr.Params) (*ir.Program, map[string]*instr.Plan) {
+	t.Helper()
 	prog, err := lower.Compile(validateSrc, lower.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -78,17 +91,12 @@ func buildPlanned(t *testing.T, opts vm.Options, tech instr.Techniques, par inst
 		}
 		plans[f.Name] = p
 	}
-	opts.Plans = plans
-	eng, err := vm.NewEngine(prog, opts)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	return eng, prog, plans
+	return prog, plans
 }
 
 // TestValidatePasses proves every routine of a representative
 // instrumented program under the run shapes that change what the
-// transition closures do (edge slots, path tracking, hooks), and under
+// transitions do (edge slots, path tracking, hooks), and under
 // the plan shapes that change how op streams lower: PPP's array
 // counts, check-based poisoning (every count carries an r<0 check, so
 // streams take the generic lowering), and PP's hash-table counts.
@@ -154,39 +162,48 @@ func TestValidatePasses(t *testing.T) {
 // TestValidateDetectsMutation corrupts one fused terminator constant
 // via the lowering-mutation hook and asserts validation rejects the
 // build with a structured error naming the exact block pair, the
-// field, and the first probe.
+// field (or, with prefix, the field's kind), and the first probe. A
+// planned case compiles validateSrc under its PPP plans, whose
+// transitions carry counts.
 func TestValidateDetectsMutation(t *testing.T) {
 	pathsOnly := vm.Options{CollectPaths: true}
 	mutations := []struct {
-		name  string
-		arm   func() *compile.MutatedSite
-		opts  vm.Options
-		field func(site *compile.MutatedSite) string
+		name    string
+		arm     func() *compile.MutatedSite
+		opts    vm.Options
+		field   func(site *compile.MutatedSite) string
+		planned bool
+		prefix  bool
 	}{
 		{"base-cost", func() *compile.MutatedSite { return compile.MutateFirstSuccBase(7) }, pathsOnly,
-			func(*compile.MutatedSite) string { return "base" }},
+			func(*compile.MutatedSite) string { return "base" }, false, false},
 		{"step-fold", func() *compile.MutatedSite { return compile.MutateFirstSuccSteps(7) }, pathsOnly,
-			func(*compile.MutatedSite) string { return "steps" }},
+			func(*compile.MutatedSite) string { return "steps" }, false, false},
 		// The bump lands one slot along, so the first slot whose count
 		// diverges is the mutated transition's own.
 		{"edge-slot", func() *compile.MutatedSite { return compile.MutateFirstSuccEdgeSlot(1) },
 			vm.Options{CollectEdges: true, CollectPaths: true},
-			func(site *compile.MutatedSite) string { return fmt.Sprintf("edge[%d->%d]", site.From, site.To) }},
+			func(site *compile.MutatedSite) string { return fmt.Sprintf("edge[%d->%d]", site.From, site.To) }, false, false},
 		{"reg", func() *compile.MutatedSite { return compile.MutateFirstSuccAdd(7) }, pathsOnly,
-			func(*compile.MutatedSite) string { return "reg" }},
+			func(*compile.MutatedSite) string { return "reg" }, false, false},
 		{"icost", func() *compile.MutatedSite { return compile.MutateFirstSuccICost(7) }, pathsOnly,
-			func(*compile.MutatedSite) string { return "icost" }},
+			func(*compile.MutatedSite) string { return "icost" }, false, false},
+		// The index the count lands on, or the drop of an index moved out
+		// of the table, is the first difference in the counter table.
+		{"count", func() *compile.MutatedSite { return compile.MutateFirstSuccCount(1) }, pathsOnly,
+			func(*compile.MutatedSite) string { return "table" }, true, true},
 	}
 	for _, mu := range mutations {
 		mu := mu
 		t.Run(mu.name, func(t *testing.T) {
-			prog, err := lower.Compile(validateSrc, lower.Options{})
-			if err != nil {
-				t.Fatalf("compile: %v", err)
+			prog, plans := planned(t, instr.PPP(), instr.DefaultParams())
+			opts := mu.opts
+			if mu.planned {
+				opts.Plans = plans
 			}
 			site := mu.arm()
 			defer compile.ClearMutateSucc()
-			_, err = vm.NewEngine(prog, mu.opts)
+			_, err := vm.NewEngine(prog, opts)
 			if err == nil {
 				t.Fatalf("mutated lowering (%s at %s %d->%d) passed translation validation",
 					mu.name, site.Fn, site.From, site.To)
@@ -199,7 +216,7 @@ func TestValidateDetectsMutation(t *testing.T) {
 				t.Errorf("error names %s %d->%d, mutation was at %s %d->%d",
 					ve.Routine, ve.From, ve.To, site.Fn, site.From, site.To)
 			}
-			if want := mu.field(site); ve.Field != want {
+			if want := mu.field(site); ve.Field != want && !(mu.prefix && strings.HasPrefix(ve.Field, want)) {
 				t.Errorf("error field %q, want %q", ve.Field, want)
 			}
 			if ve.Probe != 0 {
@@ -316,11 +333,22 @@ func BenchmarkValidate(b *testing.B) {
 // counters.
 type traceCount struct{ Formed, Rejected int64 }
 
+// execRun is what runExec reports of a run: its return value, the
+// fingerprint of its path profiles and counter tables, its steps, and
+// its trace formations.
+type execRun struct {
+	ret    int64
+	fp     uint64
+	steps  int64
+	traces traceCount
+}
+
 // runExec runs prog's main on a bare, metered compiled Exec with exact
-// path collection under plans (nil for none) and returns the return
-// value, the path profiles' fingerprint, and the Exec's trace
-// formations.
-func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int64, uint64, traceCount) {
+// path collection under plans (nil for none) and a step budget of
+// maxSteps (0 for none). A mutated run gets a few times the clean
+// run's steps, so a miscompiled trace that loops fails the test
+// promptly instead of hanging it.
+func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan, maxSteps int64) execRun {
 	t.Helper()
 	m := telemetry.NewVMMetrics(telemetry.NewRegistry(1))
 	eng, err := vm.NewEngine(prog, vm.Options{Plans: plans, CollectPaths: true, Metrics: m})
@@ -341,7 +369,7 @@ func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int6
 			snap.Tables[f.Name] = fts[i].Table
 		}
 	}
-	x, err := compile.NewExec(eng.Compiled(), compile.Config{Fts: fts, Tel: m.Cells(0)})
+	x, err := compile.NewExec(eng.Compiled(), compile.Config{Fts: fts, Tel: m.Cells(0), MaxSteps: maxSteps})
 	if err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -349,21 +377,28 @@ func runExec(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan) (int6
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return ret, snap.Fingerprint(), traceCount{m.TracesFormed.Value(), m.TracesRejected.Value()}
+	return execRun{ret, snap.Fingerprint(), x.Counters().Steps, traceCount{m.TracesFormed.Value(), m.TracesRejected.Value()}}
+}
+
+// runMutated runs prog as runExec does with a budget of four times the
+// clean run's steps.
+func runMutated(t *testing.T, prog *ir.Program, plans map[string]*instr.Plan, clean execRun) execRun {
+	t.Helper()
+	return runExec(t, prog, plans, 4*clean.steps)
 }
 
 // TestValidateRejectsMutatedTrace proves trace validation is not
 // vacuous: a trace whose summed charges or end node, one side exit's
-// restored state or off-trace arm, a register fold in its stream, or
-// its restart node are corrupted after formation must fail validation
-// and never be installed, so the run's results stay exactly those of
-// an uncorrupted run, which forms and installs every trace. runExec is
-// metered, so an exit's VM tally is observable.
+// restored state or off-trace arm, a register fold or count in its
+// stream, or its restart node are corrupted after formation must fail
+// validation and never be installed, so the run's results stay exactly
+// those of an uncorrupted run, which forms and installs every trace.
+// runExec is metered, so an exit's VM tally is observable.
 func TestValidateRejectsMutatedTrace(t *testing.T) {
-	_, prog, plans := buildPlanned(t, vm.Options{CollectPaths: true}, instr.PPP(), instr.DefaultParams())
-	wantRet, wantFP, clean := runExec(t, prog, plans)
-	if clean.Formed == 0 || clean.Rejected != 0 {
-		t.Fatalf("unmutated run formed traces %+v, want some and none rejected", clean)
+	prog, plans := planned(t, instr.PPP(), instr.DefaultParams())
+	clean := runExec(t, prog, plans, 0)
+	if clean.traces.Formed == 0 || clean.traces.Rejected != 0 {
+		t.Fatalf("unmutated run formed traces %+v, want some and none rejected", clean.traces)
 	}
 	for _, tc := range []struct {
 		name string
@@ -381,20 +416,21 @@ func TestValidateRejectsMutatedTrace(t *testing.T) {
 		{"exit-plen", func() *compile.MutatedSite { return compile.MutateFirstExitPlen(1) }},
 		{"exit-arm", compile.MutateFirstExitArm},
 		{"fold", func() *compile.MutatedSite { return compile.MutateFirstTraceFold(1) }},
+		{"count", func() *compile.MutatedSite { return compile.MutateFirstTraceCount(1) }},
 		{"restart", func() *compile.MutatedSite { return compile.MutateFirstTraceRestart(1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			site := tc.arm()
 			defer compile.ClearMutateTrace()
-			ret, fp, got := runExec(t, prog, plans)
+			got := runMutated(t, prog, plans, clean)
 			if site.From < 0 {
 				t.Fatal("mutation hook never fired")
 			}
-			if got.Rejected != 1 {
-				t.Errorf("mutated trace at %s block %d: %d traces rejected, want 1", site.Fn, site.From, got.Rejected)
+			if got.traces.Rejected != 1 {
+				t.Errorf("mutated trace at %s block %d: %d traces rejected, want 1", site.Fn, site.From, got.traces.Rejected)
 			}
-			if ret != wantRet || fp != wantFP {
-				t.Errorf("mutated run: ret %d fingerprint %#x, want %d %#x", ret, fp, wantRet, wantFP)
+			if got.ret != clean.ret || got.fp != clean.fp {
+				t.Errorf("mutated run: ret %d fingerprint %#x, want %d %#x", got.ret, got.fp, clean.ret, clean.fp)
 			}
 		})
 	}
@@ -406,21 +442,21 @@ func TestValidateRejectsMutatedTrace(t *testing.T) {
 // its block's own branch can reject it. The trace must be rejected,
 // and the run's results must stay exactly those of an unmutated run.
 func TestValidateRejectsMutatedGuard(t *testing.T) {
-	_, prog, plans := buildPlanned(t, vm.Options{CollectPaths: true}, instr.PPP(), instr.DefaultParams())
-	wantRet, wantFP, clean := runExec(t, prog, plans)
-	if clean.Formed == 0 || clean.Rejected != 0 {
-		t.Fatalf("unmutated run formed traces %+v, want some and none rejected", clean)
+	prog, plans := planned(t, instr.PPP(), instr.DefaultParams())
+	clean := runExec(t, prog, plans, 0)
+	if clean.traces.Formed == 0 || clean.traces.Rejected != 0 {
+		t.Fatalf("unmutated run formed traces %+v, want some and none rejected", clean.traces)
 	}
 	site := compile.MutateFirstTraceGuard()
 	defer compile.ClearMutateTrace()
-	ret, fp, got := runExec(t, prog, plans)
+	got := runMutated(t, prog, plans, clean)
 	if site.From < 0 {
 		t.Fatal("no formed trace had a guard to mutate")
 	}
-	if got.Rejected != 1 {
-		t.Errorf("trace with a reversed guard at %s block %d: %d traces rejected, want 1", site.Fn, site.From, got.Rejected)
+	if got.traces.Rejected != 1 {
+		t.Errorf("trace with a reversed guard at %s block %d: %d traces rejected, want 1", site.Fn, site.From, got.traces.Rejected)
 	}
-	if ret != wantRet || fp != wantFP {
-		t.Errorf("mutated run: ret %d fingerprint %#x, want %d %#x", ret, fp, wantRet, wantFP)
+	if got.ret != clean.ret || got.fp != clean.fp {
+		t.Errorf("mutated run: ret %d fingerprint %#x, want %d %#x", got.ret, got.fp, clean.ret, clean.fp)
 	}
 }

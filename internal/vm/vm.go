@@ -89,13 +89,13 @@ type Options struct {
 	Guard *GuardConfig
 	// Metrics, if set, receives hot-loop counters (transitions, ops,
 	// table increments, completed paths) and the executor's trace
-	// formations. A metered run executes the same transition closures
-	// and forms the same traces as an unmetered one; the compiler wraps
-	// each transition in a counting closure and traces add summed
-	// constants. Nil is the no-op sink: transitions and traces run no
-	// counting code, and the few bumps left (the generic op stream's
-	// and trace formations') cost one nil-check branch each. A run
-	// writes worker 0's cells; RunReplicated gives each worker its own.
+	// formations. A metered run takes the same transitions and forms
+	// the same traces as an unmetered one; each transition adds its
+	// constant counters, and traces their sums, behind one branch. Nil
+	// is the no-op sink: that branch counts nothing, and the few bumps
+	// left (the generic op stream's and trace formations') cost one
+	// nil-check branch each. A run writes worker 0's cells;
+	// RunReplicated gives each worker its own.
 	Metrics *telemetry.VMMetrics
 	// Trace, if set, receives runtime decision events (RunReplicated
 	// shard quarantines); TraceUnit labels them.
